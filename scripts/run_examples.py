@@ -29,6 +29,10 @@ RUNS = [
 ]
 
 
+def json_name(i: int, command: str, fixture: str) -> str:
+    return f"{i:02d}_{command}_{fixture.replace('.alg', '')}.json"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--json-dir", help="also write one JSON document per run")
@@ -39,7 +43,7 @@ def main() -> int:
         if args.json_dir:
             out = pathlib.Path(args.json_dir)
             out.mkdir(parents=True, exist_ok=True)
-            argv += ["--json", str(out / f"{i:02d}_{command}_{fixture.replace('.alg', '')}.json")]
+            argv += ["--json", str(out / json_name(i, command, fixture))]
         print(f"\n=== pathalg {' '.join(argv)}")
         rc = run(argv)
         print(f"=== exit {rc}")

@@ -6,16 +6,28 @@ nonzero scalars; generator metadata lives with the module presentation.
 
 The reduced Groebner basis of a homogeneous ideal I inside (kQ_{>0})^2 is
 computed by overlap completion, truncated at a caller-supplied degree; the
-completeness status is part of the result.
+completeness status is part of the result.  Completion is degree-ordered,
+as in Bergman's diamond lemma and Green's completion for path algebras:
+generators and overlap S-elements wait in one heap keyed by degree and are
+each reduced once against the basis so far.  Because they arrive in
+increasing degree, a new tip neither is divisible by an older tip nor
+divides one, so the tips form an antichain throughout, no element is ever
+dropped, and one final pass that reduces every tail makes the basis
+reduced.  A normal form is a single descending pass over a heap of words;
+reducers are looked up in a TipIndex, a dict keyed by tip word, which a
+GroebnerBasis builds once and keeps.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .errors import PathAlgError, TruncatedBasisError
 from .order import OrderSpec
-from .quiver import Path, Quiver, divides, factorizations
+from .quiver import Path, Quiver
 
 
 def _clean(terms: Mapping) -> dict:
@@ -212,44 +224,117 @@ class GroebnerBasis:
                 f"a complete Groebner basis is required; this one is {self.status}"
             )
 
+    @cached_property
+    def tip_index(self) -> "TipIndex":
+        """The reducers of `normal_form`, built on first use."""
+        return TipIndex(self.order, self.elements)
 
-def _find_reduction(p: Path, elems: list[AlgebraElement], tips_: list[Path]):
-    for g, t in zip(elems, tips_):
-        occ = factorizations(t, p)
-        if occ:
-            u, v = occ[0]
-            return g, u, v
-    return None
+
+def _ranks(p: Path, order: OrderSpec) -> tuple[int, ...]:
+    rank = order.arrow_rank
+    return tuple([rank[a.name] for a in p.arrows])
+
+
+class TipIndex:
+    """Reducers for `normal_form`, looked up by the arrow ranks of their tips.
+
+    A word is handled as the tuple of its arrows' precedence ranks (0 is
+    the greatest arrow), so among words of one length the smaller tuple is
+    the greater word.  The reducer of a word is the first element, in
+    insertion order, whose tip divides it, taken at the tip's leftmost
+    occurrence.  It is found by probing the tip dict at every offset with
+    ever longer factors, stopping once a factor is no tip's prefix.
+    """
+
+    def __init__(self, order: OrderSpec, elements: Iterable[AlgebraElement] = ()):
+        self.order = order
+        self.elements: list[AlgebraElement] = []
+        self.tips: list[Path] = []
+        # tip ranks -> (insertion position, tail as (ranks, arrows, coefficient / lead))
+        self._by_tip: dict[tuple[int, ...], tuple[int, list]] = {}
+        self._prefixes: set[tuple[int, ...]] = set()
+        for g in elements:
+            if g:
+                self.add(g)
+
+    def add(self, g: AlgebraElement) -> None:
+        t = tip(g, self.order)
+        if t.is_vertex:
+            raise PathAlgError(f"a reducer tip must have positive length; got {t}")
+        lead = g.terms[t]
+        tail = [(_ranks(q, self.order), q.arrows, c / lead) for q, c in g.terms.items() if q != t]
+        key = _ranks(t, self.order)
+        self._by_tip.setdefault(key, (len(self.elements), tail))
+        self._prefixes.update(key[:n] for n in range(1, len(key) + 1))
+        self.elements.append(g)
+        self.tips.append(t)
+
+    def find(self, w: tuple[int, ...]):
+        """(tail, offset, tip length) of the reducer of word w, or None."""
+        best = None
+        m = len(w)
+        for i in range(m):
+            for j in range(i + 1, m + 1):
+                piece = w[i:j]
+                if piece not in self._prefixes:
+                    break
+                hit = self._by_tip.get(piece)
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = (hit[0], hit[1], i, j - i)
+        return None if best is None else best[1:]
+
+
+def _reducers(basis, order: OrderSpec) -> TipIndex:
+    if isinstance(basis, GroebnerBasis):
+        return basis.tip_index if basis.order == order else TipIndex(order, basis.elements)
+    if isinstance(basis, TipIndex):
+        return basis if basis.order == order else TipIndex(order, basis.elements)
+    return TipIndex(order, basis)
 
 
 def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
     """Rewrite x until no support path is divisible by a basis tip.
 
-    `basis` may be a GroebnerBasis or any iterable of monic elements; x minus
-    the result lies in the two-sided ideal generated by the basis.
-    Termination follows from the order being a well-order.
+    `basis` may be a GroebnerBasis, a TipIndex, or any iterable of
+    elements; x minus the result lies in the two-sided ideal generated by
+    the basis.  Words are taken from a heap, greatest first.  A rewrite
+    replaces a word by smaller ones only (the order is admissible), so every
+    word is popped once and the pass ends when the heap is empty.
     """
-    elems = list(basis.elements) if isinstance(basis, GroebnerBasis) else [g for g in basis if g]
-    tips_ = [tip(g, order) for g in elems]
-    terms = dict(x.terms)
-    while True:
-        hit = None
-        for p in sorted(terms, key=order.path_key, reverse=True):
-            red = _find_reduction(p, elems, tips_)
-            if red is not None:
-                hit = (p, red)
-                break
-        if hit is None:
-            return AlgebraElement(terms)
-        p, (g, u, v) = hit
-        c = terms[p]
-        for q, d in g.left_mul(u).right_mul(v).scale(c).terms.items():
-            s = terms.get(q)
-            val = -d if s is None else s - d
-            if val:
-                terms[q] = val
+    index = _reducers(basis, order)
+    terms: dict[tuple[int, ...], object] = {}
+    given: dict[tuple[int, ...], Path] = {}
+    heap = []
+    for p, c in x.terms.items():
+        w = _ranks(p, order)
+        terms[w] = c
+        given[w] = p
+        heap.append((-len(w), w, p.arrows))
+    heapify(heap)
+    out: dict[Path, object] = {}
+    while heap:
+        _, w, arrows = heappop(heap)
+        c = terms.pop(w)
+        if not c:
+            continue
+        found = index.find(w)
+        if found is None:
+            p = given.get(w)
+            if p is None:
+                p = Path(arrows) if arrows else Path(vertex=next(iter(x.terms)).source)
+            out[p] = c
+            continue
+        tail, i, n = found
+        head, rest, head_arrows, rest_arrows = w[:i], w[i + n:], arrows[:i], arrows[i + n:]
+        for q, q_arrows, d in tail:
+            word = head + q + rest
+            s = terms.get(word)
+            if s is None:
+                terms[word] = -(c * d)
+                heappush(heap, (-len(word), word, head_arrows + q_arrows + rest_arrows))
             else:
-                terms.pop(q, None)
+                terms[word] = s - c * d
+    return AlgebraElement(out)
 
 
 def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
@@ -284,6 +369,12 @@ def _overlap_sites(ta: Path, tb: Path) -> list[tuple[str, int]]:
     return out
 
 
+def _overlaps(ta: Path, tb: Path):
+    """(degree of the ambiguity word, kind, pos) for each overlap site of ta with tb."""
+    for kind, pos in _overlap_sites(ta, tb):
+        yield (ta.length + tb.length - pos if kind == "suffix" else ta.length), kind, pos
+
+
 def _s_element(a: AlgebraElement, b: AlgebraElement, ta: Path, tb: Path, kind: str, pos: int) -> AlgebraElement:
     if kind == "suffix":
         k = pos
@@ -306,20 +397,28 @@ def _validate_generators(generators: Iterable[AlgebraElement]) -> list[AlgebraEl
 
 
 def _pair_list(basis: list[AlgebraElement], order: OrderSpec):
-    pairs = []
-    for ia, a in enumerate(basis):
-        ta = tip(a, order)
-        for ib, b in enumerate(basis):
-            tb = tip(b, order)
-            for kind, pos in _overlap_sites(ta, tb):
-                deg = ta.length + tb.length - pos if kind == "suffix" else ta.length
-                pairs.append((deg, ia, ib, kind, pos))
-    pairs.sort()
-    return pairs
+    tips_ = [tip(g, order) for g in basis]
+    return sorted(
+        (deg, ia, ib, kind, pos)
+        for ia, ta in enumerate(tips_)
+        for ib, tb in enumerate(tips_)
+        for deg, kind, pos in _overlaps(ta, tb)
+    )
 
 
 def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_degree: int) -> GroebnerBasis:
-    """Overlap completion up to max_degree, returning the reduced basis.
+    """Degree-ordered overlap completion up to max_degree, returning the reduced basis.
+
+    One heap holds the work, keyed by degree: each generator at its own
+    degree, and each overlap S-element of degree <= max_degree, pushed when
+    the later of its two elements joins the basis.  Each item is reduced
+    once against the basis so far; a nonzero remainder joins it, made monic.
+    Since items come out in increasing degree, a new tip is not divisible by
+    any older tip (it is reduced) and divides none (an older tip is no
+    longer, so it would have to be equal).  The tips therefore stay an
+    antichain, no element is ever dropped, and every overlap degree exceeds
+    the degrees of both its elements.  A final pass reduces each tail
+    against the whole basis.
 
     The status is `complete` exactly when every proper overlap among the
     final tips has degree <= max_degree (each such S-element is known to
@@ -330,67 +429,35 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     if gens and max_degree < max(g.degree() for g in gens):
         raise PathAlgError("max_degree must be at least the largest generator degree")
 
-    basis: list[AlgebraElement] = []
-    for g in gens:
-        h = normal_form(g, basis, order)
-        if h:
-            basis.append(monic(h, order))
+    index = TipIndex(order)
+    ticket = itertools.count()
+    queue = [(g.degree(), next(ticket), g) for g in gens]
+    heapify(queue)
+    while queue:
+        _, _, x = heappop(queue)
+        h = normal_form(x, index, order)
+        if not h:
+            continue
+        index.add(monic(h, order))
+        k = len(index.elements) - 1
+        for j in range(k + 1):
+            for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
+                a, b, ta, tb = index.elements[ia], index.elements[ib], index.tips[ia], index.tips[ib]
+                for deg, kind, pos in _overlaps(ta, tb):
+                    if deg <= max_degree:
+                        heappush(queue, (deg, next(ticket), _s_element(a, b, ta, tb, kind, pos)))
 
-    for _round in range(10000):
-        added = False
-        processed: set[tuple] = set()
-        scanning = True
-        while scanning:
-            scanning = False
-            for deg, ia, ib, kind, pos in _pair_list(basis, order):
-                key = (ia, ib, kind, pos)
-                if key in processed:
-                    continue
-                processed.add(key)
-                if deg > max_degree:
-                    continue
-                a, b = basis[ia], basis[ib]
-                h = normal_form(_s_element(a, b, tip(a, order), tip(b, order), kind, pos), basis, order)
-                if h:
-                    if h.degree() < 2:
-                        raise PathAlgError("completion produced an element of degree < 2")
-                    basis.append(monic(h, order))
-                    added = True
-                    scanning = True
-                    break
-
-        reduced = False
-        shrinking = True
-        while shrinking:
-            shrinking = False
-            for i in range(len(basis)):
-                rest = basis[:i] + basis[i + 1:]
-                h = normal_form(basis[i], rest, order)
-                if not h:
-                    basis.pop(i)
-                    reduced = shrinking = True
-                    break
-                h = monic(h, order)
-                if h != basis[i]:
-                    basis[i] = h
-                    reduced = shrinking = True
-                    break
-
-        if not (added or reduced):
-            break
-    else:
-        raise PathAlgError("completion did not stabilize")
-
+    basis = []
+    for g, t in zip(index.elements, index.tips):
+        terms = dict(normal_form(AlgebraElement({p: c for p, c in g.terms.items() if p != t}), index, order).terms)
+        terms[t] = g.terms[t]
+        basis.append(AlgebraElement(terms))
     basis.sort(key=lambda g: order.path_key(tip(g, order)))
     tips_ = tuple(tip(g, order) for g in basis)
     all_monomial = all(len(g.terms) == 1 for g in basis)
     max_overlap = max((deg for deg, *_ in _pair_list(basis, order)), default=0)
     complete = all_monomial or max_overlap <= max_degree
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
-
-
-def contains_tip_factor(p: Path, tips: Iterable[Path]) -> bool:
-    return any(divides(t, p) for t in tips)
 
 
 def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:

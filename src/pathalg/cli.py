@@ -530,6 +530,9 @@ def run(argv: list[str]) -> int:
         return EXIT_INPUT
     if args.max_n is None:
         args.max_n = pf.params.get("max-n", 5)
+    if args.max_n < 0:
+        print(f"error: max-n must be >= 0; got {args.max_n}", file=sys.stderr)
+        return EXIT_INPUT
     if args.max_degree is None and "max-degree" in pf.params:
         args.max_degree = pf.params["max-degree"]
     report = Report(args.command, {

@@ -88,9 +88,6 @@ class DegreeCollection:
         assert self.explicit is not None
         return self.explicit[i] if i < len(self.explicit) else ()
 
-    def tensor_members(self, other: "DegreeCollection", i: int) -> tuple[int, ...]:
-        return collection_tensor(self, other, i)
-
 
 def collection_tensor(a: DegreeCollection, b: DegreeCollection, i: int) -> tuple[int, ...]:
     """Level-i sumset of two collections: union over j+k=i of {n+m}."""

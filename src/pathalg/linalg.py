@@ -66,16 +66,6 @@ class Subspace:
         for v in vecs:
             self.add(v)
 
-    def copy(self) -> "Subspace":
-        out = Subspace(self.ncols)
-        out.rows = [row.copy() for row in self.rows]
-        out.pivot_of_row = self.pivot_of_row.copy()
-        out.row_of_pivot = self.row_of_pivot.copy()
-        return out
-
-    def pivots(self) -> list[int]:
-        return sorted(self.row_of_pivot)
-
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
     space = Subspace(ncols)

@@ -31,6 +31,9 @@ class OrderSpec:
         for seq, what in ((self.arrow_precedence, "arrow"), (self.vertex_precedence, "vertex")):
             if len(set(seq)) != len(seq):
                 raise PathAlgError(f"duplicate entry in {what} precedence")
+        # Precedence positions, 0 = greatest; derived data, not a field.
+        object.__setattr__(self, "arrow_rank", {name: i for i, name in enumerate(self.arrow_precedence)})
+        object.__setattr__(self, "vertex_rank", {name: i for i, name in enumerate(self.vertex_precedence)})
 
     @classmethod
     def for_quiver(cls, quiver: Quiver) -> "OrderSpec":
@@ -43,14 +46,13 @@ class OrderSpec:
         if set(self.vertex_precedence) != set(quiver.vertices):
             raise PathAlgError("vertex precedence must cover every vertex exactly once")
 
-    def _arrow_rank(self, name: str) -> int:
-        return self.arrow_precedence.index(name)
-
     def path_key(self, p: Path):
         """Sort key: bigger key means greater path."""
-        if p.is_vertex:
-            return (0, (-self.vertex_precedence.index(p.vertex),))
-        return (p.length, tuple(-self._arrow_rank(a.name) for a in p.arrows))
+        arrows = p.arrows
+        if not arrows:
+            return (0, (-self.vertex_rank[p.vertex],))
+        rank = self.arrow_rank
+        return (len(arrows), tuple([-rank[a.name] for a in arrows]))
 
     def module_key(self, item: tuple[int, Path]):
         i, p = item

@@ -193,10 +193,6 @@ def divides_right(p: Path, q: Path) -> bool:
     return p.length <= q.length and q.arrows[q.length - p.length:] == p.arrows
 
 
-def properly_divides(p: Path, q: Path) -> bool:
-    return p != q and divides(p, q)
-
-
 def is_reduced(paths: Iterable[Path]) -> bool:
     """No element of the set properly divides another; all lengths must be >= 2."""
     elems = list(paths)

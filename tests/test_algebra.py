@@ -52,6 +52,12 @@ def test_normal_form_single_rewrite(two_loop, two_loop_order):
     assert nf == elem(two_loop, {"yyy": 1})
 
 
+def test_normal_form_rejects_a_vertex_tip(two_loop, two_loop_order):
+    e = AlgebraElement({two_loop.vertex_path("e"): F.one})
+    with pytest.raises(PathAlgError):
+        normal_form(elem(two_loop, {"xy": 1}), [e], two_loop_order)
+
+
 def test_normal_form_completion_fixture(two_loop, cube_gb, two_loop_order):
     nf = normal_form(elem(two_loop, {"yyyy": 1}), cube_gb, two_loop_order)
     assert nf.is_zero()
@@ -200,3 +206,99 @@ def test_completion_with_cascading_overlaps(two_loop, two_loop_order):
         x = random_homogeneous_element(rng, two_loop, F, rng.randint(2, 5), terms=2)
         if x:
             assert ideal_membership(x, gens, two_loop, F) == normal_form(x, gb, two_loop_order).is_zero()
+
+
+def _ideal_dim(quiver, gens, d):
+    """dim I_d by sparse elimination over the products u*g*v (no Groebner data).
+
+    Columns are the length-d paths, greatest first, so a row's pivot is its
+    smallest column.  F_p scalars are taken as plain ints mod p, so the
+    arithmetic is independent of ModInt too.
+    """
+    p = getattr(next(iter(gens[0].terms.values())), "modulus", 0)
+    scalar = (lambda c: c.value) if p else (lambda c: c)
+    norm = (lambda c: c % p) if p else (lambda c: c)
+    paths = [quiver.paths_of_length(n) for n in range(d + 1)]
+    cols = {q.arrows: i for i, q in enumerate(paths[d])}
+    pivots = {}
+    for g in gens:
+        dg = g.degree()
+        some = next(iter(g.terms))
+        for i in range(d - dg + 1):
+            for u in (u for u in paths[i] if u.target == some.source):
+                for v in (v for v in paths[d - dg - i] if v.source == some.target):
+                    row = {cols[u.arrows + q.arrows + v.arrows]: scalar(c) for q, c in g.terms.items()}
+                    while row:
+                        j = min(row)
+                        piv = pivots.get(j)
+                        if piv is None:
+                            inv = pow(row[j], -1, p) if p else 1 / row[j]
+                            pivots[j] = {k: norm(c * inv) for k, c in row.items()}
+                            break
+                        c = row[j]
+                        for k, e in piv.items():
+                            val = norm(row.get(k, 0) - c * e)
+                            if val:
+                                row[k] = val
+                            else:
+                                row.pop(k, None)
+    return len(pivots)
+
+
+def _assert_completion_invariants(quiver, order, gens, cap, gb):
+    from pathalg.algebra import _pair_list, _s_element
+    from pathalg.quiver import divides
+
+    tips = list(gb.tips)
+    for d in range(2, cap + 1):
+        assert len(normal_words(quiver, tips, d)) == len(quiver.paths_of_length(d)) - _ideal_dim(quiver, gens, d)
+    for deg, ia, ib, kind, pos in _pair_list(list(gb.elements), order):
+        if deg <= cap:
+            a, b = gb.elements[ia], gb.elements[ib]
+            assert normal_form(_s_element(a, b, tips[ia], tips[ib], kind, pos), gb, order).is_zero()
+    for t in tips:
+        assert not any(s != t and divides(s, t) for s in tips)
+    for g, t in zip(gb.elements, tips):
+        assert tip(g, order) == t and g.terms[t] == g.terms[t] / g.terms[t]
+        assert not any(divides(s, p) for p in g.terms if p != t for s in tips)
+
+
+def test_sklyanin_completion_against_span_oracle():
+    """Non-monomial: the Sklyanin ideal (2,3,5) over F_101, truncated at degree 6."""
+    q = Quiver.build(["e"], [("x", "e", "e"), ("y", "e", "e"), ("z", "e", "e")])
+    order = OrderSpec(("x", "y", "z"), ("e",))
+    F101 = Field(101)
+    w = words(q)
+
+    def rel(a, b, c):
+        return AlgebraElement({w(a): F101.of(2), w(b): F101.of(3), w(c): F101.of(5)})
+
+    gens = [rel("xy", "yx", "zz"), rel("yz", "zy", "xx"), rel("zx", "xz", "yy")]
+    gb = groebner_basis(gens, order, 6)
+    assert not gb.complete and any(len(g.terms) > 1 for g in gb.elements)
+    _assert_completion_invariants(q, order, gens, 6, gb)
+    for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+        shuffled = groebner_basis([gens[i] for i in perm], order, 6)
+        assert [g.render() for g in shuffled.elements] == [g.render() for g in gb.elements]
+
+
+def test_random_completions_against_span_oracle():
+    rng = random.Random(20261018)
+    nontrivial = 0
+    for _ in range(40):
+        names = "xyz"[:rng.choice([2, 3])]
+        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
+        prec = list(names)
+        rng.shuffle(prec)
+        order = OrderSpec(tuple(prec), ("e",))
+        field = rng.choice([F, Field(7)])
+        gens = [g for g in (random_homogeneous_element(rng, q, field, rng.choice([2, 2, 3]), terms=rng.randint(1, 4))
+                            for _ in range(rng.randint(1, 3))) if g]
+        if not gens:
+            continue
+        gb = groebner_basis(gens, order, 5)
+        nontrivial += any(len(g.terms) > 1 for g in gb.elements)
+        _assert_completion_invariants(q, order, gens, 5, gb)
+        shuffled = groebner_basis(gens[::-1], order, 5)
+        assert [g.render() for g in shuffled.elements] == [g.render() for g in gb.elements]
+    assert nontrivial >= 20

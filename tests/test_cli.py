@@ -188,6 +188,21 @@ def test_missing_module_is_input_error(capsys):
     assert rc == EXIT_INPUT
 
 
+def test_negative_max_n_is_input_error(capsys, tmp_path):
+    for command in ("resolve", "verify", "window", "overlaps"):
+        rc = run([command, fixture("dual_numbers.alg"), "--module", "A0", "--max-n", "-1"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT, command
+        assert "max-n must be >= 0" in captured.err and not captured.out, command
+    from_file = tmp_path / "neg.alg"
+    from_file.write_text(pathlib.Path(fixture("dual_numbers.alg")).read_text() + "\n[params]\nmax-n -2\n")
+    rc = run(["resolve", str(from_file), "--module", "A0"])
+    assert rc == EXIT_INPUT and "got -2" in capsys.readouterr().err
+    rc = run(["resolve", str(from_file), "--module", "A0", "--max-n", "1"])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+
+
 def test_json_determinism(capsys, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

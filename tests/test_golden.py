@@ -1,0 +1,36 @@
+"""The default JSON output stays byte-identical.
+
+Each entry of `scripts/run_examples.py`'s RUNS is rerun through `cli.run`
+and its JSON document compared, byte for byte, with the one checked in
+under tests/golden/ (written by `scripts/run_examples.py --json-dir`).
+After a deliberate output change, regenerate them with
+`python scripts/run_examples.py --json-dir tests/golden`.
+"""
+import importlib.util
+import pathlib
+
+import pytest
+
+from pathalg.cli import run
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+_spec = importlib.util.spec_from_file_location("run_examples", ROOT / "scripts" / "run_examples.py")
+run_examples = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_examples)
+
+
+def test_every_run_has_a_golden_document():
+    names = {run_examples.json_name(i, command, fixture) for i, (command, fixture, _) in enumerate(run_examples.RUNS)}
+    assert names == {p.name for p in GOLDEN.glob("*.json")}
+
+
+@pytest.mark.parametrize("i", range(len(run_examples.RUNS)))
+def test_json_matches_golden(i, tmp_path, capsys):
+    command, fixture, extra = run_examples.RUNS[i]
+    name = run_examples.json_name(i, command, fixture)
+    out = tmp_path / name
+    run([command, str(run_examples.FIXTURES / fixture)] + extra + ["--json", str(out)])
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
