@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import PathAlgError, TruncatedBasisError
 from .order import OrderSpec
@@ -338,12 +338,16 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
 
 
 def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
-    """Componentwise reduction; zero exactly when m lies in (free module) * I."""
-    by_gen: dict[int, dict[Path, object]] = {}
+    """Componentwise reduction; zero exactly when m lies in (free module) * I.
+
+    Terms are reduced in groups of one generator and one target vertex, the
+    parallel pieces that normal forms act on.
+    """
+    by_part: dict[tuple[int, str], dict[Path, object]] = {}
     for (i, p), c in m.terms.items():
-        by_gen.setdefault(i, {})[p] = c
+        by_part.setdefault((i, p.target), {})[p] = c
     out: dict[tuple[int, Path], object] = {}
-    for i, terms in by_gen.items():
+    for (i, _v), terms in by_part.items():
         red = normal_form(AlgebraElement(terms), gb, gb.order)
         for p, c in red.terms.items():
             out[(i, p)] = c
@@ -460,11 +464,13 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 
 
-def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:
-    """All length-d paths containing no tip as a factor (a basis of A_d)."""
+def normal_word_levels(quiver: Quiver, tips: Iterable[Path]) -> Iterator[list[Path]]:
+    """The normal words of length 0, 1, 2, ..., one list per length, without end.
+
+    Each level extends the one before by single arrows, so reading levels
+    0 .. d costs one pass, not one pass per level.
+    """
     tips = list(tips)
-    if d == 0:
-        return [quiver.vertex_path(v) for v in quiver.vertices]
 
     def clean_end(word: Path) -> bool:
         # Only suffixes can newly contain a tip after extending by one arrow.
@@ -473,8 +479,10 @@ def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:
                 return False
         return True
 
+    yield [quiver.vertex_path(v) for v in quiver.vertices]
     frontier = [w for w in (Path((a,)) for a in quiver.arrows) if clean_end(w)]
-    for _ in range(d - 1):
+    while True:
+        yield frontier
         nxt = []
         for w in frontier:
             for a in quiver.arrows:
@@ -483,4 +491,8 @@ def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:
                     if clean_end(ext):
                         nxt.append(ext)
         frontier = nxt
-    return frontier
+
+
+def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:
+    """All length-d paths containing no tip as a factor (a basis of A_d)."""
+    return next(itertools.islice(normal_word_levels(quiver, tips), d, None))

@@ -337,7 +337,7 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
         report.say(f"cannot verify: oracle degree cap {D} is below the window top {needed}")
         report.worsen(EXIT_TRUNCATED)
         return
-    model = build_model(pf.quiver, gb, pf.field, _model_cap(pf, pres, D))
+    model.extend(_model_cap(pf, pres, D))
     rep = minimal_resolution(pres, model, args.max_n, D)
     wlist = [w for _n, w, _ov, _lit in windows] + [ov for _n, _w, ov, _lit in windows]
     ok, verdicts = verify_windows(rep, wlist)

@@ -3,10 +3,11 @@ pattern sets, and module presentations.  Everything is driven by a
 random.Random so corpora are reproducible from a single seed."""
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, ModuleElement, normal_words
+from .algebra import AlgebraElement, ModuleElement, normal_word_levels
 from .fields import Field
 from .presentation import Generator, ModulePresentation
 from .quiver import Arrow, Path, Quiver, divides
@@ -90,10 +91,8 @@ def instances(seed: int, count: int, **kwargs) -> list[CorpusInstance]:
 
 def normal_word_dims_ok(quiver: Quiver, patterns, degree_cap: int, block_cap: int = 220) -> bool:
     """Reject instances whose graded pieces would outgrow desk scale."""
-    for d in range(degree_cap + 1):
-        if len(normal_words(quiver, list(patterns), d)) > block_cap:
-            return False
-    return True
+    levels = itertools.islice(normal_word_levels(quiver, patterns), degree_cap + 1)
+    return all(len(level) <= block_cap for level in levels)
 
 
 def random_homogeneous_element(

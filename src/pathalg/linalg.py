@@ -1,25 +1,38 @@
-"""Exact dense linear algebra over an arbitrary field of scalars.
+"""Exact sparse linear algebra over an arbitrary field of scalars.
 
-Rows are plain lists of scalars (Fraction or ModInt).  Everything here is
-plain Gaussian elimination; graded components at desk scale stay small, so
-no effort is spent on asymptotics.
+A vector is a dict from column number to a nonzero scalar (Fraction or
+ModInt); a missing column is zero.  A Subspace keeps its rows fully
+reduced: each row's pivot is its smallest column, with entry 1, and no
+other row has an entry on that column.  Listing coordinates in descending
+order of a term order therefore makes each pivot the row's leading
+coordinate, and the residue of a vector is the unique representative of
+its class that is zero on every pivot column, whatever order the rows
+were inserted in.  Only nonzero entries are ever stored or touched.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
+
+
+def _axpy(out: dict, c, row: Mapping) -> None:
+    """out -= c * row, in place, dropping entries that cancel."""
+    for k, x in row.items():
+        prev = out.get(k)
+        if prev is None:
+            out[k] = -(c * x)
+        else:
+            val = prev - c * x
+            if val:
+                out[k] = val
+            else:
+                del out[k]
 
 
 class Subspace:
-    """A row space held in echelon form, with incremental insertion.
+    """A row space in reduced echelon form, with incremental insertion."""
 
-    Pivots are the leftmost nonzero positions, so if coordinates are listed
-    in descending order of some term order, each echelon row's pivot is its
-    leading coordinate under that order.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list] = []
+    def __init__(self):
+        self.rows: list[dict] = []
         self.pivot_of_row: list[int] = []
         self.row_of_pivot: dict[int, int] = {}
 
@@ -27,88 +40,61 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, vec: list) -> list:
-        for j in range(self.ncols):
-            if not vec[j]:
-                continue
-            r = self.row_of_pivot.get(j)
-            if r is None:
-                return vec
-            c = vec[j] / self.rows[r][j]
-            row = self.rows[r]
-            for k in range(j, self.ncols):
-                if row[k]:
-                    vec[k] = vec[k] - c * row[k]
-        return vec
+    def residue(self, vec: Mapping) -> dict:
+        """vec minus the unique element of the space that matches it on every pivot."""
+        out = dict(vec)
+        rows, row_of_pivot = self.rows, self.row_of_pivot
+        # Rows vanish on each other's pivots, so vec's own pivot entries are
+        # the coefficients, and each row is subtracted once.
+        for j, c in vec.items():
+            r = row_of_pivot.get(j)
+            if r is not None:
+                _axpy(out, c, rows[r])
+        return out
 
-    def residue(self, vec: Sequence) -> list:
-        return self._eliminate(list(vec))
+    def contains(self, vec: Mapping) -> bool:
+        return not self.residue(vec)
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.residue(vec))
+    def _insert(self, red: dict) -> bool:
+        """Insert a vector that is already a residue; True when it was nonzero."""
+        if not red:
+            return False
+        p = min(red)
+        c = red[p]
+        if c != 1:
+            red = {k: x / c for k, x in red.items()}
+        for row in self.rows:
+            x = row.get(p)
+            if x is not None:
+                _axpy(row, x, red)
+        self.row_of_pivot[p] = len(self.rows)
+        self.rows.append(red)
+        self.pivot_of_row.append(p)
+        return True
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: Mapping) -> bool:
         """Insert a vector; returns True when it enlarged the space."""
-        red = self._eliminate(list(vec))
-        for j in range(self.ncols):
-            if red[j]:
-                # Normalize so the pivot entry is 1.
-                c = red[j]
-                red = [x / c for x in red]
-                idx = len(self.rows)
-                self.rows.append(red)
-                self.pivot_of_row.append(j)
-                self.row_of_pivot[j] = idx
-                return True
-        return False
-
-    def extend(self, vecs) -> None:
-        for v in vecs:
-            self.add(v)
+        return self._insert(self.residue(vec))
 
 
-def rank(rows: Sequence[Sequence], ncols: int) -> int:
-    space = Subspace(ncols)
-    space.extend(rows)
-    return space.dim
+def left_nullspace(rows: Sequence[Mapping], one) -> list[dict]:
+    """A basis of the coefficient vectors c with sum_i c_i * rows[i] = 0.
 
-
-def left_nullspace(rows: Sequence[Sequence], ncols: int, one) -> list[list]:
-    """Coefficient vectors c with sum_i c_i * rows[i] = 0.
-
-    Returned vectors have length len(rows); `one` is the field's 1 used to
-    seed the bookkeeping identity block.
+    Each returned vector is a dict from row number to scalar.  Row i is
+    augmented by `one` on column offset + i, beyond every real column, and
+    reduced against the rows before it; when nothing is left on the real
+    columns, the augmented part is a null vector, with 1 on its own row.
+    There are len(rows) - rank of them.
     """
-    m = len(rows)
-    zero = one - one
-    aug = [list(rows[i]) + [one if j == i else zero for j in range(m)] for i in range(m)]
-    width = ncols + m
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        target = None
-        for r in range(m):
-            if r in pivot_rows:
-                continue
-            if aug[r][col]:
-                target = r
-                break
-        if target is None:
-            continue
-        pivot_rows.append(target)
-        pivot_cols.append(col)
-        prow = aug[target]
-        for r in range(m):
-            if r != target and aug[r][col]:
-                c = aug[r][col] / prow[col]
-                arow = aug[r]
-                for k in range(col, width):
-                    if prow[k]:
-                        arow[k] = arow[k] - c * prow[k]
+    offset = 1 + max((max(row) for row in rows if row), default=-1)
+    space = Subspace()
     out = []
-    for r in range(m):
-        if r in pivot_rows:
-            continue
-        if not any(aug[r][:ncols]):
-            out.append(aug[r][ncols:])
+    for i, row in enumerate(rows):
+        aug = dict(row)
+        aug[offset + i] = one
+        red = space.residue(aug)
+        if min(red) >= offset:
+            out.append({k - offset: c for k, c in red.items()})
+        else:
+            space._insert(red)
     return out

@@ -4,15 +4,18 @@ A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
 right action of each arrow on them.  Minimal graded projective resolutions
 are computed degreewise: pick minimal generators (a complement of the
 radical part), map a shifted free cover onto them, take exact kernels, and
-repeat.  Everything runs per (degree, target-vertex) block, with vectors
-over exact scalars.
+repeat.  Everything runs per (degree, target-vertex) block.  A block numbers
+its coordinates once; vectors are sparse dicts from those numbers to exact
+scalars, and each arrow acts on a block through an integer table built once
+from the model, so paths are hashed only while the model is built, where
+presentations come in and where first syzygies read their tips.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form, normal_words
+from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form, normal_word_levels
 from .errors import PathAlgError
 from .fields import Field
 from .linalg import Subspace, left_nullspace
@@ -21,42 +24,66 @@ from .quiver import Arrow, Path, Quiver
 
 
 class GradedAlgebraModel:
-    """Normal-word bases of A up to a degree cap, with cached arrow action."""
+    """Normal-word bases of A up to a degree cap, with the arrow action as integer tables.
+
+    `basis[d]` lists the normal words of length d and `index[d]` numbers
+    them.  `parent[d][i]` is (number of the word minus its last arrow,
+    number of that arrow in `quiver.arrows`) for d >= 1, and `keys[d][i]`
+    is the word's `path_key`.
+    """
 
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, field: Field, degree_cap: int):
         self.quiver = quiver
         self.gb = gb
         self.order = gb.order
         self.field = field
-        self.degree_cap = degree_cap
-        self.exact = gb.complete
-        self.basis: list[list[Path]] = [normal_words(quiver, gb.tips, d) for d in range(degree_cap + 1)]
-        self.index: list[dict[Path, int]] = [{w: i for i, w in enumerate(level)} for level in self.basis]
-        self._act: dict[tuple[Path, str], dict[Path, object]] = {}
+        self.degree_cap = -1
+        self.basis: list[list[Path]] = []
+        self.index: list[dict[Path, int]] = []
+        self.parent: list[list[tuple[int, int]]] = []
+        self.keys: list[list] = []
+        self._levels = normal_word_levels(quiver, gb.tips)
+        self._arrow_no = {a.name: k for k, a in enumerate(quiver.arrows)}
+        self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
+        self.extend(degree_cap)
 
-    def dim(self, d: int) -> int:
-        if d < 0:
-            return 0
-        if d > self.degree_cap:
-            raise PathAlgError(f"degree {d} beyond the model cap {self.degree_cap}")
-        return len(self.basis[d])
+    def extend(self, degree_cap: int) -> None:
+        """Raise the cap to degree_cap; a lower value leaves the model as it is."""
+        for d in range(self.degree_cap + 1, degree_cap + 1):
+            level = next(self._levels)
+            self.basis.append(level)
+            self.index.append({w: i for i, w in enumerate(level)})
+            self.keys.append([self.order.path_key(w) for w in level])
+            if d:
+                prev = self.index[d - 1]
+                self.parent.append([(prev[w.prefix(d - 1)], self._arrow_no[w.arrows[-1].name]) for w in level])
+            else:
+                self.parent.append([])
+        self.degree_cap = max(self.degree_cap, degree_cap)
 
     def dims(self) -> list[int]:
         return [len(level) for level in self.basis]
 
     def act(self, w: Path, a: Arrow) -> dict[Path, object]:
         """Expansion of the class of w*a in the normal-word basis."""
-        key = (w, a.name)
-        hit = self._act.get(key)
-        if hit is not None:
-            return hit
         if w.target != a.source:
-            out: dict[Path, object] = {}
-        else:
-            elem = AlgebraElement({w * Path((a,)): self.field.one})
-            out = dict(normal_form(elem, self.gb, self.order).terms)
-        self._act[key] = out
-        return out
+            return {}
+        p = w * Path((a,))
+        # A normal word is its own normal form.
+        if p.length <= self.degree_cap and p in self.index[p.length]:
+            return {p: self.field.one}
+        return dict(normal_form(AlgebraElement({p: self.field.one}), self.gb, self.order).terms)
+
+    def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
+        """Arrow number k on degree d: for each word number, (word number in degree d+1, scalar) pairs."""
+        key = (d, k)
+        table = self._actions.get(key)
+        if table is None:
+            a = self.quiver.arrows[k]
+            nxt = self.index[d + 1]
+            table = [[(nxt[w2], c) for w2, c in self.act(w, a).items()] for w in self.basis[d]]
+            self._actions[key] = table
+        return table
 
 
 def build_model(quiver: Quiver, gb: GroebnerBasis, field: Field, degree_cap: int) -> GradedAlgebraModel:
@@ -69,130 +96,117 @@ class FreeSummand:
     degree: int
 
 
-def _split_by_vertex(vec: dict) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for (j, w), c in vec.items():
-        out.setdefault(w.target, {})[(j, w)] = c
-    return out
-
-
 class CoverSpace:
-    """Graded pieces of a shifted free module over A, blocked by target vertex."""
+    """Graded pieces of a shifted free module over A, blocked by target vertex.
+
+    Coordinate (j, i) of block (d, v) is summand j times word i of degree
+    d - degree_j; a block lists its coordinates in descending module order
+    (word first, then summand), so column 0 is the greatest.
+    """
 
     def __init__(self, model: GradedAlgebraModel, summands: Sequence[FreeSummand]):
         self.model = model
         self.summands = tuple(summands)
-        self._coords: dict[tuple[int, str], list[tuple[int, Path]]] = {}
+        self._blocks: dict[tuple[int, str], tuple[list[tuple[int, int]], dict[tuple[int, int], int]]] = {}
+        self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
 
-    def coords(self, d: int, v: str) -> list[tuple[int, Path]]:
+    def block(self, d: int, v: str) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+        """The coordinates of block (d, v) and their column numbers."""
         key = (d, v)
-        hit = self._coords.get(key)
+        hit = self._blocks.get(key)
         if hit is not None:
             return hit
-        order = self.model.order
-        out: list[tuple[int, Path]] = []
+        model = self.model
+        cols: list[tuple[int, int]] = []
         for j, s in enumerate(self.summands):
             length = d - s.degree
-            if 0 <= length <= self.model.degree_cap:
-                for w in self.model.basis[length]:
-                    if w.source == s.vertex and w.target == v:
-                        out.append((j, w))
-        out.sort(key=lambda jw: (order.path_key(jw[1]), jw[0]), reverse=True)
-        self._coords[key] = out
-        return out
+            if 0 <= length <= model.degree_cap:
+                cols.extend((j, i) for i, w in enumerate(model.basis[length]) if w.source == s.vertex and w.target == v)
+        cols.sort(key=lambda ji: (model.keys[d - self.summands[ji[0]].degree][ji[1]], ji[0]), reverse=True)
+        hit = (cols, {ji: n for n, ji in enumerate(cols)})
+        self._blocks[key] = hit
+        return hit
 
     def dim(self, d: int, v: str) -> int:
-        return len(self.coords(d, v))
+        return len(self.block(d, v)[0])
 
-    def act(self, vec: dict, a: Arrow) -> dict:
-        out: dict[tuple[int, Path], object] = {}
-        for (j, w), c in vec.items():
-            if w.target != a.source:
-                continue
-            for w2, c2 in self.model.act(w, a).items():
-                key = (j, w2)
-                prev = out.get(key)
-                val = c * c2
-                out[key] = val if prev is None else prev + val
-        return {k: c for k, c in out.items() if c}
+    def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
+        """Arrow number k from block (d, source) to block (d+1, target), per column."""
+        key = (d, k)
+        table = self._actions.get(key)
+        if table is None:
+            a = self.model.quiver.arrows[k]
+            cols, _ = self.block(d, a.source)
+            _, index = self.block(d + 1, a.target)
+            table = []
+            for j, i in cols:
+                length = d - self.summands[j].degree
+                table.append([(index[(j, i2)], c) for i2, c in self.model.action(length, k)[i]])
+            self._actions[key] = table
+        return table
 
-    def to_dense(self, d: int, v: str, vec: dict) -> list:
-        cols = self.coords(d, v)
-        zero = self.model.field.zero
-        idx = {key: i for i, key in enumerate(cols)}
-        row = [zero] * len(cols)
-        for key, c in vec.items():
-            row[idx[key]] = c
-        return row
+    def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
+        """Image under arrow number k of a vector of block (d, source of the arrow)."""
+        table = self.action(d, k)
+        out: dict[int, object] = {}
+        for col, c in vec.items():
+            for col2, x in table[col]:
+                prev = out.get(col2)
+                out[col2] = c * x if prev is None else prev + c * x
+        return {n: c for n, c in out.items() if c}
 
-    def to_dict(self, d: int, v: str, row: Sequence) -> dict:
-        cols = self.coords(d, v)
-        return {cols[i]: c for i, c in enumerate(row) if c}
+    def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
+        """Split (summand, normal word) terms into (degree, vertex, block vector) parts."""
+        model = self.model
+        parts: dict[tuple[int, str], dict[int, object]] = {}
+        for (j, w), c in terms.items():
+            d = self.summands[j].degree + w.length
+            _, index = self.block(d, w.target)
+            parts.setdefault((d, w.target), {})[index[(j, model.index[w.length][w])]] = c
+        return [(d, v, vec) for (d, v), vec in parts.items()]
+
+    def item(self, d: int, v: str, n: int) -> tuple[int, Path]:
+        """Column n of block (d, v) as (summand, normal word)."""
+        j, i = self.block(d, v)[0][n]
+        return j, self.model.basis[d - self.summands[j].degree][i]
+
+    def to_terms(self, d: int, v: str, vec: Mapping[int, object]) -> dict[tuple[int, Path], object]:
+        """A block vector as (summand, normal word) terms."""
+        return {self.item(d, v, n): c for n, c in vec.items()}
 
 
 class QuotientSpace:
     """A graded quotient of a CoverSpace by a degreewise subspace container.
 
-    Coordinates of a piece are the ambient cover coordinates away from the
-    subspace's pivots; the projection is echelon residue restricted there.
+    Vectors keep the cover's column numbers and live on the columns away
+    from the subspace's pivots; the projection is the subspace residue.
     """
 
     def __init__(self, cover: CoverSpace, sub: "GradedPieces"):
         self.cover = cover
         self.sub = sub
-        self._coords: dict[tuple[int, str], list[tuple[int, Path]]] = {}
 
     @property
     def model(self) -> GradedAlgebraModel:
         return self.cover.model
 
-    def coords(self, d: int, v: str) -> list[tuple[int, Path]]:
-        key = (d, v)
-        hit = self._coords.get(key)
-        if hit is not None:
-            return hit
-        ambient = self.cover.coords(d, v)
+    def columns(self, d: int, v: str) -> list[int]:
         space = self.sub.get(d, v)
-        pivots = set(space.row_of_pivot) if space is not None else set()
-        out = [c for i, c in enumerate(ambient) if i not in pivots]
-        self._coords[key] = out
-        return out
+        pivots = space.row_of_pivot if space is not None else {}
+        return [n for n in range(self.cover.dim(d, v)) if n not in pivots]
 
     def dim(self, d: int, v: str) -> int:
-        return len(self.coords(d, v))
+        return self.cover.dim(d, v) - self.sub.dim(d, v)
 
-    def project(self, d: int, v: str, vec: dict) -> dict:
-        """Ambient dict vector -> quotient dict vector (residue on transversal coords)."""
-        space = self.sub.get(d, v)
-        if space is None or space.dim == 0:
-            return dict(vec)
-        dense = self.cover.to_dense(d, v, vec)
-        res = space.residue(dense)
-        amb = self.cover.coords(d, v)
-        return {amb[i]: c for i, c in enumerate(res) if c}
+    def hilbert(self, D: int) -> list[int]:
+        return [sum(self.dim(d, v) for v in self.model.quiver.vertices) for d in range(D + 1)]
 
-    def act(self, vec: dict, a: Arrow) -> dict:
-        if not vec:
-            return {}
-        (j0, w0) = next(iter(vec))
-        d = self.cover.summands[j0].degree + w0.length
-        image = self.cover.act(vec, a)
-        if not image:
-            return {}
-        return self.project(d + 1, a.target, image)
-
-    def to_dense(self, d: int, v: str, vec: dict) -> list:
-        cols = self.coords(d, v)
-        zero = self.model.field.zero
-        idx = {key: i for i, key in enumerate(cols)}
-        row = [zero] * len(cols)
-        for key, c in vec.items():
-            row[idx[key]] = c
-        return row
-
-    def to_dict(self, d: int, v: str, row: Sequence) -> dict:
-        cols = self.coords(d, v)
-        return {cols[i]: c for i, c in enumerate(row) if c}
+    def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
+        image = self.cover.act(d, k, vec)
+        space = self.sub.get(d + 1, self.model.quiver.arrows[k].target)
+        if not image or space is None:
+            return image
+        return space.residue(image)
 
 
 class GradedPieces:
@@ -211,52 +225,58 @@ class GradedPieces:
     def total_dim(self, d: int, vertices: Iterable[str]) -> int:
         return sum(self.dim(d, v) for v in vertices)
 
-    def ensure(self, d: int, v: str, ncols: int) -> Subspace:
+    def ensure(self, d: int, v: str) -> Subspace:
         key = (d, v)
         if key not in self.spaces:
-            self.spaces[key] = Subspace(ncols)
+            self.spaces[key] = Subspace()
         return self.spaces[key]
 
 
-def span_from_seeds(space, seeds: Iterable[dict], quiver: Quiver, D: int, summand_degrees: Sequence[int]) -> GradedPieces:
-    """Degreewise span of seed vectors under the right arrow action, up to degree D.
+def _arrow_images(space, pieces: GradedPieces, d: int, v: str):
+    """Nonzero images in block (d, v) of the degree d-1 rows of `pieces` under every arrow into v."""
+    for k, a in enumerate(space.model.quiver.arrows):
+        if a.target != v:
+            continue
+        prev = pieces.get(d - 1, a.source)
+        if prev is None:
+            continue
+        for row in prev.rows:
+            img = space.act(d - 1, k, row)
+            if img:
+                yield img
 
-    `space` is a CoverSpace or QuotientSpace; seeds are dict vectors over
-    its coordinates (mixed target vertices allowed, they are split).
+
+def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
+    """The free cover of a presentation's generators and its relations, as (degree, vertex, vector) seeds."""
+    pres.validate(model.quiver)
+    cover = CoverSpace(model, [FreeSummand(g.vertex, g.degree) for g in pres.generators])
+    seeds = []
+    for r in pres.relations:
+        seeds.extend(cover.from_terms(module_normal_form(r, model.gb).terms))
+    return cover, seeds
+
+
+def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> GradedPieces:
+    """Degreewise span of (degree, vertex, vector) seeds under the right arrow action, up to degree D.
+
+    `space` is a CoverSpace or QuotientSpace.
     """
     by_slot: dict[tuple[int, str], list[dict]] = {}
-    for vec in seeds:
-        if not vec:
-            continue
-        (j0, w0) = next(iter(vec))
-        d = summand_degrees[j0] + w0.length
-        for v, part in _split_by_vertex(vec).items():
-            by_slot.setdefault((d, v), []).append(part)
-
+    for d, v, vec in seeds:
+        by_slot.setdefault((d, v), []).append(vec)
     pieces = GradedPieces()
     min_d = min((d for (d, _v) in by_slot), default=D + 1)
     for d in range(min_d, D + 1):
-        for v in quiver.vertices:
-            ncols = space.dim(d, v)
-            sub = pieces.ensure(d, v, ncols)
-            # Propagate from the previous degree.
-            for a in quiver.arrows:
-                if a.target != v:
-                    continue
-                prev = pieces.get(d - 1, a.source)
-                if not prev or prev.dim == 0:
-                    continue
-                for row in prev.rows:
-                    vec = space.to_dict(d - 1, a.source, row)
-                    img = space.act(vec, a)
-                    if img:
-                        sub.add(space.to_dense(d, v, img))
+        for v in space.model.quiver.vertices:
+            sub = pieces.ensure(d, v)
+            for img in _arrow_images(space, pieces, d, v):
+                sub.add(img)
             for vec in by_slot.get((d, v), []):
-                sub.add(space.to_dense(d, v, vec))
+                sub.add(vec)
     return pieces
 
 
-def minimal_generators_of_pieces(space, pieces: GradedPieces, quiver: Quiver, D: int) -> list[tuple[int, str, dict]]:
+def minimal_generators_of_pieces(space, pieces: GradedPieces, D: int) -> list[tuple[int, str, dict]]:
     """Minimal generators of a degreewise-spanned submodule: per block, a
     complement of the image of the previous degree under the arrows, chosen
     by pivoting in the stored basis order (deterministic)."""
@@ -265,51 +285,32 @@ def minimal_generators_of_pieces(space, pieces: GradedPieces, quiver: Quiver, D:
     for d in degrees:
         if d > D:
             continue
-        for v in quiver.vertices:
+        for v in space.model.quiver.vertices:
             sub = pieces.get(d, v)
             if not sub or sub.dim == 0:
                 continue
-            rad = Subspace(sub.ncols)
-            for a in quiver.arrows:
-                if a.target != v:
-                    continue
-                prev = pieces.get(d - 1, a.source)
-                if not prev or prev.dim == 0:
-                    continue
-                for row in prev.rows:
-                    vec = space.to_dict(d - 1, a.source, row)
-                    img = space.act(vec, a)
-                    if img:
-                        rad.add(space.to_dense(d, v, img))
+            rad = Subspace()
+            for img in _arrow_images(space, pieces, d, v):
+                rad.add(img)
             for row in sub.rows:
-                if rad.add(list(row)):
-                    gens.append((d, v, space.to_dict(d, v, row)))
+                if rad.add(row):
+                    gens.append((d, v, dict(row)))
     return gens
 
 
-def full_space_pieces(space, quiver: Quiver, D: int) -> GradedPieces:
+def full_space_pieces(space: QuotientSpace, D: int) -> GradedPieces:
     """The whole graded space as a GradedPieces container (identity basis)."""
     pieces = GradedPieces()
     one = space.model.field.one
-    zero = space.model.field.zero
     for d in range(D + 1):
-        for v in quiver.vertices:
-            n = space.dim(d, v)
-            sub = pieces.ensure(d, v, n)
-            for i in range(n):
-                row = [zero] * n
-                row[i] = one
-                sub.add(row)
+        for v in space.model.quiver.vertices:
+            sub = pieces.ensure(d, v)
+            for n in space.columns(d, v):
+                sub.add({n: one})
     return pieces
 
 
-def kernel_pieces(
-    domain: CoverSpace,
-    images: Sequence[dict],
-    ambient,
-    quiver: Quiver,
-    D: int,
-) -> GradedPieces:
+def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> GradedPieces:
     """ker(free cover -> ambient) degreewise, with f_j mapping to images[j].
 
     Kernel vectors live over the domain coordinates.  Raises if a kernel
@@ -318,31 +319,34 @@ def kernel_pieces(
     """
     model = domain.model
     one = model.field.one
-    phi: dict[tuple[int, Path], dict] = {}
     out = GradedPieces()
     if not domain.summands:
         return out
-    dmin = min(s.degree for s in domain.summands)
-    for d in range(dmin, D + 1):
-        for v in quiver.vertices:
-            cols = domain.coords(d, v)
-            for (j, w) in cols:
-                if w.is_vertex:
-                    phi[(j, w)] = images[j]
-                else:
-                    prev = phi[(j, w.prefix(w.length - 1))]
-                    phi[(j, w)] = ambient.act(prev, w.arrows[-1])
+    degrees = [s.degree for s in domain.summands]
+    # (summand, word degree, word number) -> image in the ambient space.
+    phi: dict[tuple[int, int, int], dict] = {}
+    for d in range(min(degrees), D + 1):
+        for v in model.quiver.vertices:
+            cols, _ = domain.block(d, v)
             if not cols:
                 continue
-            rows = [ambient.to_dense(d, v, phi[key]) for key in cols]
-            combos = left_nullspace(rows, ambient.dim(d, v), one)
+            rows = []
+            for j, i in cols:
+                length = d - degrees[j]
+                if length == 0:
+                    img = images[j]
+                else:
+                    i0, k = model.parent[length][i]
+                    img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
+                phi[(j, length, i)] = img
+                rows.append(img)
+            combos = left_nullspace(rows, one)
             if not combos:
                 continue
-            sub = out.ensure(d, v, len(cols))
+            sub = out.ensure(d, v)
             for combo in combos:
-                for i, c in enumerate(combo):
-                    if c and cols[i][1].is_vertex:
-                        raise AssertionError("kernel meets a generator top: cover was not minimal")
+                if any(degrees[cols[n][0]] == d for n in combo):
+                    raise AssertionError("kernel meets a generator top: cover was not minimal")
                 sub.add(combo)
     return out
 
@@ -364,35 +368,17 @@ class ResolutionReport:
     def truncated(self) -> bool:
         return any(self.alive_at_cap)
 
-    def truncation_point(self) -> tuple[int, int] | None:
-        for n, alive in enumerate(self.alive_at_cap):
-            if alive:
-                return (n + 1, self.degree_cap)
-        return None
-
 
 def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: int, D: int) -> ResolutionReport:
     """Minimal graded projective resolution of coker(relations) out to P_N, degrees <= D."""
     if D > model.degree_cap:
         raise PathAlgError("resolution degree cap exceeds the model cap")
-    quiver = model.quiver
-    pres.validate(quiver)
-    summands = tuple(FreeSummand(g.vertex, g.degree) for g in pres.generators)
-    pres_cover = CoverSpace(model, summands)
-    sum_degrees = [s.degree for s in summands]
-
-    rel_vecs = []
-    for r in pres.relations:
-        nf = module_normal_form(r, model.gb)
-        if nf:
-            rel_vecs.append(dict(nf.terms))
-    rel_pieces = span_from_seeds(pres_cover, rel_vecs, quiver, D, sum_degrees)
-    X = QuotientSpace(pres_cover, rel_pieces)
-    hilbert = [sum(X.dim(d, v) for v in quiver.vertices) for d in range(D + 1)]
+    vertices = model.quiver.vertices
+    cover, seeds = presentation_cover(pres, model)
+    X = QuotientSpace(cover, span_from_seeds(cover, seeds, D))
 
     # Homological step 0: minimal generators of X itself.
-    x_pieces = full_space_pieces(X, quiver, D)
-    gens = minimal_generators_of_pieces(X, x_pieces, quiver, D)
+    gens = minimal_generators_of_pieces(X, full_space_pieces(X, D), D)
 
     degrees: list[list[int]] = []
     covers: list[tuple[FreeSummand, ...]] = []
@@ -415,18 +401,18 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
             alive.extend([False] * (N - n + 1))
             syzygy_dims.extend([[0] * (D + 1)] * (N - n + 1))
             break
-        ker = kernel_pieces(domain, images, ambient, quiver, D)
-        syzygy_dims.append([ker.total_dim(d, quiver.vertices) for d in range(D + 1)])
-        alive.append(ker.total_dim(D, quiver.vertices) > 0)
+        ker = kernel_pieces(domain, images, ambient, D)
+        syzygy_dims.append([ker.total_dim(d, vertices) for d in range(D + 1)])
+        alive.append(ker.total_dim(D, vertices) > 0)
         if n == N:
             break
-        gens = minimal_generators_of_pieces(domain, ker, quiver, D)
+        gens = minimal_generators_of_pieces(domain, ker, D)
         degrees.append(sorted(d for d, _v, _vec in gens))
         ambient = domain
 
     return ResolutionReport(
         degrees=degrees,
-        hilbert=hilbert,
+        hilbert=X.hilbert(D),
         max_n=N,
         degree_cap=D,
         covers=covers,
@@ -438,18 +424,8 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
 
 def module_hilbert(pres: ModulePresentation, model: GradedAlgebraModel, D: int) -> list[int]:
     """Graded dimensions of coker(relations) up to degree D."""
-    quiver = model.quiver
-    pres.validate(quiver)
-    summands = tuple(FreeSummand(g.vertex, g.degree) for g in pres.generators)
-    cover = CoverSpace(model, summands)
-    rel_vecs = []
-    for r in pres.relations:
-        nf = module_normal_form(r, model.gb)
-        if nf:
-            rel_vecs.append(dict(nf.terms))
-    rel_pieces = span_from_seeds(cover, rel_vecs, quiver, D, [s.degree for s in summands])
-    X = QuotientSpace(cover, rel_pieces)
-    return [sum(X.dim(d, v) for v in quiver.vertices) for d in range(D + 1)]
+    cover, seeds = presentation_cover(pres, model)
+    return QuotientSpace(cover, span_from_seeds(cover, seeds, D)).hilbert(D)
 
 
 def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], quiver: Quiver, field: Field) -> bool:
@@ -463,15 +439,11 @@ def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], qu
     if not x.is_homogeneous():
         raise PathAlgError("membership oracle expects a homogeneous element")
     d = x.degree()
-    paths = quiver.paths_of_length(d)
-    idx = {p: i for i, p in enumerate(paths)}
-    span = Subspace(len(paths))
+    idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
+    span = Subspace()
 
-    def dense(elem: AlgebraElement) -> list:
-        row = [field.zero] * len(paths)
-        for p, c in elem.terms.items():
-            row[idx[p]] = c
-        return row
+    def vector(elem: AlgebraElement) -> dict:
+        return {idx[p]: c for p, c in elem.terms.items()}
 
     for g in generators:
         if not g:
@@ -489,8 +461,8 @@ def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], qu
                 for v in quiver.paths_of_length(d - dg - i):
                     if v.source != tgt:
                         continue
-                    span.add(dense(left.right_mul(v)))
-    return span.contains(dense(x))
+                    span.add(vector(left.right_mul(v)))
+    return span.contains(vector(x))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .algebra import AlgebraElement, ModuleElement, module_normal_form, tip
+from .algebra import AlgebraElement, ModuleElement, tip
 from .errors import PathAlgError
-from .oracle import CoverSpace, FreeSummand, GradedAlgebraModel, span_from_seeds
+from .oracle import GradedAlgebraModel, presentation_cover, span_from_seeds
 from .overlaps import OverlapTable
 from .presentation import ModulePresentation
 from .order import OrderSpec
@@ -57,16 +57,8 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     quiver = model.quiver
     order = model.order
     gb = model.gb
-    pres.validate(quiver)
-    summands = tuple(FreeSummand(g.vertex, g.degree) for g in pres.generators)
-    cover = CoverSpace(model, summands)
-
-    rel_vecs = []
-    for r in pres.relations:
-        nf = module_normal_form(r, gb)
-        if nf:
-            rel_vecs.append(dict(nf.terms))
-    pieces = span_from_seeds(cover, rel_vecs, quiver, degree_cap, [s.degree for s in summands])
+    cover, seeds = presentation_cover(pres, model)
+    pieces = span_from_seeds(cover, seeds, degree_cap)
 
     kept_tips: list[tuple[int, Path]] = []
     kept_elems: list[ModuleElement] = []
@@ -75,13 +67,12 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
             sub = pieces.get(d, v)
             if not sub or sub.dim == 0:
                 continue
-            cols = cover.coords(d, v)
             for row, piv in zip(sub.rows, sub.pivot_of_row):
-                i, p = cols[piv]
+                i, p = cover.item(d, v, piv)
                 if any(j == i and divides_left(q, p) for (j, q) in kept_tips):
                     continue
                 kept_tips.append((i, p))
-                kept_elems.append(ModuleElement(cover.to_dict(d, v, row)))
+                kept_elems.append(ModuleElement(cover.to_terms(d, v, row)))
 
     absorbed: list[ModuleElement] = []
     for j, g in enumerate(pres.generators):

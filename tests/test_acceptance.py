@@ -383,26 +383,22 @@ def test_c8_normal_form_agrees_with_membership_oracle():
             d = x.degree()
             if d not in spans:
                 spans[d] = _ideal_span(quiver, gens, d)
-            member = spans[d].contains(_dense(quiver, x, d))
+            member = spans[d].contains(_vector(quiver, x, d))
             assert member == normal_form(x, gb, order).is_zero(), (name, x.render())
             counted += 1
             total += 1
     assert total >= 500
 
 
-def _dense(quiver, x, d):
-    paths = quiver.paths_of_length(d)
-    idx = {p: i for i, p in enumerate(paths)}
-    row = [F.zero] * len(paths)
-    for p, c in x.terms.items():
-        row[idx[p]] = c
-    return row
+def _vector(quiver, x, d):
+    idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
+    return {idx[p]: c for p, c in x.terms.items()}
 
 
 def _ideal_span(quiver, gens, d):
     paths = quiver.paths_of_length(d)
     idx = {p: i for i, p in enumerate(paths)}
-    span = Subspace(len(paths))
+    span = Subspace()
     for g in gens:
         dg = g.degree()
         if dg > d:
@@ -415,10 +411,7 @@ def _ideal_span(quiver, gens, d):
                 for v in quiver.paths_of_length(d - dg - i):
                     gv = left.right_mul(v)
                     if gv:
-                        row = [F.zero] * len(paths)
-                        for p, c in gv.terms.items():
-                            row[idx[p]] = c
-                        span.add(row)
+                        span.add({idx[p]: c for p, c in gv.terms.items()})
     return span
 
 

@@ -145,6 +145,13 @@ def test_module_normal_form_componentwise(two_loop, cube_gb):
     assert red == ModuleElement({(1, w("xx")): F.one})
 
 
+def test_module_normal_form_splits_target_vertices():
+    q = Quiver.build(["e", "a", "b"], [("x", "e", "a"), ("y", "e", "b"), ("u", "a", "e")])
+    gb = groebner_basis([AlgebraElement({q.path("x*u*x"): F.one})], OrderSpec.for_quiver(q), 4)
+    m = ModuleElement({(0, q.path("x*u*x")): F.one, (0, q.path("y")): F.one, (0, q.path("x")): F.of(2)})
+    assert module_normal_form(m, gb) == ModuleElement({(0, q.path("y")): F.one, (0, q.path("x")): F.of(2)})
+
+
 def test_prime_field_basis():
     q = Quiver.build(["e"], [("x", "e", "e"), ("y", "e", "e")])
     order = OrderSpec(("x", "y"), ("e",))

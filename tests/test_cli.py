@@ -219,3 +219,36 @@ def test_params_defaults_apply(capsys):
     assert rc == EXIT_OK
     assert doc["options"]["max_n"] == 5
     assert len(doc["resolution"]["degrees"]) == 6
+
+
+def test_resolve_reduces_every_pivot_column(capsys):
+    # This relation span used to leave entries on later pivot columns, so
+    # projecting into the quotient raised KeyError.  The resolution must obey
+    # the Euler identity sum_n (-1)^n sum_{g in P_n} dim A_{d - deg g} = dim M_d.
+    rc, doc = run_json(capsys, ["resolve", fixture("pivot_residue.alg"), "--module", "M",
+                                "--max-n", "8", "--max-degree", "8"])
+    assert rc == EXIT_OK
+    res = doc["resolution"]
+    _, gb_doc = run_json(capsys, ["groebner", fixture("pivot_residue.alg")])
+    dims = gb_doc["groebner"]["normal_word_counts"]
+    assert len(dims) == 9
+    for d in range(9):
+        euler = sum((-1) ** n * sum(dims[d - g] for g in degs if g <= d) for n, degs in enumerate(res["degrees"]))
+        assert euler == res["hilbert"][d], d
+    assert res["hilbert"] == [2, 3, 5, 2, 1, 2, 1, 1, 2]
+
+
+def test_relation_across_target_vertices(capsys):
+    # g*x + g*y with x: e -> a and y: e -> b used to be rejected as "support
+    # paths must be parallel".  Its right multiples by e_a and e_b are g*x and
+    # g*y, so M has the resolution of S, which states those two relations.
+    argv = ["--max-n", "4", "--max-degree", "8"]
+    rc, doc_m = run_json(capsys, ["resolve", fixture("split_relation.alg"), "--module", "M"] + argv)
+    assert rc == EXIT_OK
+    rc, doc_s = run_json(capsys, ["resolve", fixture("split_relation.alg"), "--module", "S"] + argv)
+    assert rc == EXIT_OK
+    assert doc_m["resolution"]["degrees"] == doc_s["resolution"]["degrees"]
+    assert doc_m["resolution"]["hilbert"] == [1] + [0] * 8
+    rc, doc = run_json(capsys, ["verify", fixture("split_relation.alg"), "--module", "M", "--max-n", "4"])
+    assert rc == EXIT_OK
+    assert doc["verdicts"] and all(v["status"] == "PASS" for v in doc["verdicts"])
