@@ -71,13 +71,6 @@ def _compute_gb(pf: ProblemFile, cap: int | None):
     return gb
 
 
-def _model_cap(pf: ProblemFile, pres: ModulePresentation | None, max_degree: int) -> int:
-    shift = 0
-    if pres is not None:
-        shift = max(0, -min((g.degree for g in pres.generators), default=0))
-    return max_degree + shift
-
-
 class Report:
     """Accumulates the human rendering and the JSON document side by side."""
 
@@ -215,7 +208,7 @@ def _default_syzygy_cap(pres: ModulePresentation, gb) -> int:
 
 def _windows_block(pf: ProblemFile, gb, pres, args, report: Report):
     syz_cap = args.max_degree if args.max_degree is not None else _default_syzygy_cap(pres, gb)
-    model = build_model(pf.quiver, gb, pf.field, _model_cap(pf, pres, syz_cap))
+    model = build_model(pf.quiver, gb, pf.field, syz_cap)
     syz = first_syzygy(pres, model, syz_cap)
     table = enumerate_overlaps(pf.quiver, gb.tips, max(args.max_n, 1))
     windows = []
@@ -293,7 +286,7 @@ def cmd_resolve(pf: ProblemFile, args, report: Report) -> None:
     if pres is None:
         return
     D = args.max_degree if args.max_degree is not None else 12
-    model = build_model(pf.quiver, gb, pf.field, _model_cap(pf, pres, D))
+    model = build_model(pf.quiver, gb, pf.field, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     report.doc["resolution"] = {
         "degrees": rep.degrees,
@@ -337,7 +330,7 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
         report.say(f"cannot verify: oracle degree cap {D} is below the window top {needed}")
         report.worsen(EXIT_TRUNCATED)
         return
-    model.extend(_model_cap(pf, pres, D))
+    model.extend(D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     wlist = [w for _n, w, _ov, _lit in windows] + [ov for _n, _w, ov, _lit in windows]
     ok, verdicts = verify_windows(rep, wlist)
@@ -407,7 +400,7 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
             return
         label = args.determined
     D = args.max_degree if args.max_degree is not None else 12
-    model = build_model(pf.quiver, gb, pf.field, _model_cap(pf, pres, D))
+    model = build_model(pf.quiver, gb, pf.field, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     ok, violation = determined_check(rep, collection, args.max_n)
     report.doc["determined"] = {

@@ -1,14 +1,17 @@
 """Overlap chains of a reduced set of paths and their left-context variants.
 
 Level 0 overlaps are the arrows and level 1 overlaps are the pattern set S
-itself; a level-n word extends its unique level-(n-1) predecessor so that
-the new pattern occurrence sticks out past the predecessor's end and no
-stray pattern occurrence appears in between.  The "quasi" side carries a
-nonempty phantom left context v: level 1 entries are the proper splits
-v*w of patterns, and deeper levels extend w while v stays fixed.
+itself.  A level-n word is its level-(n-1) predecessor times a tail u, where
+the predecessor's own tail t (the word with its predecessor removed) times u
+meets a pattern only at its end (Anick, Trans. AMS 296, 1986).  Tails are
+proper nonempty suffixes of patterns, so chains are walks in the finite
+tail graph on them (Ufnarovski, Math. Notes 31, 1982).  The "quasi" side
+carries a nonempty phantom left context v: level 1 entries are the proper
+splits v*w of patterns, and deeper levels extend w along the same graph
+while v stays fixed.
 
 Cut decompositions are searched by brute force over segmentations and
-serve as an independent membership oracle for the recursive enumeration.
+serve as an independent membership oracle for the walks.
 """
 from __future__ import annotations
 
@@ -33,14 +36,12 @@ def tail_first_hit_at_end(q: Path, p: Path, patterns: Sequence[Path]) -> bool:
     of p; for a reduced pattern set this means a unique pattern is a suffix
     of u and nothing shorter hits.
     """
-    u = p.drop_prefix(q)
     if tail_is_pattern_free(q, p, patterns):
         return False
-    for k in range(u.length):
-        prefix = u.prefix(k)
-        if any(divides(s, prefix) for s in patterns):
-            return False
-    return True
+    # Every proper prefix of u is clean when the longest one is.
+    u = p.drop_prefix(q)
+    longest = u.prefix(u.length - 1)
+    return not any(divides(s, longest) for s in patterns)
 
 
 @dataclass
@@ -54,7 +55,6 @@ class OverlapTable:
     # quasi_levels[n] maps (word, context) -> predecessor word (same context).
     quasi_levels: list[dict[tuple[Path, Path], Optional[Path]]] = field(default_factory=list)
     has_quasi: bool = True
-    word_capped: bool = False
 
     @property
     def depth(self) -> int:
@@ -96,12 +96,8 @@ class OverlapTable:
         if n > self.depth:
             raise PathAlgError(f"table depth {self.depth} < requested level {n}")
         olens = [w.length for w in self.levels[n]]
-        qlens = [w.length for (w, _v) in self.quasi_levels[n]] if self.has_quasi else []
-        mino = min(olens) if olens else inf
-        maxo = max(olens) if olens else -inf
-        minq = min(qlens) if qlens else inf
-        maxq = max(qlens) if qlens else -inf
-        return (mino, maxo, minq, maxq)
+        qlens = [w.length for (w, _v) in self.quasi_levels[n]]
+        return (min(olens, default=inf), max(olens, default=-inf), min(qlens, default=inf), max(qlens, default=-inf))
 
     def quasi_length_bound(self, n: int) -> tuple:
         """Certified interval containing every level-n quasi-overlap length.
@@ -131,12 +127,38 @@ def _check_patterns(patterns: Iterable[Path]) -> tuple[Path, ...]:
     return pats
 
 
-def _candidates(w1: Path, patterns: Sequence[Path]) -> Iterable[tuple[Path, Path]]:
-    """Extensions of w1 by a pattern ending at least one arrow past w1's end."""
-    for s in patterns:
-        for k in range(1, min(s.length - 1, w1.length) + 1):
-            if w1.arrows[w1.length - k:] == s.arrows[:k]:
-                yield Path(w1.arrows + s.arrows[k:]), s
+def _tail_graph(patterns: Sequence[Path]) -> dict[tuple, list[tuple]]:
+    """Edges t -> u of the tail graph, as arrow tuples, in pattern order and then k.
+
+    The states t are the proper nonempty suffixes of the patterns.  An edge
+    goes to u = s[k:] for a pattern s whose length-k prefix is a suffix of
+    t (1 <= k <= min(|s| - 1, |t|)) when u is pattern-free and t*u meets a
+    pattern only at its end.
+    """
+    graph: dict[tuple, list[tuple]] = {}
+    for t in {s.arrows[j:] for s in patterns for j in range(1, s.length)}:
+        tail, out = Path(t), graph.setdefault(t, [])
+        for s in patterns:
+            for k in range(1, min(s.length - 1, len(t)) + 1):
+                u = s.arrows[k:]
+                if t[len(t) - k:] != s.arrows[:k] or u in out:
+                    continue
+                tu = Path(t + u)
+                if tail_is_pattern_free(tail, tu, patterns) and tail_first_hit_at_end(tu.prefix(0), tu, patterns):
+                    out.append(u)
+    return graph
+
+
+def _walk(start: dict, graph: dict[tuple, list[tuple]], max_level: int) -> list[dict]:
+    """Levels 1..max_level of the walks from `start`, a map (word, context) -> predecessor."""
+    levels = [start] if max_level >= 1 else []
+    while len(levels) < max_level:
+        found = {}
+        for (w, v), pred in levels[-1].items():
+            for u in graph[w.arrows[pred.length:]]:
+                found[(Path(w.arrows + u), v)] = w
+        levels.append(found)
+    return levels
 
 
 def enumerate_overlaps(
@@ -144,77 +166,29 @@ def enumerate_overlaps(
     patterns: Iterable[Path],
     max_level: int,
     quasi: bool = True,
-    max_word_length: int | None = None,
 ) -> OverlapTable:
-    """Exact level-by-level enumeration up to max_level.
+    """Levels 0..max_level of plain and quasi chains, as walks over the tail graph.
 
-    Each level-n candidate extends a level-(n-1) word w1 by a pattern
-    aligned to end strictly beyond w1's end, and is kept iff w1's tail in
-    the candidate is pattern-free while the level-(n-2) predecessor's tail
-    hits a pattern only at the very end.  Predecessor uniqueness is
-    asserted on every level.
+    Plain chains start at level 1 as s with predecessor s.prefix(1) (tail
+    s[1:]); quasi chains start as (w, v) with predecessor the vertex
+    v.target (tail w), one for each split s = v*w, none when quasi is off.
+
+    Predecessors are unique by construction.  A plain word has one level-1
+    start, the pattern that is its prefix, and a quasi entry (w, v) one, the
+    prefix w1 of w with v*w1 a pattern: two would divide each other in the
+    reduced set.  After that, the pattern-free tail t fixes where the next
+    prefix ends: where the earliest-ending pattern occurrence that starts in
+    or after t ends.  So each (word, context) is reached by one walk only.
     """
     pats = _check_patterns(patterns)
+    graph = _tail_graph(pats)
     table = OverlapTable(quiver, pats, has_quasi=quasi)
-
     table.levels.append({Path((a,)): None for a in quiver.arrows})
-    if max_level >= 1:
-        table.levels.append({s: s.prefix(1) for s in pats})
-    for n in range(2, max_level + 1):
-        prev = table.levels[n - 1]
-        found: dict[Path, Path] = {}
-        for w1 in prev:
-            w2 = prev[w1]
-            assert w2 is not None
-            for w, _s in _candidates(w1, pats):
-                if max_word_length is not None and w.length > max_word_length:
-                    table.word_capped = True
-                    continue
-                if not tail_is_pattern_free(w1, w, pats):
-                    continue
-                if not tail_first_hit_at_end(w2, w, pats):
-                    continue
-                if w in found and found[w] != w1:
-                    raise AssertionError(f"predecessor uniqueness violated at level {n} for {w}")
-                found[w] = w1
-        table.levels.append(dict(found))
-
-    if quasi:
-        seeds: dict[tuple[Path, Path], Optional[Path]] = {}
-        for s in pats:
-            for j in range(1, s.length):
-                v = s.prefix(j)
-                seeds[(Path(vertex=v.target), v)] = None
-        table.quasi_levels.append(seeds)
-        if max_level >= 1:
-            q1: dict[tuple[Path, Path], Optional[Path]] = {}
-            for s in pats:
-                for j in range(1, s.length):
-                    v, w = s.prefix(j), s.suffix(s.length - j)
-                    q1[(w, v)] = Path(vertex=v.target)
-            table.quasi_levels.append(q1)
-        for n in range(2, max_level + 1):
-            prev_q = table.quasi_levels[n - 1]
-            found_q: dict[tuple[Path, Path], Path] = {}
-            for (w1, v) in prev_q:
-                w2 = prev_q[(w1, v)]
-                assert w2 is not None
-                for w, _s in _candidates(w1, pats):
-                    if max_word_length is not None and w.length > max_word_length:
-                        table.word_capped = True
-                        continue
-                    if not tail_is_pattern_free(w1, w, pats):
-                        continue
-                    if not tail_first_hit_at_end(w2, w, pats):
-                        continue
-                    key = (w, v)
-                    if key in found_q and found_q[key] != w1:
-                        raise AssertionError(f"predecessor uniqueness violated at quasi level {n} for {key}")
-                    found_q[key] = w1
-            table.quasi_levels.append(dict(found_q))
-    else:
-        table.quasi_levels = [dict() for _ in table.levels]
-
+    for level in _walk({(s, None): s.prefix(1) for s in pats}, graph, max_level):
+        table.levels.append({w: pred for (w, _v), pred in level.items()})
+    splits = [(s.prefix(j), s.suffix(s.length - j)) for s in pats for j in range(1, s.length) if quasi]
+    table.quasi_levels.append({(Path(vertex=v.target), v): None for v, _w in splits})
+    table.quasi_levels += _walk({(w, v): Path(vertex=v.target) for v, w in splits}, graph, max_level)
     return table
 
 
@@ -224,12 +198,6 @@ class Partition:
 
     u: tuple[Path, ...]
     v: tuple[Path, ...]
-
-    def u_names(self) -> tuple[str, ...]:
-        return tuple(str(p) for p in self.u)
-
-    def v_names(self) -> tuple[str, ...]:
-        return tuple(str(p) for p in self.v)
 
 
 def check_partition(

@@ -35,6 +35,8 @@ class ModulePresentation:
         for g in self.generators:
             if g.vertex not in vset:
                 raise PathAlgError(f"generator {g.name} at undeclared vertex {g.vertex}")
+            if g.degree < 0:
+                raise PathAlgError(f"generator {g.name} has negative degree {g.degree}")
         for r in self.relations:
             self.degree_of(r)
             for (i, p), _c in r.terms.items():

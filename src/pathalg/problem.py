@@ -350,9 +350,14 @@ class _Parser:
                         self.err(no, self.col_of(no, vtx), E_UNKNOWN_ID, f"unknown vertex {vtx}")
                         continue
                     try:
-                        gens.append(Generator(gname, vtx, int(deg)))
+                        degree = int(deg)
                     except ValueError:
                         self.err(no, self.col_of(no, deg), E_SYNTAX, f"bad degree {deg!r}")
+                        continue
+                    if degree < 0:
+                        self.err(no, self.col_of(no, deg), E_SYNTAX, f"generator degree must be >= 0; got {degree}")
+                        continue
+                    gens.append(Generator(gname, vtx, degree))
                 elif words[0] == "relation":
                     rel_lines.append((no, words[1] if len(words) > 1 else ""))
                 else:

@@ -1,7 +1,11 @@
 import json
 import pathlib
 
+import pytest
+
+from pathalg import PathAlgError, Quiver
 from pathalg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_TRUNCATED, run
+from pathalg.presentation import Generator, ModulePresentation
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SCHEMA = json.loads((pathlib.Path(__file__).resolve().parents[1] / "docs" / "output-schema.json").read_text())
@@ -252,3 +256,20 @@ def test_relation_across_target_vertices(capsys):
     rc, doc = run_json(capsys, ["verify", fixture("split_relation.alg"), "--module", "M", "--max-n", "4"])
     assert rc == EXIT_OK
     assert doc["verdicts"] and all(v["status"] == "PASS" for v in doc["verdicts"])
+
+
+def test_negative_generator_degree_is_input_error(capsys, tmp_path):
+    # A negative shift used to parse, and resolve then printed the zero
+    # module's Hilbert function and exited 0.
+    text = pathlib.Path(fixture("dual_numbers.alg")).read_text().replace("g : e @ 0", "g : e @ -2")
+    path = tmp_path / "negative.alg"
+    path.write_text(text)
+    line = text.splitlines().index("generator g : e @ -2") + 1
+    for command in ("resolve", "verify", "window"):
+        rc = run([command, str(path), "--module", "A0"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT and not captured.out, command
+        assert f":{line}:19: E_SYNTAX: generator degree must be >= 0; got -2" in captured.err, command
+    quiver = Quiver.build(["e"], [("x", "e", "e")])
+    with pytest.raises(PathAlgError, match="negative degree"):
+        ModulePresentation((Generator("g", "e", -1),), ()).validate(quiver)

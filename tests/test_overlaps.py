@@ -10,6 +10,7 @@ from pathalg import (
     compose_bounds,
     enumerate_overlaps,
     find_partition,
+    s_koszul_degree,
     tail_first_hit_at_end,
     tail_is_pattern_free,
 )
@@ -81,6 +82,21 @@ def test_single_loop_square(one_loop):
         assert [p.length for p in t.overlaps(n)] == [n + 1]
         assert [(w.length, v.length) for (w, v) in t.quasi(n)] == [(n, 1)]
     assert t.extrema(4) == (5, 5, 4, 4)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_truncated_polynomial_deep_levels(one_loop, s):
+    """k[x]/(x^s) to level 12: one chain per level, of s-Koszul length.
+
+    The tail graph of {x^s} sends x^m to x^(s-m), so the quasi chain with
+    context x^j alternately gains s - j and j arrows: n*s/2 of them at even
+    n and (n+1)*s/2 - j at odd n.
+    """
+    t = enumerate_overlaps(one_loop, [one_loop.path("*".join("x" * s))], 12)
+    for n in range(13):
+        assert [w.length for w in t.overlaps(n)] == [s_koszul_degree(s, n + 1)]
+        expected = [(n * s // 2 if n % 2 == 0 else (n + 1) * s // 2 - j, j) for j in range(1, s)]
+        assert sorted((w.length, v.length) for (w, v) in t.quasi(n)) == sorted(expected)
 
 
 def test_extrema_examples(two_loop, showcase):
@@ -176,12 +192,6 @@ def test_predecessor_links_are_left_divisors(two_loop, showcase):
             pred = t.quasi_predecessor(n, w, v)
             assert (pred, v) in t.quasi_levels[n - 1]
             assert w.arrows[: pred.length] == pred.arrows
-
-
-def test_word_length_cap_flag(two_loop, showcase):
-    t = enumerate_overlaps(two_loop, showcase, 3, max_word_length=5)
-    assert t.word_capped
-    assert all(w.length <= 5 for n in range(4) for w in t.overlaps(n))
 
 
 def test_cut_condition_prunes_straddling_patterns(one_loop):
