@@ -1,7 +1,7 @@
 """Shared property checks over random corpus instances.
 
-Each checker returns a list of human-readable failure strings; the
-acceptance suite (criterion 6) asserts those lists are empty.
+Each checker returns a list of human-readable failure strings; the property
+suite and the acceptance suite assert those lists are empty.
 """
 from pathalg import enumerate_overlaps, find_partition
 
