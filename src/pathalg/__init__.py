@@ -65,7 +65,6 @@ from .syzygy import (
     FirstSyzygy,
     degree_window,
     first_syzygy,
-    reduce_by_right_multiples,
     window_consistency,
 )
 

@@ -1,6 +1,8 @@
 """Seeded random instances for property suites: quivers, reduced monomial
 pattern sets, and module presentations.  Everything is driven by a
-random.Random so corpora are reproducible from a single seed."""
+random.Random so corpora are reproducible from a single seed.  The
+chain-table inequality checks that `selfcheck` and the tests run over
+these instances live here too."""
 from __future__ import annotations
 
 import itertools
@@ -9,6 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, ModuleElement, normal_word_levels
 from .fields import Field
+from .overlaps import OverlapTable, compose_bounds
 from .presentation import Generator, ModulePresentation
 from .quiver import Arrow, Path, Quiver, divides
 
@@ -86,6 +89,41 @@ def instances(seed: int, count: int, **kwargs) -> list[CorpusInstance]:
         if not pats:
             continue
         out.append(CorpusInstance(sub_seed, quiver, tuple(pats)))
+    return out
+
+
+def check_extrema_inequalities(inst: CorpusInstance, table: OverlapTable, max_n: int) -> list[str]:
+    """Failures of: quasi extrema sit inside the overlap-derived bound; size bounds hold."""
+    out = []
+    lenS = table.pattern_length
+    for n in range(max_n + 1):
+        mino, maxo, minq, maxq = table.extrema(n)
+        if not (maxq <= maxo - 1):
+            out.append(f"{inst.seed}: level {n}: max quasi {maxq} > max overlap - 1 = {maxo - 1}")
+        if not (minq >= mino - lenS + 1):
+            out.append(f"{inst.seed}: level {n}: min quasi {minq} < {mino - lenS + 1}")
+        if table.overlaps(n):
+            if not (mino >= n + 1):
+                out.append(f"{inst.seed}: level {n}: min overlap {mino} < {n + 1}")
+            if not (maxo <= lenS * n - n + 1):
+                out.append(f"{inst.seed}: level {n}: max overlap {maxo} > {lenS * n - n + 1}")
+    return out
+
+
+def check_composition_bounds(inst: CorpusInstance, table: OverlapTable, max_total: int) -> list[str]:
+    """Failures of the `compose_bounds` interval at every split m + (n - m) of each level n."""
+    out = []
+    lenS = table.pattern_length
+    for n in range(2, max_total + 1):
+        if n > table.depth:
+            break
+        mino, maxo, _, _ = table.extrema(n)
+        for m in range(1, n):
+            lo, hi = compose_bounds(table.extrema(m), table.extrema(n - m), lenS)
+            if not (maxo <= hi):
+                out.append(f"{inst.seed}: {m}+{n - m}: max overlap {maxo} > bound {hi}")
+            if not (mino >= lo):
+                out.append(f"{inst.seed}: {m}+{n - m}: min overlap {mino} < bound {lo}")
     return out
 
 

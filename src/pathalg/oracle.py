@@ -313,9 +313,9 @@ def full_space_pieces(space: QuotientSpace, D: int) -> GradedPieces:
 def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> GradedPieces:
     """ker(free cover -> ambient) degreewise, with f_j mapping to images[j].
 
-    Kernel vectors live over the domain coordinates.  Raises if a kernel
-    vector touches a generator-top coordinate, which would mean the chosen
-    generators were not minimal.
+    Kernel vectors live over the domain coordinates.  Raises PathAlgError if
+    a kernel vector touches a generator-top coordinate, which would mean the
+    chosen generators were not minimal.
     """
     model = domain.model
     one = model.field.one
@@ -346,7 +346,7 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -
             sub = out.ensure(d, v)
             for combo in combos:
                 if any(degrees[cols[n][0]] == d for n in combo):
-                    raise AssertionError("kernel meets a generator top: cover was not minimal")
+                    raise PathAlgError("kernel meets a generator top: cover was not minimal")
                 sub.add(combo)
     return out
 

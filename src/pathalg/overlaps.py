@@ -10,17 +10,22 @@ carries a nonempty phantom left context v: level 1 entries are the proper
 splits v*w of patterns, and deeper levels extend w along the same graph
 while v stays fixed.
 
-Cut decompositions are searched by brute force over segmentations and
-serve as an independent membership oracle for the walks.
+Cut decompositions w = u1 v1 ... v_{n-1} un serve as an independent
+membership oracle for the walks.  They are searched as index cuts on the
+arrow names of v0*w: every block v_{i-1} u_i v_i is a pattern, and no
+pattern straddles an interior v_i by starting inside u_i and ending inside
+u_{i+1} v_{i+1}.  One predicate states these rules for both the search and
+the validator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotReducedError, PathAlgError
-from .quiver import Path, Quiver, divides, divides_left, divides_right, is_reduced
+from .quiver import Path, Quiver, divides, is_reduced
 
 
 def tail_is_pattern_free(q: Path, p: Path, patterns: Sequence[Path]) -> bool:
@@ -99,15 +104,6 @@ class OverlapTable:
         qlens = [w.length for (w, _v) in self.quasi_levels[n]]
         return (min(olens, default=inf), max(olens, default=-inf), min(qlens, default=inf), max(qlens, default=-inf))
 
-    def quasi_length_bound(self, n: int) -> tuple:
-        """Certified interval containing every level-n quasi-overlap length.
-
-        Derived from the overlap extrema: [mino_n - len(S) + 1, maxo_n - 1],
-        empty (lo > hi) when the overlap level is empty.
-        """
-        mino, maxo, _, _ = self.extrema(n)
-        return (mino - self.pattern_length + 1, maxo - 1)
-
 
 def compose_bounds(extrema_n: tuple, extrema_m: tuple, pattern_length: int) -> tuple:
     """Bounds at level n+m from overlap extrema at levels n and m.
@@ -120,9 +116,13 @@ def compose_bounds(extrema_n: tuple, extrema_m: tuple, pattern_length: int) -> t
     return (mino_n + mino_m - pattern_length + 1, maxo_n + maxo_m - 1)
 
 
+# The partition oracle is called many times with one pattern set.
+_is_reduced = lru_cache(maxsize=64)(is_reduced)
+
+
 def _check_patterns(patterns: Iterable[Path]) -> tuple[Path, ...]:
     pats = tuple(patterns)
-    if not is_reduced(pats):
+    if not _is_reduced(pats):
         raise NotReducedError("the pattern set must be reduced")
     return pats
 
@@ -200,6 +200,32 @@ class Partition:
     v: tuple[Path, ...]
 
 
+def _is_cut(full: tuple[str, ...], cuts: Sequence[tuple[int, int]], names: set, plain: bool) -> bool:
+    """The cut conditions on full = v0*w, read as arrow names.
+
+    cuts[i] = (a_i, b_i) brackets v_i = full[a_i:b_i]: cuts[0] brackets the
+    context v0 and cuts[n] is the empty word at the end.  So u_i is
+    full[b_{i-1}:a_i] and block i is v_{i-1} u_i v_i = full[a_{i-1}:b_i].
+    Every block is a pattern, every interior v_i is nonempty, u_1 is
+    nonempty when n <= 2 (plain) or n <= 1 (with a context), and no
+    pattern straddles an interior v_i: none occurs at full[x:y] with
+    b_{i-1} <= x < a_i and b_i < y <= b_{i+1}.
+    """
+    n = len(cuts) - 1
+    if n <= (2 if plain else 1) and cuts[1][0] <= cuts[0][1]:
+        return False
+    if any(b <= a for a, b in cuts[1:n]):
+        return False
+    if any(full[cuts[i - 1][0]:cuts[i][1]] not in names for i in range(1, n + 1)):
+        return False
+    return not any(
+        full[x:y] in names
+        for i in range(1, n)
+        for x in range(cuts[i - 1][1], cuts[i][0])
+        for y in range(cuts[i][1] + 1, cuts[i + 1][1] + 1)
+    )
+
+
 def check_partition(
     w: Path,
     n: int,
@@ -213,59 +239,26 @@ def check_partition(
     `context` None means the plain overlap reading (v0 is the source
     vertex; the first piece must be nonempty when n <= 2); a nonempty
     context means the quasi reading (first piece must be nonempty only
-    when n == 1).
+    when n == 1).  The pieces must compose to exactly v0*w; their lengths
+    then give the cuts that `_is_cut` judges.
     """
     if len(u_parts) != n or len(v_parts) != n - 1:
         return False
     v0 = context if context is not None else Path(vertex=w.source)
-    pieces: list[Path] = []
-    for i in range(n - 1):
-        pieces += [u_parts[i], v_parts[i]]
-    pieces.append(u_parts[n - 1])
-    # The pieces must reassemble w.
+    ends = [*v_parts, Path(vertex=w.target)]
     try:
-        whole = pieces[0]
-        for piece in pieces[1:]:
-            whole = whole * piece
+        whole = v0
+        for u, v in zip(u_parts, ends):
+            whole = whole * u * v
+        if whole != v0 * w:
+            return False
     except PathAlgError:
         return False
-    if whole != w:
-        return False
-    if any(v.length < 1 for v in v_parts):
-        return False
-    min_n_for_nonempty_head = 2 if context is None else 1
-    if n <= min_n_for_nonempty_head and u_parts[0].length == 0:
-        return False
-    vs = [v0] + list(v_parts) + [Path(vertex=w.target)]
-    for i in range(1, n + 1):
-        try:
-            s = (vs[i - 1] * u_parts[i - 1]) * vs[i]
-        except PathAlgError:
-            return False
-        if s not in patterns:
-            return False
-    # No stray pattern may straddle an interior v_i from both sides.
-    for i in range(1, n):
-        vi = vs[i]
-        ui = u_parts[i - 1]
-        next_block = u_parts[i] * vs[i + 1]
-        for s in patterns:
-            for split in range(1, s.length - vi.length):
-                vpart = s.prefix(split)
-                mid = Path(s.arrows[split:split + vi.length])
-                upart = s.suffix(s.length - split - vi.length)
-                if mid != vi:
-                    continue
-                if divides_left(upart, next_block) and divides_right(vpart, ui):
-                    return False
-    return True
-
-
-def _segment(w: Path, start: int, stop: int) -> Path:
-    if start == stop:
-        at = w.arrows[start].source if start < w.length else w.target
-        return Path(vertex=at)
-    return Path(w.arrows[start:stop])
+    cuts = [(0, v0.length)]
+    for u, v in zip(u_parts, ends):
+        a = cuts[-1][1] + u.length
+        cuts.append((a, a + v.length))
+    return _is_cut(whole.names(), cuts, {s.names() for s in patterns}, context is None)
 
 
 def all_partitions(
@@ -274,52 +267,40 @@ def all_partitions(
     patterns: Iterable[Path],
     context: Path | None = None,
 ) -> Iterator[Partition]:
-    """Every segmentation of w satisfying the cut conditions.
+    """Every cut decomposition of w at level n, ordered by its cuts.
 
-    Independent of the recursive enumeration: membership at level n is
-    equivalent to a partition existing.  The search consumes w left to
-    right, forcing each block v_{i-1} u_i v_i to be a pattern, so dead
-    branches die immediately.
+    Independent of the tail-graph walks: membership at level n is
+    equivalent to a partition existing.  The search places the cuts
+    (a_i, b_i) on v0*w left to right, a ascending and then b, keeps a cut
+    only when the block it closes is a pattern, and judges each full set
+    of cuts with the predicate that `check_partition` uses.
     """
     pats = _check_patterns(patterns)
     if n < 1:
         raise PathAlgError("partitions are defined for levels n >= 1")
     v0 = context if context is not None else Path(vertex=w.source)
-    head_min = 2 if context is None else 1
+    if v0.target != w.source:
+        return
+    full, names = v0.names() + w.names(), {s.names() for s in pats}
+    end = len(full)
 
-    def rec(pos: int, i: int, prev_v: Path, u_acc: list[Path], v_acc: list[Path]):
-        remaining = w.length - pos
-        if i == n:
-            u_n = _segment(w, pos, w.length)
-            if n <= head_min and i == 1 and u_n.length == 0:
-                return
-            try:
-                s = prev_v * u_n
-            except PathAlgError:
-                return
-            if s in pats:
-                cand_u, cand_v = tuple(u_acc + [u_n]), tuple(v_acc)
-                if check_partition(w, n, pats, cand_u, cand_v, context):
-                    yield Partition(cand_u, cand_v)
+    def piece(start: int, stop: int) -> Path:
+        """full[start:stop] inside w as a Path, a vertex when empty."""
+        return w.suffix(end - start).prefix(stop - start)
+
+    def extend(cuts: list[tuple[int, int]]) -> Iterator[Partition]:
+        if len(cuts) == n:
+            cuts = cuts + [(end, end)]
+            if _is_cut(full, cuts, names, context is None):
+                yield Partition(tuple(piece(cuts[i - 1][1], cuts[i][0]) for i in range(1, n + 1)),
+                                tuple(piece(a, b) for a, b in cuts[1:n]))
             return
-        for lu in range(0, remaining):
-            if i == 1 and n <= head_min and lu == 0:
-                continue
-            u_i = _segment(w, pos, pos + lu)
-            try:
-                base = prev_v * u_i
-            except PathAlgError:
-                continue
-            for lv in range(1, remaining - lu + 1):
-                v_i = _segment(w, pos + lu, pos + lu + lv)
-                try:
-                    s = base * v_i
-                except PathAlgError:
-                    continue
-                if s in pats:
-                    yield from rec(pos + lu + lv, i + 1, v_i, u_acc + [u_i], v_acc + [v_i])
+        for a in range(cuts[-1][1], end):
+            for b in range(a + 1, end + 1):
+                if full[cuts[-1][0]:b] in names:
+                    yield from extend(cuts + [(a, b)])
 
-    yield from rec(0, 1, v0, [], [])
+    yield from extend([(0, v0.length)])
 
 
 def find_partition(

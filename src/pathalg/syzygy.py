@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .algebra import AlgebraElement, ModuleElement, tip
+from .algebra import ModuleElement, tip
 from .errors import PathAlgError
 from .oracle import GradedAlgebraModel, presentation_cover, span_from_seeds
 from .overlaps import OverlapTable
 from .presentation import ModulePresentation
-from .order import OrderSpec
 from .quiver import Path, divides, divides_left
 
 
@@ -110,47 +109,6 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
 
 def _contains_any(p: Path, tips) -> bool:
     return any(divides(t, p) for t in tips)
-
-
-def is_tip_orbit_disjoint(elems, pres: ModulePresentation, order: OrderSpec) -> bool:
-    """No element's tip extends another's by a right factor (same component)."""
-    tips = [tip(e, order) for e in elems]
-    for a, (ia, pa) in enumerate(tips):
-        for b, (ib, pb) in enumerate(tips):
-            if a != b and ia == ib and divides_left(pa, pb):
-                return False
-    return True
-
-
-def reduce_by_right_multiples(
-    h: ModuleElement, gens, order: OrderSpec
-) -> tuple[dict[int, AlgebraElement], ModuleElement]:
-    """Rewrite h by subtracting right multiples gens[i] * w until stuck.
-
-    Returns ({generator index: accumulated kQ coefficient}, remainder); the
-    remainder is zero exactly when h lies in the right kQ-span of the
-    generators, and with orbit-disjoint tips at most one rewrite applies at
-    each step, so the decomposition is unique.
-    """
-    gens = list(gens)
-    gen_tips = [tip(g, order) for g in gens]
-    coeffs: dict[int, AlgebraElement] = {}
-    remainder = ModuleElement()
-    work = h
-    while work:
-        i, p = tip(work, order)
-        c = work.terms[(i, p)]
-        hits = [idx for idx, (gi, gq) in enumerate(gen_tips) if gi == i and divides_left(gq, p)]
-        if not hits:
-            remainder = remainder + ModuleElement({(i, p): c})
-            work = work - ModuleElement({(i, p): c})
-            continue
-        idx = hits[0]
-        w = p.drop_prefix(gen_tips[idx][1])
-        work = work - gens[idx].right_mul(w).scale(c)
-        add = AlgebraElement({w: c})
-        coeffs[idx] = coeffs.get(idx, AlgebraElement()) + add
-    return coeffs, remainder
 
 
 @dataclass(frozen=True)

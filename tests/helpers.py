@@ -4,46 +4,11 @@ Each checker returns a list of human-readable failure strings; the property
 suite and the acceptance suite assert those lists are empty.
 """
 from pathalg import enumerate_overlaps, find_partition
+from pathalg.corpus import check_composition_bounds, check_extrema_inequalities  # noqa: F401
 
 
 def chain_table(inst, max_n):
     return enumerate_overlaps(inst.quiver, inst.patterns, max_n)
-
-
-def check_extrema_inequalities(inst, table, max_n):
-    """Quasi extrema sit inside the overlap-derived bound; size bounds hold."""
-    out = []
-    lenS = table.pattern_length
-    for n in range(max_n + 1):
-        mino, maxo, minq, maxq = table.extrema(n)
-        if not (maxq <= maxo - 1):
-            out.append(f"{inst.seed}: level {n}: max quasi {maxq} > max overlap - 1 = {maxo - 1}")
-        if not (minq >= mino - lenS + 1):
-            out.append(f"{inst.seed}: level {n}: min quasi {minq} < {mino - lenS + 1}")
-        if table.overlaps(n):
-            if not (mino >= n + 1):
-                out.append(f"{inst.seed}: level {n}: min overlap {mino} < {n + 1}")
-            if not (maxo <= lenS * n - n + 1):
-                out.append(f"{inst.seed}: level {n}: max overlap {maxo} > {lenS * n - n + 1}")
-    return out
-
-
-def check_composition_bounds(inst, table, max_total):
-    from pathalg import compose_bounds
-
-    out = []
-    lenS = table.pattern_length
-    for n in range(2, max_total + 1):
-        if n > table.depth:
-            break
-        mino, maxo, _, _ = table.extrema(n)
-        for m in range(1, n):
-            lo, hi = compose_bounds(table.extrema(m), table.extrema(n - m), lenS)
-            if not (maxo <= hi):
-                out.append(f"{inst.seed}: {m}+{n - m}: max overlap {maxo} > bound {hi}")
-            if not (mino >= lo):
-                out.append(f"{inst.seed}: {m}+{n - m}: min overlap {mino} < bound {lo}")
-    return out
 
 
 def check_predecessor_uniqueness(inst, table, max_n):

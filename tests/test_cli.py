@@ -178,6 +178,23 @@ def test_exit_code_truncation_without_certificate(capsys, tmp_path):
     assert rc == EXIT_OK and "truncated" in out
 
 
+def test_explicit_groebner_cap_is_honoured(capsys, tmp_path):
+    # Only an uncapped run may retry at the degree the pending pairs need
+    # (11 here); a cap from --max-degree or [params] must stop it at 6.
+    from_params = tmp_path / "capped.alg"
+    from_params.write_text(pathlib.Path(fixture("sklyanin_235.alg")).read_text() + "\n[params]\nmax-degree 6\n")
+    runs = [(["groebner", fixture("sklyanin_235.alg"), "--max-degree", "6"], EXIT_OK),
+            (["overlaps", fixture("sklyanin_235.alg"), "--max-degree", "6"], EXIT_TRUNCATED),
+            (["groebner", str(from_params)], EXIT_OK)]
+    for argv, code in runs:
+        rc, doc = run_json(capsys, argv)
+        gb = doc["groebner"]
+        assert rc == code and gb["degree_bound"] == 6 and not gb["complete"], argv
+        for element in gb["elements"]:
+            terms = element.replace(" - ", " + ").split(" + ")
+            assert max(sum(name in "xyz" for name in t.split("*")) for t in terms) <= 6, element
+
+
 def test_exit_code_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("[quiver]\nvertex e\narrow x : e -> e\n\n[ideal]\nx*y\n")

@@ -16,6 +16,7 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
+from pathalg.oracle import CoverSpace, FreeSummand, kernel_pieces
 from pathalg.syzygy import DegreeWindow
 from tests.conftest import truncated_polynomial, words
 
@@ -185,6 +186,17 @@ def test_resolution_determinism(two_loop, cube_model, cube_A0):
     a = minimal_resolution(cube_A0, cube_model, 4, 12)
     b = minimal_resolution(cube_A0, cube_model, 4, 12)
     assert a.degrees == b.degrees and a.hilbert == b.hilbert
+
+
+def test_non_minimal_cover_is_an_error(one_loop, one_loop_order):
+    # Two degree-0 summands with the same image: their difference is a kernel
+    # vector on the generator tops, so the cover was not minimal.
+    gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
+    model = build_model(one_loop, gb, F, 4)
+    ambient = CoverSpace(model, [FreeSummand("e", 0)])
+    domain = CoverSpace(model, [FreeSummand("e", 0), FreeSummand("e", 0)])
+    with pytest.raises(PathAlgError, match="cover was not minimal"):
+        kernel_pieces(domain, [{0: F.one}, {0: F.one}], ambient, 4)
 
 
 def test_resolution_cap_guard(two_loop, cube_model, cube_A0):

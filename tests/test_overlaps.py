@@ -5,6 +5,7 @@ import pytest
 from pathalg import (
     NotReducedError,
     PathAlgError,
+    Quiver,
     all_partitions,
     check_partition,
     compose_bounds,
@@ -112,19 +113,6 @@ def test_empty_level_extrema(two_loop):
     assert t.extrema(2) == (inf, -inf, inf, -inf)
 
 
-def test_quasi_length_bound(two_loop, one_loop, showcase):
-    t = enumerate_overlaps(two_loop, showcase, 3)
-    lo, hi = t.quasi_length_bound(3)
-    assert (lo, hi) == (2, 7)
-    assert all(lo <= w.length <= hi for (w, _v) in t.quasi(3))
-    xx = one_loop.path("x*x")
-    t1 = enumerate_overlaps(one_loop, [xx], 4)
-    assert t1.quasi_length_bound(4) == (4, 4)
-    tempty = enumerate_overlaps(two_loop, [words(two_loop)("xy")], 2)
-    lo, hi = tempty.quasi_length_bound(2)
-    assert lo > hi
-
-
 def test_compose_bounds(two_loop, one_loop, showcase):
     t = enumerate_overlaps(two_loop, showcase, 3)
     lo, hi = compose_bounds(t.extrema(1), t.extrema(2), t.pattern_length)
@@ -175,10 +163,40 @@ def test_check_partition_validator(two_loop, showcase):
     w = words(two_loop)
     e = two_loop.vertex_path("e")
     assert check_partition(w("xxxxxyyy"), 3, showcase, (w("x"), e, w("xyyy")), (w("xx"), w("x")))
-    # wrong reassembly
+    # wrong reassembly, also when the pieces are a partition of another word
     assert not check_partition(w("xxxxxyyy"), 3, showcase, (w("x"), e, w("xyyy")), (w("x"), w("x")))
-    # interior v pieces must be nonempty
+    assert not check_partition(w("xxxxxxyyy"), 3, showcase, (w("x"), e, w("xyyy")), (w("xx"), w("x")))
+    # interior v pieces must be nonempty, also when every block is a pattern
     assert not check_partition(w("xxxxxyyy"), 3, showcase, (w("xxx"), e, w("xyyy")), (e, w("x")))
+    assert not check_partition(w("xxyy"), 2, [w("xx"), w("yy")], (w("xx"), w("yy")), (e,))
+
+
+def test_partition_oracle_is_independent_of_the_walks(monkeypatch, two_loop, showcase):
+    # The oracle is the check on the tail-graph walks, so it must not run them.
+    import pathalg.overlaps as overlaps
+
+    def refuse(*args):
+        raise AssertionError("the partition oracle used the tail graph")
+
+    monkeypatch.setattr(overlaps, "_tail_graph", refuse)
+    monkeypatch.setattr(overlaps, "_walk", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_overlaps(two_loop, showcase, 2)
+    w = words(two_loop)
+    parts = list(all_partitions(w("xxxxxyyy"), 3, showcase))
+    assert [(compact(p.u), compact(p.v)) for p in parts] == [(("x", "e", "xyyy"), ("xx", "x"))]
+    assert check_partition(w("xxxxxyyy"), 3, showcase, parts[0].u, parts[0].v)
+    q = find_partition(w("xxxyyy"), 3, showcase, context=w("xx"))
+    assert q is not None and check_partition(w("xxxyyy"), 3, showcase, q.u, q.v, context=w("xx"))
+    # Read as arrow names, the vertex context 2 before a*b*a is the pattern
+    # a*b*a, but a*b*a starts at vertex 1: no partition exists.
+    quiver = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    aba = quiver.path("a*b*a")
+    assert find_partition(aba, 1, [aba], context=quiver.vertex_path("1")) is not None
+    for n in range(1, 4):
+        assert find_partition(aba, n, [aba], context=quiver.vertex_path("2")) is None
+        assert find_partition(aba, n, [aba], context=quiver.path("a")) is None
+    assert not check_partition(aba, 1, [aba], (aba,), (), context=quiver.vertex_path("2"))
 
 
 def test_predecessor_links_are_left_divisors(two_loop, showcase):
