@@ -3,6 +3,12 @@
 An AlgebraElement is a finite map from parallel paths to nonzero scalars.
 A ModuleElement is a finite map from (generator index, path) pairs to
 nonzero scalars; generator metadata lives with the module presentation.
+Elements do no arithmetic of their own: the field comes with the term
+order (`OrderSpec.field`), and the routines that take an order do the
+arithmetic.  Over F_p a scalar is an int in [0, p); an element built by
+hand may hold any ints, and `groebner_basis`, `normal_form`, `monic` and
+`TipIndex.add` reduce them mod p on intake, so a term that vanishes mod p
+never acts as a nonzero one.
 
 The reduced Groebner basis of a homogeneous ideal I inside (kQ_{>0})^2 is
 computed by overlap completion, truncated at a caller-supplied degree; the
@@ -26,6 +32,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PathAlgError, TruncatedBasisError
+from .fields import Field
 from .order import OrderSpec
 from .quiver import Path, Quiver
 
@@ -58,37 +65,11 @@ class AlgebraElement:
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.terms == other.terms
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p)
-            out[p] = c if s is None else s + c
-        return AlgebraElement(out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AlgebraElement":
-        if not c:
-            return AlgebraElement()
-        return AlgebraElement({p: coeff * c for p, coeff in self.terms.items()})
-
     def left_mul(self, u: Path) -> "AlgebraElement":
         return AlgebraElement({u * p: c for p, c in self.terms.items() if u.target == p.source})
 
     def right_mul(self, v: Path) -> "AlgebraElement":
         return AlgebraElement({p * v: c for p, c in self.terms.items() if p.target == v.source})
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out: dict[Path, object] = {}
-        for p, c in self.terms.items():
-            for q, d in other.terms.items():
-                if p.target == q.source:
-                    key = p * q
-                    prev = out.get(key)
-                    val = c * d
-                    out[key] = val if prev is None else prev + val
-        return AlgebraElement(out)
 
     def degree(self) -> int:
         """Common length of the support paths; raises if inhomogeneous or zero."""
@@ -137,30 +118,6 @@ class ModuleElement:
     def __eq__(self, other):
         return isinstance(other, ModuleElement) and self.terms == other.terms
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return ModuleElement(out)
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ModuleElement":
-        if not c:
-            return ModuleElement()
-        return ModuleElement({k: coeff * c for k, coeff in self.terms.items()})
-
-    def right_mul(self, v: Path) -> "ModuleElement":
-        return ModuleElement({(i, p * v): c for (i, p), c in self.terms.items() if p.target == v.source})
-
-    def right_mul_elem(self, x: AlgebraElement) -> "ModuleElement":
-        out = ModuleElement()
-        for q, d in x.terms.items():
-            out = out + self.right_mul(q).scale(d)
-        return out
-
     def target_vertices(self) -> set[str]:
         return {p.target for _, p in self.terms}
 
@@ -198,10 +155,22 @@ def tip(x: AlgebraElement | ModuleElement, order: OrderSpec):
     return max(x.terms, key=order.module_key)
 
 
-def monic(x, order: OrderSpec):
+def _reduced(x: AlgebraElement, field: Field) -> AlgebraElement:
+    """Over F_p, x with every coefficient reduced mod p and the vanishing terms dropped; over Q, x."""
+    if not field.characteristic:
+        return x
+    return AlgebraElement({p: field.of(c) for p, c in x.terms.items()})
+
+
+def monic(x: AlgebraElement, order: OrderSpec) -> AlgebraElement:
+    """x, taken into the order's field, scaled so that its tip has coefficient 1."""
+    field = order.field
+    x = _reduced(x, field)
     c = x.terms[tip(x, order)]
-    one = c / c
-    return x if c == one else x.scale(one / c)
+    if c == 1:
+        return x
+    p, inv = field.characteristic, field.inverse(c)
+    return AlgebraElement({q: d * inv % p if p else d * inv for q, d in x.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -254,15 +223,18 @@ class TipIndex:
         self._by_tip: dict[tuple[int, ...], tuple[int, list]] = {}
         self._prefixes: set[tuple[int, ...]] = set()
         for g in elements:
-            if g:
-                self.add(g)
+            self.add(g)
 
     def add(self, g: AlgebraElement) -> None:
+        field = self.order.field
+        g = _reduced(g, field)
+        if not g:
+            return
         t = tip(g, self.order)
         if t.is_vertex:
             raise PathAlgError(f"a reducer tip must have positive length; got {t}")
-        lead = g.terms[t]
-        tail = [(_ranks(q, self.order), q.arrows, c / lead) for q, c in g.terms.items() if q != t]
+        p, inv = field.characteristic, field.inverse(g.terms[t])
+        tail = [(_ranks(q, self.order), q.arrows, c * inv % p if p else c * inv) for q, c in g.terms.items() if q != t]
         key = _ranks(t, self.order)
         self._by_tip.setdefault(key, (len(self.elements), tail))
         self._prefixes.update(key[:n] for n in range(1, len(key) + 1))
@@ -299,30 +271,35 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
     elements; x minus the result lies in the two-sided ideal generated by
     the basis.  Words are taken from a heap, greatest first.  A rewrite
     replaces a word by smaller ones only (the order is admissible), so every
-    word is popped once and the pass ends when the heap is empty.
+    word is popped once and the pass ends when the heap is empty.  Over F_p
+    a word's coefficient is reduced mod p once, when it is popped, so the
+    rewrites in between are plain int arithmetic.
     """
     index = _reducers(basis, order)
+    p = order.field.characteristic
     terms: dict[tuple[int, ...], object] = {}
     given: dict[tuple[int, ...], Path] = {}
     heap = []
-    for p, c in x.terms.items():
-        w = _ranks(p, order)
+    for q, c in x.terms.items():
+        w = _ranks(q, order)
         terms[w] = c
-        given[w] = p
-        heap.append((-len(w), w, p.arrows))
+        given[w] = q
+        heap.append((-len(w), w, q.arrows))
     heapify(heap)
     out: dict[Path, object] = {}
     while heap:
         _, w, arrows = heappop(heap)
         c = terms.pop(w)
+        if p:
+            c %= p
         if not c:
             continue
         found = index.find(w)
         if found is None:
-            p = given.get(w)
-            if p is None:
-                p = Path(arrows) if arrows else Path(vertex=next(iter(x.terms)).source)
-            out[p] = c
+            word = given.get(w)
+            if word is None:
+                word = Path(arrows) if arrows else Path(vertex=next(iter(x.terms)).source)
+            out[word] = c
             continue
         tail, i, n = found
         head, rest, head_arrows, rest_arrows = w[:i], w[i + n:], arrows[:i], arrows[i + n:]
@@ -380,18 +357,25 @@ def _overlaps(ta: Path, tb: Path):
 
 
 def _s_element(a: AlgebraElement, b: AlgebraElement, ta: Path, tb: Path, kind: str, pos: int) -> AlgebraElement:
+    """The S-element of monic a and b at an overlap site: a's multiple minus b's.
+
+    Over F_p its coefficients lie in (-p, p), and a nonzero one is nonzero
+    mod p, because both multiples have coefficients in [0, p); `normal_form`
+    reduces them on intake.
+    """
     if kind == "suffix":
-        k = pos
-        vtail = tb.suffix(tb.length - k)
-        uhead = ta.prefix(ta.length - k)
-        return a.right_mul(vtail) - b.left_mul(uhead)
-    u = ta.prefix(pos)
-    v = ta.suffix(ta.length - pos - tb.length)
-    return a - b.left_mul(u).right_mul(v)
+        left, right = a.right_mul(tb.suffix(tb.length - pos)), b.left_mul(ta.prefix(ta.length - pos))
+    else:
+        left, right = a, b.left_mul(ta.prefix(pos)).right_mul(ta.suffix(ta.length - pos - tb.length))
+    terms = dict(left.terms)
+    for q, c in right.terms.items():
+        prev = terms.get(q)
+        terms[q] = -c if prev is None else prev - c
+    return AlgebraElement(terms)
 
 
-def _validate_generators(generators: Iterable[AlgebraElement]) -> list[AlgebraElement]:
-    gens = [g for g in generators if g]
+def _validate_generators(generators: Iterable[AlgebraElement], field: Field) -> list[AlgebraElement]:
+    gens = [h for h in (_reduced(g, field) for g in generators) if h]
     for g in gens:
         if not g.is_homogeneous():
             raise PathAlgError(f"inhomogeneous generator: {g.render()}")
@@ -429,7 +413,7 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     reduce to zero when the loop exits); all-monomial bases are certified
     complete outright since their S-elements vanish identically.
     """
-    gens = _validate_generators(generators)
+    gens = _validate_generators(generators, order.field)
     if gens and max_degree < max(g.degree() for g in gens):
         raise PathAlgError("max_degree must be at least the largest generator degree")
 

@@ -1,8 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain values supporting +, -, *, /, ==, and truthiness
-(nonzero test): Fraction for the rationals, ModInt for F_p.  Element code
-never needs to know which field it is working over.
+Over Q a scalar is a Fraction.  Over F_p it is a plain int in [0, p): the
+field is not carried by the scalars but by the term order
+(`OrderSpec.field`), so arithmetic code reads p once and reduces with
+`% p` itself.  p == 0 stands for Q throughout, so `if p:` is the only
+branch the rationals pay for.
 """
 from __future__ import annotations
 
@@ -10,58 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PathAlgError
-
-
-@dataclass(frozen=True)
-class ModInt:
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise PathAlgError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ModInt(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return ModInt(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return ModInt(-self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ModInt(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero in F_p")
-        return self * ModInt(pow(other.value, -1, other.modulus), self.modulus)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
 
 
 def _is_prime(n: int) -> bool:
@@ -91,25 +41,36 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.characteristic == 0 else ModInt(0, self.characteristic)
+        return 0 if self.characteristic else Fraction(0)
 
     @property
     def one(self):
-        return Fraction(1) if self.characteristic == 0 else ModInt(1, self.characteristic)
+        return 1 if self.characteristic else Fraction(1)
 
     def of(self, value) -> object:
-        """Coerce an int, Fraction, or 'p/q' string into a scalar."""
+        """An int, Fraction, or 'p/q' string as a scalar: a Fraction, or an int reduced mod p.
+
+        Over F_p a fraction whose denominator p divides raises ZeroDivisionError;
+        so does the string '7/7' over F_7, which is read before it is cancelled.
+        """
         if isinstance(value, str):
-            if "/" in value:
-                num, den = value.split("/", 1)
-                value = Fraction(int(num), int(den))
-            else:
-                value = int(value)
-        if self.characteristic == 0:
+            num, slash, den = value.partition("/")
+            value = self.of(int(num)) * self.inverse(int(den)) if slash else int(num)
+        p = self.characteristic
+        if not p:
             return Fraction(value)
         if isinstance(value, Fraction):
-            return ModInt(value.numerator, self.characteristic) / ModInt(value.denominator, self.characteristic)
-        return ModInt(value, self.characteristic)
+            return value.numerator * self.inverse(value.denominator) % p
+        return value % p
+
+    def inverse(self, c) -> object:
+        """1 / c; ZeroDivisionError when c is zero (mod p)."""
+        p = self.characteristic
+        if not p:
+            return 1 / Fraction(c)
+        if not c % p:
+            raise ZeroDivisionError(f"{c} is not invertible in F{p}")
+        return pow(c, -1, p)
 
 
 RATIONALS = Field(0)

@@ -1,7 +1,8 @@
-"""Exact sparse linear algebra over an arbitrary field of scalars.
+"""Exact sparse linear algebra over Q or F_p.
 
-A vector is a dict from column number to a nonzero scalar (Fraction or
-ModInt); a missing column is zero.  A Subspace keeps its rows fully
+A vector is a dict from column number to a nonzero scalar, a Fraction over
+Q or an int in [1, p) over F_p; a missing column is zero.  The field is
+given when a Subspace is made.  A Subspace keeps its rows fully
 reduced: each row's pivot is its smallest column, with entry 1, and no
 other row has an entry on that column.  Listing coordinates in descending
 order of a term order therefore makes each pivot the row's leading
@@ -13,15 +14,17 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .fields import Field
 
-def _axpy(out: dict, c, row: Mapping) -> None:
-    """out -= c * row, in place, dropping entries that cancel."""
+
+def _axpy(out: dict, c, row: Mapping, p: int) -> None:
+    """out -= c * row, in place, reducing mod p (p > 0) and dropping entries that cancel."""
     for k, x in row.items():
         prev = out.get(k)
         if prev is None:
-            out[k] = -(c * x)
+            out[k] = -(c * x) % p if p else -(c * x)
         else:
-            val = prev - c * x
+            val = (prev - c * x) % p if p else prev - c * x
             if val:
                 out[k] = val
             else:
@@ -31,7 +34,8 @@ def _axpy(out: dict, c, row: Mapping) -> None:
 class Subspace:
     """A row space in reduced echelon form, with incremental insertion."""
 
-    def __init__(self):
+    def __init__(self, field: Field):
+        self.p = field.characteristic
         self.rows: list[dict] = []
         self.pivot_of_row: list[int] = []
         self.row_of_pivot: dict[int, int] = {}
@@ -43,13 +47,13 @@ class Subspace:
     def residue(self, vec: Mapping) -> dict:
         """vec minus the unique element of the space that matches it on every pivot."""
         out = dict(vec)
-        rows, row_of_pivot = self.rows, self.row_of_pivot
+        rows, row_of_pivot, p = self.rows, self.row_of_pivot, self.p
         # Rows vanish on each other's pivots, so vec's own pivot entries are
         # the coefficients, and each row is subtracted once.
         for j, c in vec.items():
             r = row_of_pivot.get(j)
             if r is not None:
-                _axpy(out, c, rows[r])
+                _axpy(out, c, rows[r], p)
         return out
 
     def contains(self, vec: Mapping) -> bool:
@@ -59,17 +63,22 @@ class Subspace:
         """Insert a vector that is already a residue; True when it was nonzero."""
         if not red:
             return False
-        p = min(red)
-        c = red[p]
+        piv = min(red)
+        c = red[piv]
+        p = self.p
         if c != 1:
-            red = {k: x / c for k, x in red.items()}
+            if p:
+                inv = pow(c, -1, p)
+                red = {k: x * inv % p for k, x in red.items()}
+            else:
+                red = {k: x / c for k, x in red.items()}
         for row in self.rows:
-            x = row.get(p)
+            x = row.get(piv)
             if x is not None:
-                _axpy(row, x, red)
-        self.row_of_pivot[p] = len(self.rows)
+                _axpy(row, x, red, p)
+        self.row_of_pivot[piv] = len(self.rows)
         self.rows.append(red)
-        self.pivot_of_row.append(p)
+        self.pivot_of_row.append(piv)
         return True
 
     def add(self, vec: Mapping) -> bool:
@@ -77,17 +86,18 @@ class Subspace:
         return self._insert(self.residue(vec))
 
 
-def left_nullspace(rows: Sequence[Mapping], one) -> list[dict]:
-    """A basis of the coefficient vectors c with sum_i c_i * rows[i] = 0.
+def left_nullspace(rows: Sequence[Mapping], field: Field) -> list[dict]:
+    """A basis of the coefficient vectors c with sum_i c_i * rows[i] = 0, over `field`.
 
     Each returned vector is a dict from row number to scalar.  Row i is
-    augmented by `one` on column offset + i, beyond every real column, and
+    augmented by 1 on column offset + i, beyond every real column, and
     reduced against the rows before it; when nothing is left on the real
     columns, the augmented part is a null vector, with 1 on its own row.
     There are len(rows) - rank of them.
     """
     offset = 1 + max((max(row) for row in rows if row), default=-1)
-    space = Subspace()
+    space = Subspace(field)
+    one = field.one
     out = []
     for i, row in enumerate(rows):
         aug = dict(row)

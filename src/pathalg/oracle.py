@@ -29,10 +29,13 @@ class GradedAlgebraModel:
     `basis[d]` lists the normal words of length d and `index[d]` numbers
     them.  `parent[d][i]` is (number of the word minus its last arrow,
     number of that arrow in `quiver.arrows`) for d >= 1, and `keys[d][i]`
-    is the word's `path_key`.
+    is the word's `path_key`.  `field` must be the field of the basis's
+    order, which is the one its normal forms compute in.
     """
 
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, field: Field, degree_cap: int):
+        if field != gb.order.field:
+            raise PathAlgError(f"the model is over {field.name} but its basis is over {gb.order.field.name}")
         self.quiver = quiver
         self.gb = gb
         self.order = gb.order
@@ -109,6 +112,7 @@ class CoverSpace:
         self.summands = tuple(summands)
         self._blocks: dict[tuple[int, str], tuple[list[tuple[int, int]], dict[tuple[int, int], int]]] = {}
         self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
+        self._p = model.field.characteristic
 
     def block(self, d: int, v: str) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
         """The coordinates of block (d, v) and their column numbers."""
@@ -153,6 +157,9 @@ class CoverSpace:
             for col2, x in table[col]:
                 prev = out.get(col2)
                 out[col2] = c * x if prev is None else prev + c * x
+        p = self._p
+        if p:
+            return {n: c for n, c in ((n, c % p) for n, c in out.items()) if c}
         return {n: c for n, c in out.items() if c}
 
     def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
@@ -210,9 +217,10 @@ class QuotientSpace:
 
 
 class GradedPieces:
-    """Per-(degree, vertex) subspaces of some graded space."""
+    """Per-(degree, vertex) subspaces of some graded space over `field`."""
 
-    def __init__(self):
+    def __init__(self, field: Field):
+        self.field = field
         self.spaces: dict[tuple[int, str], Subspace] = {}
 
     def get(self, d: int, v: str) -> Subspace | None:
@@ -228,7 +236,7 @@ class GradedPieces:
     def ensure(self, d: int, v: str) -> Subspace:
         key = (d, v)
         if key not in self.spaces:
-            self.spaces[key] = Subspace()
+            self.spaces[key] = Subspace(self.field)
         return self.spaces[key]
 
 
@@ -264,7 +272,7 @@ def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> Gr
     by_slot: dict[tuple[int, str], list[dict]] = {}
     for d, v, vec in seeds:
         by_slot.setdefault((d, v), []).append(vec)
-    pieces = GradedPieces()
+    pieces = GradedPieces(space.model.field)
     min_d = min((d for (d, _v) in by_slot), default=D + 1)
     for d in range(min_d, D + 1):
         for v in space.model.quiver.vertices:
@@ -289,7 +297,7 @@ def minimal_generators_of_pieces(space, pieces: GradedPieces, D: int) -> list[tu
             sub = pieces.get(d, v)
             if not sub or sub.dim == 0:
                 continue
-            rad = Subspace()
+            rad = Subspace(space.model.field)
             for img in _arrow_images(space, pieces, d, v):
                 rad.add(img)
             for row in sub.rows:
@@ -300,7 +308,7 @@ def minimal_generators_of_pieces(space, pieces: GradedPieces, D: int) -> list[tu
 
 def full_space_pieces(space: QuotientSpace, D: int) -> GradedPieces:
     """The whole graded space as a GradedPieces container (identity basis)."""
-    pieces = GradedPieces()
+    pieces = GradedPieces(space.model.field)
     one = space.model.field.one
     for d in range(D + 1):
         for v in space.model.quiver.vertices:
@@ -318,8 +326,7 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -
     chosen generators were not minimal.
     """
     model = domain.model
-    one = model.field.one
-    out = GradedPieces()
+    out = GradedPieces(model.field)
     if not domain.summands:
         return out
     degrees = [s.degree for s in domain.summands]
@@ -340,7 +347,7 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -
                     img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
                 phi[(j, length, i)] = img
                 rows.append(img)
-            combos = left_nullspace(rows, one)
+            combos = left_nullspace(rows, model.field)
             if not combos:
                 continue
             sub = out.ensure(d, v)
@@ -440,10 +447,10 @@ def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], qu
         raise PathAlgError("membership oracle expects a homogeneous element")
     d = x.degree()
     idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
-    span = Subspace()
+    span = Subspace(field)
 
     def vector(elem: AlgebraElement) -> dict:
-        return {idx[p]: c for p, c in elem.terms.items()}
+        return {idx[p]: c for p, c in ((p, field.of(c)) for p, c in elem.terms.items()) if c}
 
     for g in generators:
         if not g:

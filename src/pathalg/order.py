@@ -4,6 +4,9 @@ Only length-then-lexicographic orders are built in.  Longer paths are
 greater; equal-length words compare arrow by arrow, left to right, by the
 arrow precedence; parallel length-0 paths compare by the vertex precedence.
 Module items compare by path first, then by generator index (larger wins).
+
+An OrderSpec also names the coefficient field, so every routine that is
+handed an order knows which arithmetic its scalars follow.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import PathAlgError
+from .fields import RATIONALS, Field
 from .quiver import Path, Quiver, divides
 
 LT, EQ, GT = -1, 0, 1
@@ -24,6 +28,7 @@ class OrderSpec:
     arrow_precedence: tuple[str, ...]  # greatest first
     vertex_precedence: tuple[str, ...]
     kind: str = LENGTH_LEX
+    field: Field = RATIONALS
 
     def __post_init__(self):
         if self.kind != LENGTH_LEX:

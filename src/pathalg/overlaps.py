@@ -240,8 +240,10 @@ def check_partition(
     vertex; the first piece must be nonempty when n <= 2); a nonempty
     context means the quasi reading (first piece must be nonempty only
     when n == 1).  The pieces must compose to exactly v0*w; their lengths
-    then give the cuts that `_is_cut` judges.
+    then give the cuts that `_is_cut` judges.  Like `find_partition`, it
+    raises NotReducedError when the pattern set is not reduced.
     """
+    patterns = _check_patterns(patterns)
     if len(u_parts) != n or len(v_parts) != n - 1:
         return False
     v0 = context if context is not None else Path(vertex=w.source)

@@ -25,7 +25,8 @@ The format is meant to be hand-written and diffable:
     max-n 5
 
 Paths are '*'-joined identifiers (vertices are usable as length-0 paths);
-scalars are integers or fractions p/q.  Parsing reports every diagnostic it
+scalars are integers or fractions p/q.  Over Fp they are read mod p, and
+terms that vanish mod p drop out.  Parsing reports every diagnostic it
 can find, each with a line, a column, and a stable code.
 """
 from __future__ import annotations
@@ -76,6 +77,10 @@ class ProblemFile:
     ideal: list[AlgebraElement]
     modules: dict[str, ModulePresentation]
     params: dict[str, int] = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.order.field != self.field:
+            raise PathAlgError(f"the order is over {self.order.field.name} but the problem is over {self.field.name}")
 
 
 def _split_terms(expr: str) -> list[tuple[int, str]]:
@@ -147,7 +152,7 @@ class _Parser:
 
         quiver = self._parse_quiver(sections)
         field = self._parse_field(sections)
-        order = self._parse_order(sections, quiver)
+        order = self._parse_order(sections, quiver, field)
         ideal = self._parse_ideal(sections, quiver, field) if quiver else []
         modules = self._parse_modules(sections, quiver, field) if quiver else {}
         params = self._parse_params(sections)
@@ -227,7 +232,7 @@ class _Parser:
         self.err(no, 1, E_BAD_FIELD, f"bad field spec {line!r}; expected Q or Fp <prime>")
         return Field(0)
 
-    def _parse_order(self, sections, quiver: Quiver | None) -> OrderSpec | None:
+    def _parse_order(self, sections, quiver: Quiver | None, field: Field) -> OrderSpec | None:
         if quiver is None:
             return None
         arrow_prec: list[str] | None = None
@@ -254,7 +259,7 @@ class _Parser:
         if vertex_prec is None:
             vertex_prec = list(quiver.vertices)
         try:
-            spec = OrderSpec(tuple(arrow_prec), tuple(vertex_prec))
+            spec = OrderSpec(tuple(arrow_prec), tuple(vertex_prec), field=field)
             spec.validate(quiver)
             return spec
         except PathAlgError as exc:
@@ -283,7 +288,7 @@ class _Parser:
                 if sc is None:
                     ok = False
                     continue
-                coeff = coeff * sc
+                coeff = field.of(coeff * sc)
                 toks = toks[1:]
             if not toks:
                 self.err(no, 1, E_SYNTAX, "a term needs a path (vertices act as length-0 paths)")
@@ -302,7 +307,7 @@ class _Parser:
                 ok = False
                 continue
             prev = terms.get(p)
-            terms[p] = coeff if prev is None else prev + coeff
+            terms[p] = coeff if prev is None else field.of(prev + coeff)
         if not ok:
             return None
         try:
@@ -393,7 +398,7 @@ class _Parser:
                 if sc is None:
                     ok = False
                     continue
-                coeff = coeff * sc
+                coeff = field.of(coeff * sc)
                 toks = toks[1:]
             if not toks or toks[0] not in gen_index:
                 self.err(no, 1, E_UNKNOWN_ID, "module term must start with a generator name")
@@ -422,7 +427,7 @@ class _Parser:
                 continue
             key = (gi, p)
             prev = terms.get(key)
-            terms[key] = coeff if prev is None else prev + coeff
+            terms[key] = coeff if prev is None else field.of(prev + coeff)
         if not ok:
             return None
         elem = ModuleElement(terms)

@@ -398,7 +398,7 @@ def _vector(quiver, x, d):
 def _ideal_span(quiver, gens, d):
     paths = quiver.paths_of_length(d)
     idx = {p: i for i, p in enumerate(paths)}
-    span = Subspace()
+    span = Subspace(F)
     for g in gens:
         dg = g.degree()
         if dg > d:

@@ -14,9 +14,16 @@ def _dense(vec, ncols, zero):
     return row
 
 
-def _dense_rank(rows, ncols, zero):
+def _norm(field):
+    """Reduction of an exact scalar: mod p over F_p (scalars are plain ints), none over Q."""
+    p = field.characteristic
+    return (lambda c: c % p) if p else (lambda c: c)
+
+
+def _dense_rank(rows, ncols, field):
     """Rank by textbook Gaussian elimination on dense copies."""
-    work = [_dense(r, ncols, zero) for r in rows]
+    p, norm = field.characteristic, _norm(field)
+    work = [[norm(c) for c in _dense(r, ncols, field.zero)] for r in rows]
     rank = 0
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
@@ -25,8 +32,8 @@ def _dense_rank(rows, ncols, zero):
         work[rank], work[pivot] = work[pivot], work[rank]
         for i in range(len(work)):
             if i != rank and work[i][col]:
-                c = work[i][col] / work[rank][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[rank])]
+                c = work[i][col] * (pow(work[rank][col], -1, p) if p else 1 / work[rank][col])
+                work[i] = [norm(x - c * y) for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
 
@@ -40,7 +47,7 @@ def _random_rows(rng, field, m, ncols):
             rows.append({})
         elif kind < 0.25 and rows:
             c = field.of(rng.choice([1, 2, -3]))
-            rows.append({k: x * c for k, x in rng.choice(rows).items()})
+            rows.append({k: _norm(field)(x * c) for k, x in rng.choice(rows).items()})
         else:
             vec = {}
             for k in rng.sample(range(ncols), rng.randint(1, max(1, ncols // 2))):
@@ -66,10 +73,10 @@ FIELDS = pytest.mark.parametrize("field", [Field(0), Field(7)], ids=["Q", "F7"])
 def test_subspace_matches_dense_elimination(field):
     zero = field.zero
     for rng, rows, ncols in _cases(field):
-        space = Subspace()
+        space = Subspace(field)
         for row in rows:
             space.add(row)
-        r = _dense_rank(rows, ncols, zero)
+        r = _dense_rank(rows, ncols, field)
         assert space.dim == r
         # Pivots are each row's smallest column, with entry 1, and no other row touches them.
         for row, p in zip(space.rows, space.pivot_of_row):
@@ -77,11 +84,11 @@ def test_subspace_matches_dense_elimination(field):
             assert all(p not in other for other in space.rows if other is not row)
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        other = Subspace()
+        other = Subspace(field)
         for row in shuffled:
             other.add(row)
         for probe in _random_rows(rng, field, 6, ncols) + rows:
-            assert space.contains(probe) == (_dense_rank(rows + [probe], ncols, zero) == r)
+            assert space.contains(probe) == (_dense_rank(rows + [probe], ncols, field) == r)
             res = space.residue(probe)
             assert not any(p in res for p in space.row_of_pivot)
             assert res == other.residue(probe)
@@ -89,19 +96,19 @@ def test_subspace_matches_dense_elimination(field):
             diff = dict(probe)
             for k, c in res.items():
                 diff[k] = diff.get(k, zero) - c
-            assert _dense_rank(rows + [{k: c for k, c in diff.items() if c}], ncols, zero) == r
+            assert _dense_rank(rows + [{k: c for k, c in diff.items() if c}], ncols, field) == r
 
 
 @FIELDS
 def test_left_nullspace_matches_dense_elimination(field):
     zero = field.zero
     for _rng, rows, ncols in _cases(field):
-        null = left_nullspace(rows, field.one)
-        assert len(null) == len(rows) - _dense_rank(rows, ncols, zero)
+        null = left_nullspace(rows, field)
+        assert len(null) == len(rows) - _dense_rank(rows, ncols, field)
         for combo in null:
             total = [zero] * ncols
             for i, c in combo.items():
                 for k, x in rows[i].items():
                     total[k] = total[k] + c * x
-            assert not any(total)
-        assert _dense_rank(null, len(rows), zero) == len(null)
+            assert not any(map(_norm(field), total))
+        assert _dense_rank(null, len(rows), field) == len(null)

@@ -214,7 +214,7 @@ def test_membership_oracle_counts_dimensions(two_loop, two_loop_order, cube_gb):
     for d in range(2, 7):
         paths = two_loop.paths_of_length(d)
         idx = {p: i for i, p in enumerate(paths)}
-        span = Subspace()
+        span = Subspace(F)
         for g in gens:
             dg = g.degree()
             for i in range(d - dg + 1):
@@ -226,7 +226,7 @@ def test_membership_oracle_counts_dimensions(two_loop, two_loop_order, cube_gb):
         assert len(paths) - span.dim == len(normal_words(two_loop, cube_gb.tips, d))
 
 
-def test_resolution_over_prime_field(two_loop, two_loop_order):
+def test_resolution_over_prime_field(two_loop):
     F7 = Field(7)
     w = words(two_loop)
     gens = [
@@ -234,11 +234,17 @@ def test_resolution_over_prime_field(two_loop, two_loop_order):
         AlgebraElement({w("yx"): F7.one}),
         AlgebraElement({w("xxx"): F7.one, w("yyy"): -F7.one}),
     ]
-    gb = groebner_basis(gens, two_loop_order, 8)
+    gb = groebner_basis(gens, OrderSpec(("x", "y"), ("e",), field=F7), 8)
     model = build_model(two_loop, gb, F7, 10)
     rep = minimal_resolution(ModulePresentation.simple_tops(two_loop, F7.one), model, 2, 10)
     assert rep.degrees == [[0], [1, 1], [2, 2, 3]]
     assert model.dims()[:5] == [1, 2, 2, 1, 0]
+
+
+def test_model_over_another_field_is_refused(two_loop, cube_gb):
+    # cube_gb is over Q; a model over F_7 would do F_7 arithmetic on its normal forms.
+    with pytest.raises(PathAlgError):
+        build_model(two_loop, cube_gb, Field(7), 4)
 
 
 def test_verify_windows_reports_violations(two_loop, cube_model, cube_A0):

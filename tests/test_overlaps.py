@@ -171,6 +171,17 @@ def test_check_partition_validator(two_loop, showcase):
     assert not check_partition(w("xxyy"), 2, [w("xx"), w("yy")], (w("xx"), w("yy")), (e,))
 
 
+def test_check_partition_requires_reduced(one_loop):
+    # x^2 divides x^3, so no reading of the cut conditions applies; before the
+    # check, x^3 = u1 passed at level 1 while find_partition refused the set.
+    w = words(one_loop)
+    with pytest.raises(NotReducedError):
+        check_partition(w("xxx"), 1, [w("xx"), w("xxx")], (w("xxx"),), ())
+    with pytest.raises(NotReducedError):
+        find_partition(w("xxx"), 1, [w("xx"), w("xxx")])
+    assert check_partition(w("xxx"), 1, [w("xxx")], (w("xxx"),), ())
+
+
 def test_partition_oracle_is_independent_of_the_walks(monkeypatch, two_loop, showcase):
     # The oracle is the check on the tail-graph walks, so it must not run them.
     import pathalg.overlaps as overlaps
