@@ -52,10 +52,6 @@ class AlgebraElement:
         if len(endpoints) > 1:
             raise PathAlgError("support paths must be parallel")
 
-    @classmethod
-    def from_path(cls, p: Path, coeff) -> "AlgebraElement":
-        return cls({p: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -117,9 +113,6 @@ class ModuleElement:
 
     def __eq__(self, other):
         return isinstance(other, ModuleElement) and self.terms == other.terms
-
-    def target_vertices(self) -> set[str]:
-        return {p.target for _, p in self.terms}
 
     def render(self, gen_names: list[str] | None = None) -> str:
         if not self.terms:

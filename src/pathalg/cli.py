@@ -49,12 +49,8 @@ def _jsonable(value):
     return value
 
 
-def _window_doc(w, literal=None):
-    doc = {"n": w.n, "method": w.method, "lo": _jsonable(w.lo), "hi": _jsonable(w.hi), "empty": w.empty}
-    if literal is not None:
-        doc["literal_lo"] = _jsonable(literal.lo)
-        doc["literal_hi"] = _jsonable(literal.hi)
-    return doc
+def _window_doc(w):
+    return {"n": w.n, "method": w.method, "lo": _jsonable(w.lo), "hi": _jsonable(w.hi), "empty": w.empty}
 
 
 def _gb_degree_default(pf: ProblemFile) -> int:
@@ -147,17 +143,13 @@ def cmd_groebner(pf: ProblemFile, args, report: Report) -> None:
     report.say(f"normal word counts by degree: {dims}")
 
 
-def _table_for(pf: ProblemFile, gb, max_n: int, quasi: bool):
-    return enumerate_overlaps(pf.quiver, gb.tips, max_n, quasi=quasi)
-
-
 def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
     gb = _compute_gb(pf, args.max_degree)
     report.doc["groebner"] = _gb_doc(gb)
     if not gb.complete:
         report.say(f"warning: {gb.status}; the tip set is not certified")
         report.worsen(EXIT_TRUNCATED)
-    table = _table_for(pf, gb, args.max_n, args.quasi)
+    table = enumerate_overlaps(pf.quiver, gb.tips, args.max_n, quasi=args.quasi)
     levels_doc = []
     for n in range(table.depth + 1):
         mino, maxo, minq, maxq = table.extrema(n)
@@ -211,16 +203,14 @@ def _default_syzygy_cap(pres: ModulePresentation, gb) -> int:
 
 def _windows_block(pf: ProblemFile, gb, pres, args, report: Report):
     syz_cap = args.max_degree if args.max_degree is not None else _default_syzygy_cap(pres, gb)
-    model = build_model(pf.quiver, gb, pf.field, syz_cap)
+    model = build_model(pf.quiver, gb, syz_cap)
     syz = first_syzygy(pres, model, syz_cap)
     table = enumerate_overlaps(pf.quiver, gb.tips, max(args.max_n, 1))
     windows = []
     for n in range(1, args.max_n + 1):
         qo = degree_window(n, syz.min_degree, syz.max_degree, table, "quasi")
         ov = degree_window(n, syz.min_degree, syz.max_degree, table, "overlap")
-        qo_lit = (degree_window(n, syz.min_degree, syz.max_degree, table, "quasi", literal_level=True)
-                  if n < table.depth else None)
-        windows.append((n, qo, ov, qo_lit))
+        windows.append((n, qo, ov))
     return model, syz, table, windows
 
 
@@ -248,9 +238,9 @@ def cmd_window(pf: ProblemFile, args, report: Report) -> None:
     wdocs = []
     rows = []
     required = 0
-    for n, qo, ov, qo_lit in windows:
+    for n, qo, ov in windows:
         w = qo if method == "quasi" else ov
-        wdocs.append(_window_doc(w, literal=qo_lit if method == "quasi" else None))
+        wdocs.append(_window_doc(w))
         if not w.empty:
             required = max(required, int(w.hi))
         rows.append([str(n), method, str(_jsonable(w.lo)), str(_jsonable(w.hi)),
@@ -289,7 +279,7 @@ def cmd_resolve(pf: ProblemFile, args, report: Report) -> None:
     if pres is None:
         return
     D = args.max_degree if args.max_degree is not None else 12
-    model = build_model(pf.quiver, gb, pf.field, D)
+    model = build_model(pf.quiver, gb, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     report.doc["resolution"] = {
         "degrees": rep.degrees,
@@ -323,9 +313,8 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
     if pres is None:
         return
     model, syz, table, windows = _windows_block(pf, gb, pres, args, report)
-    tops = [int(w.hi) for _n, w, ov, _lit in windows if not w.empty] + [
-        int(ov.hi) for _n, _w, ov, _lit in windows if not ov.empty
-    ]
+    wlist = [qo for _n, qo, _ov in windows] + [ov for _n, _qo, ov in windows]
+    tops = [int(w.hi) for w in wlist if not w.empty]
     needed = max(tops, default=max(g.degree for g in pres.generators) + 1) + 1
     D = args.max_degree if args.max_degree is not None else needed
     report.doc["required_oracle_degree"] = needed
@@ -335,7 +324,6 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
         return
     model.extend(D)
     rep = minimal_resolution(pres, model, args.max_n, D)
-    wlist = [w for _n, w, _ov, _lit in windows] + [ov for _n, _w, ov, _lit in windows]
     ok, verdicts = verify_windows(rep, wlist)
     report.doc["resolution"] = {"degrees": rep.degrees, "hilbert": rep.hilbert, "degree_cap": D}
     report.doc["windows"] = [_window_doc(w) for w in wlist]
@@ -403,7 +391,7 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
             return
         label = args.determined
     D = args.max_degree if args.max_degree is not None else 12
-    model = build_model(pf.quiver, gb, pf.field, D)
+    model = build_model(pf.quiver, gb, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     ok, violation = determined_check(rep, collection, args.max_n)
     report.doc["determined"] = {
@@ -412,7 +400,10 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
         "violation": None if violation is None else {"n": violation.index, "degree": violation.degree},
         "resolution_degrees": rep.degrees,
     }
-    if ok:
+    if ok and rep.truncated:
+        report.say(f"cannot certify: no violation in degrees <= {D}, but the resolution is truncated there")
+        report.worsen(EXIT_TRUNCATED)
+    elif ok:
         report.say(f"degrees are {label}-determined through n={args.max_n}")
     else:
         assert violation is not None
@@ -514,11 +505,12 @@ def run(argv: list[str]) -> int:
         return EXIT_INPUT
     if args.max_n is None:
         args.max_n = pf.params.get("max-n", 5)
-    if args.max_n < 0:
-        print(f"error: max-n must be >= 0; got {args.max_n}", file=sys.stderr)
-        return EXIT_INPUT
     if args.max_degree is None and "max-degree" in pf.params:
         args.max_degree = pf.params["max-degree"]
+    for name, value in (("max-n", args.max_n), ("max-degree", args.max_degree), ("instances", args.instances)):
+        if value is not None and value < 0:
+            print(f"error: {name} must be >= 0; got {value}", file=sys.stderr)
+            return EXIT_INPUT
     report = Report(args.command, {
         "module": args.module,
         "method": args.method,

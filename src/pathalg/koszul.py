@@ -1,16 +1,15 @@
 """Degree-pattern classifiers for graded resolutions.
 
 A DegreeCollection assigns to every homological index i a set of admissible
-generating degrees.  Built-in shapes: the linear pattern {i}, singleton
-patterns from an arbitrary integer function, the staircase pattern of
-s-Koszul algebras (i*s/2 for even i, (i-1)*s/2 + 1 for odd i), its
-down-closure, and explicit finite lists.
+generating degrees.  Built-in shapes: the linear pattern {i}, the staircase
+pattern of s-Koszul algebras (i*s/2 for even i, (i-1)*s/2 + 1 for odd i),
+its down-closure, and explicit finite lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import GroebnerBasis
 from .errors import InfiniteCollectionError, PathAlgError
@@ -30,7 +29,6 @@ class DegreeCollection:
     """Levelwise sets of admissible degrees, with decidable membership."""
 
     kind: str
-    fn: Callable[[int], int] | None = None
     s: int | None = None
     floor: int | None = None
     explicit: tuple[tuple[int, ...], ...] | None = None
@@ -38,10 +36,6 @@ class DegreeCollection:
     @classmethod
     def linear(cls) -> "DegreeCollection":
         return cls("linear")
-
-    @classmethod
-    def singleton(cls, fn: Callable[[int], int]) -> "DegreeCollection":
-        return cls("singleton", fn=fn)
 
     @classmethod
     def s_pattern(cls, s: int) -> "DegreeCollection":
@@ -59,9 +53,6 @@ class DegreeCollection:
     def contains(self, i: int, j: int) -> bool:
         if self.kind == "linear":
             return j == i
-        if self.kind == "singleton":
-            assert self.fn is not None
-            return j == self.fn(i)
         if self.kind == "s_pattern":
             return j == s_koszul_degree(self.s, i)  # type: ignore[arg-type]
         if self.kind == "s_downset":
@@ -75,9 +66,6 @@ class DegreeCollection:
     def members(self, i: int) -> tuple[int, ...]:
         if self.kind == "linear":
             return (i,)
-        if self.kind == "singleton":
-            assert self.fn is not None
-            return (self.fn(i),)
         if self.kind == "s_pattern":
             return (s_koszul_degree(self.s, i),)  # type: ignore[arg-type]
         if self.kind == "s_downset":

@@ -29,17 +29,15 @@ class GradedAlgebraModel:
     `basis[d]` lists the normal words of length d and `index[d]` numbers
     them.  `parent[d][i]` is (number of the word minus its last arrow,
     number of that arrow in `quiver.arrows`) for d >= 1, and `keys[d][i]`
-    is the word's `path_key`.  `field` must be the field of the basis's
-    order, which is the one its normal forms compute in.
+    is the word's `path_key`.  `field` is the field of the basis's order,
+    which is the one its normal forms compute in.
     """
 
-    def __init__(self, quiver: Quiver, gb: GroebnerBasis, field: Field, degree_cap: int):
-        if field != gb.order.field:
-            raise PathAlgError(f"the model is over {field.name} but its basis is over {gb.order.field.name}")
+    def __init__(self, quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
         self.quiver = quiver
         self.gb = gb
         self.order = gb.order
-        self.field = field
+        self.field = gb.order.field
         self.degree_cap = -1
         self.basis: list[list[Path]] = []
         self.index: list[dict[Path, int]] = []
@@ -89,8 +87,8 @@ class GradedAlgebraModel:
         return table
 
 
-def build_model(quiver: Quiver, gb: GroebnerBasis, field: Field, degree_cap: int) -> GradedAlgebraModel:
-    return GradedAlgebraModel(quiver, gb, field, degree_cap)
+def build_model(quiver: Quiver, gb: GroebnerBasis, degree_cap: int) -> GradedAlgebraModel:
+    return GradedAlgebraModel(quiver, gb, degree_cap)
 
 
 @dataclass(frozen=True)
@@ -260,6 +258,8 @@ def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
     cover = CoverSpace(model, [FreeSummand(g.vertex, g.degree) for g in pres.generators])
     seeds = []
     for r in pres.relations:
+        if pres.degree_of(r) > model.degree_cap:
+            raise PathAlgError(f"relation {r.render(pres.gen_names())} lies above the degree cap {model.degree_cap}")
         seeds.extend(cover.from_terms(module_normal_form(r, model.gb).terms))
     return cover, seeds
 

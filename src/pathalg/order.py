@@ -20,19 +20,14 @@ from .quiver import Path, Quiver, divides
 
 LT, EQ, GT = -1, 0, 1
 
-LENGTH_LEX = "length_lex"
-
 
 @dataclass(frozen=True)
 class OrderSpec:
     arrow_precedence: tuple[str, ...]  # greatest first
     vertex_precedence: tuple[str, ...]
-    kind: str = LENGTH_LEX
     field: Field = RATIONALS
 
     def __post_init__(self):
-        if self.kind != LENGTH_LEX:
-            raise PathAlgError(f"unknown order kind {self.kind!r}")
         for seq, what in ((self.arrow_precedence, "arrow"), (self.vertex_precedence, "vertex")):
             if len(set(seq)) != len(seq):
                 raise PathAlgError(f"duplicate entry in {what} precedence")

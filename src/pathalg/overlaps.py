@@ -59,7 +59,6 @@ class OverlapTable:
     levels: list[dict[Path, Optional[Path]]] = field(default_factory=list)
     # quasi_levels[n] maps (word, context) -> predecessor word (same context).
     quasi_levels: list[dict[tuple[Path, Path], Optional[Path]]] = field(default_factory=list)
-    has_quasi: bool = True
 
     @property
     def depth(self) -> int:
@@ -182,7 +181,7 @@ def enumerate_overlaps(
     """
     pats = _check_patterns(patterns)
     graph = _tail_graph(pats)
-    table = OverlapTable(quiver, pats, has_quasi=quasi)
+    table = OverlapTable(quiver, pats)
     table.levels.append({Path((a,)): None for a in quiver.arrows})
     for level in _walk({(s, None): s.prefix(1) for s in pats}, graph, max_level):
         table.levels.append({w: pred for (w, _v), pred in level.items()})

@@ -12,9 +12,8 @@ and representations are unique.
 Windows: the n-th term of the minimal resolution of X is generated in
 degrees inside [dmin + min quasi length, dmax + max quasi length] read at
 chain level n-1 (and inside the wider overlap-derived interval), where
-dmin and dmax are the extreme survivor degrees.  Level n-1 is the
-convention validated by the oracle; the literal level-n reading is
-available for comparison.
+dmin and dmax are the extreme survivor degrees.  The oracle validates
+this pairing of P_n with level n-1.
 """
 from __future__ import annotations
 
@@ -127,9 +126,6 @@ class DegreeWindow:
     def contains(self, d: int) -> bool:
         return not self.empty and self.lo <= d <= self.hi  # type: ignore[operator]
 
-    def as_tuple(self) -> tuple:
-        return (self.lo, self.hi)
-
 
 def degree_window(
     n: int,
@@ -137,7 +133,6 @@ def degree_window(
     dmax: int | None,
     table: OverlapTable,
     method: str = "quasi",
-    literal_level: bool = False,
 ) -> DegreeWindow:
     """Window for P_n from the chain table of the basis tips.
 
@@ -146,10 +141,9 @@ def degree_window(
     must hold for every module with those survivor degrees.  On k[x]/(x^s),
     for instance, the cyclic modules A/x^jA (j = 1 .. s-1) share the table,
     have dmin = dmax = j and all place P_2m in degree ms; at even n the
-    quasi window for A0 is therefore [ms-s+2, ms], not a singleton.
-    The default pairing reads chain level n-1 (n = 1 gives exactly
-    [dmin, dmax], the tautology of the presentation); `literal_level` reads
-    level n instead, for comparison.  No survivors (dmin is None) predicts
+    quasi window for A0 is therefore [ms-s+2, ms], not a single degree.
+    The pairing reads chain level n-1, so n = 1 gives exactly [dmin, dmax],
+    the tautology of the presentation.  No survivors (dmin is None) predicts
     the zero module for all n >= 1.
     """
     if n < 1:
@@ -158,12 +152,11 @@ def degree_window(
         raise PathAlgError(f"unknown window method {method!r}")
     if dmin is None or dmax is None:
         return DegreeWindow(n, inf, -inf, method)
-    level = n if literal_level else n - 1
-    if level > table.depth:
+    if n - 1 > table.depth:
         raise PathAlgError(f"table depth {table.depth} is too shallow for n={n}")
-    if not literal_level and n == 1:
+    if n == 1:
         return DegreeWindow(n, dmin, dmax, method)
-    mino, maxo, minq, maxq = table.extrema(level)
+    mino, maxo, minq, maxq = table.extrema(n - 1)
     if method == "quasi":
         lo, hi = dmin + minq, dmax + maxq
     else:

@@ -48,7 +48,7 @@ def cube_gb(two_loop, two_loop_order):
 
 @pytest.fixture(scope="session")
 def cube_model(two_loop, cube_gb):
-    return build_model(two_loop, cube_gb, F, 12)
+    return build_model(two_loop, cube_gb, 12)
 
 
 @pytest.fixture(scope="session")

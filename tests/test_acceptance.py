@@ -157,7 +157,7 @@ def test_c3_cube_algebra(two_loop, cube_gb, cube_model, cube_A0):
 def truncated_bundle(request):
     s = request.param
     q, order, gb = truncated_polynomial(s)
-    model = build_model(q, gb, F, 3 * s + 3)
+    model = build_model(q, gb, 3 * s + 3)
     A0 = ModulePresentation.simple_tops(q, F.one)
     rep = minimal_resolution(A0, model, 6, 3 * s + 3)
     table = enumerate_overlaps(q, gb.tips, 6)
@@ -235,7 +235,7 @@ def test_c4_quasi_window_singleton_claim_as_tabulated(truncated_bundle):
 def test_c5_commutative_plane(two_loop, plane_gb):
     table = enumerate_overlaps(two_loop, plane_gb.tips, 4)
     assert table.overlaps(2) == [] and table.overlaps(3) == [] and table.overlaps(4) == []
-    model = build_model(two_loop, plane_gb, F, 8)
+    model = build_model(two_loop, plane_gb, 8)
     A0 = ModulePresentation.simple_tops(two_loop, F.one)
     rep = minimal_resolution(A0, model, 4, 8)
     assert rep.degrees == [[0], [1, 1], [2], [], []]
@@ -299,7 +299,7 @@ def test_c7_monomial_A0_windows_and_chain_multisets():
         table = enumerate_overlaps(inst.quiver, gb.tips, 4)
         maxo3 = table.extrema(3)[1]
         D = min(12, (maxo3 if maxo3 != -inf else 4) + 1)
-        model = build_model(inst.quiver, gb, F, D)
+        model = build_model(inst.quiver, gb, D)
         A0 = ModulePresentation.simple_tops(inst.quiver, F.one)
         rep = minimal_resolution(A0, model, 4, D)
         windows = [degree_window(n, 1, 1, table, m) for n in range(1, 5) for m in ("quasi", "overlap")]
@@ -321,7 +321,7 @@ def test_c7_random_module_presentations_windows():
         for _ in range(4):
             pres = random_presentation(rng, inst.quiver, F, max_generators=2,
                                        max_relations=2, max_gen_degree=1, max_rel_degree=3)
-            model = build_model(inst.quiver, gb, F, 10)
+            model = build_model(inst.quiver, gb, 10)
             syz = first_syzygy(pres, model, 10)
             windows = [degree_window(n, syz.min_degree, syz.max_degree, table, m)
                        for n in range(1, 5) for m in ("quasi", "overlap")]

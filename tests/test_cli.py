@@ -88,6 +88,19 @@ def test_check_linear_fails_on_cube(capsys):
     check_schema(doc)
 
 
+def test_check_does_not_certify_from_a_truncated_resolution(capsys):
+    # Through degree 2 the cube's P_0..P_2 look linear, but the kernel is
+    # still alive at the cap, and P_2 has a generator in degree 3.
+    argv = ["check", fixture("two_loop_cube.alg"), "--linear", "--module", "A0", "--max-n", "2"]
+    rc, doc = run_json(capsys, argv + ["--max-degree", "2"])
+    assert rc == EXIT_TRUNCATED and doc["exit_code"] == EXIT_TRUNCATED
+    assert doc["determined"]["violation"] is None
+    run(argv + ["--max-degree", "2"])
+    assert "cannot certify" in capsys.readouterr().out
+    rc, doc = run_json(capsys, argv + ["--max-degree", "3"])
+    assert rc == EXIT_FAIL and doc["determined"]["violation"] == {"degree": 3, "n": 2}
+
+
 def test_check_s_koszul(capsys):
     rc, doc = run_json(capsys, ["check", fixture("truncated_s3.alg"), "--s-koszul", "3"])
     assert rc == EXIT_OK and doc["s_koszul"]["holds"]
@@ -119,7 +132,6 @@ def test_window_command(capsys):
                                 "--max-n", "4", "--method", "qo"])
     assert rc == EXIT_OK
     assert [(w["lo"], w["hi"]) for w in doc["windows"]] == [(1, 1), (2, 2), (3, 3), (4, 4)]
-    assert doc["windows"][0]["literal_lo"] == 2
     check_schema(doc)
 
 
@@ -222,6 +234,37 @@ def test_negative_max_n_is_input_error(capsys, tmp_path):
     rc = run(["resolve", str(from_file), "--module", "A0", "--max-n", "1"])
     capsys.readouterr()
     assert rc == EXIT_OK
+
+
+def test_negative_max_degree_is_input_error(capsys, tmp_path):
+    for command in ("groebner", "resolve", "verify", "window", "check"):
+        rc = run([command, fixture("dual_numbers.alg"), "--module", "A0", "--linear", "--max-degree", "-3"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT and not captured.out, command
+        assert "max-degree must be >= 0; got -3" in captured.err, command
+    from_file = tmp_path / "neg.alg"
+    from_file.write_text(pathlib.Path(fixture("dual_numbers.alg")).read_text() + "\n[params]\nmax-degree -1\n")
+    rc = run(["resolve", str(from_file), "--module", "A0"])
+    assert rc == EXIT_INPUT and "max-degree must be >= 0; got -1" in capsys.readouterr().err
+
+
+def test_degree_cap_below_a_relation_is_input_error(capsys):
+    # The relation g*x of A0 has degree 1; a cap of 0 used to raise IndexError.
+    for command in ("resolve", "verify", "window"):
+        rc = run([command, fixture("dual_numbers.alg"), "--module", "A0", "--max-degree", "0"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT and not captured.out, command
+        assert "error: relation g*x lies above the degree cap 0" in captured.err, command
+    rc = run(["resolve", fixture("dual_numbers.alg"), "--module", "A0", "--max-degree", "1"])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+
+
+def test_negative_instances_is_input_error(capsys):
+    rc = run(["selfcheck", fixture("dual_numbers.alg"), "--instances", "-2"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT and not captured.out
+    assert "instances must be >= 0; got -2" in captured.err
 
 
 def test_json_determinism(capsys, tmp_path):

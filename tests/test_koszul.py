@@ -114,7 +114,7 @@ def test_s_koszul_criterion_refuses_truncation(two_loop, two_loop_order):
 
 def test_determined_check_truncated_polynomial():
     q, order, gb = truncated_polynomial(3)
-    model = build_model(q, gb, F, 18)
+    model = build_model(q, gb, 18)
     rep = minimal_resolution(ModulePresentation.simple_tops(q, F.one), model, 5, 18)
     ok, violation = determined_check(rep, DegreeCollection.s_pattern(3), 5)
     assert ok and violation is None
@@ -128,7 +128,7 @@ def test_determined_check_cube_fails_linear(cube_model, cube_A0):
 
 
 def test_determined_check_zero_tail(two_loop, plane_gb):
-    model = build_model(two_loop, plane_gb, F, 8)
+    model = build_model(two_loop, plane_gb, 8)
     rep = minimal_resolution(ModulePresentation.simple_tops(two_loop, F.one), model, 4, 8)
     ok, _ = determined_check(rep, DegreeCollection.linear(), 4)
     assert ok
@@ -144,7 +144,7 @@ def test_singleton_pattern_implies_downset():
     # 2-s monotonicity: passing the staircase singletons implies passing the
     # down-closed collection.
     q, order, gb = truncated_polynomial(3)
-    model = build_model(q, gb, F, 18)
+    model = build_model(q, gb, 18)
     rep = minimal_resolution(ModulePresentation.simple_tops(q, F.one), model, 5, 18)
     ok_single, _ = determined_check(rep, DegreeCollection.s_pattern(3), 5)
     ok_down, _ = determined_check(rep, DegreeCollection.s_downset(3), 5)
@@ -159,7 +159,7 @@ def test_criterion_conclusion_matches_oracle():
         table = enumerate_overlaps(q, gb.tips, 2)
         cert = s_koszul_criterion(gb, s, table)
         assert cert.holds
-        model = build_model(q, gb, F, 3 * s + 2)
+        model = build_model(q, gb, 3 * s + 2)
         rep = minimal_resolution(ModulePresentation.simple_tops(q, F.one), model, 5, 3 * s + 2)
         ok, _ = determined_check(rep, DegreeCollection.s_pattern(s), 5)
         assert ok

@@ -16,7 +16,7 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
-from pathalg.oracle import CoverSpace, FreeSummand, kernel_pieces
+from pathalg.oracle import CoverSpace, FreeSummand, kernel_pieces, presentation_cover
 from pathalg.syzygy import DegreeWindow
 from tests.conftest import truncated_polynomial, words
 
@@ -24,18 +24,18 @@ F = Field(0)
 
 
 def test_model_dims_cube(two_loop, cube_gb):
-    model = build_model(two_loop, cube_gb, F, 5)
+    model = build_model(two_loop, cube_gb, 5)
     assert model.dims() == [1, 2, 2, 1, 0, 0]
 
 
 def test_model_dims_plane(two_loop, plane_gb):
-    model = build_model(two_loop, plane_gb, F, 3)
+    model = build_model(two_loop, plane_gb, 3)
     assert model.dims() == [1, 2, 3, 4]
 
 
 def test_model_dims_one_loop_square(one_loop, one_loop_order):
     gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
-    model = build_model(one_loop, gb, F, 4)
+    model = build_model(one_loop, gb, 4)
     assert model.dims() == [1, 1, 0, 0, 0]
 
 
@@ -57,7 +57,7 @@ def test_action_matrices_respect_composition(two_loop, cube_model):
 
 def test_resolution_dual_numbers(one_loop, one_loop_order):
     gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
-    model = build_model(one_loop, gb, F, 8)
+    model = build_model(one_loop, gb, 8)
     rep = minimal_resolution(ModulePresentation.simple_tops(one_loop, F.one), model, 5, 8)
     assert rep.degrees == [[0], [1], [2], [3], [4], [5]]
 
@@ -69,7 +69,7 @@ def test_resolution_cube_fixture(two_loop, cube_model, cube_A0):
 
 
 def test_resolution_commutative_plane(two_loop, plane_gb):
-    model = build_model(two_loop, plane_gb, F, 8)
+    model = build_model(two_loop, plane_gb, 8)
     A0 = ModulePresentation.simple_tops(two_loop, F.one)
     rep = minimal_resolution(A0, model, 4, 8)
     assert rep.degrees == [[0], [1, 1], [2], [], []]
@@ -100,7 +100,7 @@ def test_resolution_exactness_bookkeeping(two_loop, cube_model, cube_A0):
 
 
 def test_plane_resolution_exactness_bookkeeping(two_loop, plane_gb):
-    model = build_model(two_loop, plane_gb, F, 7)
+    model = build_model(two_loop, plane_gb, 7)
     A0 = ModulePresentation.simple_tops(two_loop, F.one)
     rep = minimal_resolution(A0, model, 3, 7)
     for n in range(1, 3):
@@ -141,7 +141,7 @@ def test_truncated_polynomial_resolutions():
     from pathalg import s_koszul_degree
     for s in (2, 3, 4):
         q, order, gb = truncated_polynomial(s)
-        model = build_model(q, gb, F, 22)
+        model = build_model(q, gb, 22)
         rep = minimal_resolution(ModulePresentation.simple_tops(q, F.one), model, 6, 22)
         assert rep.degrees == [[s_koszul_degree(s, i)] for i in range(7)]
 
@@ -151,7 +151,7 @@ def test_multi_vertex_resolution():
     order = OrderSpec.for_quiver(q)
     ab = AlgebraElement({q.path("a*b"): F.one})
     gb = groebner_basis([ab], order, 6)
-    model = build_model(q, gb, F, 8)
+    model = build_model(q, gb, 8)
     A0 = ModulePresentation.simple_tops(q, F.one)
     rep = minimal_resolution(A0, model, 3, 8)
     # Chains: level 0 = {a, b}, level 1 = {ab}; ab has no self-overlap, so
@@ -192,7 +192,7 @@ def test_non_minimal_cover_is_an_error(one_loop, one_loop_order):
     # Two degree-0 summands with the same image: their difference is a kernel
     # vector on the generator tops, so the cover was not minimal.
     gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
-    model = build_model(one_loop, gb, F, 4)
+    model = build_model(one_loop, gb, 4)
     ambient = CoverSpace(model, [FreeSummand("e", 0)])
     domain = CoverSpace(model, [FreeSummand("e", 0), FreeSummand("e", 0)])
     with pytest.raises(PathAlgError, match="cover was not minimal"):
@@ -202,6 +202,24 @@ def test_non_minimal_cover_is_an_error(one_loop, one_loop_order):
 def test_resolution_cap_guard(two_loop, cube_model, cube_A0):
     with pytest.raises(PathAlgError):
         minimal_resolution(cube_A0, cube_model, 2, 99)
+
+
+def test_relation_above_the_model_cap_is_refused(one_loop, one_loop_order):
+    # A relation above the cap would be dropped from the span, so first
+    # syzygies and windows would miss it; words past the cap cannot even be
+    # placed in a block.
+    gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
+    model = build_model(one_loop, gb, 2)
+    x = one_loop.path("x")
+    shifted = ModulePresentation((Generator("g", "e", 2),), (ModuleElement({(0, x): F.one}),))
+    with pytest.raises(PathAlgError, match="above the degree cap 2"):
+        presentation_cover(shifted, model)
+    model = build_model(one_loop, gb, 0)
+    with pytest.raises(PathAlgError, match="above the degree cap 0"):
+        minimal_resolution(ModulePresentation.simple_tops(one_loop, F.one), model, 2, 0)
+    model.extend(3)
+    _cover, seeds = presentation_cover(shifted, model)
+    assert [(d, v) for d, v, _vec in seeds] == [(3, "e")]
 
 
 def test_membership_oracle_counts_dimensions(two_loop, two_loop_order, cube_gb):
@@ -235,16 +253,10 @@ def test_resolution_over_prime_field(two_loop):
         AlgebraElement({w("xxx"): F7.one, w("yyy"): -F7.one}),
     ]
     gb = groebner_basis(gens, OrderSpec(("x", "y"), ("e",), field=F7), 8)
-    model = build_model(two_loop, gb, F7, 10)
+    model = build_model(two_loop, gb, 10)
     rep = minimal_resolution(ModulePresentation.simple_tops(two_loop, F7.one), model, 2, 10)
     assert rep.degrees == [[0], [1, 1], [2, 2, 3]]
     assert model.dims()[:5] == [1, 2, 2, 1, 0]
-
-
-def test_model_over_another_field_is_refused(two_loop, cube_gb):
-    # cube_gb is over Q; a model over F_7 would do F_7 arithmetic on its normal forms.
-    with pytest.raises(PathAlgError):
-        build_model(two_loop, cube_gb, Field(7), 4)
 
 
 def test_verify_windows_reports_violations(two_loop, cube_model, cube_A0):

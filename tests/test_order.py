@@ -37,8 +37,6 @@ def test_order_spec_validation(two_loop):
     with pytest.raises(PathAlgError):
         OrderSpec(("x",), ("e",)).validate(two_loop)
     OrderSpec(("x", "y"), ("e",)).validate(two_loop)
-    with pytest.raises(PathAlgError):
-        OrderSpec(("x", "y"), ("e",), kind="weight")
 
 
 def test_check_admissible_length_lex(two_loop, two_loop_order):

@@ -251,7 +251,7 @@ def test_head_constraint_per_reading(one_loop):
 
 def test_enumerate_without_quasi_side(two_loop, showcase):
     t = enumerate_overlaps(two_loop, showcase, 3, quasi=False)
-    assert not t.has_quasi
+    assert not any(t.quasi_levels)
     assert {names(p) for p in t.overlaps(3)} == {"xxxxxx", "xxxxxyyy"}
     assert t.quasi(3) == []
     mino, maxo, minq, maxq = t.extrema(3)

@@ -23,7 +23,7 @@ F = Field(0)
 
 def test_first_syzygy_dual_numbers(one_loop, one_loop_order):
     gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
-    model = build_model(one_loop, gb, F, 8)
+    model = build_model(one_loop, gb, 8)
     A0 = ModulePresentation.simple_tops(one_loop, F.one)
     syz = first_syzygy(A0, model, 8)
     assert [e.render() for e in syz.survivors] == ["g0*x"]
@@ -75,8 +75,9 @@ def test_degree_window_one_loop_square(one_loop, one_loop_order):
     assert (w3.lo, w3.hi) == (3, 3)
     o3 = degree_window(3, 1, 1, table, "overlap")
     assert window_consistency(w3, o3)
-    assert degree_window(1, 1, 1, table, "quasi").as_tuple() == (1, 1)
-    assert degree_window(1, 1, 1, table, "overlap").as_tuple() == (1, 1)
+    for method in ("quasi", "overlap"):
+        w = degree_window(1, 1, 1, table, method)
+        assert (w.lo, w.hi) == (1, 1)
 
 
 def test_degree_window_showcase_overlap_method(two_loop):
@@ -111,28 +112,10 @@ def test_degree_window_guards(one_loop):
         degree_window(2, 1, 1, table, "sideways")
 
 
-def test_literal_index_reading_fails_on_dual_numbers(one_loop, one_loop_order):
-    # The literal pairing (P_n against level n) predicts degree 2 for P_1 over
-    # k[x]/(x^2); the oracle resolution has P_1 generated in degree 1, so the
-    # shifted pairing (level n-1) is the validated one.
-    gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
-    model = build_model(one_loop, gb, F, 8)
-    A0 = ModulePresentation.simple_tops(one_loop, F.one)
-    rep = minimal_resolution(A0, model, 3, 8)
-    table = enumerate_overlaps(one_loop, gb.tips, 4)
-    literal = [degree_window(n, 1, 1, table, "quasi", literal_level=True) for n in range(1, 4)]
-    ok_literal, verdicts = verify_windows(rep, literal)
-    assert not ok_literal
-    assert verdicts[0].n == 1 and not verdicts[0].ok
-    shifted = [degree_window(n, 1, 1, table, "quasi") for n in range(1, 4)]
-    ok_shifted, _ = verify_windows(rep, shifted)
-    assert ok_shifted
-
-
 def test_windows_validate_for_truncated_polynomials():
     for s in (2, 3, 4):
         q, order, gb = truncated_polynomial(s)
-        model = build_model(q, gb, F, 22)
+        model = build_model(q, gb, 22)
         A0 = ModulePresentation.simple_tops(q, F.one)
         syz = first_syzygy(A0, model, 8)
         assert (syz.min_degree, syz.max_degree) == (1, 1)
@@ -186,7 +169,7 @@ def test_windows_multi_vertex_non_monomial():
     rel = AlgebraElement({q.path("a*c"): F.one, q.path("b*c"): -F.one})
     gb = groebner_basis([rel], order, 6)
     assert gb.complete and [str(t) for t in gb.tips] == ["a*c"]
-    model = build_model(q, gb, F, 8)
+    model = build_model(q, gb, 8)
     A0 = ModulePresentation.simple_tops(q, F.one)
     syz = first_syzygy(A0, model, 6)
     assert (syz.min_degree, syz.max_degree) == (1, 1)
