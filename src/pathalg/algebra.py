@@ -127,7 +127,7 @@ class ModuleElement:
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
-            word = name(i) if p.is_vertex else f"{name(i)}*{p}"
+            word = name(i) if not p.arrows else f"{name(i)}*{p}"
             piece = word if cs == "1" else f"{cs}*{word}"
             if not out:
                 out = ("-" if neg else "") + piece
@@ -140,12 +140,15 @@ class ModuleElement:
 
 
 def tip(x: AlgebraElement | ModuleElement, order: OrderSpec):
-    """The maximal support item; a Path for algebra elements, (i, Path) for module ones."""
-    if not x.terms:
+    """The maximal support item; a Path for algebra elements, (i, Path) for module ones.
+
+    Coefficients are read in the order's field: over F_p a term that vanishes mod p is no support item.
+    """
+    p = order.field.characteristic
+    support = [q for q, c in x.terms.items() if c % p] if p else x.terms
+    if not support:
         raise PathAlgError("the zero element has no tip")
-    if isinstance(x, AlgebraElement):
-        return max(x.terms, key=order.path_key)
-    return max(x.terms, key=order.module_key)
+    return max(support, key=order.path_key if isinstance(x, AlgebraElement) else order.module_key)
 
 
 def _reduced(x: AlgebraElement, field: Field) -> AlgebraElement:
@@ -224,7 +227,7 @@ class TipIndex:
         if not g:
             return
         t = tip(g, self.order)
-        if t.is_vertex:
+        if not t.arrows:
             raise PathAlgError(f"a reducer tip must have positive length; got {t}")
         p, inv = field.characteristic, field.inverse(g.terms[t])
         tail = [(_ranks(q, self.order), q.arrows, c * inv % p if p else c * inv) for q, c in g.terms.items() if q != t]
@@ -271,13 +274,14 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
     index = _reducers(basis, order)
     p = order.field.characteristic
     terms: dict[tuple[int, ...], object] = {}
-    given: dict[tuple[int, ...], Path] = {}
     heap = []
+    # Every rewrite keeps a word's endpoints, so all words share x's.
+    source = target = ""
     for q, c in x.terms.items():
         w = _ranks(q, order)
         terms[w] = c
-        given[w] = q
         heap.append((-len(w), w, q.arrows))
+        source, target = q.source, q.target
     heapify(heap)
     out: dict[Path, object] = {}
     while heap:
@@ -289,10 +293,7 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
             continue
         found = index.find(w)
         if found is None:
-            word = given.get(w)
-            if word is None:
-                word = Path(arrows) if arrows else Path(vertex=next(iter(x.terms)).source)
-            out[word] = c
+            out[Path(source, target, arrows)] = c
             continue
         tail, i, n = found
         head, rest, head_arrows, rest_arrows = w[:i], w[i + n:], arrows[:i], arrows[i + n:]
@@ -457,14 +458,14 @@ def normal_word_levels(quiver: Quiver, tips: Iterable[Path]) -> Iterator[list[Pa
         return True
 
     yield [quiver.vertex_path(v) for v in quiver.vertices]
-    frontier = [w for w in (Path((a,)) for a in quiver.arrows) if clean_end(w)]
+    frontier = [w for w in (Path.of((a,)) for a in quiver.arrows) if clean_end(w)]
     while True:
         yield frontier
         nxt = []
         for w in frontier:
             for a in quiver.arrows:
                 if a.source == w.target:
-                    ext = Path(w.arrows + (a,))
+                    ext = Path(w.source, a.target, w.arrows + (a,))
                     if clean_end(ext):
                         nxt.append(ext)
         frontier = nxt

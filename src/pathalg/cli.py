@@ -396,7 +396,8 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
     ok, violation = determined_check(rep, collection, args.max_n)
     report.doc["determined"] = {
         "collection": label,
-        "holds": ok,
+        # Undecided (null) when no violation shows below a truncation.
+        "holds": None if ok and rep.truncated else ok,
         "violation": None if violation is None else {"n": violation.index, "degree": violation.degree},
         "resolution_degrees": rep.degrees,
     }

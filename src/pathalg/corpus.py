@@ -38,7 +38,7 @@ def random_walk(rng: random.Random, quiver: Quiver, length: int) -> Path | None:
         if not nxt:
             return None
         word.append(rng.choice(nxt))
-    return Path(tuple(word))
+    return Path.of(tuple(word))
 
 
 def random_reduced_patterns(

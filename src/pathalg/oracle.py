@@ -8,7 +8,9 @@ repeat.  Everything runs per (degree, target-vertex) block.  A block numbers
 its coordinates once; vectors are sparse dicts from those numbers to exact
 scalars, and each arrow acts on a block through an integer table built once
 from the model, so paths are hashed only while the model is built, where
-presentations come in and where first syzygies read their tips.
+presentations come in and where first syzygies read their tips.  A path
+and an arrow are named tuples, so those lookups hash in C; the model
+numbers arrows by the `Arrow` value itself.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ class GradedAlgebraModel:
         self.parent: list[list[tuple[int, int]]] = []
         self.keys: list[list] = []
         self._levels = normal_word_levels(quiver, gb.tips)
-        self._arrow_no = {a.name: k for k, a in enumerate(quiver.arrows)}
+        self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
         self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
         self.extend(degree_cap)
 
@@ -57,7 +59,7 @@ class GradedAlgebraModel:
             self.keys.append([self.order.path_key(w) for w in level])
             if d:
                 prev = self.index[d - 1]
-                self.parent.append([(prev[w.prefix(d - 1)], self._arrow_no[w.arrows[-1].name]) for w in level])
+                self.parent.append([(prev[w.prefix(d - 1)], self._arrow_no[w.arrows[-1]]) for w in level])
             else:
                 self.parent.append([])
         self.degree_cap = max(self.degree_cap, degree_cap)
@@ -69,7 +71,7 @@ class GradedAlgebraModel:
         """Expansion of the class of w*a in the normal-word basis."""
         if w.target != a.source:
             return {}
-        p = w * Path((a,))
+        p = Path(w.source, a.target, w.arrows + (a,))
         # A normal word is its own normal form.
         if p.length <= self.degree_cap and p in self.index[p.length]:
             return {p: self.field.one}

@@ -50,7 +50,7 @@ class OrderSpec:
         """Sort key: bigger key means greater path."""
         arrows = p.arrows
         if not arrows:
-            return (0, (-self.vertex_rank[p.vertex],))
+            return (0, (-self.vertex_rank[p.source],))
         rank = self.arrow_rank
         return (len(arrows), tuple([-rank[a.name] for a in arrows]))
 

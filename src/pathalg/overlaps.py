@@ -12,7 +12,7 @@ while v stays fixed.
 
 Cut decompositions w = u1 v1 ... v_{n-1} un serve as an independent
 membership oracle for the walks.  They are searched as index cuts on the
-arrow names of v0*w: every block v_{i-1} u_i v_i is a pattern, and no
+arrows of v0*w: every block v_{i-1} u_i v_i is a pattern, and no
 pattern straddles an interior v_i by starting inside u_i and ending inside
 u_{i+1} v_{i+1}.  One predicate states these rules for both the search and
 the validator.
@@ -25,7 +25,7 @@ from math import inf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotReducedError, PathAlgError
-from .quiver import Path, Quiver, divides, is_reduced
+from .quiver import Arrow, Path, Quiver, divides, is_reduced
 
 
 def tail_is_pattern_free(q: Path, p: Path, patterns: Sequence[Path]) -> bool:
@@ -136,13 +136,13 @@ def _tail_graph(patterns: Sequence[Path]) -> dict[tuple, list[tuple]]:
     """
     graph: dict[tuple, list[tuple]] = {}
     for t in {s.arrows[j:] for s in patterns for j in range(1, s.length)}:
-        tail, out = Path(t), graph.setdefault(t, [])
+        tail, out = Path.of(t), graph.setdefault(t, [])
         for s in patterns:
             for k in range(1, min(s.length - 1, len(t)) + 1):
                 u = s.arrows[k:]
                 if t[len(t) - k:] != s.arrows[:k] or u in out:
                     continue
-                tu = Path(t + u)
+                tu = Path.of(t + u)
                 if tail_is_pattern_free(tail, tu, patterns) and tail_first_hit_at_end(tu.prefix(0), tu, patterns):
                     out.append(u)
     return graph
@@ -155,7 +155,7 @@ def _walk(start: dict, graph: dict[tuple, list[tuple]], max_level: int) -> list[
         found = {}
         for (w, v), pred in levels[-1].items():
             for u in graph[w.arrows[pred.length:]]:
-                found[(Path(w.arrows + u), v)] = w
+                found[(Path(w.source, u[-1].target, w.arrows + u), v)] = w
         levels.append(found)
     return levels
 
@@ -182,12 +182,12 @@ def enumerate_overlaps(
     pats = _check_patterns(patterns)
     graph = _tail_graph(pats)
     table = OverlapTable(quiver, pats)
-    table.levels.append({Path((a,)): None for a in quiver.arrows})
+    table.levels.append({Path.of((a,)): None for a in quiver.arrows})
     for level in _walk({(s, None): s.prefix(1) for s in pats}, graph, max_level):
         table.levels.append({w: pred for (w, _v), pred in level.items()})
     splits = [(s.prefix(j), s.suffix(s.length - j)) for s in pats for j in range(1, s.length) if quasi]
-    table.quasi_levels.append({(Path(vertex=v.target), v): None for v, _w in splits})
-    table.quasi_levels += _walk({(w, v): Path(vertex=v.target) for v, w in splits}, graph, max_level)
+    table.quasi_levels.append({(Path(v.target, v.target), v): None for v, _w in splits})
+    table.quasi_levels += _walk({(w, v): Path(v.target, v.target) for v, w in splits}, graph, max_level)
     return table
 
 
@@ -199,8 +199,8 @@ class Partition:
     v: tuple[Path, ...]
 
 
-def _is_cut(full: tuple[str, ...], cuts: Sequence[tuple[int, int]], names: set, plain: bool) -> bool:
-    """The cut conditions on full = v0*w, read as arrow names.
+def _is_cut(full: tuple[Arrow, ...], cuts: Sequence[tuple[int, int]], words: set, plain: bool) -> bool:
+    """The cut conditions on `full`, the arrows of v0*w, with `words` the patterns' arrows.
 
     cuts[i] = (a_i, b_i) brackets v_i = full[a_i:b_i]: cuts[0] brackets the
     context v0 and cuts[n] is the empty word at the end.  So u_i is
@@ -215,10 +215,10 @@ def _is_cut(full: tuple[str, ...], cuts: Sequence[tuple[int, int]], names: set, 
         return False
     if any(b <= a for a, b in cuts[1:n]):
         return False
-    if any(full[cuts[i - 1][0]:cuts[i][1]] not in names for i in range(1, n + 1)):
+    if any(full[cuts[i - 1][0]:cuts[i][1]] not in words for i in range(1, n + 1)):
         return False
     return not any(
-        full[x:y] in names
+        full[x:y] in words
         for i in range(1, n)
         for x in range(cuts[i - 1][1], cuts[i][0])
         for y in range(cuts[i][1] + 1, cuts[i + 1][1] + 1)
@@ -245,8 +245,8 @@ def check_partition(
     patterns = _check_patterns(patterns)
     if len(u_parts) != n or len(v_parts) != n - 1:
         return False
-    v0 = context if context is not None else Path(vertex=w.source)
-    ends = [*v_parts, Path(vertex=w.target)]
+    v0 = context if context is not None else Path(w.source, w.source)
+    ends = [*v_parts, Path(w.target, w.target)]
     try:
         whole = v0
         for u, v in zip(u_parts, ends):
@@ -259,7 +259,7 @@ def check_partition(
     for u, v in zip(u_parts, ends):
         a = cuts[-1][1] + u.length
         cuts.append((a, a + v.length))
-    return _is_cut(whole.names(), cuts, {s.names() for s in patterns}, context is None)
+    return _is_cut(whole.arrows, cuts, {s.arrows for s in patterns}, context is None)
 
 
 def all_partitions(
@@ -279,10 +279,10 @@ def all_partitions(
     pats = _check_patterns(patterns)
     if n < 1:
         raise PathAlgError("partitions are defined for levels n >= 1")
-    v0 = context if context is not None else Path(vertex=w.source)
+    v0 = context if context is not None else Path(w.source, w.source)
     if v0.target != w.source:
         return
-    full, names = v0.names() + w.names(), {s.names() for s in pats}
+    full, words = v0.arrows + w.arrows, {s.arrows for s in pats}
     end = len(full)
 
     def piece(start: int, stop: int) -> Path:
@@ -292,13 +292,13 @@ def all_partitions(
     def extend(cuts: list[tuple[int, int]]) -> Iterator[Partition]:
         if len(cuts) == n:
             cuts = cuts + [(end, end)]
-            if _is_cut(full, cuts, names, context is None):
+            if _is_cut(full, cuts, words, context is None):
                 yield Partition(tuple(piece(cuts[i - 1][1], cuts[i][0]) for i in range(1, n + 1)),
                                 tuple(piece(a, b) for a, b in cuts[1:n]))
             return
         for a in range(cuts[-1][1], end):
             for b in range(a + 1, end + 1):
-                if full[cuts[-1][0]:b] in names:
+                if full[cuts[-1][0]:b] in words:
                     yield from extend(cuts + [(a, b)])
 
     yield from extend([(0, v0.length)])

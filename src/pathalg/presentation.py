@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .algebra import ModuleElement
 from .errors import PathAlgError
-from .quiver import Quiver
+from .quiver import Path, Quiver
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ class ModulePresentation:
         vindex = {v: i for i, v in enumerate(quiver.vertices)}
         rels = []
         for a in quiver.arrows:
-            from .quiver import Path
-            rels.append(ModuleElement({(vindex[a.source], Path((a,))): one}))
+            rels.append(ModuleElement({(vindex[a.source], Path.of((a,))): one}))
         return cls(gens, tuple(rels))
 
     @classmethod

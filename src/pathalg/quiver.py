@@ -1,69 +1,65 @@
-"""Finite quivers and paths (composable arrow words, including length-0 vertex paths).
+"""Finite quivers and paths.
+
+A path is one plain value, `Path(source, target, arrows)`: its endpoints
+and its arrow word.  A vertex path has no arrows and is `Path(v, v)`, so
+every operation below treats it like any other word.  Paths and arrows
+are named tuples, so they hash and compare in C; that makes `len(p)` 3
+and tuple order lexicographic, so read `p.length` and sort with an
+explicit key.
 
 The composition convention is fixed globally: paths are written left to
 right, and ``p * q`` means "p then q", defined when ``p.target == q.source``.
+Composability is checked where a path is made from parts (`Path.of`,
+`compose`, `Quiver.path`); slices and one-arrow extensions of a path set
+the fields directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CompositionError, PathAlgError
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Path:
-    """An arrow word, or a single vertex when the length is zero."""
+class Path(NamedTuple):
+    """An arrow word from source to target; with no arrows, the vertex path at source."""
 
+    source: str
+    target: str
     arrows: tuple[Arrow, ...] = ()
-    vertex: str | None = None
 
-    def __post_init__(self):
-        if self.arrows:
-            if self.vertex is not None:
-                raise PathAlgError("a positive-length path carries no base vertex")
-            for a, b in zip(self.arrows, self.arrows[1:]):
-                if a.target != b.source:
-                    raise CompositionError(f"arrows {a.name} and {b.name} do not compose")
-        elif self.vertex is None:
-            raise PathAlgError("a length-0 path needs a base vertex")
+    @classmethod
+    def of(cls, arrows: tuple[Arrow, ...]) -> "Path":
+        """The path along a nonempty tuple of composable arrows."""
+        if not arrows:
+            raise PathAlgError("a path of no arrows needs a vertex: use Path(v, v)")
+        for a, b in zip(arrows, arrows[1:]):
+            if a.target != b.source:
+                raise CompositionError(f"arrows {a.name} and {b.name} do not compose")
+        return cls(arrows[0].source, arrows[-1].target, tuple(arrows))
 
     @property
     def length(self) -> int:
         return len(self.arrows)
 
-    @property
-    def source(self) -> str:
-        return self.arrows[0].source if self.arrows else self.vertex  # type: ignore[return-value]
-
-    @property
-    def target(self) -> str:
-        return self.arrows[-1].target if self.arrows else self.vertex  # type: ignore[return-value]
-
-    @property
-    def is_vertex(self) -> bool:
-        return not self.arrows
-
-    def __mul__(self, other: "Path") -> "Path":
+    def __mul__(self, other: "Path") -> "Path":  # type: ignore[override]
         return compose(self, other)
 
     def prefix(self, k: int) -> "Path":
         """First k arrows; k = 0 gives the source vertex path."""
-        if k == 0:
-            return Path(vertex=self.source)
-        return Path(self.arrows[:k])
+        arrows = self.arrows[:k]
+        return Path(self.source, arrows[-1].target if arrows else self.source, arrows)
 
     def suffix(self, k: int) -> "Path":
-        if k == 0:
-            return Path(vertex=self.target)
-        return Path(self.arrows[len(self.arrows) - k:])
+        """Last k arrows; k = 0 gives the target vertex path."""
+        arrows = self.arrows[len(self.arrows) - k:]
+        return Path(arrows[0].source if arrows else self.target, self.target, arrows)
 
     def drop_prefix(self, q: "Path") -> "Path":
         """The tail u with self = q * u; q must be a left divisor."""
@@ -71,11 +67,8 @@ class Path:
             raise PathAlgError(f"{q} is not a left divisor of {self}")
         return self.suffix(self.length - q.length)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
-
     def __str__(self) -> str:
-        return "*".join(self.names()) if self.arrows else str(self.vertex)
+        return "*".join([a.name for a in self.arrows]) if self.arrows else self.source
 
     def __repr__(self) -> str:
         return f"Path({self})"
@@ -110,7 +103,7 @@ class Quiver:
     def vertex_path(self, v: str) -> Path:
         if v not in self.vertices:
             raise PathAlgError(f"unknown vertex {v!r}")
-        return Path(vertex=v)
+        return Path(v, v)
 
     def path(self, spec: str | Iterable[str]) -> Path:
         """Build a path from '*'-separated identifiers (or an iterable of them).
@@ -125,19 +118,19 @@ class Quiver:
         result: Path | None = None
         for n in names:
             n = n.strip()
-            piece = Path(vertex=n) if n in vset else Path((self.arrow(n),))
+            piece = Path(n, n) if n in vset else Path.of((self.arrow(n),))
             result = piece if result is None else result * piece
         assert result is not None
         return result
 
     def paths_of_length(self, n: int) -> list[Path]:
         if n == 0:
-            return [Path(vertex=v) for v in self.vertices]
+            return [Path(v, v) for v in self.vertices]
         out: list[Path] = []
         for p in self.paths_of_length(n - 1):
             for a in self.arrows:
                 if a.source == p.target:
-                    out.append(Path(p.arrows + (a,)))
+                    out.append(Path(p.source, a.target, p.arrows + (a,)))
         return out
 
     def paths_up_to(self, n: int) -> Iterator[Path]:
@@ -148,49 +141,35 @@ class Quiver:
 def compose(p: Path, q: Path) -> Path:
     if p.target != q.source:
         raise CompositionError(f"cannot compose {p} (target {p.target}) with {q} (source {q.source})")
-    if p.is_vertex:
-        return q
-    if q.is_vertex:
-        return p
-    return Path(p.arrows + q.arrows)
+    return Path(p.source, q.target, p.arrows + q.arrows)
 
 
 def factorizations(p: Path, q: Path) -> list[tuple[Path, Path]]:
     """All pairs (u, v) with q = u * p * v; empty when p does not divide q."""
-    out: list[tuple[Path, Path]] = []
-    if p.is_vertex:
-        # Occurrences of a vertex inside q are the positions where it sits.
-        for i in range(q.length + 1):
-            at = q.arrows[i].source if i < q.length else q.target
-            if at == p.vertex:
-                out.append((q.prefix(i), q.suffix(q.length - i)))
-        return out
     n, m = p.length, q.length
+    out: list[tuple[Path, Path]] = []
     for i in range(m - n + 1):
         if q.arrows[i:i + n] == p.arrows:
-            out.append((q.prefix(i), q.suffix(m - i - n)))
+            u = q.prefix(i)
+            if u.target == p.source:
+                out.append((u, q.suffix(m - i - n)))
     return out
 
 
 def divides(p: Path, q: Path) -> bool:
-    if p.is_vertex:
-        return bool(factorizations(p, q))
-    n = p.length
-    return any(q.arrows[i:i + n] == p.arrows for i in range(q.length - n + 1))
+    n, arrows = p.length, p.arrows
+    # A match of p's arrows starts at p.source; a vertex p needs the second test.
+    return any(q.arrows[i:i + n] == arrows and q.prefix(i).target == p.source for i in range(q.length - n + 1))
 
 
 def divides_left(p: Path, q: Path) -> bool:
     """p | q with q = p * v."""
-    if p.is_vertex:
-        return p.vertex == q.source
-    return q.arrows[:p.length] == p.arrows
+    return p.source == q.source and q.arrows[:p.length] == p.arrows
 
 
 def divides_right(p: Path, q: Path) -> bool:
     """p | q with q = u * p."""
-    if p.is_vertex:
-        return p.vertex == q.target
-    return p.length <= q.length and q.arrows[q.length - p.length:] == p.arrows
+    return p.target == q.target and p.length <= q.length and q.arrows[q.length - p.length:] == p.arrows
 
 
 def is_reduced(paths: Iterable[Path]) -> bool:

@@ -42,6 +42,17 @@ def test_module_tip(two_loop, two_loop_order):
     assert tip(m, two_loop_order) == (1, w("x"))
 
 
+def test_tip_reads_coefficients_in_the_order_field(two_loop):
+    # 7*x*y vanishes over F_7, so the tip is y*x, as monic finds it.
+    w = words(two_loop)
+    order = OrderSpec(("x", "y"), ("e",), field=Field(7))
+    x = AlgebraElement({w("xy"): 7, w("yx"): 1})
+    assert tip(x, order) == w("yx") == tip(monic(x, order), order)
+    assert tip(ModuleElement({(0, w("x")): 1, (1, w("x")): 14}), order) == (0, w("x"))
+    with pytest.raises(PathAlgError):
+        tip(AlgebraElement({w("xy"): 7}), order)
+
+
 def test_normal_form_monomial(two_loop, two_loop_order):
     nf = normal_form(elem(two_loop, {"xxy": 1}), [elem(two_loop, {"xy": 1})], two_loop_order)
     assert nf.is_zero()

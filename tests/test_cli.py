@@ -94,7 +94,8 @@ def test_check_does_not_certify_from_a_truncated_resolution(capsys):
     argv = ["check", fixture("two_loop_cube.alg"), "--linear", "--module", "A0", "--max-n", "2"]
     rc, doc = run_json(capsys, argv + ["--max-degree", "2"])
     assert rc == EXIT_TRUNCATED and doc["exit_code"] == EXIT_TRUNCATED
-    assert doc["determined"]["violation"] is None
+    assert doc["determined"]["violation"] is None and doc["determined"]["holds"] is None
+    check_schema(doc)
     run(argv + ["--max-degree", "2"])
     assert "cannot certify" in capsys.readouterr().out
     rc, doc = run_json(capsys, argv + ["--max-degree", "3"])

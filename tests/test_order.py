@@ -56,8 +56,8 @@ def test_check_admissible_rejects_pure_lex(two_loop, two_loop_order):
     rank = {"x": 0, "y": 1}
 
     def pure_lex(p, q):
-        a = tuple(rank[n] for n in p.names())
-        b = tuple(rank[n] for n in q.names())
+        a = tuple(rank[x.name] for x in p.arrows)
+        b = tuple(rank[x.name] for x in q.arrows)
         return GT if a < b else (LT if a > b else EQ)
 
     ok, witness = check_admissible(two_loop, pure_lex, 3)

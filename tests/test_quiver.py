@@ -35,6 +35,46 @@ def test_compose_endpoint_mismatch():
         compose(a, a)
 
 
+def test_path_of_checks_its_arrows():
+    q = Quiver.build(["u", "v"], [("a", "u", "v"), ("b", "v", "u")])
+    a, b = q.arrow("a"), q.arrow("b")
+    assert Path.of((a, b)) == Path("u", "u", (a, b))
+    with pytest.raises(CompositionError):
+        Path.of((a, a))
+    with pytest.raises(PathAlgError):
+        Path.of(())
+
+
+def test_vertex_paths_differ_by_vertex():
+    q = Quiver.build(["u", "v"], [("a", "u", "v")])
+    u, v = q.vertex_path("u"), q.vertex_path("v")
+    assert u != v and len({u, v}) == 2
+    assert (u.source, u.target, u.length) == ("u", "u", 0)
+    assert str(u) == "u" and str(v) == "v"
+    assert u * q.path("a") * v == q.path("a")
+    with pytest.raises(CompositionError):
+        v * q.path("a")
+
+
+def test_empty_prefix_and_suffix_sit_at_the_ends():
+    q = Quiver.build(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w")])
+    ab = q.path("a*b")
+    assert ab.prefix(0) == q.vertex_path("u")
+    assert ab.suffix(0) == q.vertex_path("w")
+    assert ab.prefix(1) == q.path("a") and ab.suffix(1) == q.path("b")
+
+
+def test_parsed_built_and_sliced_paths_agree():
+    q = Quiver.build(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
+    parsed = q.path("a*b*c")
+    built = Path.of(tuple(q.arrow(n) for n in "abc"))
+    sliced = q.path("c*a*b*c*a").suffix(4).prefix(3)
+    assert parsed == built == sliced
+    assert hash(parsed) == hash(built) == hash(sliced)
+    assert len({parsed, built, sliced}) == 1
+    assert str(sliced) == "a*b*c"
+
+
 def test_quiver_validation():
     with pytest.raises(PathAlgError):
         Quiver.build(["u", "u"], [])
