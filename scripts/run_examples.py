@@ -27,6 +27,7 @@ RUNS = [
     ("check", "truncated_s3.alg", ["--determined", "chi:3", "--module", "A0", "--max-n", "5", "--max-degree", "16"]),
     ("selfcheck", "dual_numbers.alg", ["--seed", "2024", "--instances", "40", "--max-n", "5"]),
     ("groebner", "sklyanin_235.alg", ["--max-degree", "6"]),
+    ("resolve", "sklyanin_235_a0.alg", ["--module", "A0", "--max-n", "4", "--max-degree", "8"]),
 ]
 
 

@@ -56,8 +56,6 @@ from .quiver import (
     compose,
     divides,
     divides_left,
-    divides_right,
-    factorizations,
     is_reduced,
 )
 from .syzygy import (

@@ -402,18 +402,18 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     the degrees of both its elements.  A final pass reduces each tail
     against the whole basis.
 
-    The status is `complete` exactly when every proper overlap among the
-    final tips has degree <= max_degree (each such S-element is known to
-    reduce to zero when the loop exits); all-monomial bases are certified
-    complete outright since their S-elements vanish identically.
+    A generator of degree above max_degree waits above the cap like an
+    S-element.  The status is `complete` exactly when no generator waits and
+    every proper overlap among the final tips has degree <= max_degree (each
+    such S-element is known to reduce to zero when the loop exits);
+    all-monomial bases are certified complete outright since their
+    S-elements vanish identically.
     """
     gens = _validate_generators(generators, order.field)
-    if gens and max_degree < max(g.degree() for g in gens):
-        raise PathAlgError("max_degree must be at least the largest generator degree")
-
     index = TipIndex(order)
     ticket = itertools.count()
-    queue = [(g.degree(), next(ticket), g) for g in gens]
+    queue = [(g.degree(), next(ticket), g) for g in gens if g.degree() <= max_degree]
+    waiting = len(queue) < len(gens)
     heapify(queue)
     while queue:
         _, _, x = heappop(queue)
@@ -438,7 +438,7 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     tips_ = tuple(tip(g, order) for g in basis)
     all_monomial = all(len(g.terms) == 1 for g in basis)
     max_overlap = max((deg for deg, *_ in _pair_list(basis, order)), default=0)
-    complete = all_monomial or max_overlap <= max_degree
+    complete = not waiting and (all_monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 
 

@@ -10,10 +10,18 @@ Commands (all take a problem file):
     check --linear | --s-koszul S | --determined SPEC
     selfcheck [--seed N --instances K]   randomized property corpus
 
+A run has one degree cap D: --max-degree, else [params] max-degree, else
+DEFAULT_DEGREE_CAP (12).  Completion, the algebra model, the first syzygy
+and the resolution all stop at D; a basis completed to D is exact in
+degrees <= D.  verify with no explicit cap runs its oracle up to the
+degree its windows need, from a basis that is complete.
+
 Every run renders a human table on stdout and can emit one deterministic
 JSON document (--json PATH, '-' for stdout).  Exit codes: 0 success,
 1 a mathematical verdict failed, 2 input errors, 3 the requested answer
-could not be certified at the configured caps.
+needs degrees above D.  overlaps, window, verify and check --s-koszul read
+chain extrema, which a tip above D can change, so they exit 3 whenever the
+basis is truncated at D.
 """
 from __future__ import annotations
 
@@ -40,6 +48,8 @@ EXIT_TRUNCATED = 3
 FORMAT_NAME = "pathalg-report"
 FORMAT_VERSION = 1
 
+DEFAULT_DEGREE_CAP = 12
+
 
 def _jsonable(value):
     if value == inf:
@@ -51,23 +61,6 @@ def _jsonable(value):
 
 def _window_doc(w):
     return {"n": w.n, "method": w.method, "lo": _jsonable(w.lo), "hi": _jsonable(w.hi), "empty": w.empty}
-
-
-def _gb_degree_default(pf: ProblemFile) -> int:
-    gen_max = max((g.degree() for g in pf.ideal), default=2)
-    return max(8, 2 * gen_max - 1)
-
-
-def _compute_gb(pf: ProblemFile, cap: int | None):
-    """The basis up to `cap`; an explicit cap is honoured even when it truncates."""
-    if cap is not None:
-        return groebner_basis(pf.ideal, pf.order, cap)
-    cap = _gb_degree_default(pf)
-    gb = groebner_basis(pf.ideal, pf.order, cap)
-    if not gb.complete and gb.max_overlap_degree > cap:
-        # One retry at the degree the status check says would settle the pairs.
-        gb = groebner_basis(pf.ideal, pf.order, gb.max_overlap_degree)
-    return gb
 
 
 class Report:
@@ -130,9 +123,20 @@ def _gb_doc(gb) -> dict:
     }
 
 
-def cmd_groebner(pf: ProblemFile, args, report: Report) -> None:
-    gb = _compute_gb(pf, args.max_degree)
+def _degree_cap(args) -> int:
+    """The run's one degree cap D."""
+    return DEFAULT_DEGREE_CAP if args.max_degree is None else args.max_degree
+
+
+def _compute_gb(pf: ProblemFile, args, report: Report):
+    """The basis completed to the run's cap, also recorded in the report."""
+    gb = groebner_basis(pf.ideal, pf.order, _degree_cap(args))
     report.doc["groebner"] = _gb_doc(gb)
+    return gb
+
+
+def cmd_groebner(pf: ProblemFile, args, report: Report) -> None:
+    gb = _compute_gb(pf, args, report)
     report.say(f"Groebner basis ({gb.status}), {len(gb.elements)} elements:")
     report.table(
         ["tip", "element"],
@@ -144,8 +148,7 @@ def cmd_groebner(pf: ProblemFile, args, report: Report) -> None:
 
 
 def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
-    gb = _compute_gb(pf, args.max_degree)
-    report.doc["groebner"] = _gb_doc(gb)
+    gb = _compute_gb(pf, args, report)
     if not gb.complete:
         report.say(f"warning: {gb.status}; the tip set is not certified")
         report.worsen(EXIT_TRUNCATED)
@@ -194,17 +197,10 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
     report.doc["overlaps"] = {"levels": levels_doc, "quasi_included": bool(args.quasi)}
 
 
-def _default_syzygy_cap(pres: ModulePresentation, gb) -> int:
-    gen_top = max((g.degree for g in pres.generators), default=0)
-    rel_top = max((pres.degree_of(r) for r in pres.relations), default=gen_top + 1)
-    tip_top = max((t.length for t in gb.tips), default=2)
-    return max(6, rel_top + tip_top + 2)
-
-
-def _windows_block(pf: ProblemFile, gb, pres, args, report: Report):
-    syz_cap = args.max_degree if args.max_degree is not None else _default_syzygy_cap(pres, gb)
-    model = build_model(pf.quiver, gb, syz_cap)
-    syz = first_syzygy(pres, model, syz_cap)
+def _windows_block(pf: ProblemFile, gb, pres, args):
+    D = _degree_cap(args)
+    model = build_model(pf.quiver, gb, D)
+    syz = first_syzygy(pres, model, D)
     table = enumerate_overlaps(pf.quiver, gb.tips, max(args.max_n, 1))
     windows = []
     for n in range(1, args.max_n + 1):
@@ -215,16 +211,15 @@ def _windows_block(pf: ProblemFile, gb, pres, args, report: Report):
 
 
 def cmd_window(pf: ProblemFile, args, report: Report) -> None:
-    gb = _compute_gb(pf, None)
-    report.doc["groebner"] = _gb_doc(gb)
+    gb = _compute_gb(pf, args, report)
+    pres = _named_module(pf, args, report)
+    if pres is None:
+        return
     if not gb.complete:
         report.say(f"cannot certify windows: {gb.status}")
         report.worsen(EXIT_TRUNCATED)
         return
-    pres = _named_module(pf, args.module, report)
-    if pres is None:
-        return
-    model, syz, table, windows = _windows_block(pf, gb, pres, args, report)
+    model, syz, table, windows = _windows_block(pf, gb, pres, args)
     report.doc["syzygy"] = {
         "survivor_degrees": sorted(pf.modules[args.module].degree_of(e) for e in syz.survivors),
         "survivor_count": len(syz.survivors),
@@ -255,7 +250,9 @@ def cmd_window(pf: ProblemFile, args, report: Report) -> None:
     report.say(f"oracle degree needed to check every window: {required}")
 
 
-def _named_module(pf: ProblemFile, name: str | None, report: Report) -> ModulePresentation | None:
+def _named_module(pf: ProblemFile, args, report: Report) -> ModulePresentation | None:
+    """The --module presentation; a relation above the run's cap raises PathAlgError (an input error)."""
+    name = args.module
     if not name:
         report.say("error: this command needs --module <name>")
         report.worsen(EXIT_INPUT)
@@ -265,20 +262,16 @@ def _named_module(pf: ProblemFile, name: str | None, report: Report) -> ModulePr
         report.say(f"error: no module named {name!r} in the input")
         report.worsen(EXIT_INPUT)
         return None
+    pres.validate(pf.quiver, _degree_cap(args))
     return pres
 
 
 def cmd_resolve(pf: ProblemFile, args, report: Report) -> None:
-    gb = _compute_gb(pf, None)
-    report.doc["groebner"] = _gb_doc(gb)
-    if not gb.complete:
-        report.say(f"cannot certify a resolution: {gb.status}")
-        report.worsen(EXIT_TRUNCATED)
-        return
-    pres = _named_module(pf, args.module, report)
+    gb = _compute_gb(pf, args, report)
+    pres = _named_module(pf, args, report)
     if pres is None:
         return
-    D = args.max_degree if args.max_degree is not None else 12
+    D = _degree_cap(args)
     model = build_model(pf.quiver, gb, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     report.doc["resolution"] = {
@@ -303,19 +296,18 @@ def cmd_resolve(pf: ProblemFile, args, report: Report) -> None:
 
 
 def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
-    gb = _compute_gb(pf, None)
-    report.doc["groebner"] = _gb_doc(gb)
+    gb = _compute_gb(pf, args, report)
+    pres = _named_module(pf, args, report)
+    if pres is None:
+        return
     if not gb.complete:
         report.say(f"cannot verify: {gb.status}")
         report.worsen(EXIT_TRUNCATED)
         return
-    pres = _named_module(pf, args.module, report)
-    if pres is None:
-        return
-    model, syz, table, windows = _windows_block(pf, gb, pres, args, report)
+    model, syz, table, windows = _windows_block(pf, gb, pres, args)
     wlist = [qo for _n, qo, _ov in windows] + [ov for _n, _qo, ov in windows]
     tops = [int(w.hi) for w in wlist if not w.empty]
-    needed = max(tops, default=max(g.degree for g in pres.generators) + 1) + 1
+    needed = max(tops, default=max((g.degree for g in pres.generators), default=0) + 1) + 1
     D = args.max_degree if args.max_degree is not None else needed
     report.doc["required_oracle_degree"] = needed
     if D < needed:
@@ -351,8 +343,7 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
 
 
 def cmd_check(pf: ProblemFile, args, report: Report) -> None:
-    gb = _compute_gb(pf, None)
-    report.doc["groebner"] = _gb_doc(gb)
+    gb = _compute_gb(pf, args, report)
     if args.s_koszul is not None:
         if not gb.complete:
             report.say(f"cannot certify: {gb.status}")
@@ -375,12 +366,8 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
             report.worsen(EXIT_FAIL)
         return
 
-    pres = _named_module(pf, args.module, report)
+    pres = _named_module(pf, args, report)
     if pres is None:
-        return
-    if not gb.complete:
-        report.say(f"cannot certify: {gb.status}")
-        report.worsen(EXIT_TRUNCATED)
         return
     if args.linear:
         collection = DegreeCollection.linear()
@@ -390,7 +377,7 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
         if collection is None:
             return
         label = args.determined
-    D = args.max_degree if args.max_degree is not None else 12
+    D = _degree_cap(args)
     model = build_model(pf.quiver, gb, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
     ok, violation = determined_check(rep, collection, args.max_n)

@@ -256,12 +256,10 @@ def _arrow_images(space, pieces: GradedPieces, d: int, v: str):
 
 def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
     """The free cover of a presentation's generators and its relations, as (degree, vertex, vector) seeds."""
-    pres.validate(model.quiver)
+    pres.validate(model.quiver, model.degree_cap)
     cover = CoverSpace(model, [FreeSummand(g.vertex, g.degree) for g in pres.generators])
     seeds = []
     for r in pres.relations:
-        if pres.degree_of(r) > model.degree_cap:
-            raise PathAlgError(f"relation {r.render(pres.gen_names())} lies above the degree cap {model.degree_cap}")
         seeds.extend(cover.from_terms(module_normal_form(r, model.gb).terms))
     return cover, seeds
 

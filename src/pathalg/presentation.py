@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .algebra import ModuleElement
 from .errors import PathAlgError
@@ -27,7 +28,8 @@ class ModulePresentation:
     generators: tuple[Generator, ...]
     relations: tuple[ModuleElement, ...]
 
-    def validate(self, quiver: Quiver) -> None:
+    def validate(self, quiver: Quiver, degree_cap: float = inf) -> None:
+        """Raise PathAlgError on a malformed presentation or on a relation above degree_cap."""
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise PathAlgError("duplicate generator names")
@@ -38,7 +40,6 @@ class ModulePresentation:
             if g.degree < 0:
                 raise PathAlgError(f"generator {g.name} has negative degree {g.degree}")
         for r in self.relations:
-            self.degree_of(r)
             for (i, p), _c in r.terms.items():
                 if not 0 <= i < len(self.generators):
                     raise PathAlgError("relation references an unknown generator")
@@ -46,6 +47,8 @@ class ModulePresentation:
                     raise PathAlgError(
                         f"relation path {p} does not start at generator {self.generators[i].name}'s vertex"
                     )
+            if self.degree_of(r) > degree_cap:
+                raise PathAlgError(f"relation {r.render(self.gen_names())} lies above the degree cap {degree_cap}")
 
     def degree_of(self, elem: ModuleElement) -> int:
         degs = {self.generators[i].degree + p.length for (i, p), _ in elem.terms.items()}

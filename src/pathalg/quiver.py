@@ -144,18 +144,6 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.source, q.target, p.arrows + q.arrows)
 
 
-def factorizations(p: Path, q: Path) -> list[tuple[Path, Path]]:
-    """All pairs (u, v) with q = u * p * v; empty when p does not divide q."""
-    n, m = p.length, q.length
-    out: list[tuple[Path, Path]] = []
-    for i in range(m - n + 1):
-        if q.arrows[i:i + n] == p.arrows:
-            u = q.prefix(i)
-            if u.target == p.source:
-                out.append((u, q.suffix(m - i - n)))
-    return out
-
-
 def divides(p: Path, q: Path) -> bool:
     n, arrows = p.length, p.arrows
     # A match of p's arrows starts at p.source; a vertex p needs the second test.
@@ -165,11 +153,6 @@ def divides(p: Path, q: Path) -> bool:
 def divides_left(p: Path, q: Path) -> bool:
     """p | q with q = p * v."""
     return p.source == q.source and q.arrows[:p.length] == p.arrows
-
-
-def divides_right(p: Path, q: Path) -> bool:
-    """p | q with q = u * p."""
-    return p.target == q.target and p.length <= q.length and q.arrows[q.length - p.length:] == p.arrows
 
 
 def is_reduced(paths: Iterable[Path]) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .algebra import ModuleElement, tip
+from .algebra import ModuleElement
 from .errors import PathAlgError
 from .oracle import GradedAlgebraModel, presentation_cover, span_from_seeds
 from .overlaps import OverlapTable
@@ -53,7 +53,6 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     the words u*tip(g) whose only reducible prefix is the whole word.
     """
     quiver = model.quiver
-    order = model.order
     gb = model.gb
     cover, seeds = presentation_cover(pres, model)
     pieces = span_from_seeds(cover, seeds, degree_cap)
@@ -78,15 +77,15 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
             for u in model.basis[length_u]:
                 if u.source != g.vertex:
                     continue
-                for elem in gb.elements:
-                    t = tip(elem, order)
+                for elem, t in zip(gb.elements, gb.tips):
                     if t.source != u.target:
                         continue
                     d = g.degree + length_u + t.length
                     if d > degree_cap:
                         continue
                     w = u * t
-                    if any(_contains_any(w.prefix(m), gb.tips) for m in range(1, w.length)):
+                    # Every shorter proper prefix lies inside the longest one.
+                    if _contains_any(w.prefix(w.length - 1), gb.tips):
                         continue
                     if any(jj == j and divides_left(q, w) for (jj, q) in kept_tips):
                         continue

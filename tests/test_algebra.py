@@ -103,6 +103,20 @@ def test_completion_rejects_bad_input(two_loop, two_loop_order):
         groebner_basis([elem(two_loop, {"x": 1})], two_loop_order, 4)
 
 
+def test_generator_above_the_cap_waits(two_loop, two_loop_order, cube_gb):
+    # Below a generator's degree the basis is truncated, not refused, and it
+    # is exact in degrees <= the cap.
+    gens = [elem(two_loop, {"xxx": 1, "yyy": -1}), elem(two_loop, {"xy": 1}), elem(two_loop, {"yx": 1})]
+    gb = groebner_basis(gens, two_loop_order, 2)
+    assert gb.status == "truncated-at-degree-2"
+    assert sorted(str(t) for t in gb.tips) == ["x*y", "y*x"]
+    for d in range(3):
+        assert normal_words(two_loop, gb.tips, d) == normal_words(two_loop, cube_gb.tips, d)
+    empty = groebner_basis([elem(two_loop, {"xxx": 1})], two_loop_order, 2)
+    assert empty.elements == () and not empty.complete
+    assert groebner_basis([elem(two_loop, {"xxx": 1})], two_loop_order, 3).complete
+
+
 def test_completion_input_order_independent(two_loop, two_loop_order, cube_gb):
     gens = [
         elem(two_loop, {"xxx": 1, "yyy": -1}),

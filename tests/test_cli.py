@@ -178,22 +178,26 @@ relation g*y
 
 
 def test_exit_code_truncation_without_certificate(capsys, tmp_path):
-    # x*x - x*y completes to an infinite basis (tips x y^k x), so nothing
-    # beyond the cap can be certified: verify/window/resolve must exit 3.
+    # x*x - x*y completes to an infinite basis (tips x y^k x).  Windows read
+    # chain extrema, which a tip above the cap can change: verify and window
+    # exit 3.  A resolution through the cap is exact from the truncated basis.
     path = tmp_path / "infinite.alg"
     path.write_text(TRUNCATED)
-    for command in ("verify", "window", "resolve"):
+    for command in ("verify", "window"):
         rc = run([command, str(path), "--module", "A0", "--max-n", "3"])
         capsys.readouterr()
         assert rc == EXIT_TRUNCATED, command
+    rc, doc = run_json(capsys, ["resolve", str(path), "--module", "A0", "--max-n", "3"])
+    assert rc == EXIT_OK and doc["groebner"]["status"] == "truncated-at-degree-12"
+    assert doc["resolution"]["degrees"] == [[0], [1, 1], [2], []]
     rc = run(["groebner", str(path)])
     out = capsys.readouterr().out
     assert rc == EXIT_OK and "truncated" in out
 
 
 def test_explicit_groebner_cap_is_honoured(capsys, tmp_path):
-    # Only an uncapped run may retry at the degree the pending pairs need
-    # (11 here); a cap from --max-degree or [params] must stop it at 6.
+    # Completion stops at the run's cap, from --max-degree or [params], with
+    # pending pairs up to degree 11 left undone.
     from_params = tmp_path / "capped.alg"
     from_params.write_text(pathlib.Path(fixture("sklyanin_235.alg")).read_text() + "\n[params]\nmax-degree 6\n")
     runs = [(["groebner", fixture("sklyanin_235.alg"), "--max-degree", "6"], EXIT_OK),
@@ -206,6 +210,30 @@ def test_explicit_groebner_cap_is_honoured(capsys, tmp_path):
         for element in gb["elements"]:
             terms = element.replace(" - ", " + ").split(" + ")
             assert max(sum(name in "xyz" for name in t.split("*")) for t in terms) <= 6, element
+
+
+def test_sklyanin_a0_resolves_from_a_truncated_basis(capsys):
+    # The basis is infinite; through the cap the resolution is exact and
+    # Koszul, while windows, which read chain extrema, cannot be certified.
+    argv = [fixture("sklyanin_235_a0.alg"), "--module", "A0", "--max-n", "4", "--max-degree", "8"]
+    rc, doc = run_json(capsys, ["resolve"] + argv)
+    assert rc == EXIT_OK and doc["groebner"]["status"] == "truncated-at-degree-8"
+    assert doc["resolution"]["degrees"] == [[0], [1, 1, 1], [2, 2, 2], [3], []]
+    check_schema(doc)
+    for command in ("window", "verify"):
+        rc, doc = run_json(capsys, [command] + argv)
+        assert rc == EXIT_TRUNCATED and doc["groebner"]["status"] == "truncated-at-degree-8", command
+
+
+def test_verify_empty_module_is_the_zero_module(capsys, tmp_path):
+    # An empty [module Z] section parses; it presents the zero module, whose
+    # windows are all empty.
+    path = tmp_path / "zero.alg"
+    path.write_text(pathlib.Path(fixture("dual_numbers.alg")).read_text() + "\n[module Z]\n")
+    rc, doc = run_json(capsys, ["verify", str(path), "--module", "Z", "--max-n", "3"])
+    assert rc == EXIT_OK
+    assert doc["verdicts"] and all(v["status"] == "PASS" for v in doc["verdicts"])
+    check_schema(doc)
 
 
 def test_exit_code_input_error(capsys, tmp_path):
