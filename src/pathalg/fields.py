@@ -1,7 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Over Q a scalar is a Fraction.  Over F_p it is a plain int in [0, p): the
-field is not carried by the scalars but by the term order
+Over Q a scalar is an int when it is integral and a Fraction otherwise:
+`Field.of` and `Field.inverse` return an int whenever the denominator is
+1, and every division goes through `Field.inverse`, so rationals cost
+Fraction arithmetic only where a fraction occurs.  (A product of
+Fractions that happens to be integral may stay a Fraction; it compares
+and hashes equal to the int.)  Over F_p a scalar is a plain int in
+[0, p): the field is not carried by the scalars but by the term order
 (`OrderSpec.field`), so arithmetic code reads p once and reduces with
 `% p` itself.  p == 0 stands for Q throughout, so `if p:` is the only
 branch the rationals pay for.
@@ -25,11 +30,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x) -> object:
+    """x as a Q scalar: its numerator when it is integral, else the Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Field:
     """Descriptor for the coefficient field; char 0 means the rationals."""
 
     characteristic: int = 0
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.characteristic and not _is_prime(self.characteristic):
@@ -39,16 +54,9 @@ class Field:
     def name(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
-    @property
-    def zero(self):
-        return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
-
     def of(self, value) -> object:
-        """An int, Fraction, or 'p/q' string as a scalar: a Fraction, or an int reduced mod p.
+        """An int, Fraction, or 'p/q' string as a scalar: over Q an int or a
+        non-integral Fraction, over F_p an int reduced mod p.
 
         Over F_p a fraction whose denominator p divides raises ZeroDivisionError;
         so does the string '7/7' over F_7, which is read before it is cancelled.
@@ -58,7 +66,7 @@ class Field:
             value = self.of(int(num)) * self.inverse(int(den)) if slash else int(num)
         p = self.characteristic
         if not p:
-            return Fraction(value)
+            return _rational(value)
         if isinstance(value, Fraction):
             return value.numerator * self.inverse(value.denominator) % p
         return value % p
@@ -67,7 +75,7 @@ class Field:
         """1 / c; ZeroDivisionError when c is zero (mod p)."""
         p = self.characteristic
         if not p:
-            return 1 / Fraction(c)
+            return _rational(1 / Fraction(c))
         if not c % p:
             raise ZeroDivisionError(f"{c} is not invertible in F{p}")
         return pow(c, -1, p)

@@ -1,40 +1,29 @@
 """Exact sparse linear algebra over Q or F_p.
 
-A vector is a dict from column number to a nonzero scalar, a Fraction over
-Q or an int in [1, p) over F_p; a missing column is zero.  The field is
-given when a Subspace is made.  A Subspace keeps its rows fully
-reduced: each row's pivot is its smallest column, with entry 1, and no
-other row has an entry on that column.  Listing coordinates in descending
-order of a term order therefore makes each pivot the row's leading
-coordinate, and the residue of a vector is the unique representative of
-its class that is zero on every pivot column, whatever order the rows
-were inserted in.  Only nonzero entries are ever stored or touched.
+A vector is a dict from column number to a nonzero scalar: over Q an int,
+or a Fraction where one occurs; over F_p an int in [1, p).  A missing
+column is zero.  The field is given when a Subspace is made.  A Subspace
+keeps its rows in echelon form: each row's pivot is its smallest column,
+with entry 1, and no two rows share a pivot.  Rows are not reduced
+against later rows.  Listing coordinates in descending order of a term
+order therefore makes each pivot the row's leading coordinate, and the
+residue of a vector is the unique representative of its class that is
+zero on every pivot column, whatever order the rows were inserted in.
+Only nonzero entries are ever stored or touched.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .fields import Field
 
 
-def _axpy(out: dict, c, row: Mapping, p: int) -> None:
-    """out -= c * row, in place, reducing mod p (p > 0) and dropping entries that cancel."""
-    for k, x in row.items():
-        prev = out.get(k)
-        if prev is None:
-            out[k] = -(c * x) % p if p else -(c * x)
-        else:
-            val = (prev - c * x) % p if p else prev - c * x
-            if val:
-                out[k] = val
-            else:
-                del out[k]
-
-
 class Subspace:
-    """A row space in reduced echelon form, with incremental insertion."""
+    """A row space in echelon form, with incremental insertion."""
 
     def __init__(self, field: Field):
+        self.field = field
         self.p = field.characteristic
         self.rows: list[dict] = []
         self.pivot_of_row: list[int] = []
@@ -48,12 +37,29 @@ class Subspace:
         """vec minus the unique element of the space that matches it on every pivot."""
         out = dict(vec)
         rows, row_of_pivot, p = self.rows, self.row_of_pivot, self.p
-        # Rows vanish on each other's pivots, so vec's own pivot entries are
-        # the coefficients, and each row is subtracted once.
-        for j, c in vec.items():
-            r = row_of_pivot.get(j)
-            if r is not None:
-                _axpy(out, c, rows[r], p)
+        # Pivots are cleared in ascending order: a row's other entries lie
+        # right of its pivot, so a cleared pivot never comes back.  A column
+        # that cancels and reappears may be queued twice; the second pop
+        # finds it absent.
+        heap = [j for j in out if j in row_of_pivot]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            c = out.get(j)
+            if c is None:
+                continue
+            for k, x in rows[row_of_pivot[j]].items():
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = -(c * x) % p if p else -(c * x)
+                    if k in row_of_pivot:
+                        heappush(heap, k)
+                else:
+                    val = (prev - c * x) % p if p else prev - c * x
+                    if val:
+                        out[k] = val
+                    else:
+                        del out[k]
         return out
 
     def contains(self, vec: Mapping) -> bool:
@@ -65,17 +71,9 @@ class Subspace:
             return False
         piv = min(red)
         c = red[piv]
-        p = self.p
         if c != 1:
-            if p:
-                inv = pow(c, -1, p)
-                red = {k: x * inv % p for k, x in red.items()}
-            else:
-                red = {k: x / c for k, x in red.items()}
-        for row in self.rows:
-            x = row.get(piv)
-            if x is not None:
-                _axpy(row, x, red, p)
+            p, inv = self.p, self.field.inverse(c)
+            red = {k: x * inv % p for k, x in red.items()} if p else {k: x * inv for k, x in red.items()}
         self.row_of_pivot[piv] = len(self.rows)
         self.rows.append(red)
         self.pivot_of_row.append(piv)

@@ -225,6 +225,18 @@ def test_sklyanin_a0_resolves_from_a_truncated_basis(capsys):
         assert rc == EXIT_TRUNCATED and doc["groebner"]["status"] == "truncated-at-degree-8", command
 
 
+def test_sklyanin_a0_resolves_over_q_with_non_unit_pivots(capsys, tmp_path):
+    # Over Q the coefficients 2, 3, 5 give pivots that are not units of Z,
+    # so the oracle's rows mix ints and Fractions; the degrees are those over F_101.
+    path = tmp_path / "sklyanin_q.alg"
+    path.write_text(pathlib.Path(fixture("sklyanin_235_a0.alg")).read_text().replace("Fp 101", "Q"))
+    argv = ["resolve", str(path), "--module", "A0", "--max-n", "3", "--max-degree", "6"]
+    rc, doc = run_json(capsys, argv)
+    assert rc == EXIT_OK
+    assert doc["input"]["field"] == "Q" and any("/" in g for g in doc["groebner"]["elements"])
+    assert doc["resolution"]["degrees"] == [[0], [1, 1, 1], [2, 2, 2], [3]]
+
+
 def test_verify_empty_module_is_the_zero_module(capsys, tmp_path):
     # An empty [module Z] section parses; it presents the zero module, whose
     # windows are all empty.

@@ -1,5 +1,6 @@
 """Sparse Subspace and left_nullspace against brute-force dense elimination."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,22 +21,40 @@ def _norm(field):
     return (lambda c: c % p) if p else (lambda c: c)
 
 
-def _dense_rank(rows, ncols, field):
-    """Rank by textbook Gaussian elimination on dense copies."""
+def _dense_rref(rows, ncols, field):
+    """(pivot, row) pairs of the reduced row echelon form, by Gauss-Jordan elimination on dense copies."""
     p, norm = field.characteristic, _norm(field)
     work = [[norm(c) for c in _dense(r, ncols, field.zero)] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, p) if p else 1 / Fraction(work[rank][col])
+        work[rank] = [norm(x * inv) for x in work[rank]]
         for i in range(len(work)):
             if i != rank and work[i][col]:
-                c = work[i][col] * (pow(work[rank][col], -1, p) if p else 1 / work[rank][col])
+                c = work[i][col]
                 work[i] = [norm(x - c * y) for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return list(zip(pivots, work))
+
+
+def _dense_rank(rows, ncols, field):
+    return len(_dense_rref(rows, ncols, field))
+
+
+def _dense_residue(rref, vec, ncols, field):
+    """vec with every pivot column of a reduced row echelon form cleared."""
+    norm = _norm(field)
+    out = _dense(vec, ncols, field.zero)
+    for col, row in rref:
+        c = out[col]
+        if c:
+            out = [norm(x - c * y) for x, y in zip(out, row)]
+    return {k: c for k, c in enumerate(out) if c}
 
 
 def _random_rows(rng, field, m, ncols):
@@ -76,12 +95,13 @@ def test_subspace_matches_dense_elimination(field):
         space = Subspace(field)
         for row in rows:
             space.add(row)
-        r = _dense_rank(rows, ncols, field)
+        rref = _dense_rref(rows, ncols, field)
+        r = len(rref)
         assert space.dim == r
-        # Pivots are each row's smallest column, with entry 1, and no other row touches them.
+        # Echelon form: distinct pivots, each its row's smallest column, with entry 1.
+        assert len(set(space.pivot_of_row)) == r
         for row, p in zip(space.rows, space.pivot_of_row):
             assert min(row) == p and row[p] == field.one
-            assert all(p not in other for other in space.rows if other is not row)
         shuffled = list(rows)
         rng.shuffle(shuffled)
         other = Subspace(field)
@@ -91,6 +111,7 @@ def test_subspace_matches_dense_elimination(field):
             assert space.contains(probe) == (_dense_rank(rows + [probe], ncols, field) == r)
             res = space.residue(probe)
             assert not any(p in res for p in space.row_of_pivot)
+            assert res == _dense_residue(rref, probe, ncols, field)
             assert res == other.residue(probe)
             # probe - residue lies in the span.
             diff = dict(probe)
@@ -112,3 +133,29 @@ def test_left_nullspace_matches_dense_elimination(field):
                     total[k] = total[k] + c * x
             assert not any(map(_norm(field), total))
         assert _dense_rank(null, len(rows), field) == len(null)
+
+
+def test_rational_scalars_are_ints_unless_fractional():
+    Q = Field(0)
+    for x in (Q.zero, Q.one, Q.of(4), Q.of("4/2"), Q.inverse(-1)):
+        assert type(x) is int, x
+    for x in (Q.of("1/2"), Q.inverse(2)):
+        assert type(x) is Fraction, x
+
+
+def test_rational_elimination_holds_no_float():
+    # Pivot entries 2 and -3 make Subspace scale rows by a real Fraction.
+    Q = Field(0)
+    pivots_2_and_minus_3 = [{0: 2, 1: 1}, {1: -3, 2: 1}, {0: 1, 2: 2}, {0: 4, 1: -1, 2: 3}]
+    cases = list(_cases(Q)) + [(random.Random(0), pivots_2_and_minus_3, 3)]
+    fractions = 0
+    for rng, rows, ncols in cases:
+        space = Subspace(Q)
+        for row in rows:
+            space.add(row)
+        probes = _random_rows(rng, Q, 6, ncols) + rows
+        vectors = space.rows + [space.residue(probe) for probe in probes] + left_nullspace(rows, Q)
+        scalars = [c for vec in vectors for c in vec.values()]
+        assert not any(isinstance(c, float) for c in scalars)
+        fractions += sum(type(c) is Fraction for c in scalars)
+    assert fractions
