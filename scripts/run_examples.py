@@ -28,6 +28,7 @@ RUNS = [
     ("selfcheck", "dual_numbers.alg", ["--seed", "2024", "--instances", "40", "--max-n", "5"]),
     ("groebner", "sklyanin_235.alg", ["--max-degree", "6"]),
     ("resolve", "sklyanin_235_a0.alg", ["--module", "A0", "--max-n", "4", "--max-degree", "8"]),
+    ("resolve", "cube_nonminimal_a0.alg", ["--module", "A0", "--max-n", "4"]),
 ]
 
 

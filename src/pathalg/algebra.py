@@ -29,12 +29,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import PathAlgError, TruncatedBasisError
 from .fields import Field
 from .order import OrderSpec
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, normal_word_levels
 
 
 def _clean(terms: Mapping) -> dict:
@@ -440,35 +440,6 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     max_overlap = max((deg for deg, *_ in _pair_list(basis, order)), default=0)
     complete = not waiting and (all_monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
-
-
-def normal_word_levels(quiver: Quiver, tips: Iterable[Path]) -> Iterator[list[Path]]:
-    """The normal words of length 0, 1, 2, ..., one list per length, without end.
-
-    Each level extends the one before by single arrows, so reading levels
-    0 .. d costs one pass, not one pass per level.
-    """
-    tips = list(tips)
-
-    def clean_end(word: Path) -> bool:
-        # Only suffixes can newly contain a tip after extending by one arrow.
-        for t in tips:
-            if t.length <= word.length and word.arrows[word.length - t.length:] == t.arrows:
-                return False
-        return True
-
-    yield [quiver.vertex_path(v) for v in quiver.vertices]
-    frontier = [w for w in (Path.of((a,)) for a in quiver.arrows) if clean_end(w)]
-    while True:
-        yield frontier
-        nxt = []
-        for w in frontier:
-            for a in quiver.arrows:
-                if a.source == w.target:
-                    ext = Path(w.source, a.target, w.arrows + (a,))
-                    if clean_end(ext):
-                        nxt.append(ext)
-        frontier = nxt
 
 
 def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:

@@ -16,10 +16,11 @@ from .presentation import Generator, ModulePresentation
 from .quiver import Arrow, Path, Quiver, divides
 
 
-def random_quiver(rng: random.Random, max_vertices: int = 3, max_arrows: int = 4) -> Quiver:
-    nv = rng.randint(1, max_vertices)
+def random_quiver(rng: random.Random) -> Quiver:
+    """One to three vertices and one to four arrows with random ends."""
+    nv = rng.randint(1, 3)
     vertices = tuple(f"v{i}" for i in range(nv))
-    na = rng.randint(1, max_arrows)
+    na = rng.randint(1, 4)
     arrows = []
     for i in range(na):
         src = rng.choice(vertices)
@@ -41,21 +42,14 @@ def random_walk(rng: random.Random, quiver: Quiver, length: int) -> Path | None:
     return Path.of(tuple(word))
 
 
-def random_reduced_patterns(
-    rng: random.Random,
-    quiver: Quiver,
-    max_size: int = 5,
-    min_length: int = 2,
-    max_length: int = 4,
-    attempts: int = 60,
-) -> list[Path]:
-    """A nonempty reduced set of paths with lengths in [min_length, max_length]."""
-    target = rng.randint(1, max_size)
+def random_reduced_patterns(rng: random.Random, quiver: Quiver) -> list[Path]:
+    """A reduced set of at most five paths of lengths 2 to 4, from 60 random walks; may be empty."""
+    target = rng.randint(1, 5)
     chosen: list[Path] = []
-    for _ in range(attempts):
+    for _ in range(60):
         if len(chosen) >= target:
             break
-        p = random_walk(rng, quiver, rng.randint(min_length, max_length))
+        p = random_walk(rng, quiver, rng.randint(2, 4))
         if p is None:
             continue
         if any(divides(p, q) or divides(q, p) for q in chosen):
@@ -71,21 +65,15 @@ class CorpusInstance:
     patterns: tuple[Path, ...]
 
 
-def instances(seed: int, count: int, **kwargs) -> list[CorpusInstance]:
+def instances(seed: int, count: int) -> list[CorpusInstance]:
     """Deterministic corpus: quivers with a reduced monomial pattern set each."""
     out = []
     rng = random.Random(seed)
     while len(out) < count:
         sub_seed = rng.randrange(1 << 30)
         sub = random.Random(sub_seed)
-        quiver = random_quiver(sub, kwargs.get("max_vertices", 3), kwargs.get("max_arrows", 4))
-        pats = random_reduced_patterns(
-            sub,
-            quiver,
-            kwargs.get("max_size", 5),
-            kwargs.get("min_length", 2),
-            kwargs.get("max_length", 4),
-        )
+        quiver = random_quiver(sub)
+        pats = random_reduced_patterns(sub, quiver)
         if not pats:
             continue
         out.append(CorpusInstance(sub_seed, quiver, tuple(pats)))

@@ -2,27 +2,35 @@
 
 A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
 right action of each arrow on them.  Minimal graded projective resolutions
-are computed degreewise: pick minimal generators (a complement of the
-radical part), map a shifted free cover onto them, take exact kernels, and
-repeat.  Everything runs per (degree, target-vertex) block.  A block numbers
-its coordinates once; vectors are sparse dicts from those numbers to exact
-scalars, and each arrow acts on a block through an integer table built once
-from the model, so paths are hashed only while the model is built, where
-presentations come in and where first syzygies read their tips.  A path
-and an arrow are named tuples, so those lookups hash in C; the model
-numbers arrows by the `Arrow` value itself.
+are computed degreewise, per (degree, target-vertex) block, by one loop:
+`span_from_seeds` spans seed vectors under the arrow action, giving each
+block the arrow images of the degree below before its own seeds, so the
+seeds that still enlarge a block are minimal generators of the span.  The
+relations are the seeds of the submodule that X = coker(relations) factors
+out; the generator tops, projected into X, are the seeds of step 0; each
+later step seeds with a basis of the kernel of the cover of the step before.
+`ideal_span` spans a degree of a two-sided ideal over all paths, with no
+Groebner data, to cross-check normal forms.
+
+A block numbers its coordinates once; vectors are sparse dicts from those
+numbers to exact scalars, and each arrow acts on a block through an
+integer table built once from the model, so paths are hashed only while
+the model is built, where presentations come in and where first syzygies
+read their tips.  A path and an arrow are named tuples, so those lookups
+hash in C; the model numbers arrows by the `Arrow` value itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form, normal_word_levels
+from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form
 from .errors import PathAlgError
 from .fields import Field
 from .linalg import Subspace, left_nullspace
 from .presentation import ModulePresentation
-from .quiver import Arrow, Path, Quiver
+from .quiver import Arrow, Path, Quiver, normal_word_levels
 
 
 class GradedAlgebraModel:
@@ -197,31 +205,32 @@ class QuotientSpace:
     def model(self) -> GradedAlgebraModel:
         return self.cover.model
 
-    def columns(self, d: int, v: str) -> list[int]:
-        space = self.sub.get(d, v)
-        pivots = space.row_of_pivot if space is not None else {}
-        return [n for n in range(self.cover.dim(d, v)) if n not in pivots]
-
     def dim(self, d: int, v: str) -> int:
         return self.cover.dim(d, v) - self.sub.dim(d, v)
 
     def hilbert(self, D: int) -> list[int]:
         return [sum(self.dim(d, v) for v in self.model.quiver.vertices) for d in range(D + 1)]
 
+    def residue(self, d: int, v: str, vec: dict[int, object]) -> dict[int, object]:
+        """The projection of a cover vector of block (d, v)."""
+        space = self.sub.get(d, v)
+        return space.residue(vec) if vec and space is not None else vec
+
     def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
-        image = self.cover.act(d, k, vec)
-        space = self.sub.get(d + 1, self.model.quiver.arrows[k].target)
-        if not image or space is None:
-            return image
-        return space.residue(image)
+        return self.residue(d + 1, self.model.quiver.arrows[k].target, self.cover.act(d, k, vec))
 
 
 class GradedPieces:
-    """Per-(degree, vertex) subspaces of some graded space over `field`."""
+    """Per-(degree, vertex) subspaces of some graded space over `field`.
+
+    `generators` lists the (degree, vertex, vector) seeds that enlarged the
+    span as `span_from_seeds` built it.
+    """
 
     def __init__(self, field: Field):
         self.field = field
         self.spaces: dict[tuple[int, str], Subspace] = {}
+        self.generators: list[tuple[int, str, dict]] = []
 
     def get(self, d: int, v: str) -> Subspace | None:
         return self.spaces.get((d, v))
@@ -229,9 +238,6 @@ class GradedPieces:
     def dim(self, d: int, v: str) -> int:
         s = self.get(d, v)
         return s.dim if s else 0
-
-    def total_dim(self, d: int, vertices: Iterable[str]) -> int:
-        return sum(self.dim(d, v) for v in vertices)
 
     def ensure(self, d: int, v: str) -> Subspace:
         key = (d, v)
@@ -267,7 +273,9 @@ def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
 def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> GradedPieces:
     """Degreewise span of (degree, vertex, vector) seeds under the right arrow action, up to degree D.
 
-    `space` is a CoverSpace or QuotientSpace.
+    `space` is a CoverSpace or QuotientSpace.  Each block takes the arrow
+    images of the degree below before its own seeds, so the seeds that still
+    enlarge it, kept in order in `generators`, minimally generate the span.
     """
     by_slot: dict[tuple[int, str], list[dict]] = {}
     for d, v, vec in seeds:
@@ -276,57 +284,31 @@ def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> Gr
     min_d = min((d for (d, _v) in by_slot), default=D + 1)
     for d in range(min_d, D + 1):
         for v in space.model.quiver.vertices:
+            if not space.dim(d, v):
+                continue
             sub = pieces.ensure(d, v)
             for img in _arrow_images(space, pieces, d, v):
                 sub.add(img)
             for vec in by_slot.get((d, v), []):
-                sub.add(vec)
+                if sub.add(vec):
+                    pieces.generators.append((d, v, vec))
     return pieces
 
 
-def minimal_generators_of_pieces(space, pieces: GradedPieces, D: int) -> list[tuple[int, str, dict]]:
-    """Minimal generators of a degreewise-spanned submodule: per block, a
-    complement of the image of the previous degree under the arrows, chosen
-    by pivoting in the stored basis order (deterministic)."""
-    gens: list[tuple[int, str, dict]] = []
-    degrees = sorted({d for (d, _v) in pieces.spaces})
-    for d in degrees:
-        if d > D:
-            continue
-        for v in space.model.quiver.vertices:
-            sub = pieces.get(d, v)
-            if not sub or sub.dim == 0:
-                continue
-            rad = Subspace(space.model.field)
-            for img in _arrow_images(space, pieces, d, v):
-                rad.add(img)
-            for row in sub.rows:
-                if rad.add(row):
-                    gens.append((d, v, dict(row)))
-    return gens
+def minimal_generators_of_pieces(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> list[tuple[int, str, dict]]:
+    """Minimal generators, up to degree D, of the submodule the seeds generate: the seeds that enlarge its span."""
+    return span_from_seeds(space, seeds, D).generators
 
 
-def full_space_pieces(space: QuotientSpace, D: int) -> GradedPieces:
-    """The whole graded space as a GradedPieces container (identity basis)."""
-    pieces = GradedPieces(space.model.field)
-    one = space.model.field.one
-    for d in range(D + 1):
-        for v in space.model.quiver.vertices:
-            sub = pieces.ensure(d, v)
-            for n in space.columns(d, v):
-                sub.add({n: one})
-    return pieces
+def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> list[tuple[int, str, dict]]:
+    """A basis of ker(free cover -> ambient) in each block up to degree D, as (degree, vertex, vector) seeds.
 
-
-def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> GradedPieces:
-    """ker(free cover -> ambient) degreewise, with f_j mapping to images[j].
-
-    Kernel vectors live over the domain coordinates.  Raises PathAlgError if
-    a kernel vector touches a generator-top coordinate, which would mean the
-    chosen generators were not minimal.
+    f_j maps to images[j]; kernel vectors live over the domain coordinates.
+    Raises PathAlgError if a kernel vector touches a generator-top
+    coordinate, which would mean the chosen generators were not minimal.
     """
     model = domain.model
-    out = GradedPieces(model.field)
+    out: list[tuple[int, str, dict]] = []
     if not domain.summands:
         return out
     degrees = [s.degree for s in domain.summands]
@@ -347,14 +329,10 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -
                     img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
                 phi[(j, length, i)] = img
                 rows.append(img)
-            combos = left_nullspace(rows, model.field)
-            if not combos:
-                continue
-            sub = out.ensure(d, v)
-            for combo in combos:
+            for combo in left_nullspace(rows, model.field):
                 if any(degrees[cols[n][0]] == d for n in combo):
                     raise PathAlgError("kernel meets a generator top: cover was not minimal")
-                sub.add(combo)
+                out.append((d, v, combo))
     return out
 
 
@@ -380,12 +358,16 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
     """Minimal graded projective resolution of coker(relations) out to P_N, degrees <= D."""
     if D > model.degree_cap:
         raise PathAlgError("resolution degree cap exceeds the model cap")
-    vertices = model.quiver.vertices
     cover, seeds = presentation_cover(pres, model)
     X = QuotientSpace(cover, span_from_seeds(cover, seeds, D))
 
-    # Homological step 0: minimal generators of X itself.
-    gens = minimal_generators_of_pieces(X, full_space_pieces(X, D), D)
+    # Homological step 0: the summand tops, projected into X, generate it.
+    one = model.field.one
+    tops = []
+    for j, s in enumerate(cover.summands):
+        [(d, v, vec)] = cover.from_terms({(j, Path(s.vertex, s.vertex)): one})
+        tops.append((d, v, X.residue(d, v, vec)))
+    gens = minimal_generators_of_pieces(X, tops, D)
 
     degrees: list[list[int]] = []
     covers: list[tuple[FreeSummand, ...]] = []
@@ -409,8 +391,11 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
             syzygy_dims.extend([[0] * (D + 1)] * (N - n + 1))
             break
         ker = kernel_pieces(domain, images, ambient, D)
-        syzygy_dims.append([ker.total_dim(d, vertices) for d in range(D + 1)])
-        alive.append(ker.total_dim(D, vertices) > 0)
+        dims = [0] * (D + 1)
+        for d, _v, _vec in ker:
+            dims[d] += 1
+        syzygy_dims.append(dims)
+        alive.append(dims[D] > 0)
         if n == N:
             break
         gens = minimal_generators_of_pieces(domain, ker, D)
@@ -435,41 +420,44 @@ def module_hilbert(pres: ModulePresentation, model: GradedAlgebraModel, D: int) 
     return QuotientSpace(cover, span_from_seeds(cover, seeds, D)).hilbert(D)
 
 
-def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], quiver: Quiver, field: Field) -> bool:
-    """Exact degreewise membership of x in the two-sided ideal the generators produce.
+def ideal_span(generators: Sequence[AlgebraElement], quiver: Quiver, field: Field, d: int) -> Subspace:
+    """The degree-d piece of the two-sided ideal the homogeneous generators produce.
 
-    Brute force over all paths of the relevant degree; independent of any
-    Groebner data, so it can cross-check normal-form reductions.
+    Column i is path i of `quiver.paths_of_length(d)`; the rows span every
+    u * g * v of length d over paths u and v.  Brute force over all paths,
+    independent of any Groebner data.
     """
-    if not x:
-        return True
-    if not x.is_homogeneous():
-        raise PathAlgError("membership oracle expects a homogeneous element")
-    d = x.degree()
-    idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
+    levels = list(islice(normal_word_levels(quiver, ()), d + 1))
+    idx = {p: i for i, p in enumerate(levels[d])}
     span = Subspace(field)
-
-    def vector(elem: AlgebraElement) -> dict:
-        return {idx[p]: c for p, c in ((p, field.of(c)) for p, c in elem.terms.items()) if c}
-
     for g in generators:
         if not g:
             continue
         dg = g.degree()
         if dg > d:
             continue
-        src = next(iter(g.terms)).source
-        tgt = next(iter(g.terms)).target
         for i in range(d - dg + 1):
-            for u in quiver.paths_of_length(i):
-                if u.target != src:
-                    continue
+            for u in levels[i]:
                 left = g.left_mul(u)
-                for v in quiver.paths_of_length(d - dg - i):
-                    if v.source != tgt:
-                        continue
-                    span.add(vector(left.right_mul(v)))
-    return span.contains(vector(x))
+                if not left:
+                    continue
+                for v in levels[d - dg - i]:
+                    gv = left.right_mul(v)
+                    if gv:
+                        span.add({idx[p]: c for p, c in ((p, field.of(c)) for p, c in gv.terms.items()) if c})
+    return span
+
+
+def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], quiver: Quiver, field: Field) -> bool:
+    """Exact degreewise membership of x in the two-sided ideal the generators produce (see `ideal_span`)."""
+    if not x:
+        return True
+    if not x.is_homogeneous():
+        raise PathAlgError("membership oracle expects a homogeneous element")
+    d = x.degree()
+    idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
+    vec = {idx[p]: c for p, c in ((p, field.of(c)) for p, c in x.terms.items()) if c}
+    return ideal_span(generators, quiver, field, d).contains(vec)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import PathAlgError
 from .fields import RATIONALS, Field
-from .quiver import Path, Quiver, divides
+from .quiver import Path, Quiver, divides, normal_word_levels
 
 LT, EQ, GT = -1, 0, 1
 
@@ -93,7 +93,7 @@ def check_admissible(
     cmp: Comparator
     cmp = (lambda p, q: compare(order, p, q)) if isinstance(order, OrderSpec) else order
 
-    paths = list(quiver.paths_up_to(bound))
+    paths = [p for level in itertools.islice(normal_word_levels(quiver, ()), bound + 1) for p in level]
     # Divisibility axiom: q | p implies p >= q.
     for p, q in itertools.product(paths, paths):
         if divides(q, p) and cmp(p, q) == LT:

@@ -16,6 +16,7 @@ the fields directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CompositionError, PathAlgError
@@ -124,18 +125,37 @@ class Quiver:
         return result
 
     def paths_of_length(self, n: int) -> list[Path]:
-        if n == 0:
-            return [Path(v, v) for v in self.vertices]
-        out: list[Path] = []
-        for p in self.paths_of_length(n - 1):
-            for a in self.arrows:
-                if a.source == p.target:
-                    out.append(Path(p.source, a.target, p.arrows + (a,)))
-        return out
+        """All paths of length n: level n of `normal_word_levels` with no tips."""
+        return next(islice(normal_word_levels(self, ()), n, None))
 
-    def paths_up_to(self, n: int) -> Iterator[Path]:
-        for d in range(n + 1):
-            yield from self.paths_of_length(d)
+
+def normal_word_levels(quiver: Quiver, tips: Iterable[Path]) -> Iterator[list[Path]]:
+    """The paths of length 0, 1, 2, ... with no tip as a factor, one list per length, without end.
+
+    Each level extends the one before by single arrows, starting from the
+    vertex paths, so reading levels 0 .. d costs one pass, not one pass per
+    level.  With no tips the levels are all paths, in `paths_of_length` order.
+    """
+    tips = list(tips)
+
+    def clean_end(word: Path) -> bool:
+        # Only suffixes can newly contain a tip after extending by one arrow.
+        for t in tips:
+            if t.length <= word.length and word.arrows[word.length - t.length:] == t.arrows:
+                return False
+        return True
+
+    level = [Path(v, v) for v in quiver.vertices]
+    while True:
+        yield level
+        nxt = []
+        for w in level:
+            for a in quiver.arrows:
+                if a.source == w.target:
+                    ext = Path(w.source, a.target, w.arrows + (a,))
+                    if clean_end(ext):
+                        nxt.append(ext)
+        level = nxt
 
 
 def compose(p: Path, q: Path) -> Path:

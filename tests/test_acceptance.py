@@ -39,7 +39,7 @@ from pathalg.corpus import (
     random_presentation,
 )
 from pathalg.fields import Field
-from pathalg.linalg import Subspace
+from pathalg.oracle import ideal_span
 from pathalg.presentation import ModulePresentation
 from tests.conftest import truncated_polynomial, words
 from tests.helpers import (
@@ -382,7 +382,7 @@ def test_c8_normal_form_agrees_with_membership_oracle():
                 continue
             d = x.degree()
             if d not in spans:
-                spans[d] = _ideal_span(quiver, gens, d)
+                spans[d] = ideal_span(gens, quiver, F, d)
             member = spans[d].contains(_vector(quiver, x, d))
             assert member == normal_form(x, gb, order).is_zero(), (name, x.render())
             counted += 1
@@ -395,30 +395,10 @@ def _vector(quiver, x, d):
     return {idx[p]: c for p, c in x.terms.items()}
 
 
-def _ideal_span(quiver, gens, d):
-    paths = quiver.paths_of_length(d)
-    idx = {p: i for i, p in enumerate(paths)}
-    span = Subspace(F)
-    for g in gens:
-        dg = g.degree()
-        if dg > d:
-            continue
-        for i in range(d - dg + 1):
-            for u in quiver.paths_of_length(i):
-                left = g.left_mul(u)
-                if not left:
-                    continue
-                for v in quiver.paths_of_length(d - dg - i):
-                    gv = left.right_mul(v)
-                    if gv:
-                        span.add({idx[p]: c for p, c in gv.terms.items()})
-    return span
-
-
 def test_c8_dimensions_match_normal_word_counts():
     for name, quiver, order, gens, gb_cap in fixture_algebras():
         gb = groebner_basis(gens, order, gb_cap)
         for d in range(0, 9):
             npaths = len(quiver.paths_of_length(d))
-            rank = _ideal_span(quiver, gens, d).dim if d >= 2 else 0
+            rank = ideal_span(gens, quiver, F, d).dim
             assert npaths - rank == len(normal_words(quiver, gb.tips, d)), (name, d)

@@ -16,7 +16,7 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
-from pathalg.oracle import CoverSpace, FreeSummand, kernel_pieces, presentation_cover
+from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_pieces, presentation_cover
 from pathalg.syzygy import DegreeWindow
 from tests.conftest import truncated_polynomial, words
 
@@ -199,6 +199,42 @@ def test_non_minimal_cover_is_an_error(one_loop, one_loop_order):
         kernel_pieces(domain, [{0: F.one}, {0: F.one}], ambient, 4)
 
 
+# A/yA over the cube algebra, and three presentations of it with a
+# redundant generator g1: equal to g0, killed outright, or tied to g0*x.
+# Each relation is {(generator number, word or vertex): coefficient}.
+MINIMAL_Y = ((0,), [{(0, "y"): 1}])
+NON_MINIMAL_Y = {
+    "equal": ((0, 0), [{(0, "e"): 1, (1, "e"): -1}, {(1, "y"): 1}]),
+    "killed": ((0, 0), [{(0, "y"): 1}, {(1, "e"): 1}]),
+    "tied": ((0, 1), [{(1, "e"): 1, (0, "x"): -1}, {(0, "y"): 1}]),
+}
+
+
+def _cube_presentation(quiver, field, spec):
+    degrees, relations = spec
+    gens = tuple(Generator(f"g{i}", "e", d) for i, d in enumerate(degrees))
+    rels = tuple(ModuleElement({(i, quiver.path(w)): field.of(c) for (i, w), c in r.items()}) for r in relations)
+    return ModulePresentation(gens, rels)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", sorted(NON_MINIMAL_Y))
+def test_non_minimal_presentation_resolves_like_its_minimal_one(two_loop, p, name):
+    field = Field(p)
+    w = words(two_loop)
+    gens = [AlgebraElement({w("xy"): 1}), AlgebraElement({w("yx"): 1}),
+            AlgebraElement({w("xxx"): 1, w("yyy"): field.of(-1)})]
+    model = build_model(two_loop, groebner_basis(gens, OrderSpec(("x", "y"), ("e",), field=field), 8), 8)
+    want = minimal_resolution(_cube_presentation(two_loop, field, MINIMAL_Y), model, 4, 8)
+    got = minimal_resolution(_cube_presentation(two_loop, field, NON_MINIMAL_Y[name]), model, 4, 8)
+    assert want.degrees[:2] == [[0], [1]]
+    assert got.degrees == want.degrees
+    assert got.hilbert == want.hilbert
+    assert got.syzygy_dims == want.syzygy_dims
+    assert got.alive_at_cap == want.alive_at_cap
+    assert got.zero_tail_from == want.zero_tail_from
+
+
 def test_resolution_cap_guard(two_loop, cube_model, cube_A0):
     with pytest.raises(PathAlgError):
         minimal_resolution(cube_A0, cube_model, 2, 99)
@@ -228,20 +264,9 @@ def test_membership_oracle_counts_dimensions(two_loop, two_loop_order, cube_gb):
     w = words(two_loop)
     gens = [AlgebraElement({w("xy"): F.one}), AlgebraElement({w("yx"): F.one}),
             AlgebraElement({w("xxx"): F.one, w("yyy"): -F.one})]
-    from pathalg.linalg import Subspace
     for d in range(2, 7):
-        paths = two_loop.paths_of_length(d)
-        idx = {p: i for i, p in enumerate(paths)}
-        span = Subspace(F)
-        for g in gens:
-            dg = g.degree()
-            for i in range(d - dg + 1):
-                for u in two_loop.paths_of_length(i):
-                    lu = g.left_mul(u)
-                    for v in two_loop.paths_of_length(d - dg - i):
-                        gv = lu.right_mul(v)
-                        span.add({idx[p]: c for p, c in gv.terms.items()})
-        assert len(paths) - span.dim == len(normal_words(two_loop, cube_gb.tips, d))
+        span = ideal_span(gens, two_loop, F, d)
+        assert len(two_loop.paths_of_length(d)) - span.dim == len(normal_words(two_loop, cube_gb.tips, d))
 
 
 def test_resolution_over_prime_field(two_loop):
