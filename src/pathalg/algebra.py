@@ -41,6 +41,19 @@ def _clean(terms: Mapping) -> dict:
     return {k: c for k, c in terms.items() if c}
 
 
+def _render(words: Iterable[tuple[str, object]]) -> str:
+    """(word, coefficient) terms joined by ` + ` or ` - `, a coefficient of 1 left out; `0` for no terms."""
+    out = ""
+    for word, c in words:
+        cs = str(c)
+        neg = cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        sign = ("-" if neg else "") if not out else (" - " if neg else " + ")
+        out += sign + (word if cs == "1" else f"{cs}*{word}")
+    return out or "0"
+
+
 class AlgebraElement:
     """A k-linear combination of parallel paths (or the zero element)."""
 
@@ -78,20 +91,7 @@ class AlgebraElement:
         return len({p.length for p in self.terms}) <= 1
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        out = ""
-        for p, c in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            piece = str(p) if cs == "1" else f"{cs}*{p}"
-            if not out:
-                out = ("-" if neg else "") + piece
-            else:
-                out += (" - " if neg else " + ") + piece
-        return out
+        return _render(sorted(((str(p), c) for p, c in self.terms.items()), key=lambda wc: wc[0]))
 
     def __repr__(self):
         return f"AlgebraElement({self.render()})"
@@ -115,25 +115,11 @@ class ModuleElement:
         return isinstance(other, ModuleElement) and self.terms == other.terms
 
     def render(self, gen_names: list[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-
         def name(i: int) -> str:
             return gen_names[i] if gen_names else f"g{i}"
 
-        out = ""
-        for (i, p), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            word = name(i) if not p.arrows else f"{name(i)}*{p}"
-            piece = word if cs == "1" else f"{cs}*{word}"
-            if not out:
-                out = ("-" if neg else "") + piece
-            else:
-                out += (" - " if neg else " + ") + piece
-        return out
+        terms = sorted(self.terms.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+        return _render((f"{name(i)}*{p}" if p.arrows else name(i), c) for (i, p), c in terms)
 
     def __repr__(self):
         return f"ModuleElement({self.render()})"
@@ -325,29 +311,22 @@ def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
     return ModuleElement(out)
 
 
-def _overlap_sites(ta: Path, tb: Path) -> list[tuple[str, int]]:
-    """Proper overlap sites between two tips.
+def _overlaps(ta: Path, tb: Path):
+    """(degree of the ambiguity word, kind, pos) for each proper overlap site of ta with tb.
 
     ("suffix", k): the length-k suffix of ta equals the length-k proper
     prefix of tb (k <= len(ta), k < len(tb)); the ambiguity word is
     ta glued with tb sharing k arrows.
-    ("contain", i): tb occurs inside ta at offset i with tb != ta.
+    ("contain", i): tb occurs inside ta at offset i with tb != ta; the
+    ambiguity word is ta.
     """
-    out: list[tuple[str, int]] = []
     for k in range(1, min(ta.length, tb.length - 1) + 1):
         if ta.arrows[ta.length - k:] == tb.arrows[:k]:
-            out.append(("suffix", k))
+            yield ta.length + tb.length - k, "suffix", k
     if tb.length < ta.length:
         for i in range(ta.length - tb.length + 1):
             if ta.arrows[i:i + tb.length] == tb.arrows:
-                out.append(("contain", i))
-    return out
-
-
-def _overlaps(ta: Path, tb: Path):
-    """(degree of the ambiguity word, kind, pos) for each overlap site of ta with tb."""
-    for kind, pos in _overlap_sites(ta, tb):
-        yield (ta.length + tb.length - pos if kind == "suffix" else ta.length), kind, pos
+                yield ta.length, "contain", i
 
 
 def _s_element(a: AlgebraElement, b: AlgebraElement, ta: Path, tb: Path, kind: str, pos: int) -> AlgebraElement:
@@ -376,16 +355,6 @@ def _validate_generators(generators: Iterable[AlgebraElement], field: Field) -> 
         if g.degree() < 2:
             raise PathAlgError("ideal generators must have degree >= 2")
     return gens
-
-
-def _pair_list(basis: list[AlgebraElement], order: OrderSpec):
-    tips_ = [tip(g, order) for g in basis]
-    return sorted(
-        (deg, ia, ib, kind, pos)
-        for ia, ta in enumerate(tips_)
-        for ib, tb in enumerate(tips_)
-        for deg, kind, pos in _overlaps(ta, tb)
-    )
 
 
 def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_degree: int) -> GroebnerBasis:
@@ -437,7 +406,7 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     basis.sort(key=lambda g: order.path_key(tip(g, order)))
     tips_ = tuple(tip(g, order) for g in basis)
     all_monomial = all(len(g.terms) == 1 for g in basis)
-    max_overlap = max((deg for deg, *_ in _pair_list(basis, order)), default=0)
+    max_overlap = max((deg for ta in tips_ for tb in tips_ for deg, _, _ in _overlaps(ta, tb)), default=0)
     complete = not waiting and (all_monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 

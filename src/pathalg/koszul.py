@@ -90,11 +90,14 @@ def collection_tensor(a: DegreeCollection, b: DegreeCollection, i: int) -> tuple
 
 @dataclass(frozen=True)
 class SKoszulCertificate:
-    holds: bool
     s: int
     max_tip_length: object
     min_level1: object
     max_level2: object
+
+    @property
+    def holds(self) -> bool:
+        return all(self.conditions().values())
 
     def conditions(self) -> dict[str, bool]:
         return {
@@ -120,9 +123,7 @@ def s_koszul_criterion(gb: GroebnerBasis, s: int, table: OverlapTable) -> SKoszu
     max_tip = max((t.length for t in gb.tips), default=-inf)
     mino1, _maxo1, _, _ = table.extrema(1)
     _, maxo2, _, _ = table.extrema(2)
-    cert = SKoszulCertificate(False, s, max_tip, mino1, maxo2)
-    holds = all(cert.conditions().values())
-    return SKoszulCertificate(holds, s, max_tip, mino1, maxo2)
+    return SKoszulCertificate(s, max_tip, mino1, maxo2)
 
 
 @dataclass(frozen=True)

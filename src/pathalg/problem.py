@@ -24,10 +24,13 @@ The format is meant to be hand-written and diffable:
     [params]
     max-n 5
 
-Paths are '*'-joined identifiers (vertices are usable as length-0 paths);
-scalars are integers or fractions p/q.  Over Fp they are read mod p, and
-terms that vanish mod p drop out.  Parsing reports every diagnostic it
-can find, each with a line, a column, and a stable code.
+Ideal lines and relation lines share one term grammar, read by one
+reader: a term is [scalar "*"] path, and a module term is a term with a
+generator at its head, [scalar "*"] generator ["*" path].  Paths are
+'*'-joined identifiers (vertices are usable as length-0 paths); scalars
+are integers or fractions p/q.  Over Fp they are read mod p, and terms
+that vanish mod p drop out.  Parsing reports every diagnostic it can
+find, each with a line, a column, and a stable code.
 """
 from __future__ import annotations
 
@@ -109,9 +112,22 @@ class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.diags: list[Diagnostic] = []
+        self.known: set[str] = set()  # the quiver's vertex and arrow names, once it is read
 
     def err(self, line_no: int, col: int, code: str, message: str) -> None:
         self.diags.append(Diagnostic(line_no, col, code, message))
+
+    def split_declaration(self, no: int, rest: str, first: str, second: str, expected: str) -> list[str] | None:
+        """The three stripped parts of `name first a second b`; None after an
+        E_SYNTAX `expected` diagnostic unless both separators appear, in
+        order, and every part is nonempty."""
+        name, found_first, tail = rest.partition(first)
+        a, found_second, b = tail.partition(second)
+        parts = [name.strip(), a.strip(), b.strip()]
+        if found_first and found_second and all(parts):
+            return parts
+        self.err(no, 1, E_SYNTAX, expected)
+        return None
 
     def col_of(self, line_no: int, token: str) -> int:
         line = self.lines[line_no - 1]
@@ -132,7 +148,7 @@ class _Parser:
                     continue
                 header = line[1:-1].strip()
                 parts = header.split(None, 1)
-                kind = parts[0]
+                kind = parts[0] if parts else ""
                 name = parts[1].strip() if len(parts) > 1 else ""
                 if kind not in ("quiver", "order", "field", "ideal", "module", "params"):
                     self.err(no, 1, E_SECTION, f"unknown section [{header}]")
@@ -153,6 +169,8 @@ class _Parser:
         quiver = self._parse_quiver(sections)
         field = self._parse_field(sections)
         order = self._parse_order(sections, quiver, field)
+        if quiver:
+            self.known = set(quiver.vertices) | {a.name for a in quiver.arrows}
         ideal = self._parse_ideal(sections, quiver, field) if quiver else []
         modules = self._parse_modules(sections, quiver, field) if quiver else {}
         params = self._parse_params(sections)
@@ -183,16 +201,12 @@ class _Parser:
                     if len(words) == 1:
                         self.err(no, 1, E_SYNTAX, "vertex line needs at least one identifier")
                 elif words[0] == "arrow":
-                    rest = line[len("arrow"):].strip()
-                    # arrow x : u -> v
-                    if ":" not in rest or "->" not in rest:
-                        self.err(no, 1, E_SYNTAX, "expected: arrow <name> : <source> -> <target>")
+                    parts = self.split_declaration(
+                        no, line[len("arrow"):], ":", "->", "expected: arrow <name> : <source> -> <target>"
+                    )
+                    if parts is None:
                         continue
-                    name, ends = (part.strip() for part in rest.split(":", 1))
-                    src, tgt = (part.strip() for part in ends.split("->", 1))
-                    if not name or not src or not tgt:
-                        self.err(no, 1, E_SYNTAX, "expected: arrow <name> : <source> -> <target>")
-                        continue
+                    name, src, tgt = parts
                     if any(a[0] == name for a in arrows) or name in vertices:
                         self.err(no, self.col_of(no, name), E_DUPLICATE, f"duplicate identifier {name}")
                         continue
@@ -273,55 +287,70 @@ class _Parser:
             self.err(no, self.col_of(no, tok), E_BAD_SCALAR, f"bad scalar {tok!r}")
             return None
 
-    def _parse_algebra_element(self, quiver: Quiver, field: Field, expr: str, no: int) -> AlgebraElement | None:
+    def _read_terms(
+        self, quiver: Quiver, field: Field, no: int, expr: str, heads: dict[str, tuple[int, str]] | None = None
+    ) -> dict | None:
+        """The terms of one element line, or None once what is wrong with it is reported.
+
+        A term [scalar "*"] path is keyed by its path.  Given `heads`, a
+        module's generators as name -> (index, vertex), a term is
+        [scalar "*"] generator ["*" path], keyed by (generator index, path).
+        """
         terms: dict = {}
         ok = True
         for sign, text in _split_terms(expr):
-            toks = [t.strip() for t in text.split("*") if t.strip()]
+            term = self._read_term(quiver, field, no, text, heads)
+            if term is None:
+                ok = False
+                continue
+            key, coeff = term
+            coeff = field.of(sign * coeff)
+            prev = terms.get(key)
+            terms[key] = coeff if prev is None else field.of(prev + coeff)
+        return terms if ok else None
+
+    def _read_term(self, quiver: Quiver, field: Field, no: int, text: str, heads) -> tuple | None:
+        toks = [t.strip() for t in text.split("*") if t.strip()]
+        if not toks and heads is None:
+            return self.err(no, 1, E_SYNTAX, "empty term")
+        coeff = field.one
+        if toks and _is_scalar_token(toks[0]):
+            coeff = self._parse_scalar(field, toks[0], no)
+            if coeff is None:
+                return None
+            toks = toks[1:]
+        if heads is None:
             if not toks:
-                self.err(no, 1, E_SYNTAX, "empty term")
-                ok = False
-                continue
-            coeff = field.of(sign)
-            if _is_scalar_token(toks[0]):
-                sc = self._parse_scalar(field, toks[0], no)
-                if sc is None:
-                    ok = False
-                    continue
-                coeff = field.of(coeff * sc)
-                toks = toks[1:]
-            if not toks:
-                self.err(no, 1, E_SYNTAX, "a term needs a path (vertices act as length-0 paths)")
-                ok = False
-                continue
-            known = set(quiver.vertices) | {a.name for a in quiver.arrows}
-            bad = [t for t in toks if t not in known]
-            if bad:
-                self.err(no, self.col_of(no, bad[0]), E_UNKNOWN_ID, f"unknown identifier {bad[0]}")
-                ok = False
-                continue
-            try:
-                p = quiver.path(toks)
-            except CompositionError as exc:
-                self.err(no, self.col_of(no, toks[0]), E_NON_COMPOSABLE, str(exc))
-                ok = False
-                continue
-            prev = terms.get(p)
-            terms[p] = coeff if prev is None else field.of(prev + coeff)
-        if not ok:
-            return None
+                return self.err(no, 1, E_SYNTAX, "a term needs a path (vertices act as length-0 paths)")
+        elif not toks or toks[0] not in heads:
+            return self.err(no, 1, E_UNKNOWN_ID, "module term must start with a generator name")
+        else:
+            gname, (gi, vertex) = toks[0], heads[toks[0]]
+            toks = toks[1:] or [vertex]
+        bad = [t for t in toks if t not in self.known]
+        if bad:
+            return self.err(no, self.col_of(no, bad[0]), E_UNKNOWN_ID, f"unknown identifier {bad[0]}")
         try:
-            return AlgebraElement(terms)
-        except PathAlgError as exc:
-            self.err(no, 1, E_NOT_PARALLEL, str(exc))
-            return None
+            p = quiver.path(toks)
+        except CompositionError as exc:
+            return self.err(no, self.col_of(no, toks[0]), E_NON_COMPOSABLE, str(exc))
+        if heads is None:
+            return p, coeff
+        if p.source != vertex:
+            return self.err(no, 1, E_NON_COMPOSABLE, f"path {p} does not start at {gname}'s vertex")
+        return (gi, p), coeff
 
     def _parse_ideal(self, sections, quiver: Quiver, field: Field) -> list[AlgebraElement]:
         out = []
         for _, _, _, body in self._sections(sections, "ideal"):
             for no, line in body:
-                elem = self._parse_algebra_element(quiver, field, line, no)
-                if elem is None:
+                terms = self._read_terms(quiver, field, no, line)
+                if terms is None:
+                    continue
+                try:
+                    elem = AlgebraElement(terms)
+                except PathAlgError as exc:
+                    self.err(no, 1, E_NOT_PARALLEL, str(exc))
                     continue
                 if not elem.is_homogeneous():
                     self.err(no, 1, E_INHOMOGENEOUS, f"inhomogeneous relation {line!r}")
@@ -341,13 +370,12 @@ class _Parser:
             for no, line in body:
                 words = line.split(None, 1)
                 if words[0] == "generator":
-                    # generator g : v @ d
-                    rest = words[1] if len(words) > 1 else ""
-                    if ":" not in rest or "@" not in rest:
-                        self.err(no, 1, E_SYNTAX, "expected: generator <name> : <vertex> @ <degree>")
+                    parts = self.split_declaration(
+                        no, line[len("generator"):], ":", "@", "expected: generator <name> : <vertex> @ <degree>"
+                    )
+                    if parts is None:
                         continue
-                    gname, tail = (part.strip() for part in rest.split(":", 1))
-                    vtx, deg = (part.strip() for part in tail.split("@", 1))
+                    gname, vtx, deg = parts
                     if any(g.name == gname for g in gens):
                         self.err(no, self.col_of(no, gname), E_DUPLICATE, f"duplicate generator {gname}")
                         continue
@@ -367,76 +395,22 @@ class _Parser:
                     rel_lines.append((no, words[1] if len(words) > 1 else ""))
                 else:
                     self.err(no, 1, E_SYNTAX, f"unknown module line {words[0]!r}")
-            gen_index = {g.name: i for i, g in enumerate(gens)}
+            heads = {g.name: (i, g.vertex) for i, g in enumerate(gens)}
             rels: list[ModuleElement] = []
             for no, expr in rel_lines:
-                rel = self._parse_module_element(quiver, field, gens, gen_index, expr, no)
-                if rel is not None and rel:
+                if not expr:
+                    self.err(no, 1, E_SYNTAX, "empty relation")
+                    continue
+                terms = self._read_terms(quiver, field, no, expr, heads)
+                if terms is None:
+                    continue
+                rel = ModuleElement(terms)
+                if len({gens[i].degree + p.length for i, p in rel.terms}) > 1:
+                    self.err(no, 1, E_INHOMOGENEOUS, f"inhomogeneous relation {expr!r}")
+                elif rel:
                     rels.append(rel)
-            pres = ModulePresentation(tuple(gens), tuple(rels))
-            try:
-                pres.validate(quiver)
-            except PathAlgError as exc:
-                self.err(hdr_no, 1, E_INHOMOGENEOUS, str(exc))
-                continue
-            out[name] = pres
+            out[name] = ModulePresentation(tuple(gens), tuple(rels))
         return out
-
-    def _parse_module_element(
-        self, quiver: Quiver, field: Field, gens, gen_index, expr: str, no: int
-    ) -> ModuleElement | None:
-        if not expr.strip():
-            self.err(no, 1, E_SYNTAX, "empty relation")
-            return None
-        terms: dict = {}
-        ok = True
-        for sign, text in _split_terms(expr):
-            toks = [t.strip() for t in text.split("*") if t.strip()]
-            coeff = field.of(sign)
-            if toks and _is_scalar_token(toks[0]):
-                sc = self._parse_scalar(field, toks[0], no)
-                if sc is None:
-                    ok = False
-                    continue
-                coeff = field.of(coeff * sc)
-                toks = toks[1:]
-            if not toks or toks[0] not in gen_index:
-                self.err(no, 1, E_UNKNOWN_ID, "module term must start with a generator name")
-                ok = False
-                continue
-            gname, path_toks = toks[0], toks[1:]
-            gi = gen_index[gname]
-            if path_toks:
-                known = set(quiver.vertices) | {a.name for a in quiver.arrows}
-                bad = [t for t in path_toks if t not in known]
-                if bad:
-                    self.err(no, self.col_of(no, bad[0]), E_UNKNOWN_ID, f"unknown identifier {bad[0]}")
-                    ok = False
-                    continue
-                try:
-                    p = quiver.path(path_toks)
-                except CompositionError as exc:
-                    self.err(no, self.col_of(no, path_toks[0]), E_NON_COMPOSABLE, str(exc))
-                    ok = False
-                    continue
-            else:
-                p = quiver.vertex_path(gens[gi].vertex)
-            if p.source != gens[gi].vertex:
-                self.err(no, 1, E_NON_COMPOSABLE, f"path {p} does not start at {gname}'s vertex")
-                ok = False
-                continue
-            key = (gi, p)
-            prev = terms.get(key)
-            terms[key] = coeff if prev is None else field.of(prev + coeff)
-        if not ok:
-            return None
-        elem = ModuleElement(terms)
-        if elem:
-            degs = {gens[i].degree + p.length for (i, p) in elem.terms}
-            if len(degs) > 1:
-                self.err(no, 1, E_INHOMOGENEOUS, f"inhomogeneous relation {expr!r}")
-                return None
-        return elem
 
     def _parse_params(self, sections) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -1,8 +1,16 @@
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
 import pytest
 
 from pathalg import AlgebraElement, OrderSpec, PathAlgError, groebner_basis, monic, normal_form
+from pathalg.algebra import ModuleElement
 from pathalg.cli import EXIT_INPUT, run
+from pathalg.corpus import instances, random_homogeneous_element, random_presentation
 from pathalg.fields import Field
+from pathalg.presentation import ModulePresentation
 from pathalg.problem import (
     E_BAD_FIELD,
     E_BAD_SCALAR,
@@ -194,3 +202,129 @@ def test_raw_ints_are_reduced_on_intake():
     assert normal_form(AlgebraElement({w("yx"): 3, w("yy"): -13}), gb, pf.order) == AlgebraElement({w("yy"): 1})
     assert normal_form(AlgebraElement({w("yy"): 14}), gb, pf.order).is_zero()
     assert monic(AlgebraElement({w("xy"): 21, w("yx"): -3}), pf.order) == AlgebraElement({w("yx"): 1})
+
+
+ELEMENTS = """[quiver]
+vertex e f
+arrow x : e -> e
+arrow y : e -> e
+arrow a : e -> f
+
+[ideal]
+{ideal}
+
+[module M]
+generator g : e @ 0
+generator h : f @ 1
+relation {relation}
+"""
+
+# A bad [ideal] line (line 8) or relation line (line 13), with the exact
+# diagnostics it gets; the other line is left well-formed.
+ELEMENT_DIAGNOSTICS = {
+    ("ideal", "*"): ["8:1: E_SYNTAX: empty term"],
+    ("ideal", "x*y + *"): ["8:1: E_SYNTAX: empty term"],
+    ("ideal", "x*y - 2"): ["8:1: E_SYNTAX: a term needs a path (vertices act as length-0 paths)"],
+    ("ideal", "1/0*x*y"): ["8:1: E_BAD_SCALAR: bad scalar '1/0'"],
+    ("ideal", "2/3/4*x*y"): ["8:1: E_BAD_SCALAR: bad scalar '2/3/4'"],
+    ("ideal", "x*z"): ["8:3: E_UNKNOWN_ID: unknown identifier z"],
+    ("ideal", "a*x"): ["8:1: E_NON_COMPOSABLE: cannot compose a (target f) with x (source e)"],
+    ("ideal", "x*x + x*a"): ["8:1: E_NOT_PARALLEL: support paths must be parallel"],
+    ("ideal", "x*y - x"): ["8:1: E_INHOMOGENEOUS: inhomogeneous relation 'x*y - x'"],
+    ("ideal", "x*z + 1/0*y*y"): ["8:3: E_UNKNOWN_ID: unknown identifier z", "8:7: E_BAD_SCALAR: bad scalar '1/0'"],
+    ("relation", ""): ["13:1: E_SYNTAX: empty relation"],
+    ("relation", "*"): ["13:1: E_UNKNOWN_ID: module term must start with a generator name"],
+    ("relation", "3"): ["13:1: E_UNKNOWN_ID: module term must start with a generator name"],
+    ("relation", "x*g"): ["13:1: E_UNKNOWN_ID: module term must start with a generator name"],
+    ("relation", "g*a + 1/0*h"): ["13:16: E_BAD_SCALAR: bad scalar '1/0'"],
+    ("relation", "g*z"): ["13:12: E_UNKNOWN_ID: unknown identifier z"],
+    ("relation", "g*a*x"): ["13:4: E_NON_COMPOSABLE: cannot compose a (target f) with x (source e)"],
+    ("relation", "h*x"): ["13:1: E_NON_COMPOSABLE: path x does not start at h's vertex"],
+    ("relation", "g*x + g*x*x"): ["13:1: E_INHOMOGENEOUS: inhomogeneous relation 'g*x + g*x*x'"],
+    ("relation", "g*z - h*x"): [
+        "13:12: E_UNKNOWN_ID: unknown identifier z",
+        "13:1: E_NON_COMPOSABLE: path x does not start at h's vertex",
+    ],
+}
+
+
+def test_element_diagnostics_are_exact():
+    good = {"ideal": "x*y", "relation": "g*a - h"}
+    assert parse(ELEMENTS.format(**good)).modules["M"].relations[0].render(["g", "h"]) == "g*a - h"
+    for (kind, line), expected in ELEMENT_DIAGNOSTICS.items():
+        with pytest.raises(ParseError) as info:
+            parse(ELEMENTS.format(**{**good, kind: line}))
+        assert [d.render() for d in info.value.diagnostics] == expected, (kind, line)
+
+
+def _diagnostics(text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    return [d.render() for d in info.value.diagnostics]
+
+
+def test_declarations_need_their_separators_in_order_and_every_part():
+    arrow = "[quiver]\nvertex e\narrow {}\n"
+    expected_arrow = ["3:1: E_SYNTAX: expected: arrow <name> : <source> -> <target>"]
+    for line in ("x -> e : e", "x : e", "x e -> e", ": e -> e", "x : -> e", "x : e ->"):
+        assert _diagnostics(arrow.format(line)) == expected_arrow, line
+    module = "[quiver]\nvertex e\narrow x : e -> e\n\n[module M]\ngenerator {}\n"
+    expected_generator = ["6:1: E_SYNTAX: expected: generator <name> : <vertex> @ <degree>"]
+    for line in ("g @ 0 : e", "g : e", "g e @ 0", " : e @ 0", "g : @ 0", "g : e @"):
+        assert _diagnostics(module.format(line)) == expected_generator, line
+    assert parse(module.format("g : e @ 1")).modules["M"].generators[0].degree == 1
+    assert _diagnostics("[]\n[quiver]\nvertex e\n") == ["1:1: E_SECTION: unknown section []"]
+
+
+def test_token_swaps_never_escape_parse_error():
+    fixtures = sorted((pathlib.Path(__file__).resolve().parents[1] / "fixtures").glob("*.alg"))
+    inputs = 0
+    for path in fixtures:
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            toks = line.split()
+            for a, b in itertools.combinations(range(len(toks)), 2):
+                swapped = list(toks)
+                swapped[a], swapped[b] = toks[b], toks[a]
+                inputs += 1
+                try:
+                    parse("\n".join(lines[:i] + [" ".join(swapped)] + lines[i + 1:]))
+                except ParseError as exc:
+                    assert all(d.line >= 1 and d.col >= 1 for d in exc.diagnostics), (path.name, swapped)
+    assert inputs == 2722
+
+
+def _random_problem(rng, inst, field):
+    """A problem file over inst's quiver with random ideal and module elements, some coefficients fractions."""
+
+    def scaled(c):
+        return field.of(c * Fraction(rng.choice([1, -1, 2, -5]), rng.choice([1, 1, 2, 3])))
+
+    ideal = []
+    for _ in range(rng.randint(1, 3)):
+        x = random_homogeneous_element(rng, inst.quiver, field, rng.randint(2, 4), terms=rng.randint(1, 3))
+        if x:
+            ideal.append(AlgebraElement({p: scaled(c) for p, c in x.terms.items()}))
+    pres = random_presentation(rng, inst.quiver, field)
+    rels = tuple(ModuleElement({k: scaled(c) for k, c in r.terms.items()}) for r in pres.relations)
+    order = OrderSpec(tuple(a.name for a in inst.quiver.arrows), inst.quiver.vertices, field=field)
+    modules = {"R": ModulePresentation(pres.generators, tuple(r for r in rels if r))}
+    return ProblemFile(inst.quiver, order, field, ideal, modules, {"max-n": rng.randint(1, 5)})
+
+
+def test_seeded_problems_round_trip():
+    rng = random.Random(20261019)
+    texts = set()
+    for inst in instances(20261019, 40):
+        for field in (Field(0), Field(7)):
+            pf = _random_problem(rng, inst, field)
+            text = render(pf)
+            back = parse(text)
+            assert [e.terms for e in back.ideal] == [e.terms for e in pf.ideal], text
+            for name, pres in pf.modules.items():
+                assert back.modules[name].generators == pres.generators
+                assert [r.terms for r in back.modules[name].relations] == [r.terms for r in pres.relations], text
+            assert render(back) == text
+            texts.add(text)
+    # The inputs reach what the round trip is for: fractions and negative coefficients over Q.
+    assert any("/" in t for t in texts) and any(" - " in t for t in texts)
