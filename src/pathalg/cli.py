@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import inf
 
 from . import corpus as corpus_mod
@@ -458,7 +459,9 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     ap = argparse.ArgumentParser(prog="pathalg", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("file", help="problem file (see docs/input-format.md)")

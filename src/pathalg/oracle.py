@@ -1,8 +1,11 @@
 """Ground truth by exact graded linear algebra.
 
 A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
-right action of each arrow on them.  Minimal graded projective resolutions
-are computed degreewise, per (degree, target-vertex) block, by one loop:
+right action of each arrow on them.  It builds the action on each degree
+from the Groebner basis's tails and the action on the degrees below, with
+no `normal_form` call; only a presentation's relations are reduced by it
+(`module_normal_form`).  Minimal graded projective resolutions are
+computed degreewise, per (degree, target-vertex) block, by one loop:
 `span_from_seeds` spans seed vectors under the arrow action, giving each
 block the arrow images of the degree below before its own seeds, so the
 seeds that still enlarge a block are minimal generators of the span.  The
@@ -39,8 +42,13 @@ class GradedAlgebraModel:
     `basis[d]` lists the normal words of length d and `index[d]` numbers
     them.  `parent[d][i]` is (number of the word minus its last arrow,
     number of that arrow in `quiver.arrows`) for d >= 1, and `keys[d][i]`
-    is the word's `path_key`.  `field` is the field of the basis's order,
-    which is the one its normal forms compute in.
+    is the word's `path_key`.  `field` is the field of the basis's order.
+
+    The tables of one degree are built together, from the basis's tails
+    and the tables of the degrees below (`_build_level`), so no product
+    inside the cap goes through `normal_form`.  The normal words of the
+    basis are those of A only up to its degree bound, so a model of a
+    truncated basis may not reach above it.
     """
 
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
@@ -56,10 +64,24 @@ class GradedAlgebraModel:
         self._levels = normal_word_levels(quiver, gb.tips)
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
         self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
+        self._built = 0
+        # tip arrows -> (arrow numbers of q, coefficient) with tip = sum of c * q in A.
+        p = self.field.characteristic
+        self._tails: dict[tuple[Arrow, ...], list[tuple[tuple[int, ...], object]]] = {}
+        for g, t in zip(gb.elements, gb.tips):
+            inv = self.field.inverse(g.terms[t])
+            self._tails[t.arrows] = [
+                (tuple([self._arrow_no[b] for b in q.arrows]), -c * inv % p if p else -c * inv)
+                for q, c in g.terms.items() if q != t
+            ]
+        self._tip_lengths = sorted({t.length for t in gb.tips})
         self.extend(degree_cap)
 
     def extend(self, degree_cap: int) -> None:
         """Raise the cap to degree_cap; a lower value leaves the model as it is."""
+        gb = self.gb
+        if degree_cap > gb.degree_bound and not gb.complete:
+            raise PathAlgError(f"a model to degree {degree_cap} needs a basis exact to it; this one is {gb.status}")
         for d in range(self.degree_cap + 1, degree_cap + 1):
             level = next(self._levels)
             self.basis.append(level)
@@ -76,25 +98,84 @@ class GradedAlgebraModel:
         return [len(level) for level in self.basis]
 
     def act(self, w: Path, a: Arrow) -> dict[Path, object]:
-        """Expansion of the class of w*a in the normal-word basis."""
+        """Expansion of the class of w*a in the normal-word basis.
+
+        Read from the tables for a normal word w below the cap; `normal_form` otherwise.
+        """
         if w.target != a.source:
             return {}
+        d = w.length
+        i = self.index[d].get(w) if d < self.degree_cap else None
+        if i is not None:
+            nxt = self.basis[d + 1]
+            return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
         p = Path(w.source, a.target, w.arrows + (a,))
-        # A normal word is its own normal form.
-        if p.length <= self.degree_cap and p in self.index[p.length]:
-            return {p: self.field.one}
         return dict(normal_form(AlgebraElement({p: self.field.one}), self.gb, self.order).terms)
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k on degree d: for each word number, (word number in degree d+1, scalar) pairs."""
-        key = (d, k)
-        table = self._actions.get(key)
-        if table is None:
-            a = self.quiver.arrows[k]
-            nxt = self.index[d + 1]
-            table = [[(nxt[w2], c) for w2, c in self.act(w, a).items()] for w in self.basis[d]]
-            self._actions[key] = table
-        return table
+        while self._built <= d:
+            self._build_level(self._built)
+            self._built += 1
+        return self._actions[(d, k)]
+
+    def _build_level(self, d: int) -> None:
+        """The tables of every arrow on degree d, from the tails and the tables below d.
+
+        A product w*a that is a normal word is one entry.  Otherwise, as w is
+        normal, exactly one tip t is a suffix of it (the tips are an
+        antichain): w*a = h*t, and t is the sum of c * q over its tail.  Each
+        c * h*q comes from c times the unit vector of h, a prefix of w,
+        through the tables of q's arrows, one degree at a time.  The last
+        table is this degree's, read at words u with u*b <= h*q < w*a, so the
+        products are filled in ascending order and read only filled entries.
+        """
+        one, p = self.field.one, self.field.characteristic
+        arrows = self.quiver.arrows
+        nxt = self.index[d + 1]
+        # Rows are replaced, never changed in place, so they may start as one empty list.
+        tables = [[[]] * len(self.basis[d]) for _ in arrows]
+        for k, table in enumerate(tables):
+            self._actions[(d, k)] = table
+        pending = []
+        for i, w in enumerate(self.basis[d]):
+            for k, a in enumerate(arrows):
+                if a.source != w.target:
+                    continue
+                wa = Path(w.source, a.target, w.arrows + (a,))
+                j = nxt.get(wa)
+                if j is None:
+                    pending.append((self.order.path_key(wa), i, k, wa))
+                else:
+                    tables[k][i] = [(j, one)]
+        pending.sort()
+        for _key, i, k, wa in pending:
+            for n in self._tip_lengths:
+                tail = self._tails.get(wa.arrows[d + 1 - n:])
+                if tail is not None:
+                    break
+            m = d + 1 - n
+            h = self.index[m][wa.prefix(m)]
+            out: dict[int, object] = {}
+            for q, c in tail:
+                vec = {h: c}
+                for step, b in enumerate(q):
+                    vec = _apply(self._actions[(m + step, b)], vec, p)
+                for j, x in vec.items():
+                    out[j] = out.get(j, 0) + x
+            tables[k][i] = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
+
+
+def _apply(table: list[list[tuple[int, object]]], vec: Mapping[int, object], p: int) -> dict[int, object]:
+    """The image of a sparse vector under an integer action table, its scalars reduced mod p (0: over Q)."""
+    out: dict[int, object] = {}
+    for col, c in vec.items():
+        for col2, x in table[col]:
+            prev = out.get(col2)
+            out[col2] = c * x if prev is None else prev + c * x
+    if p:
+        return {n: c for n, c in ((n, c % p) for n, c in out.items()) if c}
+    return {n: c for n, c in out.items() if c}
 
 
 def build_model(quiver: Quiver, gb: GroebnerBasis, degree_cap: int) -> GradedAlgebraModel:
@@ -159,16 +240,7 @@ class CoverSpace:
 
     def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
         """Image under arrow number k of a vector of block (d, source of the arrow)."""
-        table = self.action(d, k)
-        out: dict[int, object] = {}
-        for col, c in vec.items():
-            for col2, x in table[col]:
-                prev = out.get(col2)
-                out[col2] = c * x if prev is None else prev + c * x
-        p = self._p
-        if p:
-            return {n: c for n, c in ((n, c % p) for n, c in out.items()) if c}
-        return {n: c for n, c in out.items() if c}
+        return _apply(self.action(d, k), vec, self._p)
 
     def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
         """Split (summand, normal word) terms into (degree, vertex, block vector) parts."""

@@ -34,6 +34,7 @@ find, each with a line, a column, and a stable code.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import AlgebraElement, ModuleElement
@@ -86,21 +87,21 @@ class ProblemFile:
             raise PathAlgError(f"the order is over {self.order.field.name} but the problem is over {self.field.name}")
 
 
-def _split_terms(expr: str) -> list[tuple[int, str]]:
-    """Split on top-level + and -, returning (sign, term-text) pairs."""
+def _split_terms(expr: str, at: int) -> list[tuple[int, str, int]]:
+    """Split on top-level + and -, returning (sign, term text, its position)
+    triples; expr starts at position `at` of its line."""
     out = []
-    sign, buf = 1, ""
-    for ch in expr:
-        if ch in "+-":
-            if buf.strip():
-                out.append((sign, buf.strip()))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip():
-        out.append((sign, buf.strip()))
+    for chunk in expr.split("+"):
+        for j, piece in enumerate(chunk.split("-")):
+            if piece.strip():
+                out.append((-1 if j else 1, piece.strip(), at + len(piece) - len(piece.lstrip())))
+            at += len(piece) + 1
     return out
+
+
+# A whitespace-separated word, and a token of a term: a stripped piece between '*'s.
+_WORD = r"\S+"
+_TOKEN = r"[^*\s](?:[^*]*[^*\s])?"
 
 
 def _is_scalar_token(tok: str) -> bool:
@@ -117,22 +118,33 @@ class _Parser:
     def err(self, line_no: int, col: int, code: str, message: str) -> None:
         self.diags.append(Diagnostic(line_no, col, code, message))
 
-    def split_declaration(self, no: int, rest: str, first: str, second: str, expected: str) -> list[str] | None:
-        """The three stripped parts of `name first a second b`; None after an
-        E_SYNTAX `expected` diagnostic unless both separators appear, in
-        order, and every part is nonempty."""
-        name, found_first, tail = rest.partition(first)
+    def split_declaration(
+        self, no: int, line: str, keyword: str, first: str, second: str, expected: str
+    ) -> list[tuple[str, int]] | None:
+        """The three parts of `keyword name first a second b`, each with its
+        position in the line; None after an E_SYNTAX `expected` diagnostic
+        unless both separators appear, in order, and every part is one word."""
+        name, found_first, tail = line[len(keyword):].partition(first)
         a, found_second, b = tail.partition(second)
-        parts = [name.strip(), a.strip(), b.strip()]
-        if found_first and found_second and all(parts):
+        parts, at = [], len(keyword)
+        for piece, sep in ((name, first), (a, second), (b, "")):
+            words = piece.split()
+            if len(words) == 1:
+                parts.append((words[0], at + len(piece) - len(piece.lstrip())))
+            at += len(piece) + len(sep)
+        if found_first and found_second and len(parts) == 3:
             return parts
         self.err(no, 1, E_SYNTAX, expected)
         return None
 
-    def col_of(self, line_no: int, token: str) -> int:
-        line = self.lines[line_no - 1]
-        at = line.find(token)
-        return at + 1 if at >= 0 else 1
+    def col(self, line_no: int, at: int) -> int:
+        """The column of position `at` of a line's text, which is read with its indent stripped."""
+        raw = self.lines[line_no - 1]
+        return len(raw) - len(raw.lstrip()) + at + 1
+
+    def word_col(self, line_no: int, text: str, i: int, at: int = 0, word: str = _WORD) -> int:
+        """The column of the i-th match of `word` in text, which starts at position `at` of a line's text."""
+        return self.col(line_no, at + [m.start() for m in re.finditer(word, text)][i])
 
     def parse(self) -> ProblemFile:
         sections: list[tuple[str, str, int, list[tuple[int, str]]]] = []
@@ -193,22 +205,22 @@ class _Parser:
             for no, line in body:
                 words = line.split()
                 if words[0] == "vertex":
-                    for v in words[1:]:
+                    for i, v in enumerate(words[1:], start=1):
                         if v in vertices:
-                            self.err(no, self.col_of(no, v), E_DUPLICATE, f"duplicate vertex {v}")
+                            self.err(no, self.word_col(no, line, i), E_DUPLICATE, f"duplicate vertex {v}")
                         else:
                             vertices.append(v)
                     if len(words) == 1:
                         self.err(no, 1, E_SYNTAX, "vertex line needs at least one identifier")
                 elif words[0] == "arrow":
                     parts = self.split_declaration(
-                        no, line[len("arrow"):], ":", "->", "expected: arrow <name> : <source> -> <target>"
+                        no, line, "arrow", ":", "->", "expected: arrow <name> : <source> -> <target>"
                     )
                     if parts is None:
                         continue
-                    name, src, tgt = parts
+                    (name, at), (src, _), (tgt, _) = parts
                     if any(a[0] == name for a in arrows) or name in vertices:
-                        self.err(no, self.col_of(no, name), E_DUPLICATE, f"duplicate identifier {name}")
+                        self.err(no, self.col(no, at), E_DUPLICATE, f"duplicate identifier {name}")
                         continue
                     arrows.append((name, src, tgt))
                 else:
@@ -241,7 +253,7 @@ class _Parser:
             try:
                 return Field(int(words[1]))
             except PathAlgError as exc:
-                self.err(no, self.col_of(no, words[1]), E_BAD_FIELD, str(exc))
+                self.err(no, self.word_col(no, line, 1), E_BAD_FIELD, str(exc))
                 return Field(0)
         self.err(no, 1, E_BAD_FIELD, f"bad field spec {line!r}; expected Q or Fp <prime>")
         return Field(0)
@@ -264,10 +276,11 @@ class _Parser:
                 else:
                     self.err(no, 1, E_SYNTAX, f"unknown order line {kind!r}")
                     continue
-                for ident in names:
-                    known = {a.name for a in quiver.arrows} if kind == "arrows" else set(quiver.vertices)
+                known = {a.name for a in quiver.arrows} if kind == "arrows" else set(quiver.vertices)
+                for i, ident in enumerate(names, start=1):
                     if ident not in known:
-                        self.err(no, self.col_of(no, ident), E_UNKNOWN_ID, f"unknown identifier {ident}")
+                        col = self.word_col(no, line.replace(">", " "), i)
+                        self.err(no, col, E_UNKNOWN_ID, f"unknown identifier {ident}")
         if arrow_prec is None:
             arrow_prec = [a.name for a in quiver.arrows]
         if vertex_prec is None:
@@ -280,17 +293,12 @@ class _Parser:
             self.err(1, 1, E_ORDER, str(exc))
             return None
 
-    def _parse_scalar(self, field: Field, tok: str, no: int):
-        try:
-            return field.of(tok)
-        except (ValueError, ZeroDivisionError, PathAlgError):
-            self.err(no, self.col_of(no, tok), E_BAD_SCALAR, f"bad scalar {tok!r}")
-            return None
-
     def _read_terms(
-        self, quiver: Quiver, field: Field, no: int, expr: str, heads: dict[str, tuple[int, str]] | None = None
+        self, quiver: Quiver, field: Field, no: int, expr: str, at: int = 0,
+        heads: dict[str, tuple[int, str]] | None = None,
     ) -> dict | None:
-        """The terms of one element line, or None once what is wrong with it is reported.
+        """The terms of an element that starts at position `at` of its line, or
+        None once what is wrong with it is reported.
 
         A term [scalar "*"] path is keyed by its path.  Given `heads`, a
         module's generators as name -> (index, vertex), a term is
@@ -298,8 +306,8 @@ class _Parser:
         """
         terms: dict = {}
         ok = True
-        for sign, text in _split_terms(expr):
-            term = self._read_term(quiver, field, no, text, heads)
+        for sign, text, pos in _split_terms(expr, at):
+            term = self._read_term(quiver, field, no, text, pos, heads)
             if term is None:
                 ok = False
                 continue
@@ -309,31 +317,36 @@ class _Parser:
             terms[key] = coeff if prev is None else field.of(prev + coeff)
         return terms if ok else None
 
-    def _read_term(self, quiver: Quiver, field: Field, no: int, text: str, heads) -> tuple | None:
+    def _read_term(self, quiver: Quiver, field: Field, no: int, text: str, at: int, heads) -> tuple | None:
+        """One term, which starts at position `at` of its line (read only to place a diagnostic)."""
         toks = [t.strip() for t in text.split("*") if t.strip()]
         if not toks and heads is None:
             return self.err(no, 1, E_SYNTAX, "empty term")
-        coeff = field.one
+        coeff, first = field.one, 0  # first: the number of tokens before the path
         if toks and _is_scalar_token(toks[0]):
-            coeff = self._parse_scalar(field, toks[0], no)
-            if coeff is None:
-                return None
-            toks = toks[1:]
+            try:
+                coeff = field.of(toks[0])
+            except (ValueError, ZeroDivisionError, PathAlgError):
+                return self.err(no, self.word_col(no, text, 0, at, _TOKEN), E_BAD_SCALAR, f"bad scalar {toks[0]!r}")
+            first = 1
+        path = toks[first:]
         if heads is None:
-            if not toks:
+            if not path:
                 return self.err(no, 1, E_SYNTAX, "a term needs a path (vertices act as length-0 paths)")
-        elif not toks or toks[0] not in heads:
+        elif not path or path[0] not in heads:
             return self.err(no, 1, E_UNKNOWN_ID, "module term must start with a generator name")
         else:
-            gname, (gi, vertex) = toks[0], heads[toks[0]]
-            toks = toks[1:] or [vertex]
-        bad = [t for t in toks if t not in self.known]
-        if bad:
-            return self.err(no, self.col_of(no, bad[0]), E_UNKNOWN_ID, f"unknown identifier {bad[0]}")
+            gname, (gi, vertex) = path[0], heads[path[0]]
+            first += 1
+            path = path[1:] or [vertex]
+        for i, tok in enumerate(path):
+            if tok not in self.known:
+                col = self.word_col(no, text, first + i, at, _TOKEN)
+                return self.err(no, col, E_UNKNOWN_ID, f"unknown identifier {tok}")
         try:
-            p = quiver.path(toks)
+            p = quiver.path(path)
         except CompositionError as exc:
-            return self.err(no, self.col_of(no, toks[0]), E_NON_COMPOSABLE, str(exc))
+            return self.err(no, self.word_col(no, text, first, at, _TOKEN), E_NON_COMPOSABLE, str(exc))
         if heads is None:
             return p, coeff
         if p.source != vertex:
@@ -366,42 +379,43 @@ class _Parser:
                 self.err(hdr_no, 1, E_DUPLICATE, f"duplicate module {name}")
                 continue
             gens: list[Generator] = []
-            rel_lines: list[tuple[int, str]] = []
+            rel_lines: list[tuple[int, str, int]] = []
             for no, line in body:
                 words = line.split(None, 1)
                 if words[0] == "generator":
                     parts = self.split_declaration(
-                        no, line[len("generator"):], ":", "@", "expected: generator <name> : <vertex> @ <degree>"
+                        no, line, "generator", ":", "@", "expected: generator <name> : <vertex> @ <degree>"
                     )
                     if parts is None:
                         continue
-                    gname, vtx, deg = parts
+                    (gname, gat), (vtx, vat), (deg, dat) = parts
                     if any(g.name == gname for g in gens):
-                        self.err(no, self.col_of(no, gname), E_DUPLICATE, f"duplicate generator {gname}")
+                        self.err(no, self.col(no, gat), E_DUPLICATE, f"duplicate generator {gname}")
                         continue
                     if vtx not in quiver.vertices:
-                        self.err(no, self.col_of(no, vtx), E_UNKNOWN_ID, f"unknown vertex {vtx}")
+                        self.err(no, self.col(no, vat), E_UNKNOWN_ID, f"unknown vertex {vtx}")
                         continue
                     try:
                         degree = int(deg)
                     except ValueError:
-                        self.err(no, self.col_of(no, deg), E_SYNTAX, f"bad degree {deg!r}")
+                        self.err(no, self.col(no, dat), E_SYNTAX, f"bad degree {deg!r}")
                         continue
                     if degree < 0:
-                        self.err(no, self.col_of(no, deg), E_SYNTAX, f"generator degree must be >= 0; got {degree}")
+                        self.err(no, self.col(no, dat), E_SYNTAX, f"generator degree must be >= 0; got {degree}")
                         continue
                     gens.append(Generator(gname, vtx, degree))
                 elif words[0] == "relation":
-                    rel_lines.append((no, words[1] if len(words) > 1 else ""))
+                    expr = words[1] if len(words) > 1 else ""
+                    rel_lines.append((no, expr, len(line) - len(expr)))
                 else:
                     self.err(no, 1, E_SYNTAX, f"unknown module line {words[0]!r}")
             heads = {g.name: (i, g.vertex) for i, g in enumerate(gens)}
             rels: list[ModuleElement] = []
-            for no, expr in rel_lines:
+            for no, expr, at in rel_lines:
                 if not expr:
                     self.err(no, 1, E_SYNTAX, "empty relation")
                     continue
-                terms = self._read_terms(quiver, field, no, expr, heads)
+                terms = self._read_terms(quiver, field, no, expr, at, heads)
                 if terms is None:
                     continue
                 rel = ModuleElement(terms)
@@ -423,7 +437,7 @@ class _Parser:
                 try:
                     out[words[0]] = int(words[1])
                 except ValueError:
-                    self.err(no, self.col_of(no, words[1]), E_SYNTAX, f"bad integer {words[1]!r}")
+                    self.err(no, self.word_col(no, line, 1), E_SYNTAX, f"bad integer {words[1]!r}")
         return out
 
 

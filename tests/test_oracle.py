@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+import pathalg.oracle
 from pathalg import (
     AlgebraElement,
     OrderSpec,
@@ -10,6 +13,7 @@ from pathalg import (
     ideal_membership,
     minimal_resolution,
     module_hilbert,
+    normal_form,
     normal_words,
     verify_windows,
 )
@@ -17,6 +21,8 @@ from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
 from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_pieces, presentation_cover
+from pathalg.problem import parse
+from pathalg.quiver import Path
 from pathalg.syzygy import DegreeWindow
 from tests.conftest import truncated_polynomial, words
 
@@ -50,9 +56,74 @@ def test_action_matrices_respect_composition(two_loop, cube_model):
                         for w2, c2 in cube_model.act(w1, b).items():
                             step[w2] = step.get(w2, F.zero) + c1 * c2
                     direct = AlgebraElement({w * two_loop.path(a.name) * two_loop.path(b.name): F.one})
-                    from pathalg import normal_form
                     expect = normal_form(direct, cube_model.gb, cube_model.order)
                     assert {k: v for k, v in step.items() if v} == expect.terms
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SKLYANIN = (ROOT / "fixtures" / "sklyanin_235.alg").read_text()
+# Every fixture, Sklyanin (2,3,5) over Q too, and the perfbench inputs, with
+# the degree cap of their models.
+MODEL_INPUTS = [(p.name, p.read_text(), 8) for p in sorted((ROOT / "fixtures").glob("*.alg"))] + [
+    ("sklyanin_235.alg over Q", SKLYANIN.replace("Fp 101", "Q"), 7),
+    ("poly3_q.alg", (ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text(), 8),
+    ("poly3_f101.alg", (ROOT / "perfbench" / "inputs" / "poly3_f101.alg").read_text(), 8),
+    ("preproj3.alg", (ROOT / "perfbench" / "inputs" / "preproj3.alg").read_text(), 8),
+]
+
+
+def _input_model(text, cap):
+    pf = parse(text)
+    gb = groebner_basis(pf.ideal, pf.order, cap)
+    return pf, build_model(pf.quiver, gb, cap)
+
+
+@pytest.mark.parametrize("name, text, cap", MODEL_INPUTS, ids=[m[0] for m in MODEL_INPUTS])
+def test_action_tables_are_the_normal_forms(name, text, cap):
+    pf, model = _input_model(text, cap)
+    if name.startswith("sklyanin"):
+        assert not model.gb.complete and max(t.length for t in model.gb.tips) > 2
+    rewritten = 0
+    for d in range(cap):
+        for k, a in enumerate(pf.quiver.arrows):
+            table = model.action(d, k)
+            for i, w in enumerate(model.basis[d]):
+                got = {model.basis[d + 1][j]: c for j, c in table[i]}
+                if w.target != a.source:
+                    assert got == {}
+                    continue
+                wa = Path(w.source, a.target, w.arrows + (a,))
+                rewritten += wa not in model.index[d + 1]
+                assert got == normal_form(AlgebraElement({wa: F.one}), model.gb, pf.order).terms, (w, a)
+                assert model.act(w, a) == got
+    assert rewritten
+
+
+def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normal_form called inside the model cap")
+
+    models = [(_input_model(text, cap), cap) for _name, text, cap in MODEL_INPUTS]
+    monkeypatch.setattr(pathalg.oracle, "normal_form", refuse)
+    for (pf, model), cap in models:
+        for d in range(cap):
+            for k in range(len(pf.quiver.arrows)):
+                model.action(d, k)
+        for pres in pf.modules.values():
+            rep = minimal_resolution(pres, model, 3, cap)
+            assert rep.degrees[0]
+
+
+def test_model_of_a_truncated_basis_stops_at_its_bound():
+    pf = parse(SKLYANIN)
+    gb = groebner_basis(pf.ideal, pf.order, 4)
+    assert not gb.complete
+    with pytest.raises(PathAlgError, match="truncated-at-degree-4"):
+        build_model(pf.quiver, gb, 5)
+    model = build_model(pf.quiver, gb, 4)
+    with pytest.raises(PathAlgError, match="truncated-at-degree-4"):
+        model.extend(5)
+    assert model.degree_cap == 4
 
 
 def test_resolution_dual_numbers(one_loop, one_loop_order):

@@ -238,7 +238,7 @@ ELEMENT_DIAGNOSTICS = {
     ("relation", "x*g"): ["13:1: E_UNKNOWN_ID: module term must start with a generator name"],
     ("relation", "g*a + 1/0*h"): ["13:16: E_BAD_SCALAR: bad scalar '1/0'"],
     ("relation", "g*z"): ["13:12: E_UNKNOWN_ID: unknown identifier z"],
-    ("relation", "g*a*x"): ["13:4: E_NON_COMPOSABLE: cannot compose a (target f) with x (source e)"],
+    ("relation", "g*a*x"): ["13:12: E_NON_COMPOSABLE: cannot compose a (target f) with x (source e)"],
     ("relation", "h*x"): ["13:1: E_NON_COMPOSABLE: path x does not start at h's vertex"],
     ("relation", "g*x + g*x*x"): ["13:1: E_INHOMOGENEOUS: inhomogeneous relation 'g*x + g*x*x'"],
     ("relation", "g*z - h*x"): [
@@ -266,14 +266,48 @@ def _diagnostics(text):
 def test_declarations_need_their_separators_in_order_and_every_part():
     arrow = "[quiver]\nvertex e\narrow {}\n"
     expected_arrow = ["3:1: E_SYNTAX: expected: arrow <name> : <source> -> <target>"]
-    for line in ("x -> e : e", "x : e", "x e -> e", ": e -> e", "x : -> e", "x : e ->"):
+    for line in ("x -> e : e", "x : e", "x e -> e", ": e -> e", "x : -> e", "x : e ->", "x y : e -> e", "x : e -> e e"):
         assert _diagnostics(arrow.format(line)) == expected_arrow, line
     module = "[quiver]\nvertex e\narrow x : e -> e\n\n[module M]\ngenerator {}\n"
     expected_generator = ["6:1: E_SYNTAX: expected: generator <name> : <vertex> @ <degree>"]
-    for line in ("g @ 0 : e", "g : e", "g e @ 0", " : e @ 0", "g : @ 0", "g : e @"):
+    for line in ("g @ 0 : e", "g : e", "g e @ 0", " : e @ 0", "g : @ 0", "g : e @", "g h : e @ 0", "g : e e @ 0"):
         assert _diagnostics(module.format(line)) == expected_generator, line
     assert parse(module.format("g : e @ 1")).modules["M"].generators[0].degree == 1
     assert _diagnostics("[]\n[quiver]\nvertex e\n") == ["1:1: E_SECTION: unknown section []"]
+
+
+def test_columns_point_at_the_token_itself():
+    # Each bad token also occurs earlier in its line, inside a keyword.
+    assert _diagnostics("[quiver]\nvertex e f e\narrow a : e -> f\narrow a : f -> e\n") == [
+        "2:12: E_DUPLICATE: duplicate vertex e",
+        "4:7: E_DUPLICATE: duplicate identifier a",
+    ]
+    text = """[quiver]
+vertex e f
+arrow a : e -> f
+arrow r : e -> e
+arrow x : e -> e
+
+[order]
+arrows r > a > o
+
+[module M]
+generator g : n @ 0
+generator h : e @ a
+generator k : e @ 0
+  relation k*a*x
+
+[params]
+max-n x
+"""
+    assert _diagnostics(text) == [
+        "8:16: E_UNKNOWN_ID: unknown identifier o",
+        "1:1: E_ORDER: arrow precedence must cover every arrow exactly once",
+        "11:15: E_UNKNOWN_ID: unknown vertex n",
+        "12:19: E_SYNTAX: bad degree 'a'",
+        "14:14: E_NON_COMPOSABLE: cannot compose a (target f) with x (source e)",
+        "17:7: E_SYNTAX: bad integer 'x'",
+    ]
 
 
 def test_token_swaps_never_escape_parse_error():
