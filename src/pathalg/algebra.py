@@ -20,8 +20,9 @@ increasing degree, a new tip neither is divisible by an older tip nor
 divides one, so the tips form an antichain throughout, no element is ever
 dropped, and one final pass that reduces every tail makes the basis
 reduced.  A normal form is a single descending pass over a heap of words;
-reducers are looked up in a TipIndex, a dict keyed by tip word, which a
-GroebnerBasis builds once and keeps.
+each word's reducer is found in one scan of the word by a TipIndex, an
+Aho-Corasick automaton over the tip words, which a GroebnerBasis builds
+once and keeps.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping
 from .errors import PathAlgError, TruncatedBasisError
 from .fields import Field
 from .order import OrderSpec
-from .quiver import Path, Quiver, normal_word_levels
+from .quiver import Arrow, Path, Quiver, normal_word_levels
 
 
 def _clean(terms: Mapping) -> dict:
@@ -193,17 +194,30 @@ class TipIndex:
     the greatest arrow), so among words of one length the smaller tuple is
     the greater word.  The reducer of a word is the first element, in
     insertion order, whose tip divides it, taken at the tip's leftmost
-    occurrence.  It is found by probing the tip dict at every offset with
-    ever longer factors, stopping once a factor is no tip's prefix.
+    occurrence.  It is found in one left-to-right scan of the word through
+    an Aho-Corasick automaton over the tip words: each state knows the
+    first element whose tip is a suffix of the state's word, so every end
+    position of the word offers the best tip ending there, and the scan
+    keeps a position's offer only when it is strictly better.  This rule
+    needs no antichain: nested, suffix and duplicate tips get the same
+    reducer as a search of every factor would give them.  `add` leaves the
+    automaton stale, and the next `find` rebuilds it.
     """
 
     def __init__(self, order: OrderSpec, elements: Iterable[AlgebraElement] = ()):
         self.order = order
         self.elements: list[AlgebraElement] = []
         self.tips: list[Path] = []
-        # tip ranks -> (insertion position, tail as (ranks, arrows, coefficient / lead))
-        self._by_tip: dict[tuple[int, ...], tuple[int, list]] = {}
-        self._prefixes: set[tuple[int, ...]] = set()
+        # Per element: tip ranks, and the tail as (ranks, coefficient / lead) pairs.
+        self.keys: list[tuple[int, ...]] = []
+        self.tails: list[list[tuple[tuple[int, ...], object]]] = []
+        # rank -> Arrow, for every arrow of a tip or a tail
+        self.arrows: dict[int, Arrow] = {}
+        # Dense transition rows (one per state, indexed by arrow rank) and,
+        # per state, the first element whose tip is a suffix of its word
+        # (len(elements) for none); None while stale.
+        self._goto: list[list[int]] | None = None
+        self._first: list[int] = []
         for g in elements:
             self.add(g)
 
@@ -216,26 +230,63 @@ class TipIndex:
         if not t.arrows:
             raise PathAlgError(f"a reducer tip must have positive length; got {t}")
         p, inv = field.characteristic, field.inverse(g.terms[t])
-        tail = [(_ranks(q, self.order), q.arrows, c * inv % p if p else c * inv) for q, c in g.terms.items() if q != t]
-        key = _ranks(t, self.order)
-        self._by_tip.setdefault(key, (len(self.elements), tail))
-        self._prefixes.update(key[:n] for n in range(1, len(key) + 1))
+        tail = []
+        for q, c in g.terms.items():
+            w = _ranks(q, self.order)
+            self.arrows.update(zip(w, q.arrows))
+            if q != t:
+                tail.append((w, c * inv % p if p else c * inv))
+        self.keys.append(_ranks(t, self.order))
+        self.tails.append(tail)
         self.elements.append(g)
         self.tips.append(t)
+        self._goto = None
 
-    def find(self, w: tuple[int, ...]):
-        """(tail, offset, tip length) of the reducer of word w, or None."""
-        best = None
-        m = len(w)
-        for i in range(m):
-            for j in range(i + 1, m + 1):
-                piece = w[i:j]
-                if piece not in self._prefixes:
+    def _build(self) -> None:
+        width, none = len(self.order.arrow_rank), len(self.elements)
+        goto, first = [[-1] * width], [none]
+        for k, key in enumerate(self.keys):
+            s = 0
+            for r in key:
+                row = goto[s]
+                s = row[r]
+                if s < 0:
+                    s = row[r] = len(goto)
+                    goto.append([-1] * width)
+                    first.append(none)
+            first[s] = min(first[s], k)
+        # Breadth first, so a state's failure state (a shallower one) is
+        # complete when the state is reached; a missing transition is its
+        # failure state's.
+        queue = [(t, 0) for t in goto[0] if t >= 0]
+        goto[0] = [max(t, 0) for t in goto[0]]
+        for s, f in queue:
+            if first[f] < first[s]:
+                first[s] = first[f]
+            row, frow = goto[s], goto[f]
+            for r in range(width):
+                t = row[r]
+                if t < 0:
+                    row[r] = frow[r]
+                else:
+                    queue.append((t, frow[r]))
+        self._goto, self._first = goto, first
+
+    def find(self, w: tuple[int, ...]) -> tuple[int, int] | None:
+        """(insertion position, offset) of the reducer of word w, or None."""
+        if self._goto is None:
+            self._build()
+        goto, first = self._goto, self._first
+        best = len(self.elements)
+        s = end = 0
+        for j, r in enumerate(w, 1):
+            s = goto[s][r]
+            k = first[s]
+            if k < best:
+                best, end = k, j
+                if not k:  # no element comes before the first
                     break
-                hit = self._by_tip.get(piece)
-                if hit is not None and (best is None or hit[0] < best[0]):
-                    best = (hit[0], hit[1], i, j - i)
-        return None if best is None else best[1:]
+        return (best, end - len(self.keys[best])) if end else None
 
 
 def _reducers(basis, order: OrderSpec) -> TipIndex:
@@ -251,47 +302,53 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
 
     `basis` may be a GroebnerBasis, a TipIndex, or any iterable of
     elements; x minus the result lies in the two-sided ideal generated by
-    the basis.  Words are taken from a heap, greatest first.  A rewrite
-    replaces a word by smaller ones only (the order is admissible), so every
-    word is popped once and the pass ends when the heap is empty.  Over F_p
-    a word's coefficient is reduced mod p once, when it is popped, so the
-    rewrites in between are plain int arithmetic.
+    the basis.  Words are rank tuples taken from a heap, greatest first.  A
+    rewrite replaces a word by smaller ones only (the order is admissible),
+    so every word is popped once and the pass ends when the heap is empty;
+    the surviving words become paths again at the end.  Over F_p a word's
+    coefficient is reduced mod p once, when it is popped, so the rewrites in
+    between are plain int arithmetic.
     """
     index = _reducers(basis, order)
+    find, keys, tails = index.find, index.keys, index.tails
     p = order.field.characteristic
     terms: dict[tuple[int, ...], object] = {}
-    heap = []
+    # x's own arrows by rank; the index knows the arrows of its tails.
+    own: dict[int, Arrow] = {}
     # Every rewrite keeps a word's endpoints, so all words share x's.
     source = target = ""
     for q, c in x.terms.items():
         w = _ranks(q, order)
+        own.update(zip(w, q.arrows))
         terms[w] = c
-        heap.append((-len(w), w, q.arrows))
         source, target = q.source, q.target
+    heap = [(-len(w), w) for w in terms]
     heapify(heap)
-    out: dict[Path, object] = {}
+    out: dict[tuple[int, ...], object] = {}
     while heap:
-        _, w, arrows = heappop(heap)
+        _, w = heappop(heap)
         c = terms.pop(w)
         if p:
             c %= p
         if not c:
             continue
-        found = index.find(w)
+        found = find(w)
         if found is None:
-            out[Path(source, target, arrows)] = c
+            out[w] = c
             continue
-        tail, i, n = found
-        head, rest, head_arrows, rest_arrows = w[:i], w[i + n:], arrows[:i], arrows[i + n:]
-        for q, q_arrows, d in tail:
+        k, i = found
+        head, rest = w[:i], w[i + len(keys[k]):]
+        for q, d in tails[k]:
             word = head + q + rest
             s = terms.get(word)
             if s is None:
                 terms[word] = -(c * d)
-                heappush(heap, (-len(word), word, head_arrows + q_arrows + rest_arrows))
+                heappush(heap, (-len(word), word))
             else:
                 terms[word] = s - c * d
-    return AlgebraElement(out)
+    arrows = index.arrows
+    return AlgebraElement({Path(source, target, tuple([own[r] if r in own else arrows[r] for r in w])): c
+                           for w, c in out.items()})
 
 
 def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
@@ -320,13 +377,15 @@ def _overlaps(ta: Path, tb: Path):
     ("contain", i): tb occurs inside ta at offset i with tb != ta; the
     ambiguity word is ta.
     """
-    for k in range(1, min(ta.length, tb.length - 1) + 1):
-        if ta.arrows[ta.length - k:] == tb.arrows[:k]:
-            yield ta.length + tb.length - k, "suffix", k
-    if tb.length < ta.length:
-        for i in range(ta.length - tb.length + 1):
-            if ta.arrows[i:i + tb.length] == tb.arrows:
-                yield ta.length, "contain", i
+    a, b = ta.arrows, tb.arrows
+    la, lb = len(a), len(b)
+    for k in range(1, min(la, lb - 1) + 1):
+        if a[la - k:] == b[:k]:
+            yield la + lb - k, "suffix", k
+    if lb < la:
+        for i in range(la - lb + 1):
+            if a[i:i + lb] == b:
+                yield la, "contain", i
 
 
 def _s_element(a: AlgebraElement, b: AlgebraElement, ta: Path, tb: Path, kind: str, pos: int) -> AlgebraElement:

@@ -1,3 +1,5 @@
+import hashlib
+import pathlib
 import random
 from fractions import Fraction
 
@@ -15,12 +17,14 @@ from pathalg import (
     normal_words,
     tip,
 )
-from pathalg.algebra import ModuleElement, monic
+from pathalg.algebra import ModuleElement, TipIndex, monic
 from pathalg.corpus import random_homogeneous_element
 from pathalg.fields import Field
+from pathalg.problem import parse
 from tests.conftest import words
 
 F = Field(0)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def elem(q, spec):
@@ -321,6 +325,65 @@ def test_sklyanin_completion_against_span_oracle():
     for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
         shuffled = groebner_basis([gens[i] for i in perm], order, 6)
         assert [g.render() for g in shuffled.elements] == [g.render() for g in gb.elements]
+
+
+def test_sklyanin_completion_basis_is_pinned():
+    """The reduced basis of sklyanin_235_a0.alg at D = 10, as rendered, pinned by its sha256."""
+    pf = parse((ROOT / "fixtures" / "sklyanin_235_a0.alg").read_text())
+    gb = groebner_basis(pf.ideal, pf.order, 10)
+    assert gb.status == "truncated-at-degree-10" and len(gb.elements) == 35
+    rendered = "\n".join(g.render() for g in gb.elements)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "61066613cb4fe0f3273c15002d5c35c53351b64bfedc4135b4afe1490f25d84b")
+
+
+def _first_reducer(keys, w):
+    """(position, offset) of the first key in list order that is a factor of w, at its leftmost occurrence."""
+    for k, t in enumerate(keys):
+        for i in range(len(w) - len(t) + 1):
+            if w[i:i + len(t)] == t:
+                return k, i
+    return None
+
+
+@pytest.mark.parametrize("kind", ["antichain", "factor", "suffix", "duplicate"])
+def test_tip_index_find_against_a_factor_search(kind):
+    """`find` against the first tip in insertion order at its leftmost occurrence.
+
+    Tip sets are antichains, or carry a tip that has another one as a
+    factor, as a suffix, or again; every `add` is followed by `find`s, so a
+    stale automaton would answer for the tips before it.
+    """
+    rng = random.Random(f"tip-index-{kind}")
+    for _ in range(60):
+        width = rng.choice([2, 3])
+        names = "xyz"[:width]
+        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
+        prec = list(names)
+        rng.shuffle(prec)
+        order = OrderSpec(tuple(prec), ("e",), field=rng.choice([F, Field(7)]))
+
+        def word(lo, hi):
+            return tuple(rng.randrange(width) for _ in range(rng.randint(lo, hi)))
+
+        keys = []
+        for t in (word(1, 4) for _ in range(rng.randint(1, 5))):
+            if kind != "antichain" or not any(_first_reducer([s], t) or _first_reducer([t], s) for s in keys):
+                keys.append(t)
+        for _ in range(rng.randint(1, 2)):
+            t = rng.choice(keys)
+            extra = {"antichain": None, "duplicate": t, "suffix": word(1, 3) + t,
+                     "factor": word(0, 2) + t + word(1, 2)}[kind]
+            if extra is not None:
+                keys.insert(rng.randint(0, len(keys)), extra)
+        index = TipIndex(order)
+        for n, key in enumerate(keys, 1):
+            path = q.path("*".join(prec[r] for r in key))
+            index.add(AlgebraElement({path: order.field.of(rng.randint(1, 6))}))
+            assert index.keys[n - 1] == key
+            for _ in range(6):
+                w = word(0, 9)
+                assert index.find(w) == _first_reducer(keys[:n], w), (keys[:n], w)
 
 
 def test_random_completions_against_span_oracle():
