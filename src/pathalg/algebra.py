@@ -14,15 +14,18 @@ The reduced Groebner basis of a homogeneous ideal I inside (kQ_{>0})^2 is
 computed by overlap completion, truncated at a caller-supplied degree; the
 completeness status is part of the result.  Completion is degree-ordered,
 as in Bergman's diamond lemma and Green's completion for path algebras:
-generators and overlap S-elements wait in one heap keyed by degree and are
-each reduced once against the basis so far.  Because they arrive in
-increasing degree, a new tip neither is divisible by an older tip nor
-divides one, so the tips form an antichain throughout, no element is ever
-dropped, and one final pass that reduces every tail makes the basis
-reduced.  A normal form is a single descending pass over a heap of words;
-each word's reducer is found in one scan of the word by a TipIndex, an
-Aho-Corasick automaton over the tip words, which a GroebnerBasis builds
-once and keeps.
+generators and overlaps wait in one heap keyed by degree, and each is
+reduced once against the basis so far.  Because they arrive in increasing
+degree, a new tip neither is divisible by an older tip nor divides one, so
+the tips form an antichain throughout, no element is ever dropped, and one
+final pass that reduces every tail makes the basis reduced.  An overlap's
+S-element is built from the two tails, in rank words, only when it is
+popped; a pair of monomials and an overlap that a third tip strictly
+inside its ambiguity word already resolves (the chain criterion) are not
+reduced at all.  A normal form is a single descending pass over a heap of
+rank words (`_reduce_words`); each word's reducer is found in one scan of
+the word by a TipIndex, an Aho-Corasick automaton over the tip words,
+which a GroebnerBasis builds once and keeps.
 """
 from __future__ import annotations
 
@@ -207,11 +210,10 @@ class TipIndex:
     def __init__(self, order: OrderSpec, elements: Iterable[AlgebraElement] = ()):
         self.order = order
         self.elements: list[AlgebraElement] = []
-        self.tips: list[Path] = []
         # Per element: tip ranks, and the tail as (ranks, coefficient / lead) pairs.
         self.keys: list[tuple[int, ...]] = []
         self.tails: list[list[tuple[tuple[int, ...], object]]] = []
-        # rank -> Arrow, for every arrow of a tip or a tail
+        # rank -> Arrow, for every arrow of a tip or a tail (and, in completion, of a generator)
         self.arrows: dict[int, Arrow] = {}
         # Dense transition rows (one per state, indexed by arrow rank) and,
         # per state, the first element whose tip is a suffix of its word
@@ -239,7 +241,6 @@ class TipIndex:
         self.keys.append(_ranks(t, self.order))
         self.tails.append(tail)
         self.elements.append(g)
-        self.tips.append(t)
         self._goto = None
 
     def _build(self) -> None:
@@ -297,31 +298,26 @@ def _reducers(basis, order: OrderSpec) -> TipIndex:
     return TipIndex(order, basis)
 
 
-def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
-    """Rewrite x until no support path is divisible by a basis tip.
-
-    `basis` may be a GroebnerBasis, a TipIndex, or any iterable of
-    elements; x minus the result lies in the two-sided ideal generated by
-    the basis.  Words are rank tuples taken from a heap, greatest first.  A
-    rewrite replaces a word by smaller ones only (the order is admissible),
-    so every word is popped once and the pass ends when the heap is empty;
-    the surviving words become paths again at the end.  Over F_p a word's
-    coefficient is reduced mod p once, when it is popped, so the rewrites in
-    between are plain int arithmetic.
-    """
-    index = _reducers(basis, order)
-    find, keys, tails = index.find, index.keys, index.tails
-    p = order.field.characteristic
-    terms: dict[tuple[int, ...], object] = {}
-    # x's own arrows by rank; the index knows the arrows of its tails.
-    own: dict[int, Arrow] = {}
-    # Every rewrite keeps a word's endpoints, so all words share x's.
-    source = target = ""
+def _words(x: AlgebraElement, order: OrderSpec, arrows: dict[int, Arrow]) -> dict:
+    """x's terms keyed by the rank words of their paths; each arrow is recorded in `arrows` by rank."""
+    terms = {}
     for q, c in x.terms.items():
         w = _ranks(q, order)
-        own.update(zip(w, q.arrows))
+        arrows.update(zip(w, q.arrows))
         terms[w] = c
-        source, target = q.source, q.target
+    return terms
+
+
+def _reduce_words(terms: dict, index: TipIndex, p: int) -> dict:
+    """The normal form of a map from rank words to coefficients, greatest word first.
+
+    `terms` is used up.  Words are taken from a heap, greatest first.  A
+    rewrite replaces a word by smaller ones only (the order is admissible),
+    so every word is popped once and the pass ends when the heap is empty.
+    Over F_p (p > 0) a word's coefficient is reduced mod p once, when it is
+    popped, so the rewrites in between are plain int arithmetic.
+    """
+    find, keys, tails = index.find, index.keys, index.tails
     heap = [(-len(w), w) for w in terms]
     heapify(heap)
     out: dict[tuple[int, ...], object] = {}
@@ -346,8 +342,25 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
                 heappush(heap, (-len(word), word))
             else:
                 terms[word] = s - c * d
+    return out
+
+
+def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
+    """Rewrite x until no support path is divisible by a basis tip.
+
+    `basis` may be a GroebnerBasis, a TipIndex, or any iterable of
+    elements; x minus the result lies in the two-sided ideal generated by
+    the basis.  x's paths become rank words, `_reduce_words` rewrites them,
+    and the surviving words become paths again.
+    """
+    index = _reducers(basis, order)
+    # x's own arrows by rank; the index knows the arrows of its tails.
+    own: dict[int, Arrow] = {}
+    out = _reduce_words(_words(x, order, own), index, order.field.characteristic)
+    # Every rewrite keeps a word's endpoints, so all words share x's.
+    end = next(iter(x.terms), None)
     arrows = index.arrows
-    return AlgebraElement({Path(source, target, tuple([own[r] if r in own else arrows[r] for r in w])): c
+    return AlgebraElement({Path(end.source, end.target, tuple([own[r] if r in own else arrows[r] for r in w])): c
                            for w, c in out.items()})
 
 
@@ -368,41 +381,27 @@ def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
     return ModuleElement(out)
 
 
-def _overlaps(ta: Path, tb: Path):
-    """(degree of the ambiguity word, kind, pos) for each proper overlap site of ta with tb.
+def _overlaps(a: tuple, b: tuple):
+    """(degree of the ambiguity word, shared) for each proper overlap of word a with word b.
 
-    ("suffix", k): the length-k suffix of ta equals the length-k proper
-    prefix of tb (k <= len(ta), k < len(tb)); the ambiguity word is
-    ta glued with tb sharing k arrows.
-    ("contain", i): tb occurs inside ta at offset i with tb != ta; the
-    ambiguity word is ta.
+    The length-`shared` suffix of a equals the length-`shared` proper
+    prefix of b (shared <= len(a), shared < len(b)); the ambiguity word is
+    a glued with b along those letters, a + b[shared:].  Neither word may
+    be a factor of the other (tips form an antichain), so no other kind
+    of overlap occurs.
     """
-    a, b = ta.arrows, tb.arrows
     la, lb = len(a), len(b)
     for k in range(1, min(la, lb - 1) + 1):
         if a[la - k:] == b[:k]:
-            yield la + lb - k, "suffix", k
-    if lb < la:
-        for i in range(la - lb + 1):
-            if a[i:i + lb] == b:
-                yield la, "contain", i
+            yield la + lb - k, k
 
 
-def _s_element(a: AlgebraElement, b: AlgebraElement, ta: Path, tb: Path, kind: str, pos: int) -> AlgebraElement:
-    """The S-element of monic a and b at an overlap site: a's multiple minus b's.
-
-    Over F_p its coefficients lie in (-p, p), and a nonzero one is nonzero
-    mod p, because both multiples have coefficients in [0, p); `normal_form`
-    reduces them on intake.
-    """
-    if kind == "suffix":
-        left, right = a.right_mul(tb.suffix(tb.length - pos)), b.left_mul(ta.prefix(ta.length - pos))
-    else:
-        left, right = a, b.left_mul(ta.prefix(pos)).right_mul(ta.suffix(ta.length - pos - tb.length))
-    terms = dict(left.terms)
-    for q, c in right.terms.items():
-        prev = terms.get(q)
-        terms[q] = -c if prev is None else prev - c
+def _element(words: Mapping[tuple[int, ...], object], arrows: Mapping[int, Arrow]) -> AlgebraElement:
+    """The element whose terms are the given nonempty, parallel rank words."""
+    terms = {}
+    for w, c in words.items():
+        path = tuple([arrows[r] for r in w])
+        terms[Path(path[0].source, path[-1].target, path)] = c
     return AlgebraElement(terms)
 
 
@@ -420,15 +419,32 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     """Degree-ordered overlap completion up to max_degree, returning the reduced basis.
 
     One heap holds the work, keyed by degree: each generator at its own
-    degree, and each overlap S-element of degree <= max_degree, pushed when
-    the later of its two elements joins the basis.  Each item is reduced
-    once against the basis so far; a nonzero remainder joins it, made monic.
-    Since items come out in increasing degree, a new tip is not divisible by
-    any older tip (it is reduced) and divides none (an older tip is no
-    longer, so it would have to be equal).  The tips therefore stay an
-    antichain, no element is ever dropped, and every overlap degree exceeds
-    the degrees of both its elements.  A final pass reduces each tail
-    against the whole basis.
+    degree, and each overlap of degree <= max_degree, pushed when the later
+    of its two elements joins the basis.  An overlap waits as the pair of
+    elements and the number of letters their tips share; its S-element is
+    built only when it is popped, in rank words, from the two tails (the
+    tips cancel unwritten).  Each item is reduced once against the basis so
+    far; a nonzero remainder joins it, made monic.  Since items come out in
+    increasing degree, a new tip is not divisible by any older tip (it is
+    reduced) and divides none (an older tip is no longer, so it would have
+    to be equal).  The tips therefore stay an antichain, no element is ever
+    dropped, and every overlap degree exceeds the degrees of both its
+    elements.  A final pass reduces each tail against the whole basis.
+
+    Two kinds of overlap are never reduced.  A pair of monomials has the
+    S-element 0, so it is not pushed.  And an overlap whose ambiguity word
+    w has a basis tip strictly inside it, in w[1:-1], is skipped (the chain
+    criterion of Bergman's diamond lemma).  This is sound: every tip
+    shorter than w is in the index when w is popped, since items come out
+    in degree order.  An interior tip t_k splits the overlap of t_i (a
+    prefix of w) with t_j (a suffix) into the pairs (i, k) and (k, j).
+    Neither tip is a factor of the other, so each pair is disjoint or
+    overlaps in a proper factor of w; that overlap has lower degree and has
+    already been resolved, by reduction or, by induction, by this
+    criterion.  So the skipped S-element is a combination of multiples of
+    basis elements whose terms lie below w, which is all the diamond lemma
+    asks of it.  The truncated reduced basis is unique, so the result is
+    the one that reducing every S-element gives.
 
     A generator of degree above max_degree waits above the cap like an
     S-element.  The status is `complete` exactly when no generator waits and
@@ -438,34 +454,51 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     S-elements vanish identically.
     """
     gens = _validate_generators(generators, order.field)
+    p = order.field.characteristic
     index = TipIndex(order)
+    find, keys, tails, arrows = index.find, index.keys, index.tails, index.arrows
+    words = [_words(g, order, arrows) for g in gens]
     ticket = itertools.count()
-    queue = [(g.degree(), next(ticket), g) for g in gens if g.degree() <= max_degree]
+    # Items (degree, ticket, ia, ib, shared): the overlap of elements ia and
+    # ib whose tips share `shared` letters, or generator ia when ib is None.
+    queue = [(g.degree(), next(ticket), i, None, 0) for i, g in enumerate(gens) if g.degree() <= max_degree]
     waiting = len(queue) < len(gens)
     heapify(queue)
     while queue:
-        _, _, x = heappop(queue)
-        h = normal_form(x, index, order)
+        _, _, ia, ib, shared = heappop(queue)
+        if ib is None:
+            terms = words[ia]
+        else:
+            a, b = keys[ia], keys[ib]
+            right, left = b[shared:], a[:len(a) - shared]
+            # A tip inside the ambiguity word resolves it (see the docstring).
+            if find((a + right)[1:-1]) is not None:
+                continue
+            terms = {q + right: c for q, c in tails[ia]}
+            for q, d in tails[ib]:
+                w = left + q
+                terms[w] = terms.get(w, 0) - d
+        h = _reduce_words(terms, index, p)
         if not h:
             continue
-        index.add(monic(h, order))
-        k = len(index.elements) - 1
+        index.add(monic(_element(h, arrows), order))
+        k = len(keys) - 1
         for j in range(k + 1):
             for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
-                a, b, ta, tb = index.elements[ia], index.elements[ib], index.tips[ia], index.tips[ib]
-                for deg, kind, pos in _overlaps(ta, tb):
-                    if deg <= max_degree:
-                        heappush(queue, (deg, next(ticket), _s_element(a, b, ta, tb, kind, pos)))
+                if tails[ia] or tails[ib]:
+                    for deg, shared in _overlaps(keys[ia], keys[ib]):
+                        if deg <= max_degree:
+                            heappush(queue, (deg, next(ticket), ia, ib, shared))
 
     basis = []
-    for g, t in zip(index.elements, index.tips):
-        terms = dict(normal_form(AlgebraElement({p: c for p, c in g.terms.items() if p != t}), index, order).terms)
-        terms[t] = g.terms[t]
-        basis.append(AlgebraElement(terms))
+    for key, tail in zip(keys, tails):
+        terms = _reduce_words(dict(tail), index, p)
+        terms[key] = 1
+        basis.append(_element(terms, arrows))
     basis.sort(key=lambda g: order.path_key(tip(g, order)))
     tips_ = tuple(tip(g, order) for g in basis)
     all_monomial = all(len(g.terms) == 1 for g in basis)
-    max_overlap = max((deg for ta in tips_ for tb in tips_ for deg, _, _ in _overlaps(ta, tb)), default=0)
+    max_overlap = max((deg for a in keys for b in keys for deg, _ in _overlaps(a, b)), default=0)
     complete = not waiting and (all_monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 

@@ -1,9 +1,15 @@
-"""Shared property checks over random corpus instances.
+"""Shared property checks over random corpus instances, and a reference completion.
 
 Each checker returns a list of human-readable failure strings; the property
-suite and the acceptance suite assert those lists are empty.
+suite and the acceptance suite assert those lists are empty.  The
+completion helpers work on paths and elements only, apart from
+`normal_form`, so they check `groebner_basis` without sharing its rank-word
+code.
 """
-from pathalg import enumerate_overlaps, find_partition
+import itertools
+from heapq import heapify, heappop, heappush
+
+from pathalg import AlgebraElement, enumerate_overlaps, find_partition, monic, normal_form, tip
 from pathalg.corpus import check_composition_bounds, check_extrema_inequalities  # noqa: F401
 
 
@@ -81,3 +87,62 @@ def check_quasi_lifting(inst, table, max_n):
             if not lifts:
                 out.append(f"{inst.seed}: quasi level {n}: ({w},{v}) does not lift")
     return out
+
+
+def proper_overlaps(ta, tb):
+    """(degree, shared) for each proper overlap: the last `shared` arrows of ta begin tb, shared < len(tb)."""
+    for k in range(1, min(ta.length, tb.length - 1) + 1):
+        if ta.suffix(k) == tb.prefix(k):
+            yield ta.length + tb.length - k, k
+
+
+def _s_element(a, b, ta, tb, shared):
+    """The S-element of monic a and b at an overlap of their tips: a's multiple minus b's.
+
+    Over F_p its coefficients lie in (-p, p), and a nonzero one is nonzero
+    mod p, because both multiples have coefficients in [0, p); `normal_form`
+    reduces them on intake.
+    """
+    left, right = a.right_mul(tb.suffix(tb.length - shared)), b.left_mul(ta.prefix(ta.length - shared))
+    terms = dict(left.terms)
+    for q, c in right.terms.items():
+        prev = terms.get(q)
+        terms[q] = -c if prev is None else prev - c
+    return AlgebraElement(terms)
+
+
+def reference_completion(gens, order, cap):
+    """(rendered reduced basis, status, max overlap degree) by plain degree-ordered completion.
+
+    Every S-element of degree <= cap is reduced; no criterion skips one.
+    """
+    field = order.field
+    gens = [g for g in (AlgebraElement({q: field.of(c) for q, c in g.terms.items()}) for g in gens) if g]
+    ticket = itertools.count()
+    queue = [(g.degree(), next(ticket), g) for g in gens if g.degree() <= cap]
+    waiting = len(queue) < len(gens)
+    heapify(queue)
+    elements, tips = [], []
+    while queue:
+        _, _, x = heappop(queue)
+        h = normal_form(x, elements, order)
+        if not h:
+            continue
+        elements.append(monic(h, order))
+        tips.append(tip(elements[-1], order))
+        k = len(elements) - 1
+        for j in range(k + 1):
+            for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
+                for deg, shared in proper_overlaps(tips[ia], tips[ib]):
+                    if deg <= cap:
+                        s = _s_element(elements[ia], elements[ib], tips[ia], tips[ib], shared)
+                        heappush(queue, (deg, next(ticket), s))
+    basis = []
+    for g, t in zip(elements, tips):
+        terms = dict(normal_form(AlgebraElement({q: c for q, c in g.terms.items() if q != t}), elements, order).terms)
+        terms[t] = 1
+        basis.append(AlgebraElement(terms))
+    basis.sort(key=lambda g: order.path_key(tip(g, order)))
+    max_overlap = max((deg for ta in tips for tb in tips for deg, _ in proper_overlaps(ta, tb)), default=0)
+    complete = not waiting and (all(len(g.terms) == 1 for g in basis) or max_overlap <= cap)
+    return [g.render() for g in basis], "complete" if complete else f"truncated-at-degree-{cap}", max_overlap

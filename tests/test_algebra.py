@@ -22,6 +22,7 @@ from pathalg.corpus import random_homogeneous_element
 from pathalg.fields import Field
 from pathalg.problem import parse
 from tests.conftest import words
+from tests.helpers import _s_element, proper_overlaps, reference_completion
 
 F = Field(0)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -235,15 +236,14 @@ def test_completion_with_cascading_overlaps(two_loop, two_loop_order):
     order = two_loop_order
     # Whatever the final basis is, it must be interreduced and closed under
     # overlap reduction up to the cap.
-    from pathalg.algebra import _overlaps, _s_element
     for g in gb.elements:
         rest = [h for h in gb.elements if h != g]
         assert normal_form(g, rest, order) == g
     if gb.complete:
         for a, ta in zip(gb.elements, gb.tips):
             for b, tb in zip(gb.elements, gb.tips):
-                for _deg, kind, pos in _overlaps(ta, tb):
-                    assert normal_form(_s_element(a, b, ta, tb, kind, pos), gb, order).is_zero()
+                for _deg, shared in proper_overlaps(ta, tb):
+                    assert normal_form(_s_element(a, b, ta, tb, shared), gb, order).is_zero()
     # Either way the reduction route and the span route agree on membership.
     gens = [elem(two_loop, {"xx": 1, "xy": -1})]
     rng = random.Random(2)
@@ -289,7 +289,6 @@ def _ideal_dim(quiver, gens, d, p):
 
 
 def _assert_completion_invariants(quiver, order, gens, cap, gb):
-    from pathalg.algebra import _overlaps, _s_element
     from pathalg.quiver import divides
 
     tips = list(gb.tips)
@@ -298,9 +297,9 @@ def _assert_completion_invariants(quiver, order, gens, cap, gb):
         assert len(normal_words(quiver, tips, d)) == len(quiver.paths_of_length(d)) - dim
     for a, ta in zip(gb.elements, tips):
         for b, tb in zip(gb.elements, tips):
-            for deg, kind, pos in _overlaps(ta, tb):
+            for deg, shared in proper_overlaps(ta, tb):
                 if deg <= cap:
-                    assert normal_form(_s_element(a, b, ta, tb, kind, pos), gb, order).is_zero()
+                    assert normal_form(_s_element(a, b, ta, tb, shared), gb, order).is_zero()
     for t in tips:
         assert not any(s != t and divides(s, t) for s in tips)
     for g, t in zip(gb.elements, tips):
@@ -308,23 +307,41 @@ def _assert_completion_invariants(quiver, order, gens, cap, gb):
         assert not any(divides(s, p) for p in g.terms if p != t for s in tips)
 
 
-def test_sklyanin_completion_against_span_oracle():
-    """Non-monomial: the Sklyanin ideal (2,3,5) over F_101, truncated at degree 6."""
+def _sklyanin(a, b, c):
+    """The Sklyanin ideal (a, b, c) over F_101, x > y > z: a*xy + b*yx + c*zz and its cyclic shifts."""
     q = Quiver.build(["e"], [("x", "e", "e"), ("y", "e", "e"), ("z", "e", "e")])
     F101 = Field(101)
     order = OrderSpec(("x", "y", "z"), ("e",), field=F101)
     w = words(q)
 
-    def rel(a, b, c):
-        return AlgebraElement({w(a): F101.of(2), w(b): F101.of(3), w(c): F101.of(5)})
+    def rel(u, v, t):
+        return AlgebraElement({w(u): F101.of(a), w(v): F101.of(b), w(t): F101.of(c)})
 
-    gens = [rel("xy", "yx", "zz"), rel("yz", "zy", "xx"), rel("zx", "xz", "yy")]
+    return q, order, [rel("xy", "yx", "zz"), rel("yz", "zy", "xx"), rel("zx", "xz", "yy")]
+
+
+def test_sklyanin_completion_against_span_oracle():
+    """Non-monomial: the Sklyanin ideal (2,3,5) over F_101, truncated at degree 6."""
+    q, order, gens = _sklyanin(2, 3, 5)
     gb = groebner_basis(gens, order, 6)
     assert not gb.complete and any(len(g.terms) > 1 for g in gb.elements)
     _assert_completion_invariants(q, order, gens, 6, gb)
     for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
         shuffled = groebner_basis([gens[i] for i in perm], order, 6)
         assert [g.render() for g in shuffled.elements] == [g.render() for g in gb.elements]
+
+
+def _summary(gb):
+    """What `reference_completion` returns: the rendered basis, the status and the largest overlap degree."""
+    return [g.render() for g in gb.elements], gb.status, gb.max_overlap_degree
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 5), (1, 2, 3), (7, 11, 13)])
+def test_sklyanin_completion_against_a_reference_completion(triple):
+    """Skipping the S-elements an interior tip resolves leaves the basis as reducing them all does."""
+    _q, order, gens = _sklyanin(*triple)
+    for cap in range(5, 9):
+        assert _summary(groebner_basis(gens, order, cap)) == reference_completion(gens, order, cap)
 
 
 def test_sklyanin_completion_basis_is_pinned():
@@ -387,6 +404,7 @@ def test_tip_index_find_against_a_factor_search(kind):
 
 
 def test_random_completions_against_span_oracle():
+    """Seeded completions on one vertex over Q and F_7, against the span oracle and a reference completion."""
     rng = random.Random(20261018)
     nontrivial = 0
     for _ in range(40):
@@ -403,6 +421,7 @@ def test_random_completions_against_span_oracle():
         gb = groebner_basis(gens, order, 5)
         nontrivial += any(len(g.terms) > 1 for g in gb.elements)
         _assert_completion_invariants(q, order, gens, 5, gb)
+        assert _summary(gb) == reference_completion(gens, order, 5)
         shuffled = groebner_basis(gens[::-1], order, 5)
         assert [g.render() for g in shuffled.elements] == [g.render() for g in gb.elements]
     assert nontrivial >= 20
