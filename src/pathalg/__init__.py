@@ -45,8 +45,6 @@ from .overlaps import (
     compose_bounds,
     enumerate_overlaps,
     find_partition,
-    tail_first_hit_at_end,
-    tail_is_pattern_free,
 )
 from .presentation import Generator, ModulePresentation
 from .quiver import (

@@ -157,12 +157,15 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
     levels_doc = []
     for n in range(table.depth + 1):
         mino, maxo, minq, maxq = table.extrema(n)
+        entries, rows = [], []
+        for w in table.overlaps(n):
+            pred = table.predecessor(n, w)
+            pred = None if pred is None else str(pred)
+            entries.append({"word": str(w), "predecessor": pred})
+            rows.append([str(w), str(w.length), pred or ""])
         level_doc = {
             "n": n,
-            "overlaps": [
-                {"word": str(w), "predecessor": None if table.predecessor(n, w) is None else str(table.predecessor(n, w))}
-                for w in table.overlaps(n)
-            ],
+            "overlaps": entries,
             "extrema": {
                 "min_overlap": _jsonable(mino),
                 "max_overlap": _jsonable(maxo),
@@ -170,31 +173,20 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
                 "max_quasi": _jsonable(maxq),
             },
         }
+        qentries, qrows = [], []
         if args.quasi:
-            level_doc["quasi"] = [
-                {
-                    "word": str(w),
-                    "context": str(v),
-                    "predecessor": None if table.quasi_predecessor(n, w, v) is None else str(table.quasi_predecessor(n, w, v)),
-                }
-                for (w, v) in table.quasi(n)
-            ]
-        levels_doc.append(level_doc)
-        report.say(f"level {n}: {len(table.overlaps(n))} overlaps"
-                   + (f", {len(table.quasi(n))} quasi" if args.quasi else ""))
-        rows = []
-        for w in table.overlaps(n):
-            pred = table.predecessor(n, w)
-            rows.append([str(w), str(w.length), "" if pred is None else str(pred)])
-        if rows:
-            report.table(["word", "len", "predecessor"], rows)
-        if args.quasi:
-            qrows = []
             for (w, v) in table.quasi(n):
                 pred = table.quasi_predecessor(n, w, v)
-                qrows.append([str(w), str(v), str(w.length), "" if pred is None else str(pred)])
-            if qrows:
-                report.table(["word", "context", "len", "predecessor"], qrows)
+                pred = None if pred is None else str(pred)
+                qentries.append({"word": str(w), "context": str(v), "predecessor": pred})
+                qrows.append([str(w), str(v), str(w.length), pred or ""])
+            level_doc["quasi"] = qentries
+        levels_doc.append(level_doc)
+        report.say(f"level {n}: {len(entries)} overlaps" + (f", {len(qentries)} quasi" if args.quasi else ""))
+        if rows:
+            report.table(["word", "len", "predecessor"], rows)
+        if qrows:
+            report.table(["word", "context", "len", "predecessor"], qrows)
     report.doc["overlaps"] = {"levels": levels_doc, "quasi_included": bool(args.quasi)}
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form
+# perfbench/tracing.py resolves `normal_form` through this module's __dict__; nothing here calls it.
+from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form  # noqa: F401
 from .errors import PathAlgError
 from .fields import Field
 from .linalg import Subspace, left_nullspace
@@ -98,19 +99,18 @@ class GradedAlgebraModel:
         return [len(level) for level in self.basis]
 
     def act(self, w: Path, a: Arrow) -> dict[Path, object]:
-        """Expansion of the class of w*a in the normal-word basis.
+        """Expansion of the class of w*a in the normal-word basis, read from the tables.
 
-        Read from the tables for a normal word w below the cap; `normal_form` otherwise.
+        w must be a normal word below the cap; anything else raises PathAlgError.
         """
-        if w.target != a.source:
-            return {}
         d = w.length
         i = self.index[d].get(w) if d < self.degree_cap else None
-        if i is not None:
-            nxt = self.basis[d + 1]
-            return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
-        p = Path(w.source, a.target, w.arrows + (a,))
-        return dict(normal_form(AlgebraElement({p: self.field.one}), self.gb, self.order).terms)
+        if i is None:
+            raise PathAlgError(f"{w} is not a normal word below the model cap {self.degree_cap}")
+        if w.target != a.source:
+            return {}
+        nxt = self.basis[d + 1]
+        return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k on degree d: for each word number, (word number in degree d+1, scalar) pairs."""
@@ -550,9 +550,6 @@ def verify_windows(report: ResolutionReport, windows) -> tuple[bool, list[Window
         if w.n > report.max_n:
             continue
         degs = tuple(report.degrees[w.n])
-        if w.empty:
-            bad = degs
-        else:
-            bad = tuple(d for d in degs if not (w.lo <= d <= w.hi))
+        bad = tuple(d for d in degs if not w.contains(d))
         verdicts.append(WindowVerdict(w.n, w.method, w.lo, w.hi, degs, not bad, bad))
     return all(v.ok for v in verdicts), verdicts

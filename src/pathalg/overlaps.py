@@ -25,28 +25,8 @@ from math import inf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotReducedError, PathAlgError
-from .quiver import Arrow, Path, Quiver, divides, is_reduced
-
-
-def tail_is_pattern_free(q: Path, p: Path, patterns: Sequence[Path]) -> bool:
-    """With p = q * u, true when no pattern divides the tail u."""
-    u = p.drop_prefix(q)
-    return not any(divides(s, u) for s in patterns)
-
-
-def tail_first_hit_at_end(q: Path, p: Path, patterns: Sequence[Path]) -> bool:
-    """With p = q * u: u contains a pattern, but every proper prefix of u is clean.
-
-    Equivalently the earliest pattern occurrence in u ends exactly at the end
-    of p; for a reduced pattern set this means a unique pattern is a suffix
-    of u and nothing shorter hits.
-    """
-    if tail_is_pattern_free(q, p, patterns):
-        return False
-    # Every proper prefix of u is clean when the longest one is.
-    u = p.drop_prefix(q)
-    longest = u.prefix(u.length - 1)
-    return not any(divides(s, longest) for s in patterns)
+# perfbench/tracing.py resolves `divides` through this module's __dict__; nothing here calls it.
+from .quiver import Arrow, Path, Quiver, divides, is_reduced  # noqa: F401
 
 
 @dataclass
@@ -132,18 +112,23 @@ def _tail_graph(patterns: Sequence[Path]) -> dict[tuple, list[tuple]]:
     The states t are the proper nonempty suffixes of the patterns.  An edge
     goes to u = s[k:] for a pattern s whose length-k prefix is a suffix of
     t (1 <= k <= min(|s| - 1, |t|)) when u is pattern-free and t*u meets a
-    pattern only at its end.
+    pattern only at its end.  One test on arrow tuples decides both: t*u
+    less its last arrow is pattern-free.  A pattern inside u would end
+    before u does, or be a proper factor of s, which a reduced set excludes.
     """
+    words = {s.arrows for s in patterns}
+    lengths = {len(s) for s in words}
+
+    def free(word: tuple) -> bool:
+        return not any(word[i:i + n] in words for n in lengths for i in range(len(word) - n + 1))
+
     graph: dict[tuple, list[tuple]] = {}
-    for t in {s.arrows[j:] for s in patterns for j in range(1, s.length)}:
-        tail, out = Path.of(t), graph.setdefault(t, [])
+    for t in {s[j:] for s in words for j in range(1, len(s))}:
+        out = graph.setdefault(t, [])
         for s in patterns:
             for k in range(1, min(s.length - 1, len(t)) + 1):
                 u = s.arrows[k:]
-                if t[len(t) - k:] != s.arrows[:k] or u in out:
-                    continue
-                tu = Path.of(t + u)
-                if tail_is_pattern_free(tail, tu, patterns) and tail_first_hit_at_end(tu.prefix(0), tu, patterns):
+                if t[len(t) - k:] == s.arrows[:k] and u not in out and free(t + u[:-1]):
                     out.append(u)
     return graph
 

@@ -62,12 +62,6 @@ class Path(NamedTuple):
         arrows = self.arrows[len(self.arrows) - k:]
         return Path(arrows[0].source if arrows else self.target, self.target, arrows)
 
-    def drop_prefix(self, q: "Path") -> "Path":
-        """The tail u with self = q * u; q must be a left divisor."""
-        if not divides_left(q, self):
-            raise PathAlgError(f"{q} is not a left divisor of {self}")
-        return self.suffix(self.length - q.length)
-
     def __str__(self) -> str:
         return "*".join([a.name for a in self.arrows]) if self.arrows else self.source
 

@@ -7,7 +7,10 @@ submodule), and the absorbed ones lying in (free module) * I (of the
 shape generator * u * g for a basis element g).  The combined tip set is
 normalized so that no tip path is a left divisor of another within the
 same generator component; rewriting by right multiples is then confluent
-and representations are unique.
+and representations are unique.  Only the survivors are built as
+elements; of the absorbed ones only the tips are listed.  Both are read on
+the oracle model's word numbers (`GradedAlgebraModel.parent`), with no
+Path divisibility.
 
 Windows: the n-th term of the minimal resolution of X is generated in
 degrees inside [dmin + min quasi length, dmax + max quasi length] read at
@@ -25,37 +28,57 @@ from .errors import PathAlgError
 from .oracle import GradedAlgebraModel, presentation_cover, span_from_seeds
 from .overlaps import OverlapTable
 from .presentation import ModulePresentation
-from .quiver import Path, divides, divides_left
+# perfbench/tracing.py resolves `divides` through this module's __dict__; nothing here calls it.
+from .quiver import Path, divides  # noqa: F401
 
 
 @dataclass(frozen=True)
 class FirstSyzygy:
-    """Right-multiple-reduced kernel generators of the presentation cover."""
+    """Right-multiple-reduced kernel generators of the presentation cover.
+
+    `absorbed` holds the tips (generator number, word) of the absorbed
+    generators only; the CLI reads how many there are.
+    """
 
     survivors: tuple[ModuleElement, ...]
     survivor_tips: tuple[tuple[int, Path], ...]
-    absorbed: tuple[ModuleElement, ...]
+    absorbed: tuple[tuple[int, Path], ...]
     min_degree: int | None
     max_degree: int | None
     degree_cap: int
     alive_at_cap: bool
-
-    def combined(self) -> tuple[ModuleElement, ...]:
-        return self.survivors + self.absorbed
 
 
 def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap: int) -> FirstSyzygy:
     """Kernel generators of V -> P_0 -> X through degree_cap, split by survival.
 
     Survivor tips are the orbit-minimal leading coordinates of the relation
-    submodule inside P_0 (normal-word coordinates); absorbed elements have
-    the explicit shape f_i * (u * g) with g in the basis, their tips being
-    the words u*tip(g) whose only reducible prefix is the whole word.
+    submodule inside P_0 (normal-word coordinates).  The absorbed tips are
+    the words h*a from a generator's vertex, h normal and below no kept tip,
+    with h*a not normal: as the basis tips are an antichain, these are
+    exactly the words u*tip(g) whose only reducible prefix is the whole
+    word, the tips of the generators f_i * (u * g).  Left division by a kept
+    tip is read on the model's `parent` links, which number a word's
+    prefixes, so no path is divided.
     """
+    if degree_cap > model.degree_cap:
+        raise PathAlgError(f"first syzygy degree cap {degree_cap} exceeds the model cap {model.degree_cap}")
     quiver = model.quiver
-    gb = model.gb
+    parent = model.parent
     cover, seeds = presentation_cover(pres, model)
     pieces = span_from_seeds(cover, seeds, degree_cap)
+    gen_degrees = [g.degree for g in pres.generators]
+    # (summand, word length, word number) of each kept tip.
+    kept: set[tuple[int, int, int]] = set()
+
+    def below(j: int, length: int, i: int) -> bool:
+        """Some kept tip of summand j is a prefix of word i of that length (the word itself included)."""
+        while (j, length, i) not in kept:
+            if not length:
+                return False
+            i = parent[length][i][0]
+            length -= 1
+        return True
 
     kept_tips: list[tuple[int, Path]] = []
     kept_elems: list[ModuleElement] = []
@@ -64,35 +87,28 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
             sub = pieces.get(d, v)
             if not sub or sub.dim == 0:
                 continue
+            cols = cover.block(d, v)[0]
             for row, piv in zip(sub.rows, sub.pivot_of_row):
-                i, p = cover.item(d, v, piv)
-                if any(j == i and divides_left(q, p) for (j, q) in kept_tips):
+                j, i = cols[piv]
+                length = d - gen_degrees[j]
+                if below(j, length, i):
                     continue
-                kept_tips.append((i, p))
+                kept.add((j, length, i))
+                kept_tips.append((j, model.basis[length][i]))
                 kept_elems.append(ModuleElement(cover.to_terms(d, v, row)))
 
-    absorbed: list[ModuleElement] = []
+    absorbed: list[tuple[int, Path]] = []
     for j, g in enumerate(pres.generators):
-        for length_u in range(0, min(degree_cap, model.degree_cap) + 1):
-            for u in model.basis[length_u]:
-                if u.source != g.vertex:
+        for length in range(degree_cap - g.degree):
+            normal = set(parent[length + 1])
+            for i, h in enumerate(model.basis[length]):
+                if h.source != g.vertex or below(j, length, i):
                     continue
-                for elem, t in zip(gb.elements, gb.tips):
-                    if t.source != u.target:
-                        continue
-                    d = g.degree + length_u + t.length
-                    if d > degree_cap:
-                        continue
-                    w = u * t
-                    # Every shorter proper prefix lies inside the longest one.
-                    if _contains_any(w.prefix(w.length - 1), gb.tips):
-                        continue
-                    if any(jj == j and divides_left(q, w) for (jj, q) in kept_tips):
-                        continue
-                    lifted = elem.left_mul(u)
-                    absorbed.append(ModuleElement({(j, p): c for p, c in lifted.terms.items()}))
+                for k, a in enumerate(quiver.arrows):
+                    if a.source == h.target and (i, k) not in normal:
+                        absorbed.append((j, Path(h.source, a.target, h.arrows + (a,))))
 
-    degs = [pres.generators[i].degree + p.length for (i, p) in kept_tips]
+    degs = [gen_degrees[i] + p.length for (i, p) in kept_tips]
     alive = any(pieces.dim(degree_cap, v) > 0 for v in quiver.vertices)
     return FirstSyzygy(
         survivors=tuple(kept_elems),
@@ -103,10 +119,6 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
         degree_cap=degree_cap,
         alive_at_cap=bool(alive),
     )
-
-
-def _contains_any(p: Path, tips) -> bool:
-    return any(divides(t, p) for t in tips)
 
 
 @dataclass(frozen=True)

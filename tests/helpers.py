@@ -1,16 +1,32 @@
-"""Shared property checks over random corpus instances, and a reference completion.
+"""Shared property checks over random corpus instances, and reference computations.
 
 Each checker returns a list of human-readable failure strings; the property
 suite and the acceptance suite assert those lists are empty.  The
 completion helpers work on paths and elements only, apart from
 `normal_form`, so they check `groebner_basis` without sharing its rank-word
-code.
+code.  `reference_first_syzygy` filters by Path divisibility, so it checks
+`first_syzygy` without sharing its reading of the model's parent links.
 """
 import itertools
 from heapq import heapify, heappop, heappush
 
-from pathalg import AlgebraElement, enumerate_overlaps, find_partition, monic, normal_form, tip
+from pathalg import (
+    AlgebraElement,
+    ModuleElement,
+    OrderSpec,
+    divides,
+    divides_left,
+    enumerate_overlaps,
+    find_partition,
+    groebner_basis,
+    monic,
+    normal_form,
+    tip,
+)
 from pathalg.corpus import check_composition_bounds, check_extrema_inequalities  # noqa: F401
+from pathalg.corpus import instances, normal_word_dims_ok
+from pathalg.fields import Field
+from pathalg.oracle import presentation_cover, span_from_seeds
 
 
 def chain_table(inst, max_n):
@@ -18,8 +34,6 @@ def chain_table(inst, max_n):
 
 
 def check_predecessor_uniqueness(inst, table, max_n):
-    from pathalg import divides_left
-
     out = []
     for n in range(1, max_n + 1):
         prev = set(table.levels[n - 1])
@@ -146,3 +160,62 @@ def reference_completion(gens, order, cap):
     max_overlap = max((deg for ta in tips for tb in tips for deg, _ in proper_overlaps(ta, tb)), default=0)
     complete = not waiting and (all(len(g.terms) == 1 for g in basis) or max_overlap <= cap)
     return [g.render() for g in basis], "complete" if complete else f"truncated-at-degree-{cap}", max_overlap
+
+
+def monomial_bundles(count, rng_seed, degree_cap=12):
+    """Dim-capped monomial corpus algebras with complete bases and tables."""
+    one = Field(0).one
+    out = []
+    for inst in instances(rng_seed, 200):
+        if len(out) >= count:
+            break
+        if not normal_word_dims_ok(inst.quiver, inst.patterns, degree_cap, block_cap=46):
+            continue
+        order = OrderSpec.for_quiver(inst.quiver)
+        gens = [AlgebraElement({p: one}) for p in inst.patterns]
+        gb = groebner_basis(gens, order, max(p.length for p in inst.patterns))
+        assert gb.complete
+        out.append((inst, gb))
+    return out
+
+
+def reference_first_syzygy(pres, model, degree_cap):
+    """(survivor tips, survivor elements, absorbed (generator, tip, lift) triples) by Path divisibility.
+
+    A pivot of the relation span survives unless a kept tip of its generator
+    left-divides it.  Each basis element g, lifted by each normal word u from
+    the generator's vertex, is absorbed when its tip w = u*tip(g) has no tip
+    in its longest proper prefix and no kept tip as a left divisor.
+    """
+    gb = model.gb
+    cover, seeds = presentation_cover(pres, model)
+    pieces = span_from_seeds(cover, seeds, degree_cap)
+    kept_tips, kept_elems = [], []
+    for d in range(degree_cap + 1):
+        for v in model.quiver.vertices:
+            sub = pieces.get(d, v)
+            if not sub:
+                continue
+            for row, piv in zip(sub.rows, sub.pivot_of_row):
+                i, p = cover.item(d, v, piv)
+                if any(j == i and divides_left(q, p) for (j, q) in kept_tips):
+                    continue
+                kept_tips.append((i, p))
+                kept_elems.append(ModuleElement(cover.to_terms(d, v, row)))
+    absorbed = []
+    for j, g in enumerate(pres.generators):
+        for length_u in range(degree_cap + 1):
+            for u in model.basis[length_u]:
+                if u.source != g.vertex:
+                    continue
+                for elem, t in zip(gb.elements, gb.tips):
+                    if t.source != u.target or g.degree + length_u + t.length > degree_cap:
+                        continue
+                    w = u * t
+                    if any(divides(s, w.prefix(w.length - 1)) for s in gb.tips):
+                        continue
+                    if any(jj == j and divides_left(q, w) for (jj, q) in kept_tips):
+                        continue
+                    lift = elem.left_mul(u)
+                    absorbed.append((j, w, ModuleElement({(j, p): c for p, c in lift.terms.items()})))
+    return kept_tips, kept_elems, absorbed

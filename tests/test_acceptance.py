@@ -34,7 +34,6 @@ from pathalg import (
 )
 from pathalg.corpus import (
     instances,
-    normal_word_dims_ok,
     random_homogeneous_element,
     random_presentation,
 )
@@ -50,6 +49,7 @@ from tests.helpers import (
     check_partition_equivalence,
     check_predecessor_uniqueness,
     check_quasi_lifting,
+    monomial_bundles,
 )
 
 F = Field(0)
@@ -274,22 +274,6 @@ def test_c6_property_suite(corpus_tables):
 # --------------------------------------------------------------------------
 # Criterion 7: differential window validation against the oracle.
 # --------------------------------------------------------------------------
-
-
-def monomial_bundles(count, rng_seed, degree_cap=12):
-    """Dim-capped monomial corpus algebras with complete bases and tables."""
-    out = []
-    for inst in instances(rng_seed, 200):
-        if len(out) >= count:
-            break
-        if not normal_word_dims_ok(inst.quiver, inst.patterns, degree_cap, block_cap=46):
-            continue
-        order = OrderSpec.for_quiver(inst.quiver)
-        gens = [AlgebraElement({p: F.one}) for p in inst.patterns]
-        gb = groebner_basis(gens, order, max(p.length for p in inst.patterns))
-        assert gb.complete
-        out.append((inst, gb))
-    return out
 
 
 def test_c7_monomial_A0_windows_and_chain_multisets():

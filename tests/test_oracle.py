@@ -114,6 +114,17 @@ def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
             assert rep.degrees[0]
 
 
+def test_act_reads_normal_words_below_the_cap_only(two_loop, cube_gb):
+    w = words(two_loop)
+    x = two_loop.arrow("x")
+    model = build_model(two_loop, cube_gb, 3)
+    assert model.act(w("xx"), x) == {w("yyy"): F.one}  # x^3 = y^3
+    assert model.act(w("xx"), two_loop.arrow("y")) == {}  # x*y = 0
+    for word in (w("xy"), w("xxx"), w("yyy")):  # two words that are not normal, one at the cap
+        with pytest.raises(PathAlgError, match="not a normal word below the model cap 3"):
+            model.act(word, x)
+
+
 def test_model_of_a_truncated_basis_stops_at_its_bound():
     pf = parse(SKLYANIN)
     gb = groebner_basis(pf.ideal, pf.order, 4)

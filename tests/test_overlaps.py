@@ -4,7 +4,6 @@ import pytest
 
 from pathalg import (
     NotReducedError,
-    PathAlgError,
     Quiver,
     all_partitions,
     check_partition,
@@ -12,8 +11,6 @@ from pathalg import (
     enumerate_overlaps,
     find_partition,
     s_koszul_degree,
-    tail_first_hit_at_end,
-    tail_is_pattern_free,
 )
 from tests.conftest import words
 
@@ -26,23 +23,6 @@ def names(p):
 def showcase(two_loop):
     w = words(two_loop)
     return [w("xxyyy"), w("xxx")]  # the x^2 y^3, x^3 pattern pair
-
-
-def test_tail_is_pattern_free(two_loop, showcase):
-    w = words(two_loop)
-    assert not tail_is_pattern_free(w("xxx"), w("xxxxxyyy"), showcase)
-    assert tail_is_pattern_free(w("xxxx"), w("xxxxxyyy"), showcase)
-    p = w("xyx")
-    assert tail_is_pattern_free(p, p, showcase)
-    with pytest.raises(PathAlgError):
-        tail_is_pattern_free(w("yy"), w("xxx"), showcase)
-
-
-def test_tail_first_hit_at_end(two_loop, showcase):
-    w = words(two_loop)
-    assert tail_first_hit_at_end(w("xxx"), w("xxxxxyyy"), showcase)
-    assert tail_first_hit_at_end(w("x"), w("xxxx"), [w("xxx")])
-    assert not tail_first_hit_at_end(w("x"), w("xx"), [w("xx")])
 
 
 def test_enumerate_requires_reduced(two_loop):

@@ -1,3 +1,7 @@
+import pathlib
+import random
+from collections import Counter
+
 import pytest
 
 from pathalg import (
@@ -14,11 +18,15 @@ from pathalg import (
     window_consistency,
 )
 from pathalg.algebra import ModuleElement, module_normal_form, tip
+from pathalg.corpus import random_presentation
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
+from pathalg.problem import parse
 from tests.conftest import truncated_polynomial, words
+from tests.helpers import monomial_bundles, reference_first_syzygy
 
 F = Field(0)
+FIXTURES = sorted((pathlib.Path(__file__).resolve().parents[1] / "fixtures").glob("*.alg"))
 
 
 def test_first_syzygy_dual_numbers(one_loop, one_loop_order):
@@ -45,27 +53,81 @@ def test_first_syzygy_relation_inside_ideal(two_loop, cube_model):
     syz = first_syzygy(pres, cube_model, 6)
     assert syz.survivors == () and syz.min_degree is None and syz.max_degree is None
     assert syz.absorbed
-    degs = sorted({p.length for (_i, p) in (tip(e, cube_model.order) for e in syz.absorbed)})
-    assert degs[0] == 2
-    for e in syz.absorbed:
-        assert module_normal_form(e, cube_model.gb).is_zero()
+    assert min(p.length for (_j, p) in syz.absorbed) == 2
+    # Each absorbed tip is a word that is not normal, though its longest proper prefix is.
+    for _j, p in syz.absorbed:
+        assert p not in cube_model.index[p.length] and p.prefix(p.length - 1) in cube_model.index[p.length - 1]
 
 
 def test_absorbed_members_reduce_to_zero(two_loop, cube_model, cube_A0):
-    syz = first_syzygy(cube_A0, cube_model, 7)
-    for e in syz.absorbed:
-        assert module_normal_form(e, cube_model.gb).is_zero()
-    for e in syz.survivors:
-        assert not module_normal_form(e, cube_model.gb).is_zero()
+    # The absorbed tips are the tips of the lifts f_j * (u * g), which lie in
+    # (free module) * I; the survivors do not.
+    w = words(two_loop)
+    for pres in (cube_A0, ModulePresentation.cyclic(two_loop, "e", [w("xy")], F.one),
+                 ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)):
+        syz = first_syzygy(pres, cube_model, 7)
+        _tips, _elems, absorbed = reference_first_syzygy(pres, cube_model, 7)
+        assert Counter(syz.absorbed) == Counter(tip(e, cube_model.order) for _j, _w, e in absorbed)
+        for _j, _w, e in absorbed:
+            assert module_normal_form(e, cube_model.gb).is_zero()
+        for e in syz.survivors:
+            assert not module_normal_form(e, cube_model.gb).is_zero()
 
 
 def test_combined_set_is_tip_orbit_disjoint(two_loop, cube_model, cube_A0):
-    # No element's tip extends another's by a right factor in the same component.
-    syz = first_syzygy(cube_A0, cube_model, 7)
-    tips = [tip(e, cube_model.order) for e in syz.combined()]
-    for a, (ia, pa) in enumerate(tips):
-        for b, (ib, pb) in enumerate(tips):
-            assert a == b or ia != ib or not divides_left(pa, pb)
+    # No survivor or absorbed tip extends another by a right factor in the same component.
+    w = words(two_loop)
+    for pres in (cube_A0, ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)):
+        syz = first_syzygy(pres, cube_model, 7)
+        tips = [tip(e, cube_model.order) for e in syz.survivors] + list(syz.absorbed)
+        for a, (ia, pa) in enumerate(tips):
+            for b, (ib, pb) in enumerate(tips):
+                assert a == b or ia != ib or not divides_left(pa, pb)
+
+
+def _assert_first_syzygy_matches_reference(pres, model, cap, label):
+    syz = first_syzygy(pres, model, cap)
+    tips, elems, absorbed = reference_first_syzygy(pres, model, cap)
+    assert syz.survivor_tips == tuple(tips), label
+    assert syz.survivors == tuple(elems), label
+    assert Counter(syz.absorbed) == Counter((j, p) for j, p, _e in absorbed), label
+    degs = [pres.generators[j].degree + p.length for j, p in tips]
+    assert (syz.min_degree, syz.max_degree) == ((min(degs), max(degs)) if degs else (None, None)), label
+    return syz
+
+
+def test_first_syzygy_matches_the_path_reference_on_the_corpus():
+    # Monomial corpus algebras, each with A0 and a random presentation, at caps 6 and 10.
+    bundles = monomial_bundles(60, 20260811, degree_cap=10)
+    assert len(bundles) == 60
+    rng = random.Random(20260812)
+    absorbed = 0
+    for inst, gb in bundles:
+        model = build_model(inst.quiver, gb, 10)
+        cases = [ModulePresentation.simple_tops(inst.quiver, F.one),
+                 random_presentation(rng, inst.quiver, F, max_generators=2, max_relations=2)]
+        for pres in cases:
+            for cap in (6, 10):
+                absorbed += len(_assert_first_syzygy_matches_reference(pres, model, cap, (inst.seed, pres, cap)).absorbed)
+    assert absorbed
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=[p.name for p in FIXTURES])
+def test_first_syzygy_matches_the_path_reference_on_the_fixtures(path):
+    pf = parse(path.read_text())
+    gb = groebner_basis(pf.ideal, pf.order, 8)
+    model = build_model(pf.quiver, gb, 8)
+    for name, pres in pf.modules.items():
+        _assert_first_syzygy_matches_reference(pres, model, 8, name)
+
+
+def test_first_syzygy_cap_may_not_exceed_the_model_cap(one_loop, one_loop_order):
+    gb = groebner_basis([AlgebraElement({one_loop.path("x*x"): F.one})], one_loop_order, 4)
+    model = build_model(one_loop, gb, 6)
+    A0 = ModulePresentation.simple_tops(one_loop, F.one)
+    with pytest.raises(PathAlgError, match="exceeds the model cap 6"):
+        first_syzygy(A0, model, 7)
+    assert first_syzygy(A0, model, 6).max_degree == 1
 
 
 def test_degree_window_one_loop_square(one_loop, one_loop_order):
