@@ -29,16 +29,18 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import islice
 from math import inf
 
 from . import corpus as corpus_mod
-from .algebra import groebner_basis, normal_words
+from .algebra import groebner_basis
 from .errors import PathAlgError
 from .koszul import DegreeCollection, determined_check, s_koszul_criterion
 from .oracle import build_model, minimal_resolution, verify_windows
 from .overlaps import enumerate_overlaps
 from .presentation import ModulePresentation
 from .problem import ParseError, ProblemFile, parse
+from .quiver import normal_word_levels
 from .syzygy import degree_window, first_syzygy, window_consistency
 
 EXIT_OK = 0
@@ -143,7 +145,7 @@ def cmd_groebner(pf: ProblemFile, args, report: Report) -> None:
         ["tip", "element"],
         [[str(t), g.render()] for t, g in zip(gb.tips, gb.elements)],
     )
-    dims = [len(normal_words(pf.quiver, gb.tips, d)) for d in range(min(gb.degree_bound, 8) + 1)]
+    dims = [len(level) for level in islice(normal_word_levels(pf.quiver, gb.tips), min(gb.degree_bound, 8) + 1)]
     report.doc["groebner"]["normal_word_counts"] = dims
     report.say(f"normal word counts by degree: {dims}")
 
@@ -362,14 +364,10 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
     pres = _named_module(pf, args, report)
     if pres is None:
         return
-    if args.linear:
-        collection = DegreeCollection.linear()
-        label = "linear"
-    else:
-        collection = _parse_collection_spec(args.determined, report)
-        if collection is None:
-            return
-        label = args.determined
+    label = "linear" if args.linear else args.determined
+    collection = _parse_collection_spec(label, report)
+    if collection is None:
+        return
     D = _degree_cap(args)
     model = build_model(pf.quiver, gb, D)
     rep = minimal_resolution(pres, model, args.max_n, D)
@@ -398,15 +396,13 @@ def _parse_collection_spec(spec: str | None, report: Report) -> DegreeCollection
         report.worsen(EXIT_INPUT)
         return None
     try:
+        kind, _, arg = spec.partition(":")
         if spec == "linear":
             return DegreeCollection.linear()
-        if spec.startswith("chi:"):
-            return DegreeCollection.s_pattern(int(spec.split(":", 1)[1]))
-        if spec.startswith("chi-down:"):
-            return DegreeCollection.s_downset(int(spec.split(":", 1)[1]))
+        if kind in ("chi", "chi-down") and int(arg) >= 2:
+            return (DegreeCollection.s_pattern if kind == "chi" else DegreeCollection.s_downset)(int(arg))
         if spec.startswith("explicit:"):
-            levels = spec.split(":", 1)[1].split("|")
-            lists = [[int(x) for x in lvl.split(",") if x.strip()] for lvl in levels]
+            lists = [[int(x) for x in lvl.split(",") if x.strip()] for lvl in arg.split("|")]
             return DegreeCollection.from_lists(lists)
     except (ValueError, PathAlgError):
         pass
@@ -460,9 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--module", help="module name for window/resolve/verify/check")
     ap.add_argument("--method", choices=["qo", "o"], default="qo", help="window method")
     ap.add_argument("--quasi", action="store_true", help="include quasi-overlaps in the table")
-    ap.add_argument("--linear", action="store_true", help="check the linear pattern")
-    ap.add_argument("--s-koszul", type=int, dest="s_koszul", help="run the s-Koszul sufficiency test")
-    ap.add_argument("--determined", help="collection spec: linear | chi:<s> | chi-down:<s> | explicit:<l0|l1|...>")
+    mode = ap.add_mutually_exclusive_group()  # check's modes
+    mode.add_argument("--linear", action="store_true", help="check the linear pattern")
+    mode.add_argument("--s-koszul", type=int, dest="s_koszul", help="run the s-Koszul sufficiency test")
+    mode.add_argument("--determined", help="collection spec: linear | chi:<s> | chi-down:<s> | explicit:<l0|l1|...>")
     ap.add_argument("--max-n", type=int, default=None, dest="max_n", help="levels / homological degrees (default 5)")
     ap.add_argument("--max-degree", type=int, default=None, dest="max_degree", help="degree cap")
     ap.add_argument("--seed", type=int, default=None, help="seed for randomized property runs")

@@ -1,12 +1,12 @@
 """Ground truth by exact graded linear algebra.
 
 A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
-right action of each arrow on them.  It builds the action on each degree
-from the Groebner basis's tails and the action on the degrees below, with
-no `normal_form` call; only a presentation's relations are reduced by it
-(`module_normal_form`).  Minimal graded projective resolutions are
-computed degreewise, per (degree, target-vertex) block, by one loop:
-`span_from_seeds` spans seed vectors under the arrow action, giving each
+right action of each arrow on them; the oracle reads A only through it, a
+presentation's relations included.  It builds each degree's action from
+the Groebner basis's TipIndex, which finds the tip that ends a product and
+holds its tail, and from the action below, with no `normal_form` call.
+Minimal graded projective resolutions are computed degreewise, per
+(degree, target-vertex) block, by one loop: `span_from_seeds` spans seed vectors under the arrow action, giving each
 block the arrow images of the degree below before its own seeds, so the
 seeds that still enlarge a block are minimal generators of the span.  The
 relations are the seeds of the submodule that X = coker(relations) factors
@@ -18,9 +18,9 @@ Groebner data, to cross-check normal forms.
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
 integer table built once from the model, so paths are hashed only while
-the model is built, where presentations come in and where first syzygies
-read their tips.  A path and an arrow are named tuples, so those lookups
-hash in C; the model numbers arrows by the `Arrow` value itself.
+the model lists its levels, where presentations come in and where first
+syzygies read their tips.  The model spells words as the TipIndex does, in
+rank words.  A path and an arrow are named tuples, so path lookups hash in C.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 # perfbench/tracing.py resolves `normal_form` through this module's __dict__; nothing here calls it.
-from .algebra import AlgebraElement, GroebnerBasis, module_normal_form, normal_form  # noqa: F401
+from .algebra import AlgebraElement, GroebnerBasis, normal_form  # noqa: F401
 from .errors import PathAlgError
 from .fields import Field
 from .linalg import Subspace, left_nullspace
@@ -42,8 +42,12 @@ class GradedAlgebraModel:
 
     `basis[d]` lists the normal words of length d and `index[d]` numbers
     them.  `parent[d][i]` is (number of the word minus its last arrow,
-    number of that arrow in `quiver.arrows`) for d >= 1, and `keys[d][i]`
-    is the word's `path_key`.  `field` is the field of the basis's order.
+    number of that arrow in `quiver.arrows`) for d >= 1, and `ranks[d][i]`
+    is the word's rank word as `TipIndex` spells it: the precedence ranks of
+    its arrows, 0 the greatest.  `rewritten[d]` lists the pairs (i, k) whose
+    product, word i of length d times arrow number k, is not a normal word,
+    in ascending term order of the product.  `field` is the field of the
+    basis's order.
 
     The tables of one degree are built together, from the basis's tails
     and the tables of the degrees below (`_build_level`), so no product
@@ -61,21 +65,15 @@ class GradedAlgebraModel:
         self.basis: list[list[Path]] = []
         self.index: list[dict[Path, int]] = []
         self.parent: list[list[tuple[int, int]]] = []
-        self.keys: list[list] = []
+        self.ranks: list[list[tuple[int, ...]]] = []
+        self.rewritten: list[list[tuple[int, int]]] = []
         self._levels = normal_word_levels(quiver, gb.tips)
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
+        # The precedence rank of each arrow number, and the arrow number of each rank.
+        self._rank = [gb.order.arrow_rank[a.name] for a in quiver.arrows]
+        self._of_rank = {r: k for k, r in enumerate(self._rank)}
         self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
         self._built = 0
-        # tip arrows -> (arrow numbers of q, coefficient) with tip = sum of c * q in A.
-        p = self.field.characteristic
-        self._tails: dict[tuple[Arrow, ...], list[tuple[tuple[int, ...], object]]] = {}
-        for g, t in zip(gb.elements, gb.tips):
-            inv = self.field.inverse(g.terms[t])
-            self._tails[t.arrows] = [
-                (tuple([self._arrow_no[b] for b in q.arrows]), -c * inv % p if p else -c * inv)
-                for q, c in g.terms.items() if q != t
-            ]
-        self._tip_lengths = sorted({t.length for t in gb.tips})
         self.extend(degree_cap)
 
     def extend(self, degree_cap: int) -> None:
@@ -87,12 +85,20 @@ class GradedAlgebraModel:
             level = next(self._levels)
             self.basis.append(level)
             self.index.append({w: i for i, w in enumerate(level)})
-            self.keys.append([self.order.path_key(w) for w in level])
-            if d:
-                prev = self.index[d - 1]
-                self.parent.append([(prev[w.prefix(d - 1)], self._arrow_no[w.arrows[-1]]) for w in level])
-            else:
+            if not d:
                 self.parent.append([])
+                self.ranks.append([()] * len(level))
+                continue
+            prev, ranks, rank = self.index[d - 1], self.ranks[d - 1], self._rank
+            parent = [(prev[w.prefix(d - 1)], self._arrow_no[w.arrows[-1]]) for w in level]
+            self.parent.append(parent)
+            self.ranks.append([ranks[i] + (rank[k],) for i, k in parent])
+            normal = set(parent)
+            # Products of one length: the greater rank word is the smaller product.
+            self.rewritten.append(sorted(
+                [(i, k) for i, w in enumerate(self.basis[d - 1]) for k, a in enumerate(self.quiver.arrows)
+                 if a.source == w.target and (i, k) not in normal],
+                key=lambda ik: ranks[ik[0]] + (rank[ik[1]],), reverse=True))
         self.degree_cap = max(self.degree_cap, degree_cap)
 
     def dims(self) -> list[int]:
@@ -107,10 +113,15 @@ class GradedAlgebraModel:
         i = self.index[d].get(w) if d < self.degree_cap else None
         if i is None:
             raise PathAlgError(f"{w} is not a normal word below the model cap {self.degree_cap}")
-        if w.target != a.source:
-            return {}
         nxt = self.basis[d + 1]
         return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
+
+    def expand(self, w: Path) -> dict[int, object]:
+        """The class in A of a path up to the cap, as (word number of its length, scalar), read from the tables."""
+        vec = {self.index[0][Path(w.source, w.source)]: self.field.one}
+        for d, a in enumerate(w.arrows):
+            vec = _apply(self.action(d, self._arrow_no[a]), vec, self.field.characteristic)
+        return vec
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k on degree d: for each word number, (word number in degree d+1, scalar) pairs."""
@@ -120,47 +131,34 @@ class GradedAlgebraModel:
         return self._actions[(d, k)]
 
     def _build_level(self, d: int) -> None:
-        """The tables of every arrow on degree d, from the tails and the tables below d.
+        """The tables of every arrow on degree d, from the basis's TipIndex and the tables below d.
 
         A product w*a that is a normal word is one entry.  Otherwise, as w is
         normal, exactly one tip t is a suffix of it (the tips are an
-        antichain): w*a = h*t, and t is the sum of c * q over its tail.  Each
-        c * h*q comes from c times the unit vector of h, a prefix of w,
-        through the tables of q's arrows, one degree at a time.  The last
-        table is this degree's, read at words u with u*b <= h*q < w*a, so the
-        products are filled in ascending order and read only filled entries.
+        antichain), and `find` gives it: w*a = h*t, and t is the sum of -c * q
+        over its tail.  Each -c * h*q comes from -c times the unit vector of h,
+        a prefix of w, through the tables of q's arrows, one degree at a time.
+        The last table is this degree's, read at words u with u*b <= h*q < w*a,
+        so the products, taken in `rewritten` order, read only filled entries.
         """
-        one, p = self.field.one, self.field.characteristic
-        arrows = self.quiver.arrows
-        nxt = self.index[d + 1]
+        one, p, index = self.field.one, self.field.characteristic, self.gb.tip_index
+        parent, ranks, rank, of_rank = self.parent, self.ranks[d], self._rank, self._of_rank
         # Rows are replaced, never changed in place, so they may start as one empty list.
-        tables = [[[]] * len(self.basis[d]) for _ in arrows]
+        tables = [[[]] * len(self.basis[d]) for _ in self.quiver.arrows]
         for k, table in enumerate(tables):
             self._actions[(d, k)] = table
-        pending = []
-        for i, w in enumerate(self.basis[d]):
-            for k, a in enumerate(arrows):
-                if a.source != w.target:
-                    continue
-                wa = Path(w.source, a.target, w.arrows + (a,))
-                j = nxt.get(wa)
-                if j is None:
-                    pending.append((self.order.path_key(wa), i, k, wa))
-                else:
-                    tables[k][i] = [(j, one)]
-        pending.sort()
-        for _key, i, k, wa in pending:
-            for n in self._tip_lengths:
-                tail = self._tails.get(wa.arrows[d + 1 - n:])
-                if tail is not None:
-                    break
-            m = d + 1 - n
-            h = self.index[m][wa.prefix(m)]
+        for j, (i, k) in enumerate(parent[d + 1]):
+            tables[k][i] = [(j, one)]
+        for i, k in self.rewritten[d]:
+            t, m = index.find(ranks[i] + (rank[k],))
+            h = i
+            for length in range(d, m, -1):
+                h = parent[length][h][0]
             out: dict[int, object] = {}
-            for q, c in tail:
-                vec = {h: c}
-                for step, b in enumerate(q):
-                    vec = _apply(self._actions[(m + step, b)], vec, p)
+            for q, c in index.tails[t]:
+                vec = {h: -c}
+                for step, r in enumerate(q):
+                    vec = _apply(self._actions[(m + step, of_rank[r])], vec, p)
                 for j, x in vec.items():
                     out[j] = out.get(j, 0) + x
             tables[k][i] = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
@@ -215,7 +213,8 @@ class CoverSpace:
             length = d - s.degree
             if 0 <= length <= model.degree_cap:
                 cols.extend((j, i) for i, w in enumerate(model.basis[length]) if w.source == s.vertex and w.target == v)
-        cols.sort(key=lambda ji: (model.keys[d - self.summands[ji[0]].degree][ji[1]], ji[0]), reverse=True)
+        degrees = [s.degree for s in self.summands]
+        cols.sort(key=lambda ji: (degrees[ji[0]] - d, model.ranks[d - degrees[ji[0]]][ji[1]], -ji[0]))
         hit = (cols, {ji: n for n, ji in enumerate(cols)})
         self._blocks[key] = hit
         return hit
@@ -243,14 +242,19 @@ class CoverSpace:
         return _apply(self.action(d, k), vec, self._p)
 
     def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
-        """Split (summand, normal word) terms into (degree, vertex, block vector) parts."""
-        model = self.model
+        """The nonzero (degree, vertex, vector) parts of (summand, path) terms, each path read as its class in A."""
+        model, p = self.model, self._p
         parts: dict[tuple[int, str], dict[int, object]] = {}
         for (j, w), c in terms.items():
             d = self.summands[j].degree + w.length
             _, index = self.block(d, w.target)
-            parts.setdefault((d, w.target), {})[index[(j, model.index[w.length][w])]] = c
-        return [(d, v, vec) for (d, v), vec in parts.items()]
+            part = parts.setdefault((d, w.target), {})
+            for i, x in model.expand(w).items():
+                n = index[(j, i)]
+                part[n] = part.get(n, 0) + c * x
+        parts = {dv: {n: x for n, x in ((n, x % p if p else x) for n, x in vec.items()) if x}
+                 for dv, vec in parts.items()}
+        return [(d, v, vec) for (d, v), vec in parts.items() if vec]
 
     def item(self, d: int, v: str, n: int) -> tuple[int, Path]:
         """Column n of block (d, v) as (summand, normal word)."""
@@ -338,7 +342,7 @@ def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
     cover = CoverSpace(model, [FreeSummand(g.vertex, g.degree) for g in pres.generators])
     seeds = []
     for r in pres.relations:
-        seeds.extend(cover.from_terms(module_normal_form(r, model.gb).terms))
+        seeds.extend(cover.from_terms(r.terms))
     return cover, seeds
 
 

@@ -9,8 +9,8 @@ normalized so that no tip path is a left divisor of another within the
 same generator component; rewriting by right multiples is then confluent
 and representations are unique.  Only the survivors are built as
 elements; of the absorbed ones only the tips are listed.  Both are read on
-the oracle model's word numbers (`GradedAlgebraModel.parent`), with no
-Path divisibility.
+the oracle model's word numbers (`GradedAlgebraModel.parent` and
+`rewritten`), with no Path divisibility.
 
 Windows: the n-th term of the minimal resolution of X is generated in
 degrees inside [dmin + min quasi length, dmax + max quasi length] read at
@@ -55,11 +55,11 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     Survivor tips are the orbit-minimal leading coordinates of the relation
     submodule inside P_0 (normal-word coordinates).  The absorbed tips are
     the words h*a from a generator's vertex, h normal and below no kept tip,
-    with h*a not normal: as the basis tips are an antichain, these are
-    exactly the words u*tip(g) whose only reducible prefix is the whole
-    word, the tips of the generators f_i * (u * g).  Left division by a kept
-    tip is read on the model's `parent` links, which number a word's
-    prefixes, so no path is divided.
+    with h*a not normal, as the model's `rewritten` lists them: as the basis
+    tips are an antichain, these are exactly the words u*tip(g) whose only
+    reducible prefix is the whole word, the tips of the generators
+    f_i * (u * g).  Left division by a kept tip is read on the model's
+    `parent` links, which number a word's prefixes, so no path is divided.
     """
     if degree_cap > model.degree_cap:
         raise PathAlgError(f"first syzygy degree cap {degree_cap} exceeds the model cap {model.degree_cap}")
@@ -100,13 +100,10 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     absorbed: list[tuple[int, Path]] = []
     for j, g in enumerate(pres.generators):
         for length in range(degree_cap - g.degree):
-            normal = set(parent[length + 1])
-            for i, h in enumerate(model.basis[length]):
-                if h.source != g.vertex or below(j, length, i):
-                    continue
-                for k, a in enumerate(quiver.arrows):
-                    if a.source == h.target and (i, k) not in normal:
-                        absorbed.append((j, Path(h.source, a.target, h.arrows + (a,))))
+            for i, k in model.rewritten[length]:
+                h, a = model.basis[length][i], quiver.arrows[k]
+                if h.source == g.vertex and not below(j, length, i):
+                    absorbed.append((j, Path(h.source, a.target, h.arrows + (a,))))
 
     degs = [gen_degrees[i] + p.length for (i, p) in kept_tips]
     alive = any(pieces.dim(degree_cap, v) > 0 for v in quiver.vertices)

@@ -1,3 +1,8 @@
+import importlib.util
+import pathlib
+import sys
+from functools import cache
+
 import pytest
 
 from pathalg import AlgebraElement, OrderSpec, Quiver, build_model, groebner_basis
@@ -5,6 +10,16 @@ from pathalg.fields import Field
 from pathalg.presentation import ModulePresentation
 
 F = Field(0)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@cache
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by its path: perfbench is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def words(quiver):

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+import pathalg.cli
 from pathalg import PathAlgError, Quiver
 from pathalg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_TRUNCATED, run
 from pathalg.presentation import Generator, ModulePresentation
@@ -126,6 +127,26 @@ def test_check_determined_downset_and_explicit(capsys):
     rc, _doc = run_json(capsys, ["check", fixture("dual_numbers.alg"), "--determined", "bogus:!",
                                  "--module", "A0"])
     assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize("modes", [["--s-koszul", "2", "--linear"], ["--linear", "--determined", "chi:3"],
+                                   ["--s-koszul", "3", "--determined", "chi:3"]])
+def test_check_modes_are_mutually_exclusive(capsys, modes):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", fixture("truncated_s3.alg"), "--module", "A0"] + modes)
+    assert exc.value.code == EXIT_INPUT
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["chi:1", "chi-down:1", "chi:0", "chi-down:-3"])
+def test_chi_spec_below_two_is_refused_before_resolving(capsys, monkeypatch, spec):
+    def refuse(*args):
+        raise AssertionError("the module was resolved before its spec was checked")
+
+    monkeypatch.setattr(pathalg.cli, "build_model", refuse)
+    rc = run(["check", fixture("truncated_s3.alg"), "--determined", spec, "--module", "A0"])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().out == f"error: bad collection spec {spec!r}\n"
 
 
 def test_window_command(capsys):

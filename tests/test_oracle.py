@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+import pathalg.algebra
 import pathalg.oracle
 from pathalg import (
     AlgebraElement,
@@ -19,12 +20,12 @@ from pathalg import (
 )
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
-from pathalg.algebra import ModuleElement
+from pathalg.algebra import ModuleElement, module_normal_form
 from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_pieces, presentation_cover
 from pathalg.problem import parse
 from pathalg.quiver import Path
-from pathalg.syzygy import DegreeWindow
-from tests.conftest import truncated_polynomial, words
+from pathalg.syzygy import DegreeWindow, first_syzygy
+from tests.conftest import perfbench_module, truncated_polynomial, words
 
 F = Field(0)
 
@@ -99,12 +100,24 @@ def test_action_tables_are_the_normal_forms(name, text, cap):
     assert rewritten
 
 
+@pytest.mark.parametrize("name, text, cap", MODEL_INPUTS, ids=[m[0] for m in MODEL_INPUTS])
+def test_rewritten_lists_the_products_that_leave_the_normal_words(name, text, cap):
+    pf, model = _input_model(text, cap)
+    assert len(model.rewritten) == cap
+    for d in range(cap):
+        products = {(i, k): Path(w.source, a.target, w.arrows + (a,)) for i, w in enumerate(model.basis[d])
+                    for k, a in enumerate(pf.quiver.arrows) if a.source == w.target}
+        left = [ik for ik, wa in products.items() if wa not in model.index[d + 1]]
+        assert model.rewritten[d] == sorted(left, key=lambda ik: pf.order.path_key(products[ik])), d
+
+
 def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
     def refuse(*args):
-        raise AssertionError("normal_form called inside the model cap")
+        raise AssertionError("normal_form called by the oracle")
 
     models = [(_input_model(text, cap), cap) for _name, text, cap in MODEL_INPUTS]
     monkeypatch.setattr(pathalg.oracle, "normal_form", refuse)
+    monkeypatch.setattr(pathalg.algebra, "normal_form", refuse)
     for (pf, model), cap in models:
         for d in range(cap):
             for k in range(len(pf.quiver.arrows)):
@@ -112,6 +125,46 @@ def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
         for pres in pf.modules.values():
             rep = minimal_resolution(pres, model, 3, cap)
             assert rep.degrees[0]
+            first_syzygy(pres, model, cap)
+
+
+def _relation_inputs():
+    """(name, problem text) for every fixture, the perfbench inputs and the corpus-windows instances."""
+    out = [(p.name, p.read_text()) for p in sorted((ROOT / "fixtures").glob("*.alg"))]
+    out += [(p.name, p.read_text()) for p in sorted((ROOT / "perfbench" / "inputs").glob("*.alg"))]
+    problems, _seconds = perfbench_module("workloads").corpus_problems(200)
+    return out + [(f"c7 instance {seed}", text) for seed, text in problems]
+
+
+@pytest.mark.parametrize("cap", [6, 8])
+def test_relation_seeds_read_through_the_tables_are_the_normal_forms(cap):
+    # Each relation's seeds, one block vector per (degree, vertex), equal
+    # the coordinates of its normal form's words.  Besides the inputs'
+    # modules, a cyclic module per basis tip t below the cap has the
+    # relations t and t*a, words that are not normal.
+    checked = 0
+    for name, text in _relation_inputs():
+        pf = parse(text)
+        model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, cap), cap)
+        modules = dict(pf.modules)
+        for t in model.gb.tips:
+            if t.length < cap:
+                tip_words = [t] + [Path(t.source, a.target, t.arrows + (a,)) for a in pf.quiver.arrows
+                                   if a.source == t.target]
+                modules[f"tip {t}"] = ModulePresentation(
+                    (Generator("g", t.source, 0),), tuple(ModuleElement({(0, w): model.field.one}) for w in tip_words))
+        for module, pres in modules.items():
+            cover, _seeds = presentation_cover(pres, model)
+            for r in pres.relations:
+                want: dict = {}
+                for (j, w), c in module_normal_form(r, model.gb).terms.items():
+                    d = pres.generators[j].degree + w.length
+                    column = cover.block(d, w.target)[1][(j, model.index[w.length][w])]
+                    want.setdefault((d, w.target), {})[column] = c
+                got = {(d, v): vec for d, v, vec in cover.from_terms(r.terms)}
+                assert got == want, (name, module, r)
+                checked += 1
+    assert checked > 1000
 
 
 def test_act_reads_normal_words_below_the_cap_only(two_loop, cube_gb):

@@ -7,16 +7,12 @@ these checks keep a refactor from breaking a traced benchmark run
 (`perfbench/run.py --trace 1`) unseen.
 """
 import contextlib
-import importlib.util
 import io
-import pathlib
 
 import pathalg.cli
+from tests.conftest import ROOT, perfbench_module
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+tracing = perfbench_module("tracing")
 
 
 def test_every_traced_name_lives_in_its_owners_dict():
