@@ -4,6 +4,9 @@
 Patterns are words over single-letter loop names, e.g.:
 
     python scripts/chain_table_demo.py xxyyy xxx --max-n 4
+
+A pattern set that is not reduced, or holds a word shorter than 2, is an
+input error: the script prints `error: ...` and exits 2.
 """
 import argparse
 import pathlib
@@ -11,20 +14,23 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pathalg import Quiver, enumerate_overlaps, find_partition  # noqa: E402
+from pathalg import PathAlgError, Quiver, enumerate_overlaps  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("patterns", nargs="+", help="words over loop letters, e.g. xxyyy xxx")
     ap.add_argument("--max-n", type=int, default=4, dest="max_n")
-    ap.add_argument("--cuts", action="store_true", help="also print one cut per word")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     letters = sorted({ch for word in args.patterns for ch in word})
     quiver = Quiver.build(["e"], [(ch, "e", "e") for ch in letters])
-    pats = [quiver.path("*".join(word)) for word in args.patterns]
-    table = enumerate_overlaps(quiver, pats, args.max_n)
+    try:
+        pats = [quiver.path("*".join(word)) for word in args.patterns]
+        table = enumerate_overlaps(quiver, pats, args.max_n)
+    except PathAlgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def flat(p):
         return str(p).replace("*", "")
@@ -34,14 +40,7 @@ def main() -> int:
         print(f"level {n}: lengths overlap [{mino}, {maxo}]  quasi [{minq}, {maxq}]")
         for w in table.overlaps(n):
             pred = table.predecessor(n, w)
-            line = f"  {flat(w):<20} <- {flat(pred) if pred else '-'}"
-            if args.cuts and n >= 1:
-                cut = find_partition(w, n, pats)
-                if cut is not None:
-                    u = ",".join(flat(p) for p in cut.u)
-                    v = ",".join(flat(p) for p in cut.v)
-                    line += f"   u=({u}) v=({v})"
-            print(line)
+            print(f"  {flat(w):<20} <- {flat(pred) if pred else '-'}")
         for (w, v) in table.quasi(n):
             pred = table.quasi_predecessor(n, w, v)
             print(f"  ({flat(w)}, {flat(v)})".ljust(24) + f" <- {flat(pred) if pred else '-'}")

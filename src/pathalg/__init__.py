@@ -6,10 +6,8 @@ from .algebra import (
     GroebnerBasis,
     ModuleElement,
     groebner_basis,
-    module_normal_form,
     monic,
     normal_form,
-    normal_words,
     tip,
 )
 from .errors import (
@@ -31,21 +29,11 @@ from .oracle import (
     GradedAlgebraModel,
     ResolutionReport,
     build_model,
-    ideal_membership,
     minimal_resolution,
-    module_hilbert,
     verify_windows,
 )
-from .order import EQ, GT, LT, OrderSpec, check_admissible, compare, compare_module
-from .overlaps import (
-    OverlapTable,
-    Partition,
-    all_partitions,
-    check_partition,
-    compose_bounds,
-    enumerate_overlaps,
-    find_partition,
-)
+from .order import OrderSpec
+from .overlaps import OverlapTable, compose_bounds, enumerate_overlaps
 from .presentation import Generator, ModulePresentation
 from .quiver import (
     Arrow,
@@ -53,7 +41,6 @@ from .quiver import (
     Quiver,
     compose,
     divides,
-    divides_left,
     is_reduced,
 )
 from .syzygy import (

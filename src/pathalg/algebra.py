@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 from .errors import PathAlgError, TruncatedBasisError
 from .fields import Field
 from .order import OrderSpec
-from .quiver import Arrow, Path, Quiver, normal_word_levels
+from .quiver import Arrow, Path
 
 
 def _clean(terms: Mapping) -> dict:
@@ -364,23 +364,6 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
                            for w, c in out.items()})
 
 
-def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
-    """Componentwise reduction; zero exactly when m lies in (free module) * I.
-
-    Terms are reduced in groups of one generator and one target vertex, the
-    parallel pieces that normal forms act on.
-    """
-    by_part: dict[tuple[int, str], dict[Path, object]] = {}
-    for (i, p), c in m.terms.items():
-        by_part.setdefault((i, p.target), {})[p] = c
-    out: dict[tuple[int, Path], object] = {}
-    for (i, _v), terms in by_part.items():
-        red = normal_form(AlgebraElement(terms), gb, gb.order)
-        for p, c in red.terms.items():
-            out[(i, p)] = c
-    return ModuleElement(out)
-
-
 def _overlaps(a: tuple, b: tuple):
     """(degree of the ambiguity word, shared) for each proper overlap of word a with word b.
 
@@ -502,7 +485,3 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     complete = not waiting and (all_monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 
-
-def normal_words(quiver: Quiver, tips: Iterable[Path], d: int) -> list[Path]:
-    """All length-d paths containing no tip as a factor (a basis of A_d)."""
-    return next(itertools.islice(normal_word_levels(quiver, tips), d, None))

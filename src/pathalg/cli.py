@@ -14,7 +14,8 @@ A run has one degree cap D: --max-degree, else [params] max-degree, else
 DEFAULT_DEGREE_CAP (12).  Completion, the algebra model, the first syzygy
 and the resolution all stop at D; a basis completed to D is exact in
 degrees <= D.  verify with no explicit cap runs its oracle up to the
-degree its windows need, from a basis that is complete.
+degree its windows need, or to its highest generator if that is higher,
+from a basis that is complete.
 
 Every run renders a human table on stdout and can emit one deterministic
 JSON document (--json PATH, '-' for stdout).  Exit codes: 0 success,
@@ -303,7 +304,8 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
     wlist = [qo for _n, qo, _ov in windows] + [ov for _n, _qo, ov in windows]
     tops = [int(w.hi) for w in wlist if not w.empty]
     needed = max(tops, default=max((g.degree for g in pres.generators), default=0) + 1) + 1
-    D = args.max_degree if args.max_degree is not None else needed
+    # With no explicit cap the oracle also reaches every generator, which minimal_resolution requires.
+    D = args.max_degree if args.max_degree is not None else max([needed] + [g.degree for g in pres.generators])
     report.doc["required_oracle_degree"] = needed
     if D < needed:
         report.say(f"cannot verify: oracle degree cap {D} is below the window top {needed}")
@@ -338,6 +340,8 @@ def cmd_verify(pf: ProblemFile, args, report: Report) -> None:
 
 
 def cmd_check(pf: ProblemFile, args, report: Report) -> None:
+    if args.s_koszul is not None and args.s_koszul < 2:
+        raise PathAlgError("need s >= 2")
     gb = _compute_gb(pf, args, report)
     if args.s_koszul is not None:
         if not gb.complete:

@@ -9,11 +9,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, ModuleElement, normal_word_levels
+from .algebra import ModuleElement
 from .fields import Field
 from .overlaps import OverlapTable, compose_bounds
 from .presentation import Generator, ModulePresentation
-from .quiver import Arrow, Path, Quiver, divides
+from .quiver import Arrow, Path, Quiver, divides, normal_word_levels
 
 
 def random_quiver(rng: random.Random) -> Quiver:
@@ -119,22 +119,6 @@ def normal_word_dims_ok(quiver: Quiver, patterns, degree_cap: int, block_cap: in
     """Reject instances whose graded pieces would outgrow desk scale."""
     levels = itertools.islice(normal_word_levels(quiver, patterns), degree_cap + 1)
     return all(len(level) <= block_cap for level in levels)
-
-
-def random_homogeneous_element(
-    rng: random.Random, quiver: Quiver, field: Field, degree: int, terms: int = 2
-) -> AlgebraElement:
-    """A random homogeneous element (possibly zero if no parallel paths exist)."""
-    paths = quiver.paths_of_length(degree)
-    rng.shuffle(paths)
-    if not paths:
-        return AlgebraElement()
-    anchor = paths[0]
-    parallel = [p for p in paths if (p.source, p.target) == (anchor.source, anchor.target)]
-    combo = {}
-    for p in parallel[:terms]:
-        combo[p] = field.of(rng.randint(-3, 3)) if rng.random() < 0.8 else field.of(1)
-    return AlgebraElement(combo)
 
 
 def random_presentation(

@@ -431,9 +431,16 @@ class ResolutionReport:
 
 
 def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: int, D: int) -> ResolutionReport:
-    """Minimal graded projective resolution of coker(relations) out to P_N, degrees <= D."""
+    """Minimal graded projective resolution of coker(relations) out to P_N, degrees <= D.
+
+    Every generator must lie at or below D: one above it would be left out
+    of P_0 unseen, so it raises PathAlgError.
+    """
     if D > model.degree_cap:
         raise PathAlgError("resolution degree cap exceeds the model cap")
+    for g in pres.generators:
+        if g.degree > D:
+            raise PathAlgError(f"generator {g.name} at degree {g.degree} lies above the degree cap {D}")
     cover, seeds = presentation_cover(pres, model)
     X = QuotientSpace(cover, span_from_seeds(cover, seeds, D))
 
@@ -490,12 +497,6 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
     )
 
 
-def module_hilbert(pres: ModulePresentation, model: GradedAlgebraModel, D: int) -> list[int]:
-    """Graded dimensions of coker(relations) up to degree D."""
-    cover, seeds = presentation_cover(pres, model)
-    return QuotientSpace(cover, span_from_seeds(cover, seeds, D)).hilbert(D)
-
-
 def ideal_span(generators: Sequence[AlgebraElement], quiver: Quiver, field: Field, d: int) -> Subspace:
     """The degree-d piece of the two-sided ideal the homogeneous generators produce.
 
@@ -522,18 +523,6 @@ def ideal_span(generators: Sequence[AlgebraElement], quiver: Quiver, field: Fiel
                     if gv:
                         span.add({idx[p]: c for p, c in ((p, field.of(c)) for p, c in gv.terms.items()) if c})
     return span
-
-
-def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], quiver: Quiver, field: Field) -> bool:
-    """Exact degreewise membership of x in the two-sided ideal the generators produce (see `ideal_span`)."""
-    if not x:
-        return True
-    if not x.is_homogeneous():
-        raise PathAlgError("membership oracle expects a homogeneous element")
-    d = x.degree()
-    idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
-    vec = {idx[p]: c for p, c in ((p, field.of(c)) for p, c in x.terms.items()) if c}
-    return ideal_span(generators, quiver, field, d).contains(vec)
 
 
 @dataclass(frozen=True)

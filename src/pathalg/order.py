@@ -10,15 +10,11 @@ handed an order knows which arithmetic its scalars follow.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import PathAlgError
 from .fields import RATIONALS, Field
-from .quiver import Path, Quiver, divides, normal_word_levels
-
-LT, EQ, GT = -1, 0, 1
+from .quiver import Path, Quiver
 
 
 @dataclass(frozen=True)
@@ -58,56 +54,3 @@ class OrderSpec:
         i, p = item
         return (self.path_key(p), i)
 
-
-def compare(order: OrderSpec, p: Path, q: Path) -> int:
-    kp, kq = order.path_key(p), order.path_key(q)
-    return GT if kp > kq else (LT if kp < kq else EQ)
-
-
-def compare_module(order: OrderSpec, a: tuple[int, Path], b: tuple[int, Path]) -> int:
-    ka, kb = order.module_key(a), order.module_key(b)
-    return GT if ka > kb else (LT if ka < kb else EQ)
-
-
-@dataclass(frozen=True)
-class AdmissibilityWitness:
-    axiom: str
-    paths: tuple[Path, ...]
-
-
-Comparator = Callable[[Path, Path], int]
-
-
-def check_admissible(
-    quiver: Quiver,
-    order: OrderSpec | Comparator,
-    bound: int,
-) -> tuple[bool, AdmissibilityWitness | None]:
-    """Exhaustively verify both admissibility axioms over paths of length <= bound.
-
-    Accepts either an OrderSpec or a raw comparator, so deliberately broken
-    comparators can be probed.  Returns (True, None) or (False, witness).
-    """
-    if bound < 1:
-        raise PathAlgError("bound must be >= 1")
-    cmp: Comparator
-    cmp = (lambda p, q: compare(order, p, q)) if isinstance(order, OrderSpec) else order
-
-    paths = [p for level in itertools.islice(normal_word_levels(quiver, ()), bound + 1) for p in level]
-    # Divisibility axiom: q | p implies p >= q.
-    for p, q in itertools.product(paths, paths):
-        if divides(q, p) and cmp(p, q) == LT:
-            return False, AdmissibilityWitness("divisibility", (p, q))
-    # Translation axiom: p >= q implies u p v >= u q v whenever both compose.
-    for p, q in itertools.product(paths, paths):
-        if (p.source, p.target) != (q.source, q.target) or cmp(p, q) == LT:
-            continue
-        for u in paths:
-            if u.target != p.source or u.length + p.length > bound:
-                continue
-            for v in paths:
-                if v.source != p.target or u.length + p.length + v.length > bound:
-                    continue
-                if cmp((u * p) * v, (u * q) * v) == LT:
-                    return False, AdmissibilityWitness("translation", (p, q, u, v))
-    return True, None

@@ -69,9 +69,3 @@ class ModulePresentation:
             rels.append(ModuleElement({(vindex[a.source], Path.of((a,))): one}))
         return cls(gens, tuple(rels))
 
-    @classmethod
-    def cyclic(cls, quiver: Quiver, vertex: str, relation_paths, one, name: str = "g") -> "ModulePresentation":
-        """A / (sum of p*A) for paths p starting at `vertex` (single free generator)."""
-        gens = (Generator(name, vertex, 0),)
-        rels = tuple(ModuleElement({(0, p): one}) for p in relation_paths)
-        return cls(gens, rels)

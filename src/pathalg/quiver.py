@@ -95,11 +95,6 @@ class Quiver:
                 return a
         raise PathAlgError(f"unknown arrow {name!r}")
 
-    def vertex_path(self, v: str) -> Path:
-        if v not in self.vertices:
-            raise PathAlgError(f"unknown vertex {v!r}")
-        return Path(v, v)
-
     def path(self, spec: str | Iterable[str]) -> Path:
         """Build a path from '*'-separated identifiers (or an iterable of them).
 
@@ -162,11 +157,6 @@ def divides(p: Path, q: Path) -> bool:
     n, arrows = p.length, p.arrows
     # A match of p's arrows starts at p.source; a vertex p needs the second test.
     return any(q.arrows[i:i + n] == arrows and q.prefix(i).target == p.source for i in range(q.length - n + 1))
-
-
-def divides_left(p: Path, q: Path) -> bool:
-    """p | q with q = p * v."""
-    return p.source == q.source and q.arrows[:p.length] == p.arrows
 
 
 def is_reduced(paths: Iterable[Path]) -> bool:

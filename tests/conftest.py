@@ -13,13 +13,18 @@ F = Field(0)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@cache
-def perfbench_module(name):
-    """perfbench/<name>.py, loaded by its path: perfbench is a directory of scripts, not a package."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+def load_module(name, path):
+    """The Python file at `path`, loaded by its path as module `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@cache
+def perfbench_module(name):
+    """perfbench/<name>.py: perfbench is a directory of scripts, not a package."""
+    return load_module(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
 
 
 def words(quiver):

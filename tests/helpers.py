@@ -1,4 +1,4 @@
-"""Shared property checks over random corpus instances, and reference computations.
+"""Shared property checks over random corpus instances, reference computations and test-data builders.
 
 Each checker returns a list of human-readable failure strings; the property
 suite and the acceptance suite assert those lists are empty.  The
@@ -8,16 +8,18 @@ code.  `reference_first_syzygy` filters by Path divisibility, so it checks
 `first_syzygy` without sharing its reading of the model's parent links.
 """
 import itertools
+import random
 from heapq import heapify, heappop, heappush
 
 from pathalg import (
     AlgebraElement,
+    Generator,
     ModuleElement,
+    ModulePresentation,
     OrderSpec,
+    Quiver,
     divides,
-    divides_left,
     enumerate_overlaps,
-    find_partition,
     groebner_basis,
     monic,
     normal_form,
@@ -27,6 +29,30 @@ from pathalg.corpus import check_composition_bounds, check_extrema_inequalities 
 from pathalg.corpus import instances, normal_word_dims_ok
 from pathalg.fields import Field
 from pathalg.oracle import presentation_cover, span_from_seeds
+from tests.reference import divides_left, find_partition
+
+
+def random_homogeneous_element(
+    rng: random.Random, quiver: Quiver, field: Field, degree: int, terms: int = 2
+) -> AlgebraElement:
+    """A random homogeneous element (possibly zero if no parallel paths exist)."""
+    paths = quiver.paths_of_length(degree)
+    rng.shuffle(paths)
+    if not paths:
+        return AlgebraElement()
+    anchor = paths[0]
+    parallel = [p for p in paths if (p.source, p.target) == (anchor.source, anchor.target)]
+    combo = {}
+    for p in parallel[:terms]:
+        combo[p] = field.of(rng.randint(-3, 3)) if rng.random() < 0.8 else field.of(1)
+    return AlgebraElement(combo)
+
+
+def cyclic(quiver: Quiver, vertex: str, relation_paths, one, name: str = "g") -> ModulePresentation:
+    """A / (sum of p*A) for paths p starting at `vertex` (single free generator)."""
+    gens = (Generator(name, vertex, 0),)
+    rels = tuple(ModuleElement({(0, p): one}) for p in relation_paths)
+    return ModulePresentation(gens, rels)
 
 
 def chain_table(inst, max_n):

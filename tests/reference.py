@@ -1,0 +1,264 @@
+"""Independent checks on the program, run only by the tests.
+
+- `check_admissible` probes both admissibility axioms of a term order by
+  exhaustion over short paths.
+- `module_normal_form` reduces a free-module element componentwise, and
+  `ideal_membership` decides membership in a two-sided ideal by brute-force
+  linear algebra over all paths (`pathalg.oracle.ideal_span`).
+- `chain` reads a word's chain back along an overlap table's predecessor
+  links.
+
+Cut decompositions w = u1 v1 ... v_{n-1} un serve as an independent
+membership oracle for the walks.  They are searched as index cuts on the
+arrows of v0*w: every block v_{i-1} u_i v_i is a pattern, and no
+pattern straddles an interior v_i by starting inside u_i and ending inside
+u_{i+1} v_{i+1}.  One predicate states these rules for both the search and
+the validator.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
+
+from pathalg.algebra import AlgebraElement, GroebnerBasis, ModuleElement, normal_form
+from pathalg.errors import NotReducedError, PathAlgError
+from pathalg.fields import Field
+from pathalg.oracle import ideal_span
+from pathalg.order import OrderSpec
+from pathalg.overlaps import OverlapTable
+from pathalg.quiver import Arrow, Path, Quiver, divides, is_reduced, normal_word_levels
+
+LT, EQ, GT = -1, 0, 1
+
+
+def divides_left(p: Path, q: Path) -> bool:
+    """p | q with q = p * v."""
+    return p.source == q.source and q.arrows[:p.length] == p.arrows
+
+
+def compare(order: OrderSpec, p: Path, q: Path) -> int:
+    kp, kq = order.path_key(p), order.path_key(q)
+    return GT if kp > kq else (LT if kp < kq else EQ)
+
+
+def compare_module(order: OrderSpec, a: tuple[int, Path], b: tuple[int, Path]) -> int:
+    ka, kb = order.module_key(a), order.module_key(b)
+    return GT if ka > kb else (LT if ka < kb else EQ)
+
+
+@dataclass(frozen=True)
+class AdmissibilityWitness:
+    axiom: str
+    paths: tuple[Path, ...]
+
+
+Comparator = Callable[[Path, Path], int]
+
+
+def check_admissible(
+    quiver: Quiver,
+    order: OrderSpec | Comparator,
+    bound: int,
+) -> tuple[bool, AdmissibilityWitness | None]:
+    """Exhaustively verify both admissibility axioms over paths of length <= bound.
+
+    Accepts either an OrderSpec or a raw comparator, so deliberately broken
+    comparators can be probed.  Returns (True, None) or (False, witness).
+    """
+    if bound < 1:
+        raise PathAlgError("bound must be >= 1")
+    cmp: Comparator
+    cmp = (lambda p, q: compare(order, p, q)) if isinstance(order, OrderSpec) else order
+
+    paths = [p for level in itertools.islice(normal_word_levels(quiver, ()), bound + 1) for p in level]
+    # Divisibility axiom: q | p implies p >= q.
+    for p, q in itertools.product(paths, paths):
+        if divides(q, p) and cmp(p, q) == LT:
+            return False, AdmissibilityWitness("divisibility", (p, q))
+    # Translation axiom: p >= q implies u p v >= u q v whenever both compose.
+    for p, q in itertools.product(paths, paths):
+        if (p.source, p.target) != (q.source, q.target) or cmp(p, q) == LT:
+            continue
+        for u in paths:
+            if u.target != p.source or u.length + p.length > bound:
+                continue
+            for v in paths:
+                if v.source != p.target or u.length + p.length + v.length > bound:
+                    continue
+                if cmp((u * p) * v, (u * q) * v) == LT:
+                    return False, AdmissibilityWitness("translation", (p, q, u, v))
+    return True, None
+
+
+def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
+    """Componentwise reduction; zero exactly when m lies in (free module) * I.
+
+    Terms are reduced in groups of one generator and one target vertex, the
+    parallel pieces that normal forms act on.
+    """
+    by_part: dict[tuple[int, str], dict[Path, object]] = {}
+    for (i, p), c in m.terms.items():
+        by_part.setdefault((i, p.target), {})[p] = c
+    out: dict[tuple[int, Path], object] = {}
+    for (i, _v), terms in by_part.items():
+        red = normal_form(AlgebraElement(terms), gb, gb.order)
+        for p, c in red.terms.items():
+            out[(i, p)] = c
+    return ModuleElement(out)
+
+
+def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], quiver: Quiver, field: Field) -> bool:
+    """Exact degreewise membership of x in the two-sided ideal the generators produce (see `ideal_span`)."""
+    if not x:
+        return True
+    if not x.is_homogeneous():
+        raise PathAlgError("membership oracle expects a homogeneous element")
+    d = x.degree()
+    idx = {p: i for i, p in enumerate(quiver.paths_of_length(d))}
+    vec = {idx[p]: c for p, c in ((p, field.of(c)) for p, c in x.terms.items()) if c}
+    return ideal_span(generators, quiver, field, d).contains(vec)
+
+
+def chain(table: OverlapTable, n: int, w: Path, i: int, context: Path | None = None) -> Path:
+    """The level-i left divisor of the level-n word w (0 <= i <= n), of the quasi entry (w, context) if given."""
+    for level in range(n, i, -1):
+        w = table.levels[level][w] if context is None else table.quasi_levels[level][(w, context)]
+    return w
+
+
+# The partition oracle is called many times with one pattern set.
+_is_reduced = lru_cache(maxsize=64)(is_reduced)
+
+
+def _check_patterns(patterns: Iterable[Path]) -> tuple[Path, ...]:
+    pats = tuple(patterns)
+    if not _is_reduced(pats):
+        raise NotReducedError("the pattern set must be reduced")
+    return pats
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Cut pieces w = u1 v1 u2 ... v_{n-1} un (contexts v0 and the final vertex implicit)."""
+
+    u: tuple[Path, ...]
+    v: tuple[Path, ...]
+
+
+def _is_cut(full: tuple[Arrow, ...], cuts: Sequence[tuple[int, int]], words: set, plain: bool) -> bool:
+    """The cut conditions on `full`, the arrows of v0*w, with `words` the patterns' arrows.
+
+    cuts[i] = (a_i, b_i) brackets v_i = full[a_i:b_i]: cuts[0] brackets the
+    context v0 and cuts[n] is the empty word at the end.  So u_i is
+    full[b_{i-1}:a_i] and block i is v_{i-1} u_i v_i = full[a_{i-1}:b_i].
+    Every block is a pattern, every interior v_i is nonempty, u_1 is
+    nonempty when n <= 2 (plain) or n <= 1 (with a context), and no
+    pattern straddles an interior v_i: none occurs at full[x:y] with
+    b_{i-1} <= x < a_i and b_i < y <= b_{i+1}.
+    """
+    n = len(cuts) - 1
+    if n <= (2 if plain else 1) and cuts[1][0] <= cuts[0][1]:
+        return False
+    if any(b <= a for a, b in cuts[1:n]):
+        return False
+    if any(full[cuts[i - 1][0]:cuts[i][1]] not in words for i in range(1, n + 1)):
+        return False
+    return not any(
+        full[x:y] in words
+        for i in range(1, n)
+        for x in range(cuts[i - 1][1], cuts[i][0])
+        for y in range(cuts[i][1] + 1, cuts[i + 1][1] + 1)
+    )
+
+
+def check_partition(
+    w: Path,
+    n: int,
+    patterns: Sequence[Path],
+    u_parts: Sequence[Path],
+    v_parts: Sequence[Path],
+    context: Path | None = None,
+) -> bool:
+    """Validate the cut conditions for the given pieces.
+
+    `context` None means the plain overlap reading (v0 is the source
+    vertex; the first piece must be nonempty when n <= 2); a nonempty
+    context means the quasi reading (first piece must be nonempty only
+    when n == 1).  The pieces must compose to exactly v0*w; their lengths
+    then give the cuts that `_is_cut` judges.  Like `find_partition`, it
+    raises NotReducedError when the pattern set is not reduced.
+    """
+    patterns = _check_patterns(patterns)
+    if len(u_parts) != n or len(v_parts) != n - 1:
+        return False
+    v0 = context if context is not None else Path(w.source, w.source)
+    ends = [*v_parts, Path(w.target, w.target)]
+    try:
+        whole = v0
+        for u, v in zip(u_parts, ends):
+            whole = whole * u * v
+        if whole != v0 * w:
+            return False
+    except PathAlgError:
+        return False
+    cuts = [(0, v0.length)]
+    for u, v in zip(u_parts, ends):
+        a = cuts[-1][1] + u.length
+        cuts.append((a, a + v.length))
+    return _is_cut(whole.arrows, cuts, {s.arrows for s in patterns}, context is None)
+
+
+def all_partitions(
+    w: Path,
+    n: int,
+    patterns: Iterable[Path],
+    context: Path | None = None,
+) -> Iterator[Partition]:
+    """Every cut decomposition of w at level n, ordered by its cuts.
+
+    Independent of the tail-graph walks: membership at level n is
+    equivalent to a partition existing.  The search places the cuts
+    (a_i, b_i) on v0*w left to right, a ascending and then b, keeps a cut
+    only when the block it closes is a pattern, and judges each full set
+    of cuts with the predicate that `check_partition` uses.
+    """
+    pats = _check_patterns(patterns)
+    if n < 1:
+        raise PathAlgError("partitions are defined for levels n >= 1")
+    v0 = context if context is not None else Path(w.source, w.source)
+    if v0.target != w.source:
+        return
+    full, words = v0.arrows + w.arrows, {s.arrows for s in pats}
+    end = len(full)
+
+    def piece(start: int, stop: int) -> Path:
+        """full[start:stop] inside w as a Path, a vertex when empty."""
+        return w.suffix(end - start).prefix(stop - start)
+
+    def extend(cuts: list[tuple[int, int]]) -> Iterator[Partition]:
+        if len(cuts) == n:
+            cuts = cuts + [(end, end)]
+            if _is_cut(full, cuts, words, context is None):
+                yield Partition(tuple(piece(cuts[i - 1][1], cuts[i][0]) for i in range(1, n + 1)),
+                                tuple(piece(a, b) for a, b in cuts[1:n]))
+            return
+        for a in range(cuts[-1][1], end):
+            for b in range(a + 1, end + 1):
+                if full[cuts[-1][0]:b] in words:
+                    yield from extend(cuts + [(a, b)])
+
+    yield from extend([(0, v0.length)])
+
+
+def find_partition(
+    w: Path,
+    n: int,
+    patterns: Iterable[Path],
+    context: Path | None = None,
+) -> Partition | None:
+    """First partition found, or None when no valid segmentation exists."""
+    for part in all_partitions(w, n, patterns, context):
+        return part
+    return None

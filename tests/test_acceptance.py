@@ -7,6 +7,7 @@ taken from the worked chain-table examples after validating them against
 the cut conditions.
 """
 import random
+from itertools import islice
 from math import inf
 
 import pytest
@@ -16,30 +17,23 @@ from pathalg import (
     DegreeCollection,
     OrderSpec,
     Quiver,
-    all_partitions,
     build_model,
-    check_partition,
     degree_window,
     determined_check,
     enumerate_overlaps,
     first_syzygy,
     groebner_basis,
     minimal_resolution,
-    module_hilbert,
     normal_form,
-    normal_words,
     s_koszul_criterion,
     s_koszul_degree,
     verify_windows,
 )
-from pathalg.corpus import (
-    instances,
-    random_homogeneous_element,
-    random_presentation,
-)
+from pathalg.corpus import instances, random_presentation
 from pathalg.fields import Field
 from pathalg.oracle import ideal_span
 from pathalg.presentation import ModulePresentation
+from pathalg.quiver import normal_word_levels
 from tests.conftest import truncated_polynomial, words
 from tests.helpers import (
     chain_table,
@@ -49,8 +43,11 @@ from tests.helpers import (
     check_partition_equivalence,
     check_predecessor_uniqueness,
     check_quasi_lifting,
+    cyclic,
     monomial_bundles,
+    random_homogeneous_element,
 )
+from tests.reference import all_partitions, chain, check_partition
 
 F = Field(0)
 SEED = 20260808
@@ -71,12 +68,12 @@ def test_c1_first_example_chains_and_partitions(two_loop):
     table = enumerate_overlaps(two_loop, pats, 3)
 
     assert (w("xxxyyy"), w("xx")) in table.quasi_levels[3]
-    assert str(table.quasi_chain(3, w("xxxyyy"), w("xx"), 2)) == "x*x*x"
-    assert str(table.quasi_chain(3, w("xxxyyy"), w("xx"), 1)) == "x"
+    assert str(chain(table, 3, w("xxxyyy"), 2, w("xx"))) == "x*x*x"
+    assert str(chain(table, 3, w("xxxyyy"), 1, w("xx"))) == "x"
 
     assert w("xxxxxyyy") in table.levels[3]
-    assert str(table.chain(3, w("xxxxxyyy"), 2)) == "x*x*x*x"
-    assert str(table.chain(3, w("xxxxxyyy"), 1)) == "x*x*x"
+    assert str(chain(table, 3, w("xxxxxyyy"), 2)) == "x*x*x*x"
+    assert str(chain(table, 3, w("xxxxxyyy"), 1)) == "x*x*x"
 
     # The plain-overlap cut is exactly the published one.
     parts = list(all_partitions(w("xxxxxyyy"), 3, pats))
@@ -91,7 +88,7 @@ def test_c1_first_example_chains_and_partitions(two_loop):
 
     # The variant with (u2, v2) = (x, x) fails the cut conditions: its last
     # block x*y*y*y is not a pattern.
-    e = two_loop.vertex_path("e")
+    e = two_loop.path("e")
     assert not check_partition(
         w("xxxyyy"), 3, pats, (e, w("x"), w("yyy")), (w("x"), w("x")), context=w("xx")
     )
@@ -109,8 +106,8 @@ def test_c2_second_example(two_loop):
     assert (w("xxxyy"), w("xx")) in table.quasi_levels[3]
     assert w("xxxxxyy") not in table.levels[3]
     assert w("xxxxyy") in table.levels[3]
-    assert str(table.chain(3, w("xxxxyy"), 2)) == "x*x*x*x"
-    assert str(table.chain(3, w("xxxxyy"), 1)) == "x*x*x"
+    assert str(chain(table, 3, w("xxxxyy"), 2)) == "x*x*x*x"
+    assert str(chain(table, 3, w("xxxxyy"), 1)) == "x*x*x"
     # Published cuts for both readings.
     parts = list(all_partitions(w("xxxxyy"), 3, pats))
     assert (("x", "e", "yy"), ("xx", "x")) in [(compact(p.u), compact(p.v)) for p in parts]
@@ -138,10 +135,10 @@ def test_c3_cube_algebra(two_loop, cube_gb, cube_model, cube_A0):
     # identity with index n+1 on the second summand fails already at n = 0,
     # which pins the direction of the embedding's degree shift.
     w = words(two_loop)
-    X = ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)
-    Y = ModulePresentation.cyclic(two_loop, "e", [w("y")], F.one)
-    hx = module_hilbert(X, cube_model, 6)
-    hy = module_hilbert(Y, cube_model, 6)
+    X = cyclic(two_loop, "e", [w("x")], F.one)
+    Y = cyclic(two_loop, "e", [w("y")], F.one)
+    hx = minimal_resolution(X, cube_model, 0, 6).hilbert
+    hy = minimal_resolution(Y, cube_model, 0, 6).hilbert
     dims = cube_model.dims()
     for n in range(4):
         assert dims[n] == hx[n] + (hy[n - 1] if n >= 1 else 0)
@@ -211,7 +208,7 @@ def test_c4_quasi_window_singleton_claim_as_tabulated(truncated_bundle):
 
     cap = 3 * s + 3
     for j in range(1, s):
-        X = ModulePresentation.cyclic(q, "e", [q.path("*".join("x" * j))], F.one)
+        X = cyclic(q, "e", [q.path("*".join("x" * j))], F.one)
         syz_j = first_syzygy(X, model, cap)
         assert (syz_j.min_degree, syz_j.max_degree) == (j, j)
         rep_j = minimal_resolution(X, model, 6, cap)
@@ -382,7 +379,7 @@ def _vector(quiver, x, d):
 def test_c8_dimensions_match_normal_word_counts():
     for name, quiver, order, gens, gb_cap in fixture_algebras():
         gb = groebner_basis(gens, order, gb_cap)
-        for d in range(0, 9):
+        for d, level in enumerate(islice(normal_word_levels(quiver, gb.tips), 9)):
             npaths = len(quiver.paths_of_length(d))
             rank = ideal_span(gens, quiver, F, d).dim
-            assert npaths - rank == len(normal_words(quiver, gb.tips, d)), (name, d)
+            assert npaths - rank == len(level), (name, d)

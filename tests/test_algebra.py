@@ -2,6 +2,7 @@ import hashlib
 import pathlib
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -11,18 +12,16 @@ from pathalg import (
     PathAlgError,
     Quiver,
     groebner_basis,
-    ideal_membership,
-    module_normal_form,
     normal_form,
-    normal_words,
     tip,
 )
 from pathalg.algebra import ModuleElement, TipIndex, monic
-from pathalg.corpus import random_homogeneous_element
 from pathalg.fields import Field
 from pathalg.problem import parse
+from pathalg.quiver import normal_word_levels
 from tests.conftest import words
-from tests.helpers import _s_element, proper_overlaps, reference_completion
+from tests.helpers import _s_element, proper_overlaps, random_homogeneous_element, reference_completion
+from tests.reference import ideal_membership, module_normal_form
 
 F = Field(0)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -70,7 +69,7 @@ def test_normal_form_single_rewrite(two_loop, two_loop_order):
 
 
 def test_normal_form_rejects_a_vertex_tip(two_loop, two_loop_order):
-    e = AlgebraElement({two_loop.vertex_path("e"): F.one})
+    e = AlgebraElement({two_loop.path("e"): F.one})
     with pytest.raises(PathAlgError):
         normal_form(elem(two_loop, {"xy": 1}), [e], two_loop_order)
 
@@ -116,8 +115,7 @@ def test_generator_above_the_cap_waits(two_loop, two_loop_order, cube_gb):
     gb = groebner_basis(gens, two_loop_order, 2)
     assert gb.status == "truncated-at-degree-2"
     assert sorted(str(t) for t in gb.tips) == ["x*y", "y*x"]
-    for d in range(3):
-        assert normal_words(two_loop, gb.tips, d) == normal_words(two_loop, cube_gb.tips, d)
+    assert list(islice(normal_word_levels(two_loop, gb.tips), 3)) == list(islice(normal_word_levels(two_loop, cube_gb.tips), 3))
     empty = groebner_basis([elem(two_loop, {"xxx": 1})], two_loop_order, 2)
     assert empty.elements == () and not empty.complete
     assert groebner_basis([elem(two_loop, {"xxx": 1})], two_loop_order, 3).complete
@@ -135,11 +133,12 @@ def test_completion_input_order_independent(two_loop, two_loop_order, cube_gb):
 
 
 def test_normal_words_examples(two_loop, one_loop, cube_gb):
-    assert sorted(str(p) for p in normal_words(two_loop, cube_gb.tips, 2)) == ["x*x", "y*y"]
-    assert [str(p) for p in normal_words(two_loop, cube_gb.tips, 3)] == ["y*y*y"]
+    levels = list(islice(normal_word_levels(two_loop, cube_gb.tips), 4))
+    assert sorted(str(p) for p in levels[2]) == ["x*x", "y*y"]
+    assert [str(p) for p in levels[3]] == ["y*y*y"]
     xx = one_loop.path("x*x")
-    assert normal_words(one_loop, [xx], 5) == []
-    assert [str(p) for p in normal_words(two_loop, [], 0)] == ["e"]
+    assert list(islice(normal_word_levels(one_loop, [xx]), 6))[5] == []
+    assert [str(p) for p in next(normal_word_levels(two_loop, []))] == ["e"]
 
 
 def _plus(x, y):
@@ -223,7 +222,7 @@ def test_exterior_algebra_completion(two_loop, two_loop_order):
     gb = groebner_basis(gens, two_loop_order, 6)
     assert gb.complete
     assert sorted(str(t) for t in gb.tips) == ["x*x", "x*y", "y*y"]
-    assert [len(normal_words(two_loop, gb.tips, d)) for d in range(5)] == [1, 2, 1, 0, 0]
+    assert [len(level) for level in islice(normal_word_levels(two_loop, gb.tips), 5)] == [1, 2, 1, 0, 0]
     # Every degree-3 path lies in the ideal: cross-check both routes.
     for word in ("xxx", "xxy", "xyx", "xyy", "yxx", "yxy", "yyx", "yyy"):
         assert normal_form(elem(two_loop, {word: 1}), gb, two_loop_order).is_zero()
@@ -292,9 +291,10 @@ def _assert_completion_invariants(quiver, order, gens, cap, gb):
     from pathalg.quiver import divides
 
     tips = list(gb.tips)
+    levels = list(islice(normal_word_levels(quiver, tips), cap + 1))
     for d in range(2, cap + 1):
         dim = _ideal_dim(quiver, gens, d, order.field.characteristic)
-        assert len(normal_words(quiver, tips, d)) == len(quiver.paths_of_length(d)) - dim
+        assert len(levels[d]) == len(quiver.paths_of_length(d)) - dim
     for a, ta in zip(gb.elements, tips):
         for b, tb in zip(gb.elements, tips):
             for deg, shared in proper_overlaps(ta, tb):

@@ -7,9 +7,10 @@ import pathalg.cli
 from pathalg import PathAlgError, Quiver
 from pathalg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_TRUNCATED, run
 from pathalg.presentation import Generator, ModulePresentation
+from tests.conftest import ROOT, load_module
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-SCHEMA = json.loads((pathlib.Path(__file__).resolve().parents[1] / "docs" / "output-schema.json").read_text())
+FIXTURES = ROOT / "fixtures"
+SCHEMA = json.loads((ROOT / "docs" / "output-schema.json").read_text())
 
 
 def fixture(name: str) -> str:
@@ -136,6 +137,19 @@ def test_check_modes_are_mutually_exclusive(capsys, modes):
         run(["check", fixture("truncated_s3.alg"), "--module", "A0"] + modes)
     assert exc.value.code == EXIT_INPUT
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["1", "-3"])
+def test_s_koszul_below_two_is_refused_before_completion(capsys, monkeypatch, s):
+    # On a truncated basis this used to exit 3 with "cannot certify".
+    def refuse(*args):
+        raise AssertionError("the basis was completed before s was checked")
+
+    monkeypatch.setattr(pathalg.cli, "groebner_basis", refuse)
+    rc = run(["check", fixture("sklyanin_235.alg"), "--s-koszul", s, "--max-degree", "8"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT and not captured.out
+    assert captured.err == "error: need s >= 2\n"
 
 
 @pytest.mark.parametrize("spec", ["chi:1", "chi-down:1", "chi:0", "chi-down:-3"])
@@ -322,6 +336,27 @@ def test_degree_cap_below_a_relation_is_input_error(capsys):
     assert rc == EXIT_OK
 
 
+def test_generator_above_the_cap_is_input_error(capsys, tmp_path):
+    # A generator above D used to drop out of P_0 unseen: resolve printed
+    # P_0 = [] as not truncated, and check --linear certified it.
+    path = tmp_path / "high.alg"
+    path.write_text("[quiver]\nvertex e\narrow x : e -> e\narrow y : e -> e\n\n[ideal]\nx*y - y*x\n\n"
+                    "[module M]\ngenerator g : e @ 20\n\n"
+                    "[module MIX]\ngenerator g : e @ 0\ngenerator h : e @ 20\nrelation g*x\n")
+    for extra in (["resolve"], ["check", "--linear"]):
+        rc = run(extra + [str(path), "--module", "M", "--max-degree", "6"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT and not captured.out, extra
+        assert captured.err == "error: generator g at degree 20 lies above the degree cap 6\n", extra
+    # Without a cap, verify's oracle reaches every generator (exit 0: every window PASSes).
+    rc, doc = run_json(capsys, ["verify", str(path), "--module", "M"])
+    assert rc == EXIT_OK and doc["resolution"]["degrees"][0] == [20]
+    # It goes past the degree MIX's windows need for h.
+    rc, doc = run_json(capsys, ["verify", str(path), "--module", "MIX"])
+    assert rc == EXIT_OK and (doc["required_oracle_degree"], doc["resolution"]["degree_cap"]) == (14, 20)
+    assert doc["resolution"]["degrees"][0] == [0, 20]
+
+
 def test_negative_instances_is_input_error(capsys):
     rc = run(["selfcheck", fixture("dual_numbers.alg"), "--instances", "-2"])
     captured = capsys.readouterr()
@@ -395,3 +430,16 @@ def test_negative_generator_degree_is_input_error(capsys, tmp_path):
     quiver = Quiver.build(["e"], [("x", "e", "e")])
     with pytest.raises(PathAlgError, match="negative degree"):
         ModulePresentation((Generator("g", "e", -1),), ()).validate(quiver)
+
+
+def test_chain_table_demo_prints_a_table_or_an_input_error(capsys):
+    demo = load_module("chain_table_demo", ROOT / "scripts" / "chain_table_demo.py")
+    assert demo.main(["xxyyy", "xxx", "--max-n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("level 0: lengths overlap [1, 1]  quasi [0, 0]\n")
+    assert "  xxxyyy               <- xxx\n" in out
+    for patterns, message in ((["xx", "xxx"], "the pattern set must be reduced"),
+                              (["x"], "reduced sets live in length >= 2; got x")):
+        assert demo.main(patterns) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err == f"error: {message}\n"

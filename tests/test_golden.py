@@ -6,19 +6,14 @@ under tests/golden/ (written by `scripts/run_examples.py --json-dir`).
 After a deliberate output change, regenerate them with
 `python scripts/run_examples.py --json-dir tests/golden`.
 """
-import importlib.util
-import pathlib
-
 import pytest
 
 from pathalg.cli import run
+from tests.conftest import ROOT, load_module
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
-_spec = importlib.util.spec_from_file_location("run_examples", ROOT / "scripts" / "run_examples.py")
-run_examples = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_examples)
+run_examples = load_module("run_examples", ROOT / "scripts" / "run_examples.py")
 
 
 def test_every_run_has_a_golden_document():

@@ -1,4 +1,5 @@
 import pathlib
+from itertools import islice
 
 import pytest
 
@@ -11,21 +12,20 @@ from pathalg import (
     Quiver,
     build_model,
     groebner_basis,
-    ideal_membership,
     minimal_resolution,
-    module_hilbert,
     normal_form,
-    normal_words,
     verify_windows,
 )
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
-from pathalg.algebra import ModuleElement, module_normal_form
+from pathalg.algebra import ModuleElement
 from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_pieces, presentation_cover
 from pathalg.problem import parse
-from pathalg.quiver import Path
+from pathalg.quiver import Path, normal_word_levels
 from pathalg.syzygy import DegreeWindow, first_syzygy
 from tests.conftest import perfbench_module, truncated_polynomial, words
+from tests.helpers import cyclic
+from tests.reference import module_normal_form
 
 F = Field(0)
 
@@ -246,19 +246,19 @@ def test_plane_resolution_exactness_bookkeeping(two_loop, plane_gb):
 
 def test_hilbert_of_simple_and_free(two_loop, cube_model):
     A0 = ModulePresentation.simple_tops(two_loop, F.one)
-    assert module_hilbert(A0, cube_model, 6) == [1, 0, 0, 0, 0, 0, 0]
+    assert minimal_resolution(A0, cube_model, 0, 6).hilbert == [1, 0, 0, 0, 0, 0, 0]
     free = ModulePresentation((Generator("f", "e", 0),), ())
-    dims = module_hilbert(free, cube_model, 6)
+    dims = minimal_resolution(free, cube_model, 0, 6).hilbert
     assert dims == [1, 2, 2, 1, 0, 0, 0]
 
 
 def test_hilbert_exact_sequences(two_loop, cube_model):
     w = words(two_loop)
-    X = ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)
-    Y = ModulePresentation.cyclic(two_loop, "e", [w("y")], F.one)
-    hx = module_hilbert(X, cube_model, 5)
-    hy = module_hilbert(Y, cube_model, 5)
-    dims = [len(normal_words(two_loop, cube_model.gb.tips, d)) for d in range(5)]
+    X = cyclic(two_loop, "e", [w("x")], F.one)
+    Y = cyclic(two_loop, "e", [w("y")], F.one)
+    hx = minimal_resolution(X, cube_model, 0, 5).hilbert
+    hy = minimal_resolution(Y, cube_model, 0, 5).hilbert
+    dims = [len(level) for level in islice(normal_word_levels(two_loop, cube_model.gb.tips), 5)]
     assert hx[:5] == [1, 1, 1, 0, 0]
     for n in range(4):
         assert dims[n] == hx[n] + (hy[n - 1] if n >= 1 else 0)
@@ -267,7 +267,7 @@ def test_hilbert_exact_sequences(two_loop, cube_model):
 def test_quotients_by_each_loop_are_linear(two_loop, cube_model):
     w = words(two_loop)
     for loop in ("x", "y"):
-        X = ModulePresentation.cyclic(two_loop, "e", [w(loop)], F.one)
+        X = cyclic(two_loop, "e", [w(loop)], F.one)
         rep = minimal_resolution(X, cube_model, 4, 12)
         assert rep.degrees == [[0], [1], [2], [3], [4]]
 
@@ -393,15 +393,28 @@ def test_relation_above_the_model_cap_is_refused(one_loop, one_loop_order):
     assert [(d, v) for d, v, _vec in seeds] == [(3, "e")]
 
 
+def test_generator_above_the_resolution_cap_is_refused(cube_model):
+    # A generator above D used to drop out of P_0 unseen: the report read
+    # P_0 = [] and not truncated.
+    high = ModulePresentation((Generator("g", "e", 20),), ())
+    with pytest.raises(PathAlgError, match="generator g at degree 20 lies above the degree cap 6"):
+        minimal_resolution(high, cube_model, 2, 6)
+    # At D itself it resolves: a free module is its own cover.
+    top = minimal_resolution(ModulePresentation((Generator("g", "e", 6),), ()), cube_model, 2, 6)
+    assert top.degrees == [[6], [], []] and not top.truncated
+    assert top.hilbert == [0] * 6 + [1]
+
+
 def test_membership_oracle_counts_dimensions(two_loop, two_loop_order, cube_gb):
     # dim A_d = #paths - rank(degree-d ideal piece): ties the Groebner layer
     # to plain linear algebra through the normal-word count.
     w = words(two_loop)
     gens = [AlgebraElement({w("xy"): F.one}), AlgebraElement({w("yx"): F.one}),
             AlgebraElement({w("xxx"): F.one, w("yyy"): -F.one})]
+    levels = list(islice(normal_word_levels(two_loop, cube_gb.tips), 7))
     for d in range(2, 7):
         span = ideal_span(gens, two_loop, F, d)
-        assert len(two_loop.paths_of_length(d)) - span.dim == len(normal_words(two_loop, cube_gb.tips, d))
+        assert len(two_loop.paths_of_length(d)) - span.dim == len(levels[d])
 
 
 def test_resolution_over_prime_field(two_loop):

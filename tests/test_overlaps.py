@@ -5,14 +5,12 @@ import pytest
 from pathalg import (
     NotReducedError,
     Quiver,
-    all_partitions,
-    check_partition,
     compose_bounds,
     enumerate_overlaps,
-    find_partition,
     s_koszul_degree,
 )
 from tests.conftest import words
+from tests.reference import all_partitions, chain, check_partition, find_partition
 
 
 def names(p):
@@ -38,11 +36,11 @@ def test_showcase_levels(two_loop, showcase):
     assert {names(p) for p in t.overlaps(2)} == {"xxxx", "xxxyyy"}
     assert {names(p) for p in t.overlaps(3)} == {"xxxxxx", "xxxxxyyy"}
     w = words(two_loop)
-    assert names(t.chain(3, w("xxxxxyyy"), 2)) == "xxxx"
-    assert names(t.chain(3, w("xxxxxyyy"), 1)) == "xxx"
+    assert names(chain(t, 3, w("xxxxxyyy"), 2)) == "xxxx"
+    assert names(chain(t, 3, w("xxxxxyyy"), 1)) == "xxx"
     assert (w("xxxyyy"), w("xx")) in t.quasi_levels[3]
-    assert names(t.quasi_chain(3, w("xxxyyy"), w("xx"), 2)) == "xxx"
-    assert names(t.quasi_chain(3, w("xxxyyy"), w("xx"), 1)) == "x"
+    assert names(chain(t, 3, w("xxxyyy"), 2, w("xx"))) == "xxx"
+    assert names(chain(t, 3, w("xxxyyy"), 1, w("xx"))) == "x"
 
 
 def test_second_showcase_levels(two_loop):
@@ -52,8 +50,8 @@ def test_second_showcase_levels(two_loop):
     assert (w("xxxyy"), w("xx")) in t.quasi_levels[3]
     assert w("xxxxxyy") not in t.levels[3]
     assert w("xxxxyy") in t.levels[3]
-    assert names(t.chain(3, w("xxxxyy"), 2)) == "xxxx"
-    assert names(t.chain(3, w("xxxxyy"), 1)) == "xxx"
+    assert names(chain(t, 3, w("xxxxyy"), 2)) == "xxxx"
+    assert names(chain(t, 3, w("xxxxyy"), 1)) == "xxx"
 
 
 def test_single_loop_square(one_loop):
@@ -141,7 +139,7 @@ def test_partition_negative(two_loop):
 
 def test_check_partition_validator(two_loop, showcase):
     w = words(two_loop)
-    e = two_loop.vertex_path("e")
+    e = two_loop.path("e")
     assert check_partition(w("xxxxxyyy"), 3, showcase, (w("x"), e, w("xyyy")), (w("xx"), w("x")))
     # wrong reassembly, also when the pieces are a partition of another word
     assert not check_partition(w("xxxxxyyy"), 3, showcase, (w("x"), e, w("xyyy")), (w("x"), w("x")))
@@ -183,11 +181,11 @@ def test_partition_oracle_is_independent_of_the_walks(monkeypatch, two_loop, sho
     # a*b*a, but a*b*a starts at vertex 1: no partition exists.
     quiver = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     aba = quiver.path("a*b*a")
-    assert find_partition(aba, 1, [aba], context=quiver.vertex_path("1")) is not None
+    assert find_partition(aba, 1, [aba], context=quiver.path("1")) is not None
     for n in range(1, 4):
-        assert find_partition(aba, n, [aba], context=quiver.vertex_path("2")) is None
+        assert find_partition(aba, n, [aba], context=quiver.path("2")) is None
         assert find_partition(aba, n, [aba], context=quiver.path("a")) is None
-    assert not check_partition(aba, 1, [aba], (aba,), (), context=quiver.vertex_path("2"))
+    assert not check_partition(aba, 1, [aba], (aba,), (), context=quiver.path("2"))
 
 
 def test_predecessor_links_are_left_divisors(two_loop, showcase):

@@ -8,7 +8,7 @@ import pytest
 from pathalg import AlgebraElement, OrderSpec, PathAlgError, groebner_basis, monic, normal_form
 from pathalg.algebra import ModuleElement
 from pathalg.cli import EXIT_INPUT, run
-from pathalg.corpus import instances, random_homogeneous_element, random_presentation
+from pathalg.corpus import instances, random_presentation
 from pathalg.fields import Field
 from pathalg.presentation import ModulePresentation
 from pathalg.problem import (
@@ -24,6 +24,7 @@ from pathalg.problem import (
     render,
 )
 from tests.conftest import words
+from tests.helpers import random_homogeneous_element
 
 CUBE = """
 # the running example

@@ -9,7 +9,6 @@ from pathalg import (
     PathAlgError,
     build_model,
     degree_window,
-    divides_left,
     enumerate_overlaps,
     first_syzygy,
     groebner_basis,
@@ -17,13 +16,14 @@ from pathalg import (
     verify_windows,
     window_consistency,
 )
-from pathalg.algebra import ModuleElement, module_normal_form, tip
+from pathalg.algebra import ModuleElement, tip
 from pathalg.corpus import random_presentation
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.problem import parse
 from tests.conftest import truncated_polynomial, words
-from tests.helpers import monomial_bundles, reference_first_syzygy
+from tests.helpers import cyclic, monomial_bundles, reference_first_syzygy
+from tests.reference import divides_left, module_normal_form
 
 F = Field(0)
 FIXTURES = sorted((pathlib.Path(__file__).resolve().parents[1] / "fixtures").glob("*.alg"))
@@ -49,7 +49,7 @@ def test_first_syzygy_relation_inside_ideal(two_loop, cube_model):
     # One generator with the single relation f*(x*y); x*y is already zero in
     # the algebra, so the module is free: T1 empty, kernel = module * ideal.
     w = words(two_loop)
-    pres = ModulePresentation.cyclic(two_loop, "e", [w("xy")], F.one)
+    pres = cyclic(two_loop, "e", [w("xy")], F.one)
     syz = first_syzygy(pres, cube_model, 6)
     assert syz.survivors == () and syz.min_degree is None and syz.max_degree is None
     assert syz.absorbed
@@ -63,8 +63,8 @@ def test_absorbed_members_reduce_to_zero(two_loop, cube_model, cube_A0):
     # The absorbed tips are the tips of the lifts f_j * (u * g), which lie in
     # (free module) * I; the survivors do not.
     w = words(two_loop)
-    for pres in (cube_A0, ModulePresentation.cyclic(two_loop, "e", [w("xy")], F.one),
-                 ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)):
+    for pres in (cube_A0, cyclic(two_loop, "e", [w("xy")], F.one),
+                 cyclic(two_loop, "e", [w("x")], F.one)):
         syz = first_syzygy(pres, cube_model, 7)
         _tips, _elems, absorbed = reference_first_syzygy(pres, cube_model, 7)
         assert Counter(syz.absorbed) == Counter(tip(e, cube_model.order) for _j, _w, e in absorbed)
@@ -77,12 +77,27 @@ def test_absorbed_members_reduce_to_zero(two_loop, cube_model, cube_A0):
 def test_combined_set_is_tip_orbit_disjoint(two_loop, cube_model, cube_A0):
     # No survivor or absorbed tip extends another by a right factor in the same component.
     w = words(two_loop)
-    for pres in (cube_A0, ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)):
+    for pres in (cube_A0, cyclic(two_loop, "e", [w("x")], F.one)):
         syz = first_syzygy(pres, cube_model, 7)
         tips = [tip(e, cube_model.order) for e in syz.survivors] + list(syz.absorbed)
         for a, (ia, pa) in enumerate(tips):
             for b, (ib, pb) in enumerate(tips):
                 assert a == b or ia != ib or not divides_left(pa, pb)
+
+
+def test_survivor_tips_are_the_term_order_tips(two_loop, cube_model):
+    # Two generators at one vertex and degree tie on every word, and the
+    # module order breaks the tie by generator number, larger first.  Block
+    # columns must follow it, or a pivot is not the survivor's tip.
+    w = words(two_loop)
+    pres = ModulePresentation(
+        (Generator("g", "e", 0), Generator("h", "e", 0)),
+        (ModuleElement({(0, w("x")): F.one, (1, w("x")): F.one}),
+         ModuleElement({(0, w("yy")): F.one, (1, w("xy")): -F.one})),
+    )
+    syz = first_syzygy(pres, cube_model, 6)
+    assert len(syz.survivors) >= 2
+    assert list(syz.survivor_tips) == [tip(e, cube_model.order) for e in syz.survivors]
 
 
 def _assert_first_syzygy_matches_reference(pres, model, cap, label):
@@ -195,7 +210,7 @@ def test_first_syzygy_sees_tail_tips(two_loop, cube_model):
     # that no right multiple of x reaches, so T1 = {x (degree 1), y^3-part
     # (degree 3)} and l = 3 even though the resolution of A/xA is linear.
     w = words(two_loop)
-    pres = ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one)
+    pres = cyclic(two_loop, "e", [w("x")], F.one)
     syz = first_syzygy(pres, cube_model, 8)
     assert (syz.min_degree, syz.max_degree) == (1, 3)
     tips = sorted(str(p) for (_i, p) in syz.survivor_tips)
@@ -209,8 +224,8 @@ def test_windows_validate_for_cube_modules(two_loop, cube_model, cube_A0):
     table = enumerate_overlaps(two_loop, cube_model.gb.tips, 4)
     cases = [
         cube_A0,
-        ModulePresentation.cyclic(two_loop, "e", [w("x")], F.one),
-        ModulePresentation.cyclic(two_loop, "e", [w("y")], F.one),
+        cyclic(two_loop, "e", [w("x")], F.one),
+        cyclic(two_loop, "e", [w("y")], F.one),
     ]
     for pres in cases:
         syz = first_syzygy(pres, cube_model, 9)
@@ -254,7 +269,7 @@ def test_first_syzygy_nonminimal_presentation_guard(two_loop, cube_model):
     w = words(two_loop)
     pres = ModulePresentation(
         (Generator("g0", "e", 0), Generator("g1", "e", 1)),
-        (ModuleElement({(1, two_loop.vertex_path("e")): F.one, (0, w("x")): -F.one}),),
+        (ModuleElement({(1, two_loop.path("e")): F.one, (0, w("x")): -F.one}),),
     )
     syz = first_syzygy(pres, cube_model, 6)
     assert syz.min_degree == 1
