@@ -6,12 +6,17 @@ presentation's relations included.  It builds each degree's action from
 the Groebner basis's TipIndex, which finds the tip that ends a product and
 holds its tail, and from the action below, with no `normal_form` call.
 Minimal graded projective resolutions are computed degreewise, per
-(degree, target-vertex) block, by one loop: `span_from_seeds` spans seed vectors under the arrow action, giving each
-block the arrow images of the degree below before its own seeds, so the
-seeds that still enlarge a block are minimal generators of the span.  The
-relations are the seeds of the submodule that X = coker(relations) factors
-out; the generator tops, projected into X, are the seeds of step 0; each
-later step seeds with a basis of the kernel of the cover of the step before.
+(degree, target-vertex) block.  `span_from_seeds` spans seed vectors under
+the arrow action, giving each block the arrow images of the degree below
+before its own seeds, so the seeds that still enlarge a block are minimal
+generators of the span.  The relations are the seeds of the submodule that
+X = coker(relations) factors out; the generator tops, projected into X, are
+the seeds of step 0.  Each later step spans the kernel of the cover of the
+step before by the same rule, but counts first: in a block, dim ker is the
+cover's dim less the image's, which is X's for the first cover and the
+kernel's before it for each later one.  `kernel_pieces` eliminates only a
+block that the arrow images leave short of its count, where a generator is
+born, and the last step only counts.
 `ideal_span` spans a degree of a two-sided ideal over all paths, with no
 Groebner data, to cross-check normal forms.
 
@@ -300,7 +305,7 @@ class GradedPieces:
     """Per-(degree, vertex) subspaces of some graded space over `field`.
 
     `generators` lists the (degree, vertex, vector) seeds that enlarged the
-    span as `span_from_seeds` built it.
+    span as `span_from_seeds` or `kernel_pieces` built it.
     """
 
     def __init__(self, field: Field):
@@ -376,40 +381,82 @@ def minimal_generators_of_pieces(space, seeds: Iterable[tuple[int, str, dict]], 
     return span_from_seeds(space, seeds, D).generators
 
 
-def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> list[tuple[int, str, dict]]:
-    """A basis of ker(free cover -> ambient) in each block up to degree D, as (degree, vertex, vector) seeds.
+def kernel_dims(domain: CoverSpace, image_dims: Mapping[tuple[int, str], int], D: int) -> dict[tuple[int, str], int]:
+    """dim ker in each block up to degree D where it is nonzero: the domain's dim less the image's.
 
-    f_j maps to images[j]; kernel vectors live over the domain coordinates.
-    Raises PathAlgError if a kernel vector touches a generator-top
+    image_dims maps (degree, vertex) to the dim of the image there, a missing
+    block to 0.  Raises PathAlgError if an image outgrows its domain.
+    """
+    out: dict[tuple[int, str], int] = {}
+    for d in range(D + 1):
+        for v in domain.model.quiver.vertices:
+            n = domain.dim(d, v) - image_dims.get((d, v), 0)
+            if n < 0:
+                raise PathAlgError(f"block ({d}, {v}): the image is larger than the domain")
+            if n:
+                out[(d, v)] = n
+    return out
+
+
+def _phi(memo: dict, model: GradedAlgebraModel, ambient, images: Sequence[dict], degrees: Sequence[int],
+         j: int, length: int, i: int) -> dict:
+    """The image in the ambient space of cover coordinate (j, i): summand j times word i of the given length.
+
+    Walks the word's parent links down to the summand's top or to an image
+    in `memo`, then acts back up, keeping each image met in `memo`.
+    """
+    walk = []
+    while length and (j, length, i) not in memo:
+        i0, k = model.parent[length][i]
+        walk.append((length, i, k))
+        length, i = length - 1, i0
+    img = memo[(j, length, i)] if length else images[j]
+    for length, i, k in reversed(walk):
+        img = ambient.act(degrees[j] + length - 1, k, img)
+        memo[(j, length, i)] = img
+    return img
+
+
+def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, dims: Mapping[tuple[int, str], int],
+                  D: int) -> GradedPieces:
+    """The span of ker(free cover -> ambient) in each block up to degree D, with its minimal generators.
+
+    f_j maps to images[j], and dims holds the kernel's counted dims
+    (`kernel_dims`).  A block takes the arrow images of the kernel one
+    degree down, as in `span_from_seeds`.  Only a block that they leave
+    short of its count, where a generator is born, is eliminated; its left
+    null vectors that still enlarge it are minimal generators, kept in
+    order in `generators`.  Raises PathAlgError if a block's span ends at a
+    dim other than its count (a count too small is seen only where the
+    arrow images outgrow it), or if a kernel vector touches a generator-top
     coordinate, which would mean the chosen generators were not minimal.
     """
     model = domain.model
-    out: list[tuple[int, str, dict]] = []
+    pieces = GradedPieces(model.field)
     if not domain.summands:
-        return out
+        return pieces
     degrees = [s.degree for s in domain.summands]
-    # (summand, word degree, word number) -> image in the ambient space.
+    # (summand, word degree, word number) -> image in the ambient space, for the eliminated blocks.
     phi: dict[tuple[int, int, int], dict] = {}
     for d in range(min(degrees), D + 1):
         for v in model.quiver.vertices:
             cols, _ = domain.block(d, v)
             if not cols:
                 continue
-            rows = []
-            for j, i in cols:
-                length = d - degrees[j]
-                if length == 0:
-                    img = images[j]
-                else:
-                    i0, k = model.parent[length][i]
-                    img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
-                phi[(j, length, i)] = img
-                rows.append(img)
-            for combo in left_nullspace(rows, model.field):
-                if any(degrees[cols[n][0]] == d for n in combo):
-                    raise PathAlgError("kernel meets a generator top: cover was not minimal")
-                out.append((d, v, combo))
-    return out
+            sub = pieces.ensure(d, v)
+            for img in _arrow_images(domain, pieces, d, v):
+                sub.add(img)
+            want = dims.get((d, v), 0)
+            if sub.dim < want:
+                rows = [_phi(phi, model, ambient, images, degrees, j, d - degrees[j], i) for j, i in cols]
+                for combo in left_nullspace(rows, model.field):
+                    if any(degrees[cols[n][0]] == d for n in combo):
+                        raise PathAlgError("kernel meets a generator top: cover was not minimal")
+                    if sub.add(combo):
+                        pieces.generators.append((d, v, combo))
+            if sub.dim != want:
+                raise PathAlgError(f"kernel block ({d}, {v}) spans dim {sub.dim}, but its count is {want}")
+    return pieces
 
 
 @dataclass
@@ -433,6 +480,10 @@ class ResolutionReport:
 def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: int, D: int) -> ResolutionReport:
     """Minimal graded projective resolution of coker(relations) out to P_N, degrees <= D.
 
+    P_0 covers X by the tops that minimally generate it.  P_{n+1} covers
+    ker(P_n -> P_{n-1}); its dims are counted (`kernel_dims`) from the image
+    dims, which are ints kept from the step before, and `kernel_pieces`
+    spans it to find the generators.  ker(P_N -> P_{N-1}) is only counted.
     Every generator must lie at or below D: one above it would be left out
     of P_0 unseen, so it raises PathAlgError.
     """
@@ -460,6 +511,8 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
     ambient = X
     degrees.append(sorted(d for d, _v, _vec in gens))
     zero_tail_from = None
+    # The image of P_0 is X; the image of each later P_n is the kernel before it.
+    image_dims = {(d, v): X.dim(d, v) for d in range(D + 1) for v in model.quiver.vertices}
 
     for n in range(N + 1):
         cover = tuple(FreeSummand(v, d) for d, v, _vec in gens)
@@ -473,17 +526,17 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
             alive.extend([False] * (N - n + 1))
             syzygy_dims.extend([[0] * (D + 1)] * (N - n + 1))
             break
-        ker = kernel_pieces(domain, images, ambient, D)
+        ker = kernel_dims(domain, image_dims, D)
         dims = [0] * (D + 1)
-        for d, _v, _vec in ker:
-            dims[d] += 1
+        for (d, _v), k in ker.items():
+            dims[d] += k
         syzygy_dims.append(dims)
         alive.append(dims[D] > 0)
         if n == N:
             break
-        gens = minimal_generators_of_pieces(domain, ker, D)
+        gens = kernel_pieces(domain, images, ambient, ker, D).generators
         degrees.append(sorted(d for d, _v, _vec in gens))
-        ambient = domain
+        ambient, image_dims = domain, ker
 
     return ResolutionReport(
         degrees=degrees,

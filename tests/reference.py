@@ -7,6 +7,11 @@
   linear algebra over all paths (`pathalg.oracle.ideal_span`).
 - `chain` reads a word's chain back along an overlap table's predecessor
   links.
+- `reference_minimal_resolution` resolves by the full-kernel route that
+  `pathalg.oracle.minimal_resolution` counted away: `full_kernel_pieces`
+  takes a left nullspace of every (degree, vertex) block, and
+  `span_from_seeds` re-adds every kernel vector to keep those that enlarge
+  the span.
 
 Cut decompositions w = u1 v1 ... v_{n-1} un serve as an independent
 membership oracle for the walks.  They are searched as index cuts on the
@@ -25,9 +30,21 @@ from typing import Callable, Iterable, Iterator, Sequence
 from pathalg.algebra import AlgebraElement, GroebnerBasis, ModuleElement, normal_form
 from pathalg.errors import NotReducedError, PathAlgError
 from pathalg.fields import Field
-from pathalg.oracle import ideal_span
+from pathalg.linalg import left_nullspace
+from pathalg.oracle import (
+    CoverSpace,
+    FreeSummand,
+    GradedAlgebraModel,
+    QuotientSpace,
+    ResolutionReport,
+    ideal_span,
+    minimal_generators_of_pieces,
+    presentation_cover,
+    span_from_seeds,
+)
 from pathalg.order import OrderSpec
 from pathalg.overlaps import OverlapTable
+from pathalg.presentation import ModulePresentation
 from pathalg.quiver import Arrow, Path, Quiver, divides, is_reduced, normal_word_levels
 
 LT, EQ, GT = -1, 0, 1
@@ -262,3 +279,102 @@ def find_partition(
     for part in all_partitions(w, n, patterns, context):
         return part
     return None
+
+
+def full_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> list[tuple[int, str, dict]]:
+    """A basis of ker(free cover -> ambient) in each block up to degree D, as (degree, vertex, vector) seeds.
+
+    f_j maps to images[j]; kernel vectors live over the domain coordinates.
+    Raises PathAlgError if a kernel vector touches a generator-top
+    coordinate, which would mean the chosen generators were not minimal.
+    """
+    model = domain.model
+    out: list[tuple[int, str, dict]] = []
+    if not domain.summands:
+        return out
+    degrees = [s.degree for s in domain.summands]
+    # (summand, word degree, word number) -> image in the ambient space.
+    phi: dict[tuple[int, int, int], dict] = {}
+    for d in range(min(degrees), D + 1):
+        for v in model.quiver.vertices:
+            cols, _ = domain.block(d, v)
+            if not cols:
+                continue
+            rows = []
+            for j, i in cols:
+                length = d - degrees[j]
+                if length == 0:
+                    img = images[j]
+                else:
+                    i0, k = model.parent[length][i]
+                    img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
+                phi[(j, length, i)] = img
+                rows.append(img)
+            for combo in left_nullspace(rows, model.field):
+                if any(degrees[cols[n][0]] == d for n in combo):
+                    raise PathAlgError("kernel meets a generator top: cover was not minimal")
+                out.append((d, v, combo))
+    return out
+
+
+def reference_minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: int, D: int) -> ResolutionReport:
+    """`minimal_resolution` by the full-kernel route: a left nullspace of every block, re-added by `span_from_seeds`."""
+    if D > model.degree_cap:
+        raise PathAlgError("resolution degree cap exceeds the model cap")
+    for g in pres.generators:
+        if g.degree > D:
+            raise PathAlgError(f"generator {g.name} at degree {g.degree} lies above the degree cap {D}")
+    cover, seeds = presentation_cover(pres, model)
+    X = QuotientSpace(cover, span_from_seeds(cover, seeds, D))
+
+    # Homological step 0: the summand tops, projected into X, generate it.
+    one = model.field.one
+    tops = []
+    for j, s in enumerate(cover.summands):
+        [(d, v, vec)] = cover.from_terms({(j, Path(s.vertex, s.vertex)): one})
+        tops.append((d, v, X.residue(d, v, vec)))
+    gens = minimal_generators_of_pieces(X, tops, D)
+
+    degrees: list[list[int]] = []
+    covers: list[tuple[FreeSummand, ...]] = []
+    syzygy_dims: list[list[int]] = []
+    alive: list[bool] = []
+
+    ambient = X
+    degrees.append(sorted(d for d, _v, _vec in gens))
+    zero_tail_from = None
+
+    for n in range(N + 1):
+        cover = tuple(FreeSummand(v, d) for d, v, _vec in gens)
+        covers.append(cover)
+        images = [vec for _d, _v, vec in gens]
+        domain = CoverSpace(model, cover)
+        if not cover:
+            if zero_tail_from is None:
+                zero_tail_from = n
+            degrees.extend([[]] * (N - n))
+            alive.extend([False] * (N - n + 1))
+            syzygy_dims.extend([[0] * (D + 1)] * (N - n + 1))
+            break
+        ker = full_kernel_pieces(domain, images, ambient, D)
+        dims = [0] * (D + 1)
+        for d, _v, _vec in ker:
+            dims[d] += 1
+        syzygy_dims.append(dims)
+        alive.append(dims[D] > 0)
+        if n == N:
+            break
+        gens = minimal_generators_of_pieces(domain, ker, D)
+        degrees.append(sorted(d for d, _v, _vec in gens))
+        ambient = domain
+
+    return ResolutionReport(
+        degrees=degrees,
+        hilbert=X.hilbert(D),
+        max_n=N,
+        degree_cap=D,
+        covers=covers,
+        syzygy_dims=syzygy_dims,
+        alive_at_cap=alive,
+        zero_tail_from=zero_tail_from,
+    )

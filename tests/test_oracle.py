@@ -1,5 +1,7 @@
+import gc
 import pathlib
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -19,13 +21,13 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
-from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_pieces, presentation_cover
+from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_dims, kernel_pieces, presentation_cover
 from pathalg.problem import parse
 from pathalg.quiver import Path, normal_word_levels
 from pathalg.syzygy import DegreeWindow, first_syzygy
 from tests.conftest import perfbench_module, truncated_polynomial, words
 from tests.helpers import cyclic
-from tests.reference import module_normal_form
+from tests.reference import module_normal_form, reference_minimal_resolution
 
 F = Field(0)
 
@@ -331,7 +333,95 @@ def test_non_minimal_cover_is_an_error(one_loop, one_loop_order):
     ambient = CoverSpace(model, [FreeSummand("e", 0)])
     domain = CoverSpace(model, [FreeSummand("e", 0), FreeSummand("e", 0)])
     with pytest.raises(PathAlgError, match="cover was not minimal"):
-        kernel_pieces(domain, [{0: F.one}, {0: F.one}], ambient, 4)
+        kernel_pieces(domain, [{0: F.one}, {0: F.one}], ambient,
+                      kernel_dims(domain, {(d, "e"): ambient.dim(d, "e") for d in range(5)}, 4), 4)
+
+
+def _resolution_cases():
+    """(name, problem text, module, D): every fixture module and the c7 corpus's A0 and R at D = 8, poly3_q at 16."""
+    out = [(f"{p.name} {m}", p.read_text(), m, 8) for p in sorted((ROOT / "fixtures").glob("*.alg"))
+           for m in parse(p.read_text()).modules]
+    problems, _seconds = perfbench_module("workloads").corpus_problems(200)
+    out += [(f"c7 instance {seed} {m}", text, m, 8) for seed, text in problems for m in ("A0", "R")]
+    return out + [("poly3_q.alg A0", (ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text(), "A0", 16)]
+
+
+def test_counted_kernels_resolve_like_the_full_kernel_route():
+    # The full-kernel route takes a left nullspace of every block; the
+    # counted one eliminates only where a generator is born.  Every field
+    # of the report, the covers' order included, must agree.
+    cases = _resolution_cases()
+    assert len(cases) > 270
+    for name, text, module, D in cases:
+        pf = parse(text)
+        model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, D), D)
+        pres = pf.modules[module]
+        assert minimal_resolution(pres, model, 4, D) == reference_minimal_resolution(pres, model, 4, D), name
+
+
+def _plane_radical_cover(two_loop, plane_gb):
+    """k[x, y] to degree 6, with the cover A(-1)^2 -> A, f_1 -> x, f_2 -> y, of its radical."""
+    model = build_model(two_loop, plane_gb, 6)
+    ambient = CoverSpace(model, [FreeSummand("e", 0)])
+    domain = CoverSpace(model, [FreeSummand("e", 1), FreeSummand("e", 1)])
+    images = [vec for a in ("x", "y") for _d, _v, vec in ambient.from_terms({(0, two_loop.path(a)): F.one})]
+    return domain, images, ambient, {(d, "e"): ambient.dim(d, "e") for d in range(1, 7)}
+
+
+def test_counted_kernel_of_the_plane_radical_cover(two_loop, plane_gb):
+    domain, images, ambient, image_dims = _plane_radical_cover(two_loop, plane_gb)
+    ker = kernel_dims(domain, image_dims, 6)
+    assert ker == {(d, "e"): d - 1 for d in range(2, 7)}
+    pieces = kernel_pieces(domain, images, ambient, ker, 6)
+    assert [(d, v) for d, v, _vec in pieces.generators] == [(2, "e")]
+    assert all(pieces.dim(d, "e") == d - 1 for d in range(1, 7))
+    with pytest.raises(PathAlgError, match=r"block \(0, e\): the image is larger than the domain"):
+        kernel_dims(domain, {(0, "e"): 1}, 6)
+
+
+# (degree, change to the image dim there).  A count one too large is always
+# caught: the block is eliminated and spans its true dim.  One too small is
+# caught where the arrow images from below outgrow it; where a generator is
+# born, at degree 2, the block is then not eliminated, so (2, +1) is not seen.
+@pytest.mark.parametrize("d, delta", [(2, -1), (3, -1), (3, 1), (5, 1)])
+def test_a_count_off_by_one_is_an_error(two_loop, plane_gb, d, delta):
+    domain, images, ambient, image_dims = _plane_radical_cover(two_loop, plane_gb)
+    image_dims[(d, "e")] += delta
+    with pytest.raises(PathAlgError, match=rf"kernel block \({d}, e\) spans dim {d - 1}, but its count is {d - 1 - delta}"):
+        kernel_pieces(domain, images, ambient, kernel_dims(domain, image_dims, 6), 6)
+
+
+@pytest.mark.parametrize("path, module, D", [
+    ("perfbench/inputs/poly3_q.alg", "A0", 9),
+    ("perfbench/inputs/preproj3.alg", "A0", 10),
+    ("fixtures/two_loop_cube.alg", "A0", 12),
+])
+def test_a_resolution_leaves_no_reference_cycles(path, module, D):
+    # Memory a cycle holds waits for the cyclic collector; a resolution
+    # should free all of its work by reference counting alone.
+    pf = parse((ROOT / path).read_text())
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, D), D)
+    gc.collect()
+    gc.disable()
+    try:
+        minimal_resolution(pf.modules[module], model, 4, D)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["poly3_q.alg", "poly3_f101.alg"])
+def test_counted_syzygy_dims_are_the_koszul_complex(name):
+    # k[x, y, z] has the Koszul complex as its minimal resolution: P_i is
+    # A(-i)^C(3, i), so ker(P_n -> P_(n-1)) in degree d is the alternating
+    # sum of the dims of the P_i beyond it.
+    pf = parse((ROOT / "perfbench" / "inputs" / name).read_text())
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 14), 14)
+    rep = minimal_resolution(pf.modules["A0"], model, 3, 14)
+    want = [[sum((-1) ** (i - n - 1) * comb(3, i) * comb(d - i + 2, 2) for i in range(n + 1, 4) if d >= i)
+             for d in range(15)] for n in range(4)]
+    assert rep.syzygy_dims == want
+    assert rep.alive_at_cap == [True, True, True, False]
 
 
 # A/yA over the cube algebra, and three presentations of it with a
