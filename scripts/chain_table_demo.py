@@ -39,10 +39,10 @@ def main(argv=None) -> int:
         mino, maxo, minq, maxq = table.extrema(n)
         print(f"level {n}: lengths overlap [{mino}, {maxo}]  quasi [{minq}, {maxq}]")
         for w in table.overlaps(n):
-            pred = table.predecessor(n, w)
+            pred = table.levels[n][w]
             print(f"  {flat(w):<20} <- {flat(pred) if pred else '-'}")
         for (w, v) in table.quasi(n):
-            pred = table.quasi_predecessor(n, w, v)
+            pred = table.quasi_levels[n][(w, v)]
             print(f"  ({flat(w)}, {flat(v)})".ljust(24) + f" <- {flat(pred) if pred else '-'}")
     return 0
 

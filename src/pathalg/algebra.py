@@ -25,7 +25,9 @@ inside its ambiguity word already resolves (the chain criterion) are not
 reduced at all.  A normal form is a single descending pass over a heap of
 rank words (`_reduce_words`); each word's reducer is found in one scan of
 the word by a TipIndex, an Aho-Corasick automaton over the tip words,
-which a GroebnerBasis builds once and keeps.
+which a GroebnerBasis builds once and keeps.  Completion works in rank
+words throughout: each new element goes into the TipIndex by `insert`, and
+no `Path` is built until the reduced basis is returned.
 """
 from __future__ import annotations
 
@@ -185,11 +187,6 @@ class GroebnerBasis:
         return TipIndex(self.order, self.elements)
 
 
-def _ranks(p: Path, order: OrderSpec) -> tuple[int, ...]:
-    rank = order.arrow_rank
-    return tuple([rank[a.name] for a in p.arrows])
-
-
 class TipIndex:
     """Reducers for `normal_form`, looked up by the arrow ranks of their tips.
 
@@ -203,13 +200,14 @@ class TipIndex:
     position of the word offers the best tip ending there, and the scan
     keeps a position's offer only when it is strictly better.  This rule
     needs no antichain: nested, suffix and duplicate tips get the same
-    reducer as a search of every factor would give them.  `add` leaves the
-    automaton stale, and the next `find` rebuilds it.
+    reducer as a search of every factor would give them.  The index keeps
+    rank words only, no elements: `insert` takes an element as rank words,
+    and `add` is the `Path` edge.  Either leaves the automaton stale, and
+    the next `find` rebuilds it.
     """
 
     def __init__(self, order: OrderSpec, elements: Iterable[AlgebraElement] = ()):
         self.order = order
-        self.elements: list[AlgebraElement] = []
         # Per element: tip ranks, and the tail as (ranks, coefficient / lead) pairs.
         self.keys: list[tuple[int, ...]] = []
         self.tails: list[list[tuple[tuple[int, ...], object]]] = []
@@ -217,34 +215,34 @@ class TipIndex:
         self.arrows: dict[int, Arrow] = {}
         # Dense transition rows (one per state, indexed by arrow rank) and,
         # per state, the first element whose tip is a suffix of its word
-        # (len(elements) for none); None while stale.
+        # (len(keys) for none); None while stale.
         self._goto: list[list[int]] | None = None
         self._first: list[int] = []
         for g in elements:
             self.add(g)
 
     def add(self, g: AlgebraElement) -> None:
-        field = self.order.field
-        g = _reduced(g, field)
+        """Insert g, taken into the order's field; a zero g is skipped, a vertex tip refused."""
+        g = _reduced(g, self.order.field)
         if not g:
             return
-        t = tip(g, self.order)
-        if not t.arrows:
-            raise PathAlgError(f"a reducer tip must have positive length; got {t}")
-        p, inv = field.characteristic, field.inverse(g.terms[t])
-        tail = []
-        for q, c in g.terms.items():
-            w = _ranks(q, self.order)
-            self.arrows.update(zip(w, q.arrows))
-            if q != t:
-                tail.append((w, c * inv % p if p else c * inv))
-        self.keys.append(_ranks(t, self.order))
-        self.tails.append(tail)
-        self.elements.append(g)
+        if not any(q.arrows for q in g.terms):
+            raise PathAlgError(f"a reducer tip must have positive length; got {next(iter(g.terms))}")
+        self.insert(_words(g, self.order, self.arrows))
+
+    def insert(self, words: Mapping[tuple[int, ...], object]) -> None:
+        """Insert the element with these nonzero terms of the order's field, made monic on its tip.
+
+        The terms are keyed by rank word; the tip is the longest word, and among those the least tuple.
+        """
+        key = min(words, key=lambda w: (-len(w), w))
+        p, inv = self.order.field.characteristic, self.order.field.inverse(words[key])
+        self.keys.append(key)
+        self.tails.append([(w, c * inv % p if p else c * inv) for w, c in words.items() if w != key])
         self._goto = None
 
     def _build(self) -> None:
-        width, none = len(self.order.arrow_rank), len(self.elements)
+        width, none = len(self.order.arrow_rank), len(self.keys)
         goto, first = [[-1] * width], [none]
         for k, key in enumerate(self.keys):
             s = 0
@@ -278,7 +276,7 @@ class TipIndex:
         if self._goto is None:
             self._build()
         goto, first = self._goto, self._first
-        best = len(self.elements)
+        best = len(self.keys)
         s = end = 0
         for j, r in enumerate(w, 1):
             s = goto[s][r]
@@ -294,15 +292,17 @@ def _reducers(basis, order: OrderSpec) -> TipIndex:
     if isinstance(basis, GroebnerBasis):
         return basis.tip_index if basis.order == order else TipIndex(order, basis.elements)
     if isinstance(basis, TipIndex):
-        return basis if basis.order == order else TipIndex(order, basis.elements)
+        if basis.order != order:
+            raise PathAlgError("the TipIndex was built for a different term order")
+        return basis
     return TipIndex(order, basis)
 
 
 def _words(x: AlgebraElement, order: OrderSpec, arrows: dict[int, Arrow]) -> dict:
     """x's terms keyed by the rank words of their paths; each arrow is recorded in `arrows` by rank."""
-    terms = {}
+    rank, terms = order.arrow_rank, {}
     for q, c in x.terms.items():
-        w = _ranks(q, order)
+        w = tuple([rank[a.name] for a in q.arrows])
         arrows.update(zip(w, q.arrows))
         terms[w] = c
     return terms
@@ -348,9 +348,9 @@ def _reduce_words(terms: dict, index: TipIndex, p: int) -> dict:
 def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
     """Rewrite x until no support path is divisible by a basis tip.
 
-    `basis` may be a GroebnerBasis, a TipIndex, or any iterable of
-    elements; x minus the result lies in the two-sided ideal generated by
-    the basis.  x's paths become rank words, `_reduce_words` rewrites them,
+    `basis` may be a GroebnerBasis, a TipIndex built for `order`, or any
+    iterable of elements; x minus the result lies in the two-sided ideal
+    generated by the basis.  x's paths become rank words, `_reduce_words` rewrites them,
     and the surviving words become paths again.
     """
     index = _reducers(basis, order)
@@ -379,13 +379,10 @@ def _overlaps(a: tuple, b: tuple):
             yield la + lb - k, k
 
 
-def _element(words: Mapping[tuple[int, ...], object], arrows: Mapping[int, Arrow]) -> AlgebraElement:
-    """The element whose terms are the given nonempty, parallel rank words."""
-    terms = {}
-    for w, c in words.items():
-        path = tuple([arrows[r] for r in w])
-        terms[Path(path[0].source, path[-1].target, path)] = c
-    return AlgebraElement(terms)
+def _path(w: tuple[int, ...], arrows: Mapping[int, Arrow]) -> Path:
+    """The path of a nonempty rank word."""
+    path = tuple([arrows[r] for r in w])
+    return Path(path[0].source, path[-1].target, path)
 
 
 def _validate_generators(generators: Iterable[AlgebraElement], field: Field) -> list[AlgebraElement]:
@@ -464,7 +461,7 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
         h = _reduce_words(terms, index, p)
         if not h:
             continue
-        index.add(monic(_element(h, arrows), order))
+        index.insert(h)
         k = len(keys) - 1
         for j in range(k + 1):
             for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
@@ -473,13 +470,14 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
                         if deg <= max_degree:
                             heappush(queue, (deg, next(ticket), ia, ib, shared))
 
+    # Ascending term order by tip: the reverse of the order `insert` takes its tip by.
+    ranked = sorted(range(len(keys)), key=lambda k: (-len(keys[k]), keys[k]), reverse=True)
     basis = []
-    for key, tail in zip(keys, tails):
-        terms = _reduce_words(dict(tail), index, p)
-        terms[key] = 1
-        basis.append(_element(terms, arrows))
-    basis.sort(key=lambda g: order.path_key(tip(g, order)))
-    tips_ = tuple(tip(g, order) for g in basis)
+    for k in ranked:
+        terms = _reduce_words(dict(tails[k]), index, p)
+        terms[keys[k]] = 1
+        basis.append(AlgebraElement({_path(w, arrows): c for w, c in terms.items()}))
+    tips_ = tuple(_path(keys[k], arrows) for k in ranked)
     all_monomial = all(len(g.terms) == 1 for g in basis)
     max_overlap = max((deg for a in keys for b in keys for deg, _ in _overlaps(a, b)), default=0)
     complete = not waiting and (all_monomial or max_overlap <= max_degree)

@@ -162,7 +162,7 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
         mino, maxo, minq, maxq = table.extrema(n)
         entries, rows = [], []
         for w in table.overlaps(n):
-            pred = table.predecessor(n, w)
+            pred = table.levels[n][w]
             pred = None if pred is None else str(pred)
             entries.append({"word": str(w), "predecessor": pred})
             rows.append([str(w), str(w.length), pred or ""])
@@ -179,7 +179,7 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
         qentries, qrows = [], []
         if args.quasi:
             for (w, v) in table.quasi(n):
-                pred = table.quasi_predecessor(n, w, v)
+                pred = table.quasi_levels[n][(w, v)]
                 pred = None if pred is None else str(pred)
                 qentries.append({"word": str(w), "context": str(v), "predecessor": pred})
                 qrows.append([str(w), str(v), str(w.length), pred or ""])

@@ -1,9 +1,9 @@
 """Degree-pattern classifiers for graded resolutions.
 
 A DegreeCollection assigns to every homological index i a set of admissible
-generating degrees.  Built-in shapes: the linear pattern {i}, the staircase
-pattern of s-Koszul algebras (i*s/2 for even i, (i-1)*s/2 + 1 for odd i),
-its down-closure, and explicit finite lists.
+generating degrees.  Built-in shapes: the staircase pattern of s-Koszul
+algebras (i*s/2 for even i, (i-1)*s/2 + 1 for odd i; s = 2 gives the
+linear pattern {i}), its down-closure, and explicit finite lists.
 """
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ class DegreeCollection:
 
     @classmethod
     def linear(cls) -> "DegreeCollection":
-        return cls("linear")
+        """The linear pattern {i}: the 2-staircase."""
+        return cls.s_pattern(2)
 
     @classmethod
     def s_pattern(cls, s: int) -> "DegreeCollection":
@@ -51,8 +52,6 @@ class DegreeCollection:
         return cls("explicit", explicit=tuple(tuple(sorted(set(l))) for l in lists))
 
     def contains(self, i: int, j: int) -> bool:
-        if self.kind == "linear":
-            return j == i
         if self.kind == "s_pattern":
             return j == s_koszul_degree(self.s, i)  # type: ignore[arg-type]
         if self.kind == "s_downset":
@@ -64,8 +63,6 @@ class DegreeCollection:
         return j in self.explicit[i]
 
     def members(self, i: int) -> tuple[int, ...]:
-        if self.kind == "linear":
-            return (i,)
         if self.kind == "s_pattern":
             return (s_koszul_degree(self.s, i),)  # type: ignore[arg-type]
         if self.kind == "s_downset":

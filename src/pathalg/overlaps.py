@@ -46,12 +46,6 @@ class OverlapTable:
     def quasi(self, n: int) -> list[tuple[Path, Path]]:
         return sorted(self.quasi_levels[n], key=lambda wv: (wv[0].length, str(wv[0]), str(wv[1])))
 
-    def predecessor(self, n: int, w: Path) -> Optional[Path]:
-        return self.levels[n][w]
-
-    def quasi_predecessor(self, n: int, w: Path, v: Path) -> Optional[Path]:
-        return self.quasi_levels[n][(w, v)]
-
     def extrema(self, n: int) -> tuple:
         """(min overlap len, max overlap len, min quasi len, max quasi len) with +-inf on empty levels."""
         if n > self.depth:

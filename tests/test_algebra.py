@@ -16,6 +16,7 @@ from pathalg import (
     tip,
 )
 from pathalg.algebra import ModuleElement, TipIndex, monic
+from pathalg.corpus import instances
 from pathalg.fields import Field
 from pathalg.problem import parse
 from pathalg.quiver import normal_word_levels
@@ -401,6 +402,76 @@ def test_tip_index_find_against_a_factor_search(kind):
             for _ in range(6):
                 w = word(0, 9)
                 assert index.find(w) == _first_reducer(keys[:n], w), (keys[:n], w)
+
+
+def _rank_words(x, order):
+    return {tuple(order.arrow_rank[a.name] for a in q.arrows): c for q, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("field", [F, Field(7)], ids=["Q", "F7"])
+def test_insert_takes_an_element_as_add_does(field):
+    """`add(g)` and `insert` of g's rank words agree in keys and tails (order, types), as `monic` and `tip` say."""
+    rng = random.Random(20261019)
+    for _ in range(40):
+        names = "xyz"[:rng.choice([2, 3])]
+        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
+        prec = list(names)
+        rng.shuffle(prec)
+        order = OrderSpec(tuple(prec), ("e",), field=field)
+        by_add, by_insert = TipIndex(order), TipIndex(order)
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(1, 4)
+            lengths = [degree] + [degree if rng.random() < 0.5 else rng.randint(0, 4) for _ in range(rng.randint(0, 3))]
+            paths = [q.path("*".join(rng.choice(names) for _ in range(n)) or "e") for n in lengths]
+            g = AlgebraElement({path: field.of(Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3)))
+                                for path in paths})
+            by_add.add(g)
+            by_insert.insert(_rank_words(g, order))
+            assert by_insert.keys == by_add.keys and by_insert.tails == by_add.tails
+            assert [[type(c) for _, c in t] for t in by_insert.tails] == [[type(c) for _, c in t] for t in by_add.tails]
+            m = monic(g, order)
+            t = tip(g, order)
+            assert by_insert.keys[-1] == next(iter(_rank_words(AlgebraElement({t: 1}), order)))
+            assert by_insert.tails[-1] == list(_rank_words(AlgebraElement({q: c for q, c in m.terms.items() if q != t}),
+                                                           order).items())
+
+
+def _basis_summary(gb):
+    return [g.render() for g in gb.elements], [str(t) for t in gb.tips], gb.status, gb.max_overlap_degree
+
+
+def test_completion_builds_no_path_until_it_returns(monkeypatch):
+    """`groebner_basis` calls none of `monic`, `tip` and `OrderSpec.path_key`, and its basis is unchanged."""
+    pf = parse((ROOT / "fixtures" / "sklyanin_235.alg").read_text())
+    rng = random.Random(7)
+    q = Quiver.build(["e"], [(a, "e", "e") for a in "xyz"])
+    f7 = OrderSpec(("y", "x", "z"), ("e",), field=Field(7))
+    f7_gens = [random_homogeneous_element(rng, q, f7.field, 2, terms=3) for _ in range(3)]
+    inst = instances(20261019, 4)[3]  # three vertices, three tips
+    inputs = [(pf.ideal, pf.order, 8), (f7_gens, f7, 5),
+              ([AlgebraElement({p: 1}) for p in inst.patterns], OrderSpec.for_quiver(inst.quiver),
+               max(p.length for p in inst.patterns))]
+    bases = [groebner_basis(*args) for args in inputs]
+    assert any(len(g.terms) > 1 for g in bases[1].elements)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("completion built a Path")
+
+    with monkeypatch.context() as m:
+        m.setattr("pathalg.algebra.monic", refuse)
+        m.setattr("pathalg.algebra.tip", refuse)
+        m.setattr(OrderSpec, "path_key", refuse)
+        patched = [groebner_basis(*args) for args in inputs]
+    assert [_basis_summary(gb) for gb in patched] == [_basis_summary(gb) for gb in bases]
+
+
+def test_normal_form_refuses_a_tip_index_of_another_order(two_loop, two_loop_order, cube_gb):
+    index = TipIndex(two_loop_order, cube_gb.elements)
+    x = elem(two_loop, {"xyy": 1, "yyyy": 2})
+    assert normal_form(x, index, two_loop_order) == normal_form(x, cube_gb, two_loop_order)
+    for other in (OrderSpec(("y", "x"), ("e",)), OrderSpec(("x", "y"), ("e",), field=Field(7))):
+        with pytest.raises(PathAlgError, match="different term order"):
+            normal_form(x, index, other)
 
 
 def test_random_completions_against_span_oracle():

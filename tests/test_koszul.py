@@ -37,6 +37,11 @@ def test_s_koszul_degree_step(s, i):
     assert s_koszul_degree(s, i) - s_koszul_degree(s, i - 2) == s
 
 
+def test_linear_is_the_two_staircase():
+    assert [s_koszul_degree(2, i) for i in range(60)] == list(range(60))
+    assert DegreeCollection.linear() == DegreeCollection.s_pattern(2)
+
+
 def test_collection_tensor_examples():
     lin = DegreeCollection.linear()
     assert collection_tensor(lin, lin, 4) == (4,)

@@ -192,11 +192,11 @@ def test_predecessor_links_are_left_divisors(two_loop, showcase):
     t = enumerate_overlaps(two_loop, showcase, 4)
     for n in range(2, 5):
         for w in t.overlaps(n):
-            pred = t.predecessor(n, w)
+            pred = t.levels[n][w]
             assert pred in t.levels[n - 1]
             assert w.arrows[: pred.length] == pred.arrows
         for (w, v) in t.quasi(n):
-            pred = t.quasi_predecessor(n, w, v)
+            pred = t.quasi_levels[n][(w, v)]
             assert (pred, v) in t.quasi_levels[n - 1]
             assert w.arrows[: pred.length] == pred.arrows
 
