@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """The mutation gate: every mutant in MUTANTS must fail each test it names.
 
-Usage: python scripts/mutants.py [NAME ...]
+Usage: python scripts/mutants.py
 
 A mutant is a file, an exact old text that occurs once in it, the new text
 that replaces it, and the ids of the tests that must fail once it does.
 Each mutant is applied alone to a fresh copy of the tree in a temporary
 directory, and only its own tests run there.  A mutant survives when one of
 its tests still passes; each survivor is reported as a finding, and the
-exit status is then 1.  With NAMEs, only those mutants run.
+exit status is then 1.
 
 The gate takes a few seconds a mutant, so the tier-1 suite does not run it:
 `tests/test_mutants.py` checks only that each old text still occurs exactly
-once in its file.  A change to code that a mutant covers updates that
-mutant in the same change.
+once in its file and that each named test function is still defined.  A
+change to code that a mutant covers updates that mutant in the same change.
 """
 from __future__ import annotations
 
@@ -115,19 +115,13 @@ def survivors(mutant: Mutant) -> list[str]:
     return [t for t in mutant.tests if t not in failed and t.split("::")[0] not in failed]
 
 
-def main(argv: list[str] | None = None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"error: no mutant named {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     found = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         passing = survivors(mutant)
         found += bool(passing)
         print(f"SURVIVED {mutant.name}: {', '.join(passing)} still pass" if passing else f"killed   {mutant.name}")
-    print(f"{len(chosen) - found} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - found} of {len(MUTANTS)} mutants killed")
     return 1 if found else 0
 
 
