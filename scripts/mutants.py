@@ -12,8 +12,9 @@ exit status is then 1.
 
 The gate takes a few seconds a mutant, so the tier-1 suite does not run it:
 `tests/test_mutants.py` checks only that each old text still occurs exactly
-once in its file and that each named test function is still defined.  A
-change to code that a mutant covers updates that mutant in the same change.
+once in its file, that each named test function is still defined, and that
+each named test id, parametrization included, is collected.  A change to
+code that a mutant covers updates that mutant in the same change.
 """
 from __future__ import annotations
 
@@ -85,6 +86,21 @@ MUTANTS = [
          "tests/test_oracle.py::test_a_count_off_by_one_is_an_error[3--1]",
          "tests/test_oracle.py::test_a_count_off_by_one_is_an_error[3-1]",
          "tests/test_oracle.py::test_a_count_off_by_one_is_an_error[5-1]"),
+    ),
+    Mutant(
+        "window survivor degrees drop the generator degree",
+        "src/pathalg/cli.py",
+        "sorted(pres.generators[j].degree + p.length for j, p in syz.survivors)",
+        "sorted(p.length for j, p in syz.survivors)",
+        ("tests/test_cli.py::test_window_survivor_degrees_count_the_generator_shift",),
+    ),
+    Mutant(
+        "first_syzygy keeps no survivor tip",
+        "src/pathalg/syzygy.py",
+        "kept.add((j, length, i))",
+        "pass",
+        ("tests/test_golden.py::test_json_matches_golden[3]",
+         "tests/test_syzygy.py::test_first_syzygy_cube_A0"),
     ),
 ]
 

@@ -289,13 +289,11 @@ class TipIndex:
 
 
 def _reducers(basis, order: OrderSpec) -> TipIndex:
-    if isinstance(basis, GroebnerBasis):
-        return basis.tip_index if basis.order == order else TipIndex(order, basis.elements)
-    if isinstance(basis, TipIndex):
-        if basis.order != order:
-            raise PathAlgError("the TipIndex was built for a different term order")
-        return basis
-    return TipIndex(order, basis)
+    if not isinstance(basis, (GroebnerBasis, TipIndex)):
+        return TipIndex(order, basis)
+    if basis.order != order:
+        raise PathAlgError(f"the {type(basis).__name__} was built for a different term order")
+    return basis.tip_index if isinstance(basis, GroebnerBasis) else basis
 
 
 def _words(x: AlgebraElement, order: OrderSpec, arrows: dict[int, Arrow]) -> dict:
@@ -348,7 +346,7 @@ def _reduce_words(terms: dict, index: TipIndex, p: int) -> dict:
 def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
     """Rewrite x until no support path is divisible by a basis tip.
 
-    `basis` may be a GroebnerBasis, a TipIndex built for `order`, or any
+    `basis` may be a GroebnerBasis or a TipIndex built for `order`, or any
     iterable of elements; x minus the result lies in the two-sided ideal
     generated by the basis.  x's paths become rank words, `_reduce_words` rewrites them,
     and the surviving words become paths again.

@@ -7,7 +7,7 @@ Commands (all take a problem file):
     window --module M --method qo|o   degree windows for the named module
     resolve --module M             oracle resolution report
     verify --module M              windows vs oracle, PASS/FAIL verdicts
-    check --linear | --s-koszul S | --determined SPEC
+    check --s-koszul S | --determined SPEC
     selfcheck [--seed N --instances K]   randomized property corpus
 
 A run has one degree cap D: --max-degree, else [params] max-degree, else
@@ -217,7 +217,7 @@ def cmd_window(pf: ProblemFile, args, report: Report) -> None:
         return
     model, syz, table, windows = _windows_block(pf, gb, pres, args)
     report.doc["syzygy"] = {
-        "survivor_degrees": sorted(pf.modules[args.module].degree_of(e) for e in syz.survivors),
+        "survivor_degrees": sorted(pres.generators[j].degree + p.length for j, p in syz.survivors),
         "survivor_count": len(syz.survivors),
         "absorbed_count": len(syz.absorbed),
         "min_degree": syz.min_degree,
@@ -368,8 +368,7 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
     pres = _named_module(pf, args, report)
     if pres is None:
         return
-    label = "linear" if args.linear else args.determined
-    collection = _parse_collection_spec(label, report)
+    collection = _parse_collection_spec(args.determined, report)
     if collection is None:
         return
     D = _degree_cap(args)
@@ -377,7 +376,7 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
     rep = minimal_resolution(pres, model, args.max_n, D)
     ok, violation = determined_check(rep, collection, args.max_n)
     report.doc["determined"] = {
-        "collection": label,
+        "collection": args.determined,
         # Undecided (null) when no violation shows below a truncation.
         "holds": None if ok and rep.truncated else ok,
         "violation": None if violation is None else {"n": violation.index, "degree": violation.degree},
@@ -387,7 +386,7 @@ def cmd_check(pf: ProblemFile, args, report: Report) -> None:
         report.say(f"cannot certify: no violation in degrees <= {D}, but the resolution is truncated there")
         report.worsen(EXIT_TRUNCATED)
     elif ok:
-        report.say(f"degrees are {label}-determined through n={args.max_n}")
+        report.say(f"degrees are {args.determined}-determined through n={args.max_n}")
     else:
         assert violation is not None
         report.say(f"FAIL at P_{violation.index}: generator degree {violation.degree} is not allowed")
@@ -402,7 +401,7 @@ def _parse_collection_spec(spec: str | None, report: Report) -> DegreeCollection
     try:
         kind, _, arg = spec.partition(":")
         if spec == "linear":
-            return DegreeCollection.linear()
+            return DegreeCollection.s_pattern(2)
         if kind in ("chi", "chi-down") and int(arg) >= 2:
             return (DegreeCollection.s_pattern if kind == "chi" else DegreeCollection.s_downset)(int(arg))
         if spec.startswith("explicit:"):
@@ -461,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--method", choices=["qo", "o"], default="qo", help="window method")
     ap.add_argument("--quasi", action="store_true", help="include quasi-overlaps in the table")
     mode = ap.add_mutually_exclusive_group()  # check's modes
-    mode.add_argument("--linear", action="store_true", help="check the linear pattern")
     mode.add_argument("--s-koszul", type=int, dest="s_koszul", help="run the s-Koszul sufficiency test")
     mode.add_argument("--determined", help="collection spec: linear | chi:<s> | chi-down:<s> | explicit:<l0|l1|...>")
     ap.add_argument("--max-n", type=int, default=None, dest="max_n", help="levels / homological degrees (default 5)")

@@ -34,11 +34,6 @@ class DegreeCollection:
     explicit: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
-    def linear(cls) -> "DegreeCollection":
-        """The linear pattern {i}: the 2-staircase."""
-        return cls.s_pattern(2)
-
-    @classmethod
     def s_pattern(cls, s: int) -> "DegreeCollection":
         return cls("s_pattern", s=s)
 

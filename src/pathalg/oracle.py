@@ -261,15 +261,6 @@ class CoverSpace:
                  for dv, vec in parts.items()}
         return [(d, v, vec) for (d, v), vec in parts.items() if vec]
 
-    def item(self, d: int, v: str, n: int) -> tuple[int, Path]:
-        """Column n of block (d, v) as (summand, normal word)."""
-        j, i = self.block(d, v)[0][n]
-        return j, self.model.basis[d - self.summands[j].degree][i]
-
-    def to_terms(self, d: int, v: str, vec: Mapping[int, object]) -> dict[tuple[int, Path], object]:
-        """A block vector as (summand, normal word) terms."""
-        return {self.item(d, v, n): c for n, c in vec.items()}
-
 
 class QuotientSpace:
     """A graded quotient of a CoverSpace by a degreewise subspace container.

@@ -7,10 +7,10 @@ submodule), and the absorbed ones lying in (free module) * I (of the
 shape generator * u * g for a basis element g).  The combined tip set is
 normalized so that no tip path is a left divisor of another within the
 same generator component; rewriting by right multiples is then confluent
-and representations are unique.  Only the survivors are built as
-elements; of the absorbed ones only the tips are listed.  Both are read on
-the oracle model's word numbers (`GradedAlgebraModel.parent` and
-`rewritten`), with no Path divisibility.
+and representations are unique.  Both kinds are kept as their tips only,
+(generator number, word): callers read the survivors' degrees and the
+counts, no more.  Both are read on the oracle model's word numbers
+(`GradedAlgebraModel.parent` and `rewritten`), with no Path divisibility.
 
 Windows: the n-th term of the minimal resolution of X is generated in
 degrees inside [dmin + min quasi length, dmax + max quasi length] read at
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .algebra import ModuleElement
 from .errors import PathAlgError
 from .oracle import GradedAlgebraModel, presentation_cover, span_from_seeds
 from .overlaps import OverlapTable
@@ -34,14 +33,14 @@ from .quiver import Path, divides  # noqa: F401
 
 @dataclass(frozen=True)
 class FirstSyzygy:
-    """Right-multiple-reduced kernel generators of the presentation cover.
+    """Right-multiple-reduced kernel generators of the presentation cover, as tips.
 
-    `absorbed` holds the tips (generator number, word) of the absorbed
-    generators only; the CLI reads how many there are.
+    `survivors` and `absorbed` hold the tips (generator number, word) of the
+    two kinds of generator.  A survivor's degree is its generator's degree
+    plus its word's length; the CLI reads those degrees and both counts.
     """
 
-    survivors: tuple[ModuleElement, ...]
-    survivor_tips: tuple[tuple[int, Path], ...]
+    survivors: tuple[tuple[int, Path], ...]
     absorbed: tuple[tuple[int, Path], ...]
     min_degree: int | None
     max_degree: int | None
@@ -80,22 +79,20 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
             length -= 1
         return True
 
-    kept_tips: list[tuple[int, Path]] = []
-    kept_elems: list[ModuleElement] = []
+    survivors: list[tuple[int, Path]] = []
     for d in range(degree_cap + 1):
         for v in quiver.vertices:
             sub = pieces.get(d, v)
             if not sub or sub.dim == 0:
                 continue
             cols = cover.block(d, v)[0]
-            for row, piv in zip(sub.rows, sub.pivot_of_row):
+            for piv in sub.pivot_of_row:
                 j, i = cols[piv]
                 length = d - gen_degrees[j]
                 if below(j, length, i):
                     continue
                 kept.add((j, length, i))
-                kept_tips.append((j, model.basis[length][i]))
-                kept_elems.append(ModuleElement(cover.to_terms(d, v, row)))
+                survivors.append((j, model.basis[length][i]))
 
     absorbed: list[tuple[int, Path]] = []
     for j, g in enumerate(pres.generators):
@@ -105,11 +102,10 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
                 if h.source == g.vertex and not below(j, length, i):
                     absorbed.append((j, Path(h.source, a.target, h.arrows + (a,))))
 
-    degs = [gen_degrees[i] + p.length for (i, p) in kept_tips]
+    degs = [gen_degrees[i] + p.length for (i, p) in survivors]
     alive = any(pieces.dim(degree_cap, v) > 0 for v in quiver.vertices)
     return FirstSyzygy(
-        survivors=tuple(kept_elems),
-        survivor_tips=tuple(kept_tips),
+        survivors=tuple(survivors),
         absorbed=tuple(absorbed),
         min_degree=min(degs) if degs else None,
         max_degree=max(degs) if degs else None,

@@ -209,9 +209,11 @@ def reference_first_syzygy(pres, model, degree_cap):
     """(survivor tips, survivor elements, absorbed (generator, tip, lift) triples) by Path divisibility.
 
     A pivot of the relation span survives unless a kept tip of its generator
-    left-divides it.  Each basis element g, lifted by each normal word u from
-    the generator's vertex, is absorbed when its tip w = u*tip(g) has no tip
-    in its longest proper prefix and no kept tip as a left divisor.
+    left-divides it; its survivor element is the pivot's row, read as
+    (generator, normal word) terms, which `first_syzygy` does not build.
+    Each basis element g, lifted by each normal word u from the generator's
+    vertex, is absorbed when its tip w = u*tip(g) has no tip in its longest
+    proper prefix and no kept tip as a left divisor.
     """
     gb = model.gb
     cover, seeds = presentation_cover(pres, model)
@@ -222,12 +224,14 @@ def reference_first_syzygy(pres, model, degree_cap):
             sub = pieces.get(d, v)
             if not sub:
                 continue
+            cols = cover.block(d, v)[0]
+            column = {n: (j, model.basis[d - pres.generators[j].degree][i]) for n, (j, i) in enumerate(cols)}
             for row, piv in zip(sub.rows, sub.pivot_of_row):
-                i, p = cover.item(d, v, piv)
+                i, p = column[piv]
                 if any(j == i and divides_left(q, p) for (j, q) in kept_tips):
                     continue
                 kept_tips.append((i, p))
-                kept_elems.append(ModuleElement(cover.to_terms(d, v, row)))
+                kept_elems.append(ModuleElement({column[n]: c for n, c in row.items()}))
     absorbed = []
     for j, g in enumerate(pres.generators):
         for length_u in range(degree_cap + 1):

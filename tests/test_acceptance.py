@@ -127,7 +127,7 @@ def test_c3_cube_algebra(two_loop, cube_gb, cube_model, cube_A0):
 
     rep = minimal_resolution(cube_A0, cube_model, 2, 12)
     assert rep.degrees == [[0], [1, 1], [2, 2, 3]]
-    ok, violation = determined_check(rep, DegreeCollection.linear(), 2)
+    ok, violation = determined_check(rep, DegreeCollection.s_pattern(2), 2)
     assert not ok and (violation.index, violation.degree) == (2, 3)
 
     # Hilbert identity from the two short exact sequences relating A to the
@@ -236,7 +236,7 @@ def test_c5_commutative_plane(two_loop, plane_gb):
     A0 = ModulePresentation.simple_tops(two_loop, F.one)
     rep = minimal_resolution(A0, model, 4, 8)
     assert rep.degrees == [[0], [1, 1], [2], [], []]
-    ok, violation = determined_check(rep, DegreeCollection.linear(), 4)
+    ok, violation = determined_check(rep, DegreeCollection.s_pattern(2), 4)
     assert ok and violation is None
 
 

@@ -465,13 +465,16 @@ def test_completion_builds_no_path_until_it_returns(monkeypatch):
     assert [_basis_summary(gb) for gb in patched] == [_basis_summary(gb) for gb in bases]
 
 
-def test_normal_form_refuses_a_tip_index_of_another_order(two_loop, two_loop_order, cube_gb):
+def test_normal_form_refuses_a_basis_of_another_order(two_loop, two_loop_order, cube_gb):
+    # A GroebnerBasis is reduced for its own order, so for another order it
+    # is refused as a TipIndex is, not silently re-indexed.
     index = TipIndex(two_loop_order, cube_gb.elements)
     x = elem(two_loop, {"xyy": 1, "yyyy": 2})
     assert normal_form(x, index, two_loop_order) == normal_form(x, cube_gb, two_loop_order)
     for other in (OrderSpec(("y", "x"), ("e",)), OrderSpec(("x", "y"), ("e",), field=Field(7))):
-        with pytest.raises(PathAlgError, match="different term order"):
-            normal_form(x, index, other)
+        for basis in (index, cube_gb):
+            with pytest.raises(PathAlgError, match=f"the {type(basis).__name__} was built for a different term order"):
+                normal_form(x, basis, other)
 
 
 def test_random_completions_against_span_oracle():

@@ -83,7 +83,7 @@ def test_verify_two_loop_cube(capsys):
 
 
 def test_check_linear_fails_on_cube(capsys):
-    rc, doc = run_json(capsys, ["check", fixture("two_loop_cube.alg"), "--linear",
+    rc, doc = run_json(capsys, ["check", fixture("two_loop_cube.alg"), "--determined", "linear",
                                 "--module", "A0", "--max-n", "2"])
     assert rc == EXIT_FAIL
     assert doc["determined"]["violation"] == {"degree": 3, "n": 2}
@@ -93,7 +93,7 @@ def test_check_linear_fails_on_cube(capsys):
 def test_check_does_not_certify_from_a_truncated_resolution(capsys):
     # Through degree 2 the cube's P_0..P_2 look linear, but the kernel is
     # still alive at the cap, and P_2 has a generator in degree 3.
-    argv = ["check", fixture("two_loop_cube.alg"), "--linear", "--module", "A0", "--max-n", "2"]
+    argv = ["check", fixture("two_loop_cube.alg"), "--determined", "linear", "--module", "A0", "--max-n", "2"]
     rc, doc = run_json(capsys, argv + ["--max-degree", "2"])
     assert rc == EXIT_TRUNCATED and doc["exit_code"] == EXIT_TRUNCATED
     assert doc["determined"]["violation"] is None and doc["determined"]["holds"] is None
@@ -130,7 +130,8 @@ def test_check_determined_downset_and_explicit(capsys):
     assert rc == EXIT_INPUT
 
 
-@pytest.mark.parametrize("modes", [["--s-koszul", "2", "--linear"], ["--linear", "--determined", "chi:3"],
+@pytest.mark.parametrize("modes", [["--s-koszul", "2", "--determined", "linear"],
+                                   ["--determined", "chi:3", "--s-koszul", "3"],
                                    ["--s-koszul", "3", "--determined", "chi:3"]])
 def test_check_modes_are_mutually_exclusive(capsys, modes):
     with pytest.raises(SystemExit) as exc:
@@ -194,6 +195,19 @@ def test_window_overlap_method(capsys):
     assert rc == EXIT_OK
     assert [w["method"] for w in doc["windows"]] == ["overlap"] * 3
     assert [(w["lo"], w["hi"]) for w in doc["windows"]] == [(1, 1), (2, 2), (3, 3)]
+
+
+def test_window_survivor_degrees_count_the_generator_shift(capsys, tmp_path):
+    # A survivor's degree is its generator's degree plus its tip's length:
+    # g*x and g*y^3 for g at 0, and h*y for h at 2.
+    path = tmp_path / "shifted.alg"
+    path.write_text(pathlib.Path(fixture("two_loop_cube.alg")).read_text()
+                    + "\n[module S]\ngenerator g : e @ 0\ngenerator h : e @ 2\nrelation g*x\nrelation h*y\n")
+    rc, doc = run_json(capsys, ["window", str(path), "--module", "S", "--max-n", "3"])
+    assert rc == EXIT_OK
+    assert doc["syzygy"] == {"absorbed_count": 5, "alive_at_cap": False, "degree_cap": 12, "max_degree": 3,
+                             "min_degree": 1, "survivor_count": 3, "survivor_degrees": [1, 3, 3]}
+    assert [(w["lo"], w["hi"]) for w in doc["windows"]] == [(1, 3), (2, 6), (3, 7)]
 
 
 TRUNCATED = """
@@ -314,7 +328,8 @@ def test_negative_max_n_is_input_error(capsys, tmp_path):
 
 def test_negative_max_degree_is_input_error(capsys, tmp_path):
     for command in ("groebner", "resolve", "verify", "window", "check"):
-        rc = run([command, fixture("dual_numbers.alg"), "--module", "A0", "--linear", "--max-degree", "-3"])
+        rc = run([command, fixture("dual_numbers.alg"), "--module", "A0", "--determined", "linear",
+                  "--max-degree", "-3"])
         captured = capsys.readouterr()
         assert rc == EXIT_INPUT and not captured.out, command
         assert "max-degree must be >= 0; got -3" in captured.err, command
@@ -338,12 +353,12 @@ def test_degree_cap_below_a_relation_is_input_error(capsys):
 
 def test_generator_above_the_cap_is_input_error(capsys, tmp_path):
     # A generator above D used to drop out of P_0 unseen: resolve printed
-    # P_0 = [] as not truncated, and check --linear certified it.
+    # P_0 = [] as not truncated, and check --determined linear certified it.
     path = tmp_path / "high.alg"
     path.write_text("[quiver]\nvertex e\narrow x : e -> e\narrow y : e -> e\n\n[ideal]\nx*y - y*x\n\n"
                     "[module M]\ngenerator g : e @ 20\n\n"
                     "[module MIX]\ngenerator g : e @ 0\ngenerator h : e @ 20\nrelation g*x\n")
-    for extra in (["resolve"], ["check", "--linear"]):
+    for extra in (["resolve"], ["check", "--determined", "linear"]):
         rc = run(extra + [str(path), "--module", "M", "--max-degree", "6"])
         captured = capsys.readouterr()
         assert rc == EXIT_INPUT and not captured.out, extra

@@ -16,6 +16,7 @@ from pathalg import (
     s_koszul_criterion,
     s_koszul_degree,
 )
+from pathalg.cli import Report, _parse_collection_spec
 from pathalg.fields import Field
 from pathalg.presentation import ModulePresentation
 from tests.conftest import truncated_polynomial
@@ -39,11 +40,11 @@ def test_s_koszul_degree_step(s, i):
 
 def test_linear_is_the_two_staircase():
     assert [s_koszul_degree(2, i) for i in range(60)] == list(range(60))
-    assert DegreeCollection.linear() == DegreeCollection.s_pattern(2)
+    assert _parse_collection_spec("linear", Report("check", {})) == DegreeCollection.s_pattern(2)
 
 
 def test_collection_tensor_examples():
-    lin = DegreeCollection.linear()
+    lin = DegreeCollection.s_pattern(2)
     assert collection_tensor(lin, lin, 4) == (4,)
     a = DegreeCollection.from_lists([[0], [2]])
     b = DegreeCollection.from_lists([[0], [3]])
@@ -54,7 +55,7 @@ def test_collection_tensor_examples():
 
 def test_collection_tensor_infinite_guard():
     down = DegreeCollection.s_downset(3, floor=None)
-    lin = DegreeCollection.linear()
+    lin = DegreeCollection.s_pattern(2)
     with pytest.raises(InfiniteCollectionError):
         collection_tensor(down, lin, 2)
     floored = DegreeCollection.s_downset(3, floor=0)
@@ -127,7 +128,7 @@ def test_determined_check_truncated_polynomial():
 
 def test_determined_check_cube_fails_linear(cube_model, cube_A0):
     rep = minimal_resolution(cube_A0, cube_model, 2, 10)
-    ok, violation = determined_check(rep, DegreeCollection.linear(), 2)
+    ok, violation = determined_check(rep, DegreeCollection.s_pattern(2), 2)
     assert not ok
     assert (violation.index, violation.degree) == (2, 3)
 
@@ -135,14 +136,14 @@ def test_determined_check_cube_fails_linear(cube_model, cube_A0):
 def test_determined_check_zero_tail(two_loop, plane_gb):
     model = build_model(two_loop, plane_gb, 8)
     rep = minimal_resolution(ModulePresentation.simple_tops(two_loop, F.one), model, 4, 8)
-    ok, _ = determined_check(rep, DegreeCollection.linear(), 4)
+    ok, _ = determined_check(rep, DegreeCollection.s_pattern(2), 4)
     assert ok
 
 
 def test_determined_check_depth_guard(cube_model, cube_A0):
     rep = minimal_resolution(cube_A0, cube_model, 2, 8)
     with pytest.raises(PathAlgError):
-        determined_check(rep, DegreeCollection.linear(), 5)
+        determined_check(rep, DegreeCollection.s_pattern(2), 5)
 
 
 def test_singleton_pattern_implies_downset():
