@@ -73,9 +73,25 @@ MUTANTS = [
     Mutant(
         "CoverSpace.block's summand tie-break reversed",
         "src/pathalg/oracle.py",
-        "model.ranks[d - degrees[ji[0]]][ji[1]], -ji[0]))",
-        "model.ranks[d - degrees[ji[0]]][ji[1]], ji[0]))",
-        ("tests/test_syzygy.py::test_survivor_tips_are_the_term_order_tips",),
+        "for j in reversed(range(len(self.summands))):",
+        "for j in range(len(self.summands)):",
+        ("tests/test_syzygy.py::test_survivor_tips_are_the_term_order_tips",
+         "tests/test_oracle.py::test_cover_blocks_are_the_reference_blocks"),
+    ),
+    Mutant(
+        "extend keeps the cover tables of the old cap",
+        "src/pathalg/oracle.py",
+        "self._covers = {}  # blocks of the old cap lack the new words",
+        "pass",
+        ("tests/test_oracle.py::test_extend_drops_the_cover_tables_of_the_old_cap",),
+    ),
+    Mutant(
+        "extend keeps a word that is a tip",
+        "src/pathalg/oracle.py",
+        "if find(ext) is None:",
+        "if find(ext[1:]) is None:",
+        ("tests/test_oracle.py::test_model_levels_are_the_reference_levels",
+         "tests/test_oracle.py::test_model_dims_cube"),
     ),
     Mutant(
         "kernel_pieces drops its count check",

@@ -31,6 +31,7 @@ import json
 import sys
 from functools import cache
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from math import inf
 
 from . import corpus as corpus_mod
@@ -61,6 +62,53 @@ def _jsonable(value):
     if value == -inf:
         return "-inf"
     return value
+
+
+def render_json(doc) -> str:
+    """The text `json.dumps(doc, sort_keys=True, indent=2)` writes, without its pure-Python encoder.
+
+    `json` runs that encoder whenever `indent` is set; here one recursive
+    writer quotes strings with the C quoter and joins the pieces once.  A
+    value or key that `json` rejects raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(doc, "", out)
+    return "".join(out)
+
+
+def _write_json(x, pad: str, out: list[str]) -> None:
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif type(x) is int:
+        out.append(repr(x))
+    elif not isinstance(x, (list, tuple, dict)):
+        out.append(json.dumps(x))  # None, booleans and floats; TypeError on what json rejects
+    elif not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+    else:
+        inner = pad + "  "
+        sep = "\n" + inner
+        if isinstance(x, dict):
+            out.append("{")
+            for key in sorted(x):
+                out.append(sep + _quote(key if isinstance(key, str) else _key_text(key)) + ": ")
+                _write_json(x[key], inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "}")
+        else:
+            out.append("[")
+            for item in x:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+
+
+def _key_text(key) -> str:
+    """A key that is not a string, as json writes it."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _window_doc(w):
@@ -103,7 +151,7 @@ class Report:
 
     def json_text(self) -> str:
         self.doc["exit_code"] = self.exit_code
-        return json.dumps(self.doc, sort_keys=True, indent=2) + "\n"
+        return render_json(self.doc) + "\n"
 
 
 def _describe_input(pf: ProblemFile) -> dict:

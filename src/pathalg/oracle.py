@@ -2,9 +2,11 @@
 
 A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
 right action of each arrow on them; the oracle reads A only through it, a
-presentation's relations included.  It builds each degree's action from
-the Groebner basis's TipIndex, which finds the tip that ends a product and
-holds its tail, and from the action below, with no `normal_form` call.
+presentation's relations included.  The Groebner basis's TipIndex, an
+Aho-Corasick automaton over the tips, tells which products of a normal word
+and an arrow are normal, finds the tip that ends each other one and holds
+its tail; each degree's action comes from those tails and the action below,
+with no `normal_form` call.
 Minimal graded projective resolutions are computed degreewise, per
 (degree, target-vertex) block.  `span_from_seeds` spans seed vectors under
 the arrow action, giving each block the arrow images of the degree below
@@ -22,10 +24,12 @@ Groebner data, to cross-check normal forms.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
-integer table built once from the model, so paths are hashed only while
-the model lists its levels, where presentations come in and where first
-syzygies read their tips.  The model spells words as the TipIndex does, in
-rank words.  A path and an arrow are named tuples, so path lookups hash in C.
+integer table.  Blocks and tables are built once per model and cover
+shape, so covers that differ by a degree shift share them, and paths are
+hashed only while the model lists its levels, where presentations come in
+and where first syzygies read their tips.  The model spells words as the
+TipIndex does, in rank words.  A path and an arrow are named tuples, so
+path lookups hash in C.
 """
 from __future__ import annotations
 
@@ -51,14 +55,23 @@ class GradedAlgebraModel:
     is the word's rank word as `TipIndex` spells it: the precedence ranks of
     its arrows, 0 the greatest.  `rewritten[d]` lists the pairs (i, k) whose
     product, word i of length d times arrow number k, is not a normal word,
-    in ascending term order of the product.  `field` is the field of the
-    basis's order.
+    in ascending term order of the product.  `between[d]` maps (source,
+    target) to the numbers of the words of length d between them, in
+    descending term order.  `field` is the field of the basis's order.
 
-    The tables of one degree are built together, from the basis's tails
-    and the tables of the degrees below (`_build_level`), so no product
-    inside the cap goes through `normal_form`.  The normal words of the
-    basis are those of A only up to its degree bound, so a model of a
-    truncated basis may not reach above it.
+    `extend` lists each level from the one below, one arrow at a time: a
+    product of a normal word and an arrow is normal exactly when no tip
+    ends it, which the basis's TipIndex tells.  The action tables of one
+    degree are built together, from the basis's tails and the tables of the
+    degrees below (`_build_level`), so no product inside the cap goes
+    through `normal_form`.  The normal words of the basis are those of A
+    only up to its degree bound, so a model of a truncated basis may not
+    reach above it.
+
+    The blocks and arrow tables of the free modules over A (`CoverSpace`)
+    are kept here too, one set per shape, so covers that differ only by a
+    degree shift build them once; `extend` drops them, as their blocks lack
+    the words of the new degrees.
     """
 
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
@@ -72,13 +85,15 @@ class GradedAlgebraModel:
         self.parent: list[list[tuple[int, int]]] = []
         self.ranks: list[list[tuple[int, ...]]] = []
         self.rewritten: list[list[tuple[int, int]]] = []
-        self._levels = normal_word_levels(quiver, gb.tips)
+        self.between: list[dict[tuple[str, str], list[int]]] = []
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
         # The precedence rank of each arrow number, and the arrow number of each rank.
         self._rank = [gb.order.arrow_rank[a.name] for a in quiver.arrows]
         self._of_rank = {r: k for k, r in enumerate(self._rank)}
         self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
         self._built = 0
+        # Cover shape -> (blocks, arrow tables), shared by the CoverSpaces of that shape.
+        self._covers: dict[tuple[tuple[str, int], ...], tuple[dict, dict]] = {}
         self.extend(degree_cap)
 
     def extend(self, degree_cap: int) -> None:
@@ -86,25 +101,40 @@ class GradedAlgebraModel:
         gb = self.gb
         if degree_cap > gb.degree_bound and not gb.complete:
             raise PathAlgError(f"a model to degree {degree_cap} needs a basis exact to it; this one is {gb.status}")
+        if degree_cap <= self.degree_cap:
+            return
+        self._covers = {}  # blocks of the old cap lack the new words
+        find, rank = gb.tip_index.find, self._rank
         for d in range(self.degree_cap + 1, degree_cap + 1):
-            level = next(self._levels)
+            if not d:
+                level = [Path(v, v) for v in self.quiver.vertices]
+                parent, ranks = [], [()] * len(level)
+            else:
+                level, parent, ranks, ends = [], [], [], []
+                for i, (w, word) in enumerate(zip(self.basis[d - 1], self.ranks[d - 1])):
+                    for k, a in enumerate(self.quiver.arrows):
+                        if a.source != w.target:
+                            continue
+                        ext = word + (rank[k],)
+                        # w is normal, so a tip inside w*a ends it.
+                        if find(ext) is None:
+                            level.append(Path(w.source, a.target, w.arrows + (a,)))
+                            parent.append((i, k))
+                            ranks.append(ext)
+                        else:
+                            ends.append((ext, i, k))
+                # Products of one length: the greater rank word is the smaller product.
+                ends.sort(reverse=True)
+                self.rewritten.append([(i, k) for _ext, i, k in ends])
+            between: dict[tuple[str, str], list[int]] = {}
+            for i in sorted(range(len(level)), key=ranks.__getitem__):
+                between.setdefault((level[i].source, level[i].target), []).append(i)
             self.basis.append(level)
             self.index.append({w: i for i, w in enumerate(level)})
-            if not d:
-                self.parent.append([])
-                self.ranks.append([()] * len(level))
-                continue
-            prev, ranks, rank = self.index[d - 1], self.ranks[d - 1], self._rank
-            parent = [(prev[w.prefix(d - 1)], self._arrow_no[w.arrows[-1]]) for w in level]
             self.parent.append(parent)
-            self.ranks.append([ranks[i] + (rank[k],) for i, k in parent])
-            normal = set(parent)
-            # Products of one length: the greater rank word is the smaller product.
-            self.rewritten.append(sorted(
-                [(i, k) for i, w in enumerate(self.basis[d - 1]) for k, a in enumerate(self.quiver.arrows)
-                 if a.source == w.target and (i, k) not in normal],
-                key=lambda ik: ranks[ik[0]] + (rank[ik[1]],), reverse=True))
-        self.degree_cap = max(self.degree_cap, degree_cap)
+            self.ranks.append(ranks)
+            self.between.append(between)
+        self.degree_cap = degree_cap
 
     def dims(self) -> list[int]:
         return [len(level) for level in self.basis]
@@ -196,49 +226,73 @@ class CoverSpace:
 
     Coordinate (j, i) of block (d, v) is summand j times word i of degree
     d - degree_j; a block lists its coordinates in descending module order
-    (word first, then summand), so column 0 is the greatest.
+    (word first, then summand), so column 0 is the greatest.  A block
+    walks the model's `between` lists of its summands, merging those of one
+    degree that start at several vertices.  Its blocks and arrow tables are the model's for the cover's
+    shape, the summands' vertices and their degrees less the lowest, read
+    at the degree less the lowest; a cover made before `extend` keeps those
+    of the old cap.
     """
 
     def __init__(self, model: GradedAlgebraModel, summands: Sequence[FreeSummand]):
         self.model = model
         self.summands = tuple(summands)
-        self._blocks: dict[tuple[int, str], tuple[list[tuple[int, int]], dict[tuple[int, int], int]]] = {}
-        self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
+        self._degrees = [s.degree for s in self.summands]
+        self._low = low = min(self._degrees, default=0)
+        shape = tuple((s.vertex, s.degree - low) for s in self.summands)
+        self._blocks, self._actions = model._covers.setdefault(shape, ({}, {}))
+        # Per degree, ascending: (vertex, its summand numbers, greatest first) pairs.
+        groups: dict[int, dict[str, list[int]]] = {}
+        for j in reversed(range(len(self.summands))):
+            groups.setdefault(self._degrees[j], {}).setdefault(self.summands[j].vertex, []).append(j)
+        self._groups = [(deg, list(at.items())) for deg, at in sorted(groups.items())]
         self._p = model.field.characteristic
 
-    def block(self, d: int, v: str) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-        """The coordinates of block (d, v) and their column numbers."""
-        key = (d, v)
+    def block(self, d: int, v: str) -> tuple[list[tuple[int, int]], list[dict[int, int]]]:
+        """The coordinates of block (d, v), and per summand its word numbers' column numbers."""
+        key = (d - self._low, v)
         hit = self._blocks.get(key)
         if hit is not None:
             return hit
         model = self.model
         cols: list[tuple[int, int]] = []
-        for j, s in enumerate(self.summands):
-            length = d - s.degree
-            if 0 <= length <= model.degree_cap:
-                cols.extend((j, i) for i, w in enumerate(model.basis[length]) if w.source == s.vertex and w.target == v)
-        degrees = [s.degree for s in self.summands]
-        cols.sort(key=lambda ji: (degrees[ji[0]] - d, model.ranks[d - degrees[ji[0]]][ji[1]], -ji[0]))
-        hit = (cols, {ji: n for n, ji in enumerate(cols)})
-        self._blocks[key] = hit
+        pos: list[dict[int, int]] = [{} for _ in self.summands]
+        for deg, group in self._groups:
+            length = d - deg
+            if not 0 <= length <= model.degree_cap:
+                continue
+            between, ranks = model.between[length], model.ranks[length]
+            run = [(i, js) for s, js in group for i in between.get((s, v), ())]
+            if len(group) > 1:
+                # Timsort merges the per-source runs, each in descending term order already.
+                run.sort(key=lambda ijs: ranks[ijs[0]])
+            for i, js in run:
+                for j in js:
+                    pos[j][i] = len(cols)
+                    cols.append((j, i))
+        hit = self._blocks[key] = (cols, pos)
         return hit
 
     def dim(self, d: int, v: str) -> int:
-        return len(self.block(d, v)[0])
+        """The size of block (d, v), counted from the model's `between` lists."""
+        model, n = self.model, 0
+        for deg, group in self._groups:
+            length = d - deg
+            if 0 <= length <= model.degree_cap:
+                between = model.between[length]
+                n += sum(len(js) * len(between.get((s, v), ())) for s, js in group)
+        return n
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k from block (d, source) to block (d+1, target), per column."""
-        key = (d, k)
+        key = (d - self._low, k)
         table = self._actions.get(key)
         if table is None:
             a = self.model.quiver.arrows[k]
             cols, _ = self.block(d, a.source)
-            _, index = self.block(d + 1, a.target)
-            table = []
-            for j, i in cols:
-                length = d - self.summands[j].degree
-                table.append([(index[(j, i2)], c) for i2, c in self.model.action(length, k)[i]])
+            _, pos = self.block(d + 1, a.target)
+            degrees, action = self._degrees, self.model.action
+            table = [[(pos[j][i2], c) for i2, c in action(d - degrees[j], k)[i]] for j, i in cols]
             self._actions[key] = table
         return table
 
@@ -252,10 +306,10 @@ class CoverSpace:
         parts: dict[tuple[int, str], dict[int, object]] = {}
         for (j, w), c in terms.items():
             d = self.summands[j].degree + w.length
-            _, index = self.block(d, w.target)
+            pos = self.block(d, w.target)[1][j]
             part = parts.setdefault((d, w.target), {})
             for i, x in model.expand(w).items():
-                n = index[(j, i)]
+                n = pos[i]
                 part[n] = part.get(n, 0) + c * x
         parts = {dv: {n: x for n, x in ((n, x % p if p else x) for n, x in vec.items()) if x}
                  for dv, vec in parts.items()}

@@ -7,6 +7,11 @@
   linear algebra over all paths (`pathalg.oracle.ideal_span`).
 - `chain` reads a word's chain back along an overlap table's predecessor
   links.
+- `reference_levels` lists a model's level tables as the model did
+  through `normal_word_levels` (every extension compared with every tip,
+  each parent found by its prefix, `rewritten` by a scan of every
+  product), and `reference_block` lists a cover block by scanning whole
+  levels and sorting, as `CoverSpace.block` did.
 - `reference_minimal_resolution` resolves by the full-kernel route that
   `pathalg.oracle.minimal_resolution` counted away: `full_kernel_pieces`
   takes a left nullspace of every (degree, vertex) block, and
@@ -279,6 +284,55 @@ def find_partition(
     for part in all_partitions(w, n, patterns, context):
         return part
     return None
+
+
+def reference_levels(quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
+    """(basis, index, parent, ranks, rewritten) to degree_cap, as `GradedAlgebraModel` names them.
+
+    Levels come from `normal_word_levels`; a word's parent is its prefix
+    looked up in the level below, and `rewritten` scans every product of a
+    word and an arrow for those that are not normal.
+    """
+    levels = normal_word_levels(quiver, gb.tips)
+    arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
+    rank = [gb.order.arrow_rank[a.name] for a in quiver.arrows]
+    basis, index, parents, all_ranks, rewritten = [], [], [], [], []
+    for d in range(degree_cap + 1):
+        level = next(levels)
+        basis.append(level)
+        index.append({w: i for i, w in enumerate(level)})
+        if not d:
+            parents.append([])
+            all_ranks.append([()] * len(level))
+            continue
+        prev, ranks = index[d - 1], all_ranks[d - 1]
+        parent = [(prev[w.prefix(d - 1)], arrow_no[w.arrows[-1]]) for w in level]
+        parents.append(parent)
+        all_ranks.append([ranks[i] + (rank[k],) for i, k in parent])
+        normal = set(parent)
+        # Products of one length: the greater rank word is the smaller product.
+        rewritten.append(sorted(
+            [(i, k) for i, w in enumerate(basis[d - 1]) for k, a in enumerate(quiver.arrows)
+             if a.source == w.target and (i, k) not in normal],
+            key=lambda ik: ranks[ik[0]] + (rank[ik[1]],), reverse=True))
+    return basis, index, parents, all_ranks, rewritten
+
+
+def reference_block(model: GradedAlgebraModel, summands: Sequence[FreeSummand], d: int, v: str) -> list[tuple[int, int]]:
+    """The coordinates (summand, word number) of block (d, v) of the free module on `summands`, greatest first.
+
+    Each summand's whole level is scanned for words to v, and the
+    coordinates are sorted: longer word first, then greater word, then
+    greater summand number.
+    """
+    cols: list[tuple[int, int]] = []
+    for j, s in enumerate(summands):
+        length = d - s.degree
+        if 0 <= length <= model.degree_cap:
+            cols.extend((j, i) for i, w in enumerate(model.basis[length]) if w.source == s.vertex and w.target == v)
+    degrees = [s.degree for s in summands]
+    cols.sort(key=lambda ji: (degrees[ji[0]] - d, model.ranks[d - degrees[ji[0]]][ji[1]], -ji[0]))
+    return cols
 
 
 def full_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> list[tuple[int, str, dict]]:

@@ -458,3 +458,49 @@ def test_chain_table_demo_prints_a_table_or_an_input_error(capsys):
         assert demo.main(patterns) == EXIT_INPUT
         captured = capsys.readouterr()
         assert not captured.out and captured.err == f"error: {message}\n"
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("golden", sorted((ROOT / "tests" / "golden").glob("*.json")), ids=lambda p: p.name)
+def test_render_json_writes_what_json_dumps_writes_on_every_golden(golden):
+    text = golden.read_text()
+    doc = json.loads(text)
+    assert pathalg.cli.render_json(doc) == _dumps(doc) == text[:-1]
+
+
+def test_render_json_writes_what_json_dumps_writes_on_edge_cases():
+    deep: object = []
+    for depth in range(30):
+        deep = {f"level {depth}": [deep, {}]}
+    doc = {
+        "empty": [[], {}, "", [[]], {"": {}}],
+        "deep": deep,
+        "escapes": "quote \" backslash \\ newline \n tab \t nul \x00 del \x7f",
+        "non-ASCII": ["Gröbner", "χ", "𝔽_p", " "],
+        "ints": [0, -1, -10 ** 40, 10 ** 40, 7],
+        "constants": [True, False, None],
+        "floats": [0.5, -2.0, 1e300, float("inf"), float("-inf")],
+        "tuple": (1, ("a", ())),
+        "keys": {"b": 1, "a": 2, "A": 3, "é": 4, "": 5, " ": 6},
+        "number keys": {3: "three", -1: "minus one", 10: "ten"},
+        "other keys": {None: 0}, "bool keys": {True: 1, False: 0}, "float keys": {1.5: 0, -0.25: 1},
+    }
+    assert pathalg.cli.render_json(doc) == _dumps(doc)
+    for scalar in (0, "x", None, True, 2.5, [], {}):
+        assert pathalg.cli.render_json(scalar) == _dumps(scalar)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"a": {1, 2}}, "Object of type set is not JSON serializable"),
+    ([object()], "Object of type object is not JSON serializable"),
+    ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+    ({"x": b"bytes"}, "Object of type bytes is not JSON serializable"),
+])
+def test_render_json_rejects_what_json_rejects(doc, message):
+    with pytest.raises(TypeError, match=message):
+        _dumps(doc)
+    with pytest.raises(TypeError, match=message):
+        pathalg.cli.render_json(doc)

@@ -27,7 +27,7 @@ from pathalg.quiver import Path, normal_word_levels
 from pathalg.syzygy import DegreeWindow, first_syzygy
 from tests.conftest import perfbench_module, truncated_polynomial, words
 from tests.helpers import cyclic
-from tests.reference import module_normal_form, reference_minimal_resolution
+from tests.reference import module_normal_form, reference_block, reference_levels, reference_minimal_resolution
 
 F = Field(0)
 
@@ -113,6 +113,73 @@ def test_rewritten_lists_the_products_that_leave_the_normal_words(name, text, ca
         assert model.rewritten[d] == sorted(left, key=lambda ik: pf.order.path_key(products[ik])), d
 
 
+def _level_inputs():
+    """(name, problem text, cap): MODEL_INPUTS and the corpus-windows instances at cap 8."""
+    problems, _seconds = perfbench_module("workloads").corpus_problems(200)
+    return MODEL_INPUTS + [(f"c7 instance {seed}", text, 8) for seed, text in problems]
+
+
+def test_model_levels_are_the_reference_levels():
+    for name, text, cap in _level_inputs():
+        pf, model = _input_model(text, cap)
+        got = (model.basis, model.index, model.parent, model.ranks, model.rewritten)
+        assert got == reference_levels(pf.quiver, model.gb, cap), name
+        for d, level in enumerate(model.basis):
+            want: dict = {}
+            for i in sorted(range(len(level)), key=lambda i: pf.order.path_key(level[i]), reverse=True):
+                want.setdefault((level[i].source, level[i].target), []).append(i)
+            assert model.between[d] == want, (name, d)
+
+
+def _test_covers(vertices):
+    """Summand lists with mixed degrees, several vertices at one degree, and repeated summands."""
+    mixed = [FreeSummand(v, deg) for deg in (1, 0, 1, 3) for v in vertices] + [FreeSummand(vertices[0], 1)]
+    return [mixed, mixed[::-1], [FreeSummand(vertices[-1], 2)] * 3]
+
+
+def test_cover_blocks_are_the_reference_blocks():
+    checked = 0
+    for name, text, cap in _level_inputs():
+        pf, model = _input_model(text, cap)
+        covers = _test_covers(pf.quiver.vertices)
+        for pres in pf.modules.values():
+            covers += minimal_resolution(pres, model, 3, cap).covers
+        for summands in covers:
+            cover = CoverSpace(model, summands)
+            for d in range(cap + 4):
+                for v in pf.quiver.vertices:
+                    cols, pos = cover.block(d, v)
+                    assert cols == reference_block(model, summands, d, v), (name, summands, d, v)
+                    assert pos == [{i: n for n, (j2, i) in enumerate(cols) if j2 == j} for j in range(len(summands))]
+                    assert cover.dim(d, v) == len(cols)
+                    checked += bool(cols)
+    assert checked > 10000
+
+
+def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
+    # Covers of one shape share their tables.  A block read at cap 4 past
+    # the cap lacks the words of degree 5, so a shifted cover of the same
+    # shape must not be handed it once `extend` has raised the cap.
+    small, fresh = build_model(two_loop, plane_gb, 4), build_model(two_loop, plane_gb, 7)
+    low = [FreeSummand("e", 0), FreeSummand("e", 1), FreeSummand("e", 1)]
+    high = [FreeSummand("e", 2), FreeSummand("e", 3), FreeSummand("e", 3)]
+    old = CoverSpace(small, low)
+    for d in range(7):
+        old.block(d, "e")
+    for d in range(4):
+        for k in range(2):
+            old.action(d, k)
+    assert CoverSpace(small, high).block(7, "e") is old.block(5, "e")
+    small.extend(7)
+    got, want = CoverSpace(small, high), CoverSpace(fresh, high)
+    for d in range(2, 11):
+        assert got.block(d, "e") == want.block(d, "e"), d
+        assert got.dim(d, "e") == want.dim(d, "e"), d
+    for d in range(2, 9):
+        for k in range(2):
+            assert got.action(d, k) == want.action(d, k), (d, k)
+
+
 def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("normal_form called by the oracle")
@@ -161,7 +228,7 @@ def test_relation_seeds_read_through_the_tables_are_the_normal_forms(cap):
                 want: dict = {}
                 for (j, w), c in module_normal_form(r, model.gb).terms.items():
                     d = pres.generators[j].degree + w.length
-                    column = cover.block(d, w.target)[1][(j, model.index[w.length][w])]
+                    column = cover.block(d, w.target)[1][j][model.index[w.length][w]]
                     want.setdefault((d, w.target), {})[column] = c
                 got = {(d, v): vec for d, v, vec in cover.from_terms(r.terms)}
                 assert got == want, (name, module, r)
