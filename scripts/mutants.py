@@ -63,6 +63,13 @@ MUTANTS = [
          "tests/test_algebra.py::test_insert_takes_an_element_as_add_does[F7]"),
     ),
     Mutant(
+        "handed-over TipIndex takes the unreduced tails",
+        "src/pathalg/algebra.py",
+        "final.insert(terms)",
+        "final.insert({**dict(tails[k]), keys[k]: 1})",
+        ("tests/test_algebra.py::test_completion_hands_over_the_tip_index_of_its_elements",),
+    ),
+    Mutant(
         "first_syzygy absorbs below kept tips",
         "src/pathalg/syzygy.py",
         "if h.source == g.vertex and not below(j, length, i):",
@@ -117,6 +124,26 @@ MUTANTS = [
         "pass",
         ("tests/test_golden.py::test_json_matches_golden[3]",
          "tests/test_syzygy.py::test_first_syzygy_cube_A0"),
+    ),
+    Mutant(
+        "groebner counts normal words to degree 7",
+        "src/pathalg/cli.py",
+        "build_model(pf.quiver, gb, min(gb.degree_bound, 8)).dims()",
+        "build_model(pf.quiver, gb, 7).dims()",
+        ("tests/test_cli.py::test_groebner_normal_word_counts_are_the_normal_word_levels[8]",
+         "tests/test_cli.py::test_groebner_normal_word_counts_are_the_normal_word_levels[12]",
+         "tests/test_cli.py::test_groebner_command"),
+    ),
+    Mutant(
+        "parser lets a single-valued setting repeat",
+        "src/pathalg/problem.py",
+        "if key in seen:",
+        "if False:",
+        ("tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[field-line]",
+         "tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[field-section]",
+         "tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[order-arrows]",
+         "tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[order-vertices]",
+         "tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[params-key]"),
     ),
 ]
 

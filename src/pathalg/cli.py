@@ -30,7 +30,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
 
@@ -42,7 +41,6 @@ from .oracle import build_model, minimal_resolution, verify_windows
 from .overlaps import enumerate_overlaps
 from .presentation import ModulePresentation
 from .problem import ParseError, ProblemFile, parse
-from .quiver import normal_word_levels
 from .syzygy import degree_window, first_syzygy, window_consistency
 
 EXIT_OK = 0
@@ -194,7 +192,7 @@ def cmd_groebner(pf: ProblemFile, args, report: Report) -> None:
         ["tip", "element"],
         [[str(t), g.render()] for t, g in zip(gb.tips, gb.elements)],
     )
-    dims = [len(level) for level in islice(normal_word_levels(pf.quiver, gb.tips), min(gb.degree_bound, 8) + 1)]
+    dims = build_model(pf.quiver, gb, min(gb.degree_bound, 8)).dims()
     report.doc["groebner"]["normal_word_counts"] = dims
     report.say(f"normal word counts by degree: {dims}")
 

@@ -25,11 +25,10 @@ Groebner data, to cross-check normal forms.
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
 integer table.  Blocks and tables are built once per model and cover
-shape, so covers that differ by a degree shift share them, and paths are
-hashed only while the model lists its levels, where presentations come in
-and where first syzygies read their tips.  The model spells words as the
-TipIndex does, in rank words.  A path and an arrow are named tuples, so
-path lookups hash in C.
+shape, so covers that differ by a degree shift share them.  The model
+spells words as the TipIndex does, in rank words, and numbers them by
+their place in `basis`; it keeps a normal word's `Path` there only for
+first syzygies and `act` to read, and looks no path up by hash.
 """
 from __future__ import annotations
 
@@ -49,8 +48,8 @@ from .quiver import Arrow, Path, Quiver, normal_word_levels
 class GradedAlgebraModel:
     """Normal-word bases of A up to a degree cap, with the arrow action as integer tables.
 
-    `basis[d]` lists the normal words of length d and `index[d]` numbers
-    them.  `parent[d][i]` is (number of the word minus its last arrow,
+    `basis[d]` lists the normal words of length d; a word's number is its
+    place there.  `parent[d][i]` is (number of the word minus its last arrow,
     number of that arrow in `quiver.arrows`) for d >= 1, and `ranks[d][i]`
     is the word's rank word as `TipIndex` spells it: the precedence ranks of
     its arrows, 0 the greatest.  `rewritten[d]` lists the pairs (i, k) whose
@@ -77,11 +76,9 @@ class GradedAlgebraModel:
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
         self.quiver = quiver
         self.gb = gb
-        self.order = gb.order
         self.field = gb.order.field
         self.degree_cap = -1
         self.basis: list[list[Path]] = []
-        self.index: list[dict[Path, int]] = []
         self.parent: list[list[tuple[int, int]]] = []
         self.ranks: list[list[tuple[int, ...]]] = []
         self.rewritten: list[list[tuple[int, int]]] = []
@@ -130,7 +127,6 @@ class GradedAlgebraModel:
             for i in sorted(range(len(level)), key=ranks.__getitem__):
                 between.setdefault((level[i].source, level[i].target), []).append(i)
             self.basis.append(level)
-            self.index.append({w: i for i, w in enumerate(level)})
             self.parent.append(parent)
             self.ranks.append(ranks)
             self.between.append(between)
@@ -145,15 +141,15 @@ class GradedAlgebraModel:
         w must be a normal word below the cap; anything else raises PathAlgError.
         """
         d = w.length
-        i = self.index[d].get(w) if d < self.degree_cap else None
-        if i is None:
+        if d >= self.degree_cap or w not in self.basis[d]:
             raise PathAlgError(f"{w} is not a normal word below the model cap {self.degree_cap}")
+        i = self.basis[d].index(w)
         nxt = self.basis[d + 1]
         return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
 
     def expand(self, w: Path) -> dict[int, object]:
         """The class in A of a path up to the cap, as (word number of its length, scalar), read from the tables."""
-        vec = {self.index[0][Path(w.source, w.source)]: self.field.one}
+        vec = {self.quiver.vertices.index(w.source): self.field.one}
         for d, a in enumerate(w.arrows):
             vec = _apply(self.action(d, self._arrow_no[a]), vec, self.field.characteristic)
         return vec

@@ -25,7 +25,6 @@ from .quiver import Path, Quiver, divides, is_reduced  # noqa: F401
 class OverlapTable:
     """Levelwise overlap and quasi-overlap words with predecessor links."""
 
-    quiver: Quiver
     patterns: tuple[Path, ...]
     # levels[n] maps word -> its level-(n-1) predecessor; level 0 maps to None.
     levels: list[dict[Path, Optional[Path]]] = field(default_factory=list)
@@ -133,7 +132,7 @@ def enumerate_overlaps(
     """
     pats = _check_patterns(patterns)
     graph = _tail_graph(pats)
-    table = OverlapTable(quiver, pats)
+    table = OverlapTable(pats)
     table.levels.append({Path.of((a,)): None for a in quiver.arrows})
     for level in _walk({(s, None): s.prefix(1) for s in pats}, graph, max_level):
         table.levels.append({w: pred for (w, _v), pred in level.items()})

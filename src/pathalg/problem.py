@@ -137,6 +137,14 @@ class _Parser:
         self.err(no, 1, E_SYNTAX, expected)
         return None
 
+    def once(self, seen: set[str], key: str, line_no: int, col: int, what: str) -> bool:
+        """Whether key is new to `seen`, which then holds it; a repeat is an E_DUPLICATE diagnostic at `col`."""
+        if key in seen:
+            self.err(line_no, col, E_DUPLICATE, f"duplicate {what}")
+            return False
+        seen.add(key)
+        return True
+
     def col(self, line_no: int, at: int) -> int:
         """The column of position `at` of a line's text, which is read with its indent stripped."""
         raw = self.lines[line_no - 1]
@@ -241,16 +249,23 @@ class _Parser:
         secs = self._sections(sections, "field")
         if not secs:
             return Field(0)
-        _, _, hdr_no, body = secs[-1]
+        seen: set[str] = set()
+        for _, _, hdr_no, _ in secs:
+            self.once(seen, "[field]", hdr_no, 1, "[field] section")
+        _, _, hdr_no, body = secs[0]
         if not body:
             self.err(hdr_no, 1, E_BAD_FIELD, "[field] section is empty; expected Q or Fp <prime>")
             return Field(0)
+        for no, _ in body:
+            self.once(seen, "field", no, 1, "field line; [field] holds one")
         no, line = body[0]
         words = line.split()
         if words[0] == "Q" and len(words) == 1:
             return Field(0)
         if words[0] == "Fp" and len(words) == 2 and words[1].isdigit():
             try:
+                if not int(words[1]):  # Field(0) is Q
+                    raise PathAlgError("0 is not prime")
                 return Field(int(words[1]))
             except PathAlgError as exc:
                 self.err(no, self.word_col(no, line, 1), E_BAD_FIELD, str(exc))
@@ -263,19 +278,22 @@ class _Parser:
             return None
         arrow_prec: list[str] | None = None
         vertex_prec: list[str] | None = None
+        seen: set[str] = set()
         for _, _, _, body in self._sections(sections, "order"):
             for no, line in body:
                 words = line.replace(">", " ").split()
                 if not words:
                     continue
                 kind, names = words[0], words[1:]
-                if kind == "arrows":
-                    arrow_prec = names
-                elif kind == "vertices":
-                    vertex_prec = names
-                else:
+                if kind not in ("arrows", "vertices"):
                     self.err(no, 1, E_SYNTAX, f"unknown order line {kind!r}")
                     continue
+                if not self.once(seen, kind, no, self.col(no, 0), f"order line {kind!r}"):
+                    continue
+                if kind == "arrows":
+                    arrow_prec = names
+                else:
+                    vertex_prec = names
                 known = {a.name for a in quiver.arrows} if kind == "arrows" else set(quiver.vertices)
                 for i, ident in enumerate(names, start=1):
                     if ident not in known:
@@ -428,11 +446,14 @@ class _Parser:
 
     def _parse_params(self, sections) -> dict[str, int]:
         out: dict[str, int] = {}
+        seen: set[str] = set()
         for _, _, _, body in self._sections(sections, "params"):
             for no, line in body:
                 words = line.split()
                 if len(words) != 2 or words[0] not in ("max-n", "max-degree", "seed"):
                     self.err(no, 1, E_SYNTAX, f"unknown params line {line!r}")
+                    continue
+                if not self.once(seen, words[0], no, self.col(no, 0), f"params line {words[0]!r}"):
                     continue
                 try:
                     out[words[0]] = int(words[1])

@@ -287,7 +287,7 @@ def find_partition(
 
 
 def reference_levels(quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
-    """(basis, index, parent, ranks, rewritten) to degree_cap, as `GradedAlgebraModel` names them.
+    """(basis, parent, ranks, rewritten) to degree_cap, as `GradedAlgebraModel` names them.
 
     Levels come from `normal_word_levels`; a word's parent is its prefix
     looked up in the level below, and `rewritten` scans every product of a
@@ -315,7 +315,7 @@ def reference_levels(quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
             [(i, k) for i, w in enumerate(basis[d - 1]) for k, a in enumerate(quiver.arrows)
              if a.source == w.target and (i, k) not in normal],
             key=lambda ik: ranks[ik[0]] + (rank[ik[1]],), reverse=True))
-    return basis, index, parents, all_ranks, rewritten
+    return basis, parents, all_ranks, rewritten
 
 
 def reference_block(model: GradedAlgebraModel, summands: Sequence[FreeSummand], d: int, v: str) -> list[tuple[int, int]]:

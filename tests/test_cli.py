@@ -1,5 +1,6 @@
 import json
 import pathlib
+from itertools import islice
 
 import pytest
 
@@ -7,6 +8,8 @@ import pathalg.cli
 from pathalg import PathAlgError, Quiver
 from pathalg.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_TRUNCATED, run
 from pathalg.presentation import Generator, ModulePresentation
+from pathalg.problem import parse
+from pathalg.quiver import normal_word_levels
 from tests.conftest import ROOT, load_module
 
 FIXTURES = ROOT / "fixtures"
@@ -396,6 +399,16 @@ def test_params_defaults_apply(capsys):
     assert doc["options"]["max_n"] == 5
     assert len(doc["resolution"]["degrees"]) == 6
 
+
+@pytest.mark.parametrize("D", [4, 8, 12])
+def test_groebner_normal_word_counts_are_the_normal_word_levels(capsys, D):
+    # The counts come from the model's automaton; here from the tips alone.
+    for path in sorted(FIXTURES.glob("*.alg")):
+        rc, doc = run_json(capsys, ["groebner", str(path), "--max-degree", str(D)])
+        assert rc == EXIT_OK
+        quiver = parse(path.read_text()).quiver
+        levels = islice(normal_word_levels(quiver, [quiver.path(t) for t in doc["groebner"]["tips"]]), min(D, 8) + 1)
+        assert doc["groebner"]["normal_word_counts"] == [len(level) for level in levels], (path.name, D)
 
 def test_resolve_reduces_every_pivot_column(capsys):
     # This relation span used to leave entries on later pivot columns, so

@@ -59,7 +59,7 @@ def test_action_matrices_respect_composition(two_loop, cube_model):
                         for w2, c2 in cube_model.act(w1, b).items():
                             step[w2] = step.get(w2, F.zero) + c1 * c2
                     direct = AlgebraElement({w * two_loop.path(a.name) * two_loop.path(b.name): F.one})
-                    expect = normal_form(direct, cube_model.gb, cube_model.order)
+                    expect = normal_form(direct, cube_model.gb, cube_model.gb.order)
                     assert {k: v for k, v in step.items() if v} == expect.terms
 
 
@@ -96,7 +96,7 @@ def test_action_tables_are_the_normal_forms(name, text, cap):
                     assert got == {}
                     continue
                 wa = Path(w.source, a.target, w.arrows + (a,))
-                rewritten += wa not in model.index[d + 1]
+                rewritten += wa not in model.basis[d + 1]
                 assert got == normal_form(AlgebraElement({wa: F.one}), model.gb, pf.order).terms, (w, a)
                 assert model.act(w, a) == got
     assert rewritten
@@ -109,7 +109,7 @@ def test_rewritten_lists_the_products_that_leave_the_normal_words(name, text, ca
     for d in range(cap):
         products = {(i, k): Path(w.source, a.target, w.arrows + (a,)) for i, w in enumerate(model.basis[d])
                     for k, a in enumerate(pf.quiver.arrows) if a.source == w.target}
-        left = [ik for ik, wa in products.items() if wa not in model.index[d + 1]]
+        left = [ik for ik, wa in products.items() if wa not in model.basis[d + 1]]
         assert model.rewritten[d] == sorted(left, key=lambda ik: pf.order.path_key(products[ik])), d
 
 
@@ -122,7 +122,7 @@ def _level_inputs():
 def test_model_levels_are_the_reference_levels():
     for name, text, cap in _level_inputs():
         pf, model = _input_model(text, cap)
-        got = (model.basis, model.index, model.parent, model.ranks, model.rewritten)
+        got = (model.basis, model.parent, model.ranks, model.rewritten)
         assert got == reference_levels(pf.quiver, model.gb, cap), name
         for d, level in enumerate(model.basis):
             want: dict = {}
@@ -228,7 +228,7 @@ def test_relation_seeds_read_through_the_tables_are_the_normal_forms(cap):
                 want: dict = {}
                 for (j, w), c in module_normal_form(r, model.gb).terms.items():
                     d = pres.generators[j].degree + w.length
-                    column = cover.block(d, w.target)[1][j][model.index[w.length][w]]
+                    column = cover.block(d, w.target)[1][j][model.basis[w.length].index(w)]
                     want.setdefault((d, w.target), {})[column] = c
                 got = {(d, v): vec for d, v, vec in cover.from_terms(r.terms)}
                 assert got == want, (name, module, r)

@@ -159,6 +159,30 @@ def _basis(field, ideal, cap=4):
     return groebner_basis(pf.ideal, pf.order, cap)
 
 
+# A single-valued setting given twice, and Fp 0, each with its one
+# diagnostic; TWO_LOOPS puts the [field] line on line 12 and the ideal on 15.
+SETTING_TWICE = {
+    "field-line": ({"field": "Q\nFp 7"}, "13:1: E_DUPLICATE: duplicate field line; [field] holds one"),
+    "field-section": ({"ideal": "x*y\n[field]\nFp 7"}, "16:1: E_DUPLICATE: duplicate [field] section"),
+    "Fp-0": ({"field": "Fp 0"}, "12:4: E_BAD_FIELD: 0 is not prime"),
+    "order-arrows": ({"ideal": "x*y\n[order]\narrows y > x"}, "17:1: E_DUPLICATE: duplicate order line 'arrows'"),
+    "order-vertices": ({"ideal": "x*y\n[order]\n  vertices e"}, "17:3: E_DUPLICATE: duplicate order line 'vertices'"),
+    "params-key": ({"ideal": "x*y\n[params]\nmax-n 2\nseed 1\nmax-n 3"},
+                   "19:1: E_DUPLICATE: duplicate params line 'max-n'"),
+}
+
+
+@pytest.mark.parametrize("case", SETTING_TWICE)
+def test_a_single_valued_setting_appears_at_most_once(case, tmp_path, capsys):
+    fill, expected = SETTING_TWICE[case]
+    text = TWO_LOOPS.format(**{"field": "Q", "ideal": "x*y", **fill})
+    assert _diagnostics(text) == [expected]
+    path = tmp_path / "twice.alg"
+    path.write_text(text)
+    assert run(["groebner", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"{path}:{expected}\n"
+
+
 def test_terms_vanishing_mod_p_drop_out():
     for ideal, over_q in (("x*y - 8*x*y", "x*y"), ("7*x*x", "x*x")):
         assert _basis("Fp 7", ideal).elements == ()

@@ -56,7 +56,7 @@ def test_first_syzygy_relation_inside_ideal(two_loop, cube_model):
     assert min(p.length for (_j, p) in syz.absorbed) == 2
     # Each absorbed tip is a word that is not normal, though its longest proper prefix is.
     for _j, p in syz.absorbed:
-        assert p not in cube_model.index[p.length] and p.prefix(p.length - 1) in cube_model.index[p.length - 1]
+        assert p not in cube_model.basis[p.length] and p.prefix(p.length - 1) in cube_model.basis[p.length - 1]
 
 
 def test_absorbed_members_reduce_to_zero(two_loop, cube_model, cube_A0):
@@ -67,10 +67,10 @@ def test_absorbed_members_reduce_to_zero(two_loop, cube_model, cube_A0):
                  cyclic(two_loop, "e", [w("x")], F.one)):
         syz = first_syzygy(pres, cube_model, 7)
         _tips, elems, absorbed = reference_first_syzygy(pres, cube_model, 7)
-        assert Counter(syz.absorbed) == Counter(tip(e, cube_model.order) for _j, _w, e in absorbed)
+        assert Counter(syz.absorbed) == Counter(tip(e, cube_model.gb.order) for _j, _w, e in absorbed)
         for _j, _w, e in absorbed:
             assert module_normal_form(e, cube_model.gb).is_zero()
-        assert syz.survivors == tuple(tip(e, cube_model.order) for e in elems)
+        assert syz.survivors == tuple(tip(e, cube_model.gb.order) for e in elems)
         for e in elems:
             assert not module_normal_form(e, cube_model.gb).is_zero()
 
@@ -100,13 +100,13 @@ def test_survivor_tips_are_the_term_order_tips(two_loop, cube_model):
     syz = first_syzygy(pres, cube_model, 6)
     _tips, elems, _absorbed = reference_first_syzygy(pres, cube_model, 6)
     assert len(syz.survivors) >= 2
-    assert list(syz.survivors) == [tip(e, cube_model.order) for e in elems]
+    assert list(syz.survivors) == [tip(e, cube_model.gb.order) for e in elems]
 
 
 def _assert_first_syzygy_matches_reference(pres, model, cap, label):
     syz = first_syzygy(pres, model, cap)
     tips, elems, absorbed = reference_first_syzygy(pres, model, cap)
-    assert syz.survivors == tuple(tips) == tuple(tip(e, model.order) for e in elems), label
+    assert syz.survivors == tuple(tips) == tuple(tip(e, model.gb.order) for e in elems), label
     assert Counter(syz.absorbed) == Counter((j, p) for j, p, _e in absorbed), label
     degs = [pres.generators[j].degree + p.length for j, p in tips]
     assert (syz.min_degree, syz.max_degree) == ((min(degs), max(degs)) if degs else (None, None)), label
