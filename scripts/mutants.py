@@ -63,13 +63,6 @@ MUTANTS = [
          "tests/test_algebra.py::test_insert_takes_an_element_as_add_does[F7]"),
     ),
     Mutant(
-        "handed-over TipIndex takes the unreduced tails",
-        "src/pathalg/algebra.py",
-        "final.insert(terms)",
-        "final.insert({**dict(tails[k]), keys[k]: 1})",
-        ("tests/test_algebra.py::test_completion_hands_over_the_tip_index_of_its_elements",),
-    ),
-    Mutant(
         "first_syzygy absorbs below kept tips",
         "src/pathalg/syzygy.py",
         "if h.source == g.vertex and not below(j, length, i):",

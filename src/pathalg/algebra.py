@@ -24,16 +24,16 @@ popped; a pair of monomials and an overlap that a third tip strictly
 inside its ambiguity word already resolves (the chain criterion) are not
 reduced at all.  A normal form is a single descending pass over a heap of
 rank words (`_reduce_words`); each word's reducer is found in one scan of
-the word by a TipIndex, an Aho-Corasick automaton over the tip words.
-Completion works in rank words throughout: each new element goes into the
-TipIndex by `insert`, and no `Path` is built until the reduced basis is
-returned, together with a TipIndex of its final elements that completion
-fills from the same rank words.
+the word by a TipIndex, an Aho-Corasick automaton over the tip words,
+which a GroebnerBasis builds once and keeps.  Completion works in rank
+words throughout: each new element goes into the TipIndex by `insert`, and
+no `Path` is built until the reduced basis is returned.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
@@ -163,9 +163,6 @@ def monic(x: AlgebraElement, order: OrderSpec) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """The reduced basis in ascending tip order, and its status.  `tip_index` holds the same elements
-    in that order, inserted by completion in rank words, or by `TipIndex.add` in a basis built by hand."""
-
     elements: tuple[AlgebraElement, ...]
     tips: tuple[Path, ...]
     complete: bool
@@ -173,11 +170,6 @@ class GroebnerBasis:
     order: OrderSpec
     # Largest proper-overlap degree among the final tips (informational).
     max_overlap_degree: int = 0
-    tip_index: "TipIndex" = dc_field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.tip_index is None:
-            object.__setattr__(self, "tip_index", TipIndex(self.order, self.elements))
 
     @property
     def status(self) -> str:
@@ -188,6 +180,11 @@ class GroebnerBasis:
             raise TruncatedBasisError(
                 f"a complete Groebner basis is required; this one is {self.status}"
             )
+
+    @cached_property
+    def tip_index(self) -> "TipIndex":
+        """The reducers of `normal_form`, built on first use."""
+        return TipIndex(self.order, self.elements)
 
 
 class TipIndex:
@@ -473,16 +470,14 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
 
     # Ascending term order by tip: the reverse of the order `insert` takes its tip by.
     ranked = sorted(range(len(keys)), key=lambda k: (-len(keys[k]), keys[k]), reverse=True)
-    basis, final = [], TipIndex(order)
-    final.arrows = arrows
+    basis = []
     for k in ranked:
         terms = _reduce_words(dict(tails[k]), index, p)
         terms[keys[k]] = 1
-        final.insert(terms)
         basis.append(AlgebraElement({_path(w, arrows): c for w, c in terms.items()}))
     tips_ = tuple(_path(keys[k], arrows) for k in ranked)
     all_monomial = all(len(g.terms) == 1 for g in basis)
     max_overlap = max((deg for a in keys for b in keys for deg, _ in _overlaps(a, b)), default=0)
     complete = not waiting and (all_monomial or max_overlap <= max_degree)
-    return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap, final)
+    return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 

@@ -27,8 +27,8 @@ numbers to exact scalars, and each arrow acts on a block through an
 integer table.  Blocks and tables are built once per model and cover
 shape, so covers that differ by a degree shift share them.  The model
 spells words as the TipIndex does, in rank words, and numbers them by
-their place in `basis`; it keeps a normal word's `Path` there only for
-first syzygies and `act` to read, and looks no path up by hash.
+their place in `basis`; it keeps each normal word's `Path` there, for its
+endpoints, first syzygies and `act`, and looks no path up by hash.
 """
 from __future__ import annotations
 
@@ -141,9 +141,10 @@ class GradedAlgebraModel:
         w must be a normal word below the cap; anything else raises PathAlgError.
         """
         d = w.length
-        if d >= self.degree_cap or w not in self.basis[d]:
-            raise PathAlgError(f"{w} is not a normal word below the model cap {self.degree_cap}")
-        i = self.basis[d].index(w)
+        try:
+            i = (self.basis[d] if d < self.degree_cap else []).index(w)
+        except ValueError:
+            raise PathAlgError(f"{w} is not a normal word below the model cap {self.degree_cap}") from None
         nxt = self.basis[d + 1]
         return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
 

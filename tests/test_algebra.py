@@ -2,7 +2,7 @@ import hashlib
 import pathlib
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
 import pytest
 
@@ -20,7 +20,7 @@ from pathalg.corpus import instances
 from pathalg.fields import Field
 from pathalg.problem import parse
 from pathalg.quiver import normal_word_levels
-from tests.conftest import perfbench_module, words
+from tests.conftest import words
 from tests.helpers import _s_element, proper_overlaps, random_homogeneous_element, reference_completion
 from tests.reference import ideal_membership, module_normal_form
 
@@ -463,48 +463,6 @@ def test_completion_builds_no_path_until_it_returns(monkeypatch):
         m.setattr(OrderSpec, "path_key", refuse)
         patched = [groebner_basis(*args) for args in inputs]
     assert [_basis_summary(gb) for gb in patched] == [_basis_summary(gb) for gb in bases]
-
-
-def _handed_over_inputs():
-    """(name, generators, order, cap): the fixtures and perfbench inputs and the gb-sklyanin triples
-    at cap 8, then seeded completions over Q and F_7 at cap 5."""
-    workloads = perfbench_module("workloads")
-    texts = [(p.name, p.read_text()) for p in sorted((ROOT / "fixtures").glob("*.alg"))]
-    texts += [(p.name, p.read_text()) for p in sorted((ROOT / "perfbench" / "inputs").glob("*.alg"))]
-    template = (workloads.INPUTS / "sklyanin.template").read_text()
-    texts += [(f"sklyanin{abc}", template.format(a=abc[0], b=abc[1], c=abc[2]))
-              for abc in workloads.sklyanin_triples(20260808, workloads.SCALES["full"]["gb_generic"])]
-    for name, text in texts:
-        pf = parse(text)
-        yield name, pf.ideal, pf.order, 8
-    rng = random.Random(20261020)
-    for n in range(30):
-        names = "xyz"[:rng.choice([2, 3])]
-        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
-        field = (F, Field(7))[n % 2]
-        order = OrderSpec(tuple(rng.sample(names, len(names))), ("e",), field=field)
-        gens = [random_homogeneous_element(rng, q, field, rng.choice([2, 2, 3]), terms=rng.randint(1, 4))
-                for _ in range(rng.randint(1, 3))]
-        yield f"seeded {n} over {field.name}", gens, order, 5
-
-
-def test_completion_hands_over_the_tip_index_of_its_elements():
-    """`gb.tip_index` is the TipIndex that `add` builds from `gb.elements`: keys, tails (order and
-    coefficient types) and `find` on every rank word up to length 6.  A basis built by hand, as
-    perfbench's tests build one, gets that TipIndex too."""
-    tailed = 0
-    for name, gens, order, cap in _handed_over_inputs():
-        gb = groebner_basis(gens, order, cap)
-        got, want = gb.tip_index, TipIndex(gb.order, gb.elements)
-        assert got.keys == want.keys and got.tails == want.tails, name
-        by_hand = type(gb)(gb.elements, gb.tips, gb.complete, gb.degree_bound, gb.order).tip_index
-        assert by_hand.keys == want.keys and by_hand.tails == want.tails, name
-        assert [[type(c) for _, c in t] for t in got.tails] == [[type(c) for _, c in t] for t in want.tails], name
-        for n in range(7):
-            for w in product(range(len(order.arrow_rank)), repeat=n):
-                assert got.find(w) == want.find(w), (name, w)
-        tailed += any(got.tails)
-    assert tailed >= 20
 
 
 def test_normal_form_refuses_a_basis_of_another_order(two_loop, two_loop_order, cube_gb):

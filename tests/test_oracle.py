@@ -88,6 +88,7 @@ def test_action_tables_are_the_normal_forms(name, text, cap):
         assert not model.gb.complete and max(t.length for t in model.gb.tips) > 2
     rewritten = 0
     for d in range(cap):
+        normal = set(model.basis[d + 1])
         for k, a in enumerate(pf.quiver.arrows):
             table = model.action(d, k)
             for i, w in enumerate(model.basis[d]):
@@ -96,7 +97,7 @@ def test_action_tables_are_the_normal_forms(name, text, cap):
                     assert got == {}
                     continue
                 wa = Path(w.source, a.target, w.arrows + (a,))
-                rewritten += wa not in model.basis[d + 1]
+                rewritten += wa not in normal
                 assert got == normal_form(AlgebraElement({wa: F.one}), model.gb, pf.order).terms, (w, a)
                 assert model.act(w, a) == got
     assert rewritten
@@ -107,9 +108,10 @@ def test_rewritten_lists_the_products_that_leave_the_normal_words(name, text, ca
     pf, model = _input_model(text, cap)
     assert len(model.rewritten) == cap
     for d in range(cap):
+        normal = set(model.basis[d + 1])
         products = {(i, k): Path(w.source, a.target, w.arrows + (a,)) for i, w in enumerate(model.basis[d])
                     for k, a in enumerate(pf.quiver.arrows) if a.source == w.target}
-        left = [ik for ik, wa in products.items() if wa not in model.basis[d + 1]]
+        left = [ik for ik, wa in products.items() if wa not in normal]
         assert model.rewritten[d] == sorted(left, key=lambda ik: pf.order.path_key(products[ik])), d
 
 
