@@ -63,6 +63,21 @@ MUTANTS = [
          "tests/test_algebra.py::test_insert_takes_an_element_as_add_does[F7]"),
     ),
     Mutant(
+        "reducer pushes every new word on the current length's heap",
+        "src/pathalg/algebra.py",
+        "if len(word) == n:",
+        "if True:",
+        ("tests/test_algebra.py::test_normal_form_takes_longer_words_first",),
+    ),
+    Mutant(
+        "final tail pass reuses the last degree's memo",
+        "src/pathalg/algebra.py",
+        "basis, memo = [], {}",
+        "basis = []",
+        ("tests/test_algebra.py::test_random_completions_against_span_oracle",
+         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
+    ),
+    Mutant(
         "first_syzygy absorbs below kept tips",
         "src/pathalg/syzygy.py",
         "if h.source == g.vertex and not below(j, length, i):",

@@ -13,21 +13,28 @@ never acts as a nonzero one.
 The reduced Groebner basis of a homogeneous ideal I inside (kQ_{>0})^2 is
 computed by overlap completion, truncated at a caller-supplied degree; the
 completeness status is part of the result.  Completion is degree-ordered,
-as in Bergman's diamond lemma and Green's completion for path algebras:
-generators and overlaps wait in one heap keyed by degree, and each is
-reduced once against the basis so far.  Because they arrive in increasing
-degree, a new tip neither is divisible by an older tip nor divides one, so
-the tips form an antichain throughout, no element is ever dropped, and one
-final pass that reduces every tail makes the basis reduced.  An overlap's
-S-element is built from the two tails, in rank words, only when it is
-popped; a pair of monomials and an overlap that a third tip strictly
-inside its ambiguity word already resolves (the chain criterion) are not
-reduced at all.  A normal form is a single descending pass over a heap of
-rank words (`_reduce_words`); each word's reducer is found in one scan of
-the word by a TipIndex, an Aho-Corasick automaton over the tip words,
-which a GroebnerBasis builds once and keeps.  Completion works in rank
-words throughout: each new element goes into the TipIndex by `insert`, and
-no `Path` is built until the reduced basis is returned.
+as in Bergman's diamond lemma and Green's completion for path algebras, and
+takes one degree at a time, in the manner of F4: the degree's generators
+and S-elements are reduced modulo the lower-degree basis, and their
+remainders are eliminated together in one `linalg.Subspace` over the
+degree's rank words, so a zero reduction is an `add` that enlarges
+nothing.  The echelon rows join the basis when the degree is done.  This
+is sound because every overlap of a degree-d element has degree > d,
+the chain criterion reads only tips shorter than d, and the truncated
+reduced basis is unique: the tips form an antichain throughout, no element
+is ever dropped, and one final pass that reduces every tail makes the
+basis reduced.  An overlap's S-element is built from the two tails, in
+rank words, only when its degree comes; a pair of monomials and an overlap
+that a third tip strictly inside its ambiguity word already resolves (the
+chain criterion) are not reduced at all.  A normal form is a single
+descending pass over heaps of rank words (`_reduce_words`); each word's
+reducer is found in one scan of the word by a TipIndex, an Aho-Corasick
+automaton over the tip words, which a GroebnerBasis builds once and keeps.
+Completion works in rank words throughout: each degree's elements go into
+the TipIndex by `insert`, so the automaton is rebuilt once per degree, and
+no `Path` is built until the reduced basis is returned.  Over Q, the basis
+and `normal_form` give each coefficient as an int, or as a Fraction only
+where it is not integral.
 """
 from __future__ import annotations
 
@@ -39,6 +46,7 @@ from typing import Iterable, Mapping
 
 from .errors import PathAlgError, TruncatedBasisError
 from .fields import Field
+from .linalg import Subspace
 from .order import OrderSpec
 from .quiver import Arrow, Path
 
@@ -79,12 +87,6 @@ class AlgebraElement:
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def left_mul(self, u: Path) -> "AlgebraElement":
-        return AlgebraElement({u * p: c for p, c in self.terms.items() if u.target == p.source})
-
-    def right_mul(self, v: Path) -> "AlgebraElement":
-        return AlgebraElement({p * v: c for p, c in self.terms.items() if p.target == v.source})
 
     def degree(self) -> int:
         """Common length of the support paths; raises if inhomogeneous or zero."""
@@ -306,40 +308,64 @@ def _words(x: AlgebraElement, order: OrderSpec, arrows: dict[int, Arrow]) -> dic
     return terms
 
 
-def _reduce_words(terms: dict, index: TipIndex, p: int) -> dict:
+def _reduce_words(terms: dict, index: TipIndex, p: int, memo: dict) -> dict:
     """The normal form of a map from rank words to coefficients, greatest word first.
 
-    `terms` is used up.  Words are taken from a heap, greatest first.  A
-    rewrite replaces a word by smaller ones only (the order is admissible),
-    so every word is popped once and the pass ends when the heap is empty.
-    Over F_p (p > 0) a word's coefficient is reduced mod p once, when it is
-    popped, so the rewrites in between are plain int arithmetic.
+    `terms` is used up.  Words are taken greatest first: one heap of plain
+    rank words per length, the longest length first, since among words of
+    one length the least tuple is the greatest word.  A rewrite replaces a
+    word by smaller ones only (the order is admissible): by words of its
+    own length, pushed on the current heap, or by shorter ones, which wait
+    for theirs.  So every word is popped once, even with inhomogeneous
+    reducers, and the pass ends when the last heap is empty.  Over F_p
+    (p > 0) a word's coefficient is reduced mod p once, when it is popped,
+    so the rewrites in between are plain int arithmetic; over Q a
+    surviving integral Fraction leaves as an int.
+
+    `memo` maps each word already met to its one-step rewrite (the
+    reducer's tail placed in the word), or to None for a normal word.  It
+    is valid while the index is unchanged, so a caller shares it between
+    reductions only until the next `insert`.
     """
     find, keys, tails = index.find, index.keys, index.tails
-    heap = [(-len(w), w) for w in terms]
-    heapify(heap)
+    heaps: dict[int, list] = {}
+    for w in terms:
+        heaps.setdefault(len(w), []).append(w)
     out: dict[tuple[int, ...], object] = {}
-    while heap:
-        _, w = heappop(heap)
-        c = terms.pop(w)
-        if p:
-            c %= p
-        if not c:
-            continue
-        found = find(w)
-        if found is None:
-            out[w] = c
-            continue
-        k, i = found
-        head, rest = w[:i], w[i + len(keys[k]):]
-        for q, d in tails[k]:
-            word = head + q + rest
-            s = terms.get(word)
-            if s is None:
-                terms[word] = -(c * d)
-                heappush(heap, (-len(word), word))
-            else:
-                terms[word] = s - c * d
+    while heaps:
+        n = max(heaps)
+        heap = heaps.pop(n)
+        heapify(heap)
+        while heap:
+            w = heappop(heap)
+            c = terms.pop(w)
+            if p:
+                c %= p
+            if not c:
+                continue
+            rewrite = memo.get(w, False)
+            if rewrite is False:
+                found = find(w)
+                if found is None:
+                    rewrite = None
+                else:
+                    k, i = found
+                    head, rest = w[:i], w[i + len(keys[k]):]
+                    rewrite = [(head + q + rest, d) for q, d in tails[k]]
+                memo[w] = rewrite
+            if rewrite is None:
+                out[w] = c if p or c.denominator != 1 else c.numerator
+                continue
+            for word, d in rewrite:
+                s = terms.get(word)
+                if s is None:
+                    terms[word] = -(c * d)
+                    if len(word) == n:
+                        heappush(heap, word)
+                    else:
+                        heaps.setdefault(len(word), []).append(word)
+                else:
+                    terms[word] = s - c * d
     return out
 
 
@@ -354,7 +380,7 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
     index = _reducers(basis, order)
     # x's own arrows by rank; the index knows the arrows of its tails.
     own: dict[int, Arrow] = {}
-    out = _reduce_words(_words(x, order, own), index, order.field.characteristic)
+    out = _reduce_words(_words(x, order, own), index, order.field.characteristic, {})
     # Every rewrite keeps a word's endpoints, so all words share x's.
     end = next(iter(x.terms), None)
     arrows = index.arrows
@@ -401,28 +427,38 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     of its two elements joins the basis.  An overlap waits as the pair of
     elements and the number of letters their tips share; its S-element is
     built only when it is popped, in rank words, from the two tails (the
-    tips cancel unwritten).  Each item is reduced once against the basis so
-    far; a nonzero remainder joins it, made monic.  Since items come out in
-    increasing degree, a new tip is not divisible by any older tip (it is
-    reduced) and divides none (an older tip is no longer, so it would have
-    to be equal).  The tips therefore stay an antichain, no element is ever
-    dropped, and every overlap degree exceeds the degrees of both its
-    elements.  A final pass reduces each tail against the whole basis.
+    tips cancel unwritten).
+
+    The heap is taken one degree d at a time.  Each of the degree's items
+    is reduced modulo the basis of degree < d, which does not change while
+    d lasts, so the reductions share one memo of one-step rewrites.  Each
+    remainder is added to one `Subspace` whose columns are the rank words of
+    length d; a remainder that is zero, or in the span of the ones before
+    it, enlarges nothing.  When the degree is done, the echelon rows join
+    the index together, each monic on its pivot, which is its tip, so the
+    automaton is rebuilt once per degree.  This is sound.  Each remainder
+    is normal modulo the lower degrees, so a new tip is divisible by no
+    older tip, and it divides none, since an older tip is no longer and
+    pivots differ.  The tips therefore stay an antichain, no element is
+    ever dropped, and every overlap of a degree-d element has degree > d,
+    so nothing of degree d is missed by waiting for the degree's end.  The
+    rows' tails may hold one another's tips; a final pass reduces each tail
+    against the whole basis, with a fresh memo.  The truncated reduced
+    basis is unique, so the result is the one that adding each remainder
+    as it comes gives.
 
     Two kinds of overlap are never reduced.  A pair of monomials has the
     S-element 0, so it is not pushed.  And an overlap whose ambiguity word
     w has a basis tip strictly inside it, in w[1:-1], is skipped (the chain
-    criterion of Bergman's diamond lemma).  This is sound: every tip
-    shorter than w is in the index when w is popped, since items come out
-    in degree order.  An interior tip t_k splits the overlap of t_i (a
-    prefix of w) with t_j (a suffix) into the pairs (i, k) and (k, j).
-    Neither tip is a factor of the other, so each pair is disjoint or
-    overlaps in a proper factor of w; that overlap has lower degree and has
-    already been resolved, by reduction or, by induction, by this
-    criterion.  So the skipped S-element is a combination of multiples of
-    basis elements whose terms lie below w, which is all the diamond lemma
-    asks of it.  The truncated reduced basis is unique, so the result is
-    the one that reducing every S-element gives.
+    criterion of Bergman's diamond lemma).  This is sound: such a tip is
+    shorter than w, and every tip shorter than w is in the index when w's
+    degree comes.  An interior tip t_k splits the overlap of t_i (a prefix
+    of w) with t_j (a suffix) into the pairs (i, k) and (k, j).  Neither
+    tip is a factor of the other, so each pair is disjoint or overlaps in a
+    proper factor of w; that overlap has lower degree and has already been
+    resolved, by reduction or, by induction, by this criterion.  So the
+    skipped S-element is a combination of multiples of basis elements whose
+    terms lie below w, which is all the diamond lemma asks of it.
 
     A generator of degree above max_degree waits above the cap like an
     S-element.  The status is `complete` exactly when no generator waits and
@@ -443,36 +479,41 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     waiting = len(queue) < len(gens)
     heapify(queue)
     while queue:
-        _, _, ia, ib, shared = heappop(queue)
-        if ib is None:
-            terms = words[ia]
-        else:
-            a, b = keys[ia], keys[ib]
-            right, left = b[shared:], a[:len(a) - shared]
-            # A tip inside the ambiguity word resolves it (see the docstring).
-            if find((a + right)[1:-1]) is not None:
-                continue
-            terms = {q + right: c for q, c in tails[ia]}
-            for q, d in tails[ib]:
-                w = left + q
-                terms[w] = terms.get(w, 0) - d
-        h = _reduce_words(terms, index, p)
-        if not h:
-            continue
-        index.insert(h)
-        k = len(keys) - 1
-        for j in range(k + 1):
-            for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
-                if tails[ia] or tails[ib]:
-                    for deg, shared in _overlaps(keys[ia], keys[ib]):
-                        if deg <= max_degree:
-                            heappush(queue, (deg, next(ticket), ia, ib, shared))
+        # One degree: its items are reduced modulo the lower-degree basis,
+        # which stays fixed, so they share one rewrite memo, and their
+        # remainders are eliminated in one span over the degree's rank words.
+        degree, memo, span = queue[0][0], {}, Subspace(order.field)
+        while queue and queue[0][0] == degree:
+            _, _, ia, ib, shared = heappop(queue)
+            if ib is None:
+                terms = words[ia]
+            else:
+                a, b = keys[ia], keys[ib]
+                right, left = b[shared:], a[:len(a) - shared]
+                # A tip inside the ambiguity word resolves it (see the docstring).
+                if find((a + right)[1:-1]) is not None:
+                    continue
+                terms = {q + right: c for q, c in tails[ia]}
+                for q, d in tails[ib]:
+                    w = left + q
+                    terms[w] = terms.get(w, 0) - d
+            span.add(_reduce_words(terms, index, p, memo))
+        for row in span.rows:
+            index.insert(row)
+            k = len(keys) - 1
+            for j in range(k + 1):
+                for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
+                    if tails[ia] or tails[ib]:
+                        for deg, shared in _overlaps(keys[ia], keys[ib]):
+                            if deg <= max_degree:
+                                heappush(queue, (deg, next(ticket), ia, ib, shared))
 
     # Ascending term order by tip: the reverse of the order `insert` takes its tip by.
     ranked = sorted(range(len(keys)), key=lambda k: (-len(keys[k]), keys[k]), reverse=True)
-    basis = []
+    # The index now holds the last degree too, so that degree's memo is stale.
+    basis, memo = [], {}
     for k in ranked:
-        terms = _reduce_words(dict(tails[k]), index, p)
+        terms = _reduce_words(dict(tails[k]), index, p, memo)
         terms[keys[k]] = 1
         basis.append(AlgebraElement({_path(w, arrows): c for w, c in terms.items()}))
     tips_ = tuple(_path(keys[k], arrows) for k in ranked)

@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over Q or F_p.
 
-A vector is a dict from column number to a nonzero scalar: over Q an int,
-or a Fraction where one occurs; over F_p an int in [1, p).  A missing
-column is zero.  The field is given when a Subspace is made.  A Subspace
-keeps its rows in echelon form: each row's pivot is its smallest column,
-with entry 1, and no two rows share a pivot.  Rows are not reduced
-against later rows.  Listing coordinates in descending order of a term
-order therefore makes each pivot the row's leading coordinate, and the
-residue of a vector is the unique representative of its class that is
-zero on every pivot column, whatever order the rows were inserted in.
-Only nonzero entries are ever stored or touched.
+A vector is a dict from column to a nonzero scalar: over Q an int, or a
+Fraction where one occurs; over F_p an int in [1, p).  A missing column is
+zero.  The columns of one Subspace are keys of one totally ordered kind:
+ints in the oracle, and in completion the rank words of one length, where
+the least tuple is the greatest word.  The field is given when a Subspace
+is made.  A Subspace keeps its rows in echelon form: each row's pivot is
+its smallest column, with entry 1, and no two rows share a pivot.  Rows
+are not reduced against later rows.  Listing coordinates in descending
+order of a term order therefore makes each pivot the row's leading
+coordinate, and the residue of a vector is the unique representative of
+its class that is zero on every pivot column, whatever order the rows were
+inserted in.  Only nonzero entries are ever stored or touched.
 """
 from __future__ import annotations
 

@@ -19,8 +19,6 @@ cover's dim less the image's, which is X's for the first cover and the
 kernel's before it for each later one.  `kernel_pieces` eliminates only a
 block that the arrow images leave short of its count, where a generator is
 born, and the last step only counts.
-`ideal_span` spans a degree of a two-sided ideal over all paths, with no
-Groebner data, to cross-check normal forms.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
@@ -33,16 +31,15 @@ endpoints, first syzygies and `act`, and looks no path up by hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 # perfbench/tracing.py resolves `normal_form` through this module's __dict__; nothing here calls it.
-from .algebra import AlgebraElement, GroebnerBasis, normal_form  # noqa: F401
+from .algebra import GroebnerBasis, normal_form  # noqa: F401
 from .errors import PathAlgError
 from .fields import Field
 from .linalg import Subspace, left_nullspace
 from .presentation import ModulePresentation
-from .quiver import Arrow, Path, Quiver, normal_word_levels
+from .quiver import Arrow, Path, Quiver
 
 
 class GradedAlgebraModel:
@@ -590,34 +587,6 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
         alive_at_cap=alive,
         zero_tail_from=zero_tail_from,
     )
-
-
-def ideal_span(generators: Sequence[AlgebraElement], quiver: Quiver, field: Field, d: int) -> Subspace:
-    """The degree-d piece of the two-sided ideal the homogeneous generators produce.
-
-    Column i is path i of `quiver.paths_of_length(d)`; the rows span every
-    u * g * v of length d over paths u and v.  Brute force over all paths,
-    independent of any Groebner data.
-    """
-    levels = list(islice(normal_word_levels(quiver, ()), d + 1))
-    idx = {p: i for i, p in enumerate(levels[d])}
-    span = Subspace(field)
-    for g in generators:
-        if not g:
-            continue
-        dg = g.degree()
-        if dg > d:
-            continue
-        for i in range(d - dg + 1):
-            for u in levels[i]:
-                left = g.left_mul(u)
-                if not left:
-                    continue
-                for v in levels[d - dg - i]:
-                    gv = left.right_mul(v)
-                    if gv:
-                        span.add({idx[p]: c for p, c in ((p, field.of(c)) for p, c in gv.terms.items()) if c})
-    return span
 
 
 @dataclass(frozen=True)

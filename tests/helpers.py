@@ -29,7 +29,7 @@ from pathalg.corpus import check_composition_bounds, check_extrema_inequalities 
 from pathalg.corpus import instances, normal_word_dims_ok
 from pathalg.fields import Field
 from pathalg.oracle import presentation_cover, span_from_seeds
-from tests.reference import divides_left, find_partition
+from tests.reference import divides_left, find_partition, left_mul, right_mul
 
 
 def random_homogeneous_element(
@@ -143,7 +143,7 @@ def _s_element(a, b, ta, tb, shared):
     mod p, because both multiples have coefficients in [0, p); `normal_form`
     reduces them on intake.
     """
-    left, right = a.right_mul(tb.suffix(tb.length - shared)), b.left_mul(ta.prefix(ta.length - shared))
+    left, right = right_mul(a, tb.suffix(tb.length - shared)), left_mul(b, ta.prefix(ta.length - shared))
     terms = dict(left.terms)
     for q, c in right.terms.items():
         prev = terms.get(q)
@@ -246,6 +246,6 @@ def reference_first_syzygy(pres, model, degree_cap):
                         continue
                     if any(jj == j and divides_left(q, w) for (jj, q) in kept_tips):
                         continue
-                    lift = elem.left_mul(u)
+                    lift = left_mul(elem, u)
                     absorbed.append((j, w, ModuleElement({(j, p): c for p, c in lift.terms.items()})))
     return kept_tips, kept_elems, absorbed

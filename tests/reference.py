@@ -4,7 +4,8 @@
   exhaustion over short paths.
 - `module_normal_form` reduces a free-module element componentwise, and
   `ideal_membership` decides membership in a two-sided ideal by brute-force
-  linear algebra over all paths (`pathalg.oracle.ideal_span`).
+  linear algebra over all paths (`ideal_span`, which multiplies elements
+  by paths with `left_mul` and `right_mul`).
 - `chain` reads a word's chain back along an overlap table's predecessor
   links.
 - `reference_levels` lists a model's level tables as the model did
@@ -35,14 +36,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 from pathalg.algebra import AlgebraElement, GroebnerBasis, ModuleElement, normal_form
 from pathalg.errors import NotReducedError, PathAlgError
 from pathalg.fields import Field
-from pathalg.linalg import left_nullspace
+from pathalg.linalg import Subspace, left_nullspace
 from pathalg.oracle import (
     CoverSpace,
     FreeSummand,
     GradedAlgebraModel,
     QuotientSpace,
     ResolutionReport,
-    ideal_span,
     minimal_generators_of_pieces,
     presentation_cover,
     span_from_seeds,
@@ -129,6 +129,42 @@ def module_normal_form(m: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
         for p, c in red.terms.items():
             out[(i, p)] = c
     return ModuleElement(out)
+
+
+def left_mul(x: AlgebraElement, u: Path) -> AlgebraElement:
+    return AlgebraElement({u * p: c for p, c in x.terms.items() if u.target == p.source})
+
+
+def right_mul(x: AlgebraElement, v: Path) -> AlgebraElement:
+    return AlgebraElement({p * v: c for p, c in x.terms.items() if p.target == v.source})
+
+
+def ideal_span(generators: Sequence[AlgebraElement], quiver: Quiver, field: Field, d: int) -> Subspace:
+    """The degree-d piece of the two-sided ideal the homogeneous generators produce.
+
+    Column i is path i of `quiver.paths_of_length(d)`; the rows span every
+    u * g * v of length d over paths u and v.  Brute force over all paths,
+    independent of any Groebner data.
+    """
+    levels = list(itertools.islice(normal_word_levels(quiver, ()), d + 1))
+    idx = {p: i for i, p in enumerate(levels[d])}
+    span = Subspace(field)
+    for g in generators:
+        if not g:
+            continue
+        dg = g.degree()
+        if dg > d:
+            continue
+        for i in range(d - dg + 1):
+            for u in levels[i]:
+                left = left_mul(g, u)
+                if not left:
+                    continue
+                for v in levels[d - dg - i]:
+                    gv = right_mul(left, v)
+                    if gv:
+                        span.add({idx[p]: c for p, c in ((p, field.of(c)) for p, c in gv.terms.items()) if c})
+    return span
 
 
 def ideal_membership(x: AlgebraElement, generators: Sequence[AlgebraElement], quiver: Quiver, field: Field) -> bool:

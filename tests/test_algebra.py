@@ -75,6 +75,14 @@ def test_normal_form_rejects_a_vertex_tip(two_loop, two_loop_order):
         normal_form(elem(two_loop, {"xy": 1}), [e], two_loop_order)
 
 
+def test_normal_form_takes_longer_words_first(two_loop, two_loop_order):
+    """With the inhomogeneous reducer y*y - x, a word is read only after every longer word that rewrites to it."""
+    g = [elem(two_loop, {"yy": 1, "x": -1})]
+    assert normal_form(elem(two_loop, {"x": 1, "yy": 1}), g, two_loop_order) == elem(two_loop, {"x": 2})
+    # Both cubes rewrite to x*x, which must wait for the second of them.
+    assert normal_form(elem(two_loop, {"xyy": 1, "yyx": 1}), g, two_loop_order) == elem(two_loop, {"xx": 2})
+
+
 def test_normal_form_completion_fixture(two_loop, cube_gb, two_loop_order):
     nf = normal_form(elem(two_loop, {"yyyy": 1}), cube_gb, two_loop_order)
     assert nf.is_zero()
@@ -465,6 +473,23 @@ def test_completion_builds_no_path_until_it_returns(monkeypatch):
     assert [_basis_summary(gb) for gb in patched] == [_basis_summary(gb) for gb in bases]
 
 
+def test_completion_builds_the_automaton_once_per_degree(monkeypatch):
+    """Each degree joins the index whole: one build per degree that adds elements, and one of the empty index."""
+    builds = []
+    build = TipIndex._build
+
+    def counted(self):
+        builds.append(len(self.keys))
+        build(self)
+
+    monkeypatch.setattr(TipIndex, "_build", counted)
+    _q, order, gens = _sklyanin(2, 3, 5)
+    gb = groebner_basis(gens, order, 8)
+    degrees = {t.length for t in gb.tips}
+    assert degrees == set(range(2, 9))
+    assert len(builds) <= len(degrees) + 1, builds
+
+
 def test_normal_form_refuses_a_basis_of_another_order(two_loop, two_loop_order, cube_gb):
     # A GroebnerBasis is reduced for its own order, so for another order it
     # is refused as a TipIndex is, not silently re-indexed.
@@ -499,3 +524,33 @@ def test_random_completions_against_span_oracle():
         shuffled = groebner_basis(gens[::-1], order, 5)
         assert [g.render() for g in shuffled.elements] == [g.render() for g in gb.elements]
     assert nontrivial >= 20
+
+
+def _is_q_scalar(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_q_coefficients_are_ints_or_proper_fractions():
+    """Over Q the basis and `normal_form` give an int, or a Fraction only where one occurs."""
+    bases = []
+    for path in sorted((ROOT / "fixtures").glob("*.alg")):
+        pf = parse(path.read_text())
+        if not pf.order.field.characteristic:
+            bases.append(groebner_basis(pf.ideal, pf.order, 9))
+    rng = random.Random(20261019)
+    reduced = []
+    for _ in range(40):
+        names = "xyz"[:rng.choice([2, 3])]
+        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
+        prec = list(names)
+        rng.shuffle(prec)
+        order = OrderSpec(tuple(prec), ("e",))
+        gens = [g for g in (random_homogeneous_element(rng, q, F, rng.choice([2, 2, 3]), terms=rng.randint(1, 4))
+                            for _ in range(rng.randint(1, 3))) if g]
+        if gens:
+            gb = groebner_basis(gens, order, 5)
+            bases.append(gb)
+            reduced += [normal_form(random_homogeneous_element(rng, q, F, 5, terms=3), gb, order) for _ in range(3)]
+    elements = [g for gb in bases for g in gb.elements] + reduced
+    assert any(type(c) is Fraction for g in elements for c in g.terms.values())
+    assert [c for g in elements for c in g.terms.values() if not _is_q_scalar(c)] == []

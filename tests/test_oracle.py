@@ -21,13 +21,19 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
-from pathalg.oracle import CoverSpace, FreeSummand, ideal_span, kernel_dims, kernel_pieces, presentation_cover
+from pathalg.oracle import CoverSpace, FreeSummand, kernel_dims, kernel_pieces, presentation_cover
 from pathalg.problem import parse
 from pathalg.quiver import Path, normal_word_levels
 from pathalg.syzygy import DegreeWindow, first_syzygy
 from tests.conftest import perfbench_module, truncated_polynomial, words
 from tests.helpers import cyclic
-from tests.reference import module_normal_form, reference_block, reference_levels, reference_minimal_resolution
+from tests.reference import (
+    ideal_span,
+    module_normal_form,
+    reference_block,
+    reference_levels,
+    reference_minimal_resolution,
+)
 
 F = Field(0)
 
