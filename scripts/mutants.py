@@ -103,10 +103,27 @@ MUTANTS = [
     Mutant(
         "extend keeps a word that is a tip",
         "src/pathalg/oracle.py",
-        "if find(ext) is None:",
-        "if find(ext[1:]) is None:",
+        "if e is None:",
+        "if e is None or len(keys[e]) == d:",
         ("tests/test_oracle.py::test_model_levels_are_the_reference_levels",
          "tests/test_oracle.py::test_model_dims_cube"),
+    ),
+    Mutant(
+        "extend keeps the parent's automaton state",
+        "src/pathalg/oracle.py",
+        "states.append(t)",
+        "states.append(s)",
+        ("tests/test_oracle.py::test_model_levels_are_the_reference_levels",
+         "tests/test_oracle.py::test_model_dims_cube"),
+    ),
+    Mutant(
+        "step 0 reuses R for any cover",
+        "src/pathalg/oracle.py",
+        "if n == 0 and domain.summands == cover.summands:",
+        "if n == 0:",
+        ("tests/test_oracle.py::test_step_0_spans_the_kernel_of_any_other_cover[cube_nonminimal_a0]",
+         "tests/test_oracle.py::test_step_0_spans_the_kernel_of_any_other_cover[two_vertices_out_of_order]",
+         "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route"),
     ),
     Mutant(
         "kernel_pieces drops its count check",

@@ -289,6 +289,21 @@ class TipIndex:
                     break
         return (best, end - len(self.keys[best])) if end else None
 
+    def step(self, state: int, r: int) -> tuple[int, int | None]:
+        """One automaton transition: the state after reading arrow rank r in `state`, 0 being the empty word's.
+
+        Also returns the insertion position of the first element whose tip
+        is a suffix of the word read so far, or None.  For a word w with no
+        tip inside it, reached in state s, `step(s, r)` tells at once what
+        `find(w + (r,))` does: a tip of w + (r,) can only end it.  A state
+        stays valid until the next `insert`.
+        """
+        if self._goto is None:
+            self._build()
+        s = self._goto[state][r]
+        k = self._first[s]
+        return s, (k if k < len(self.keys) else None)
+
 
 def _reducers(basis, order: OrderSpec) -> TipIndex:
     if not isinstance(basis, (GroebnerBasis, TipIndex)):
@@ -478,6 +493,8 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     queue = [(g.degree(), next(ticket), i, None, 0) for i, g in enumerate(gens) if g.degree() <= max_degree]
     waiting = len(queue) < len(gens)
     heapify(queue)
+    # No element is ever dropped, so the pushes below meet every ordered pair of final tips.
+    max_overlap = 0
     while queue:
         # One degree: its items are reduced modulo the lower-degree basis,
         # which stays fixed, so they share one rewrite memo, and their
@@ -503,10 +520,12 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
             k = len(keys) - 1
             for j in range(k + 1):
                 for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
-                    if tails[ia] or tails[ib]:
-                        for deg, shared in _overlaps(keys[ia], keys[ib]):
-                            if deg <= max_degree:
-                                heappush(queue, (deg, next(ticket), ia, ib, shared))
+                    monomials = not (tails[ia] or tails[ib])
+                    for deg, shared in _overlaps(keys[ia], keys[ib]):
+                        if deg > max_overlap:
+                            max_overlap = deg
+                        if not monomials and deg <= max_degree:
+                            heappush(queue, (deg, next(ticket), ia, ib, shared))
 
     # Ascending term order by tip: the reverse of the order `insert` takes its tip by.
     ranked = sorted(range(len(keys)), key=lambda k: (-len(keys[k]), keys[k]), reverse=True)
@@ -518,7 +537,6 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
         basis.append(AlgebraElement({_path(w, arrows): c for w, c in terms.items()}))
     tips_ = tuple(_path(keys[k], arrows) for k in ranked)
     all_monomial = all(len(g.terms) == 1 for g in basis)
-    max_overlap = max((deg for a in keys for b in keys for deg, _ in _overlaps(a, b)), default=0)
     complete = not waiting and (all_monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 

@@ -3,10 +3,10 @@
 A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
 right action of each arrow on them; the oracle reads A only through it, a
 presentation's relations included.  The Groebner basis's TipIndex, an
-Aho-Corasick automaton over the tips, tells which products of a normal word
-and an arrow are normal, finds the tip that ends each other one and holds
-its tail; each degree's action comes from those tails and the action below,
-with no `normal_form` call.
+Aho-Corasick automaton over the tips, tells in one transition from a normal
+word's state whether its product with an arrow is normal, names the tip
+that ends each other one and holds its tail; each degree's action comes
+from those tails and the action below, with no `normal_form` call.
 Minimal graded projective resolutions are computed degreewise, per
 (degree, target-vertex) block.  `span_from_seeds` spans seed vectors under
 the arrow action, giving each block the arrow images of the degree below
@@ -18,7 +18,9 @@ step before by the same rule, but counts first: in a block, dim ker is the
 cover's dim less the image's, which is X's for the first cover and the
 kernel's before it for each later one.  `kernel_pieces` eliminates only a
 block that the arrow images leave short of its count, where a generator is
-born, and the last step only counts.
+born, and the last step only counts.  When the tops minimally generate X in
+the presentation's own order, the first kernel is the relation span itself,
+which step 0 already holds.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
@@ -57,12 +59,15 @@ class GradedAlgebraModel:
 
     `extend` lists each level from the one below, one arrow at a time: a
     product of a normal word and an arrow is normal exactly when no tip
-    ends it, which the basis's TipIndex tells.  The action tables of one
-    degree are built together, from the basis's tails and the tables of the
-    degrees below (`_build_level`), so no product inside the cap goes
-    through `normal_form`.  The normal words of the basis are those of A
-    only up to its degree bound, so a model of a truncated basis may not
-    reach above it.
+    ends it.  Each normal word keeps its state in the basis's TipIndex, so
+    one `TipIndex.step` from it tells, and the state of a new normal word
+    is the one that step reaches.  For a product that is not normal it
+    records the tip that ends it and where that tip starts.  The action
+    tables of one degree are built together, from those records, the
+    basis's tails and the tables of the degrees below (`_build_level`), so
+    no product inside the cap goes through `normal_form` or `find`.  The
+    normal words of the basis are those of A only up to its degree bound,
+    so a model of a truncated basis may not reach above it.
 
     The blocks and arrow tables of the free modules over A (`CoverSpace`)
     are kept here too, one set per shape, so covers that differ only by a
@@ -79,6 +84,10 @@ class GradedAlgebraModel:
         self.parent: list[list[tuple[int, int]]] = []
         self.ranks: list[list[tuple[int, ...]]] = []
         self.rewritten: list[list[tuple[int, int]]] = []
+        # Per degree: each normal word's TipIndex state, and per rewritten
+        # product (as in `rewritten`) the tip that ends it and its offset.
+        self._states: list[list[int]] = []
+        self._ends: list[list[tuple[int, int]]] = []
         self.between: list[dict[tuple[str, str], list[int]]] = []
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
         # The precedence rank of each arrow number, and the arrow number of each rank.
@@ -98,34 +107,38 @@ class GradedAlgebraModel:
         if degree_cap <= self.degree_cap:
             return
         self._covers = {}  # blocks of the old cap lack the new words
-        find, rank = gb.tip_index.find, self._rank
+        step, keys, rank = gb.tip_index.step, gb.tip_index.keys, self._rank
         for d in range(self.degree_cap + 1, degree_cap + 1):
             if not d:
                 level = [Path(v, v) for v in self.quiver.vertices]
-                parent, ranks = [], [()] * len(level)
+                parent, ranks, states = [], [()] * len(level), [0] * len(level)
             else:
-                level, parent, ranks, ends = [], [], [], []
-                for i, (w, word) in enumerate(zip(self.basis[d - 1], self.ranks[d - 1])):
+                level, parent, ranks, states, ends = [], [], [], [], []
+                for i, (w, word, s) in enumerate(zip(self.basis[d - 1], self.ranks[d - 1], self._states[d - 1])):
                     for k, a in enumerate(self.quiver.arrows):
                         if a.source != w.target:
                             continue
+                        # w is normal, so a tip inside w*a ends it: one step from w's state finds it.
+                        t, e = step(s, rank[k])
                         ext = word + (rank[k],)
-                        # w is normal, so a tip inside w*a ends it.
-                        if find(ext) is None:
+                        if e is None:
                             level.append(Path(w.source, a.target, w.arrows + (a,)))
                             parent.append((i, k))
                             ranks.append(ext)
+                            states.append(t)
                         else:
-                            ends.append((ext, i, k))
+                            ends.append((ext, i, k, e, d - len(keys[e])))
                 # Products of one length: the greater rank word is the smaller product.
                 ends.sort(reverse=True)
-                self.rewritten.append([(i, k) for _ext, i, k in ends])
+                self.rewritten.append([(i, k) for _ext, i, k, _e, _m in ends])
+                self._ends.append([(e, m) for _ext, _i, _k, e, m in ends])
             between: dict[tuple[str, str], list[int]] = {}
             for i in sorted(range(len(level)), key=ranks.__getitem__):
                 between.setdefault((level[i].source, level[i].target), []).append(i)
             self.basis.append(level)
             self.parent.append(parent)
             self.ranks.append(ranks)
+            self._states.append(states)
             self.between.append(between)
         self.degree_cap = degree_cap
 
@@ -160,31 +173,31 @@ class GradedAlgebraModel:
         return self._actions[(d, k)]
 
     def _build_level(self, d: int) -> None:
-        """The tables of every arrow on degree d, from the basis's TipIndex and the tables below d.
+        """The tables of every arrow on degree d, from the basis's tails and the tables below d.
 
         A product w*a that is a normal word is one entry.  Otherwise, as w is
         normal, exactly one tip t is a suffix of it (the tips are an
-        antichain), and `find` gives it: w*a = h*t, and t is the sum of -c * q
-        over its tail.  Each -c * h*q comes from -c times the unit vector of h,
-        a prefix of w, through the tables of q's arrows, one degree at a time.
-        The last table is this degree's, read at words u with u*b <= h*q < w*a,
-        so the products, taken in `rewritten` order, read only filled entries.
+        antichain), and `extend` recorded it: w*a = h*t, and t is the sum of
+        -c * q over its tail.  Each -c * h*q comes from -c times the unit
+        vector of h, a prefix of w, through the tables of q's arrows, one
+        degree at a time.  The last table is this degree's, read at words u
+        with u*b <= h*q < w*a, so the products, taken in `rewritten` order,
+        read only filled entries.
         """
-        one, p, index = self.field.one, self.field.characteristic, self.gb.tip_index
-        parent, ranks, rank, of_rank = self.parent, self.ranks[d], self._rank, self._of_rank
+        one, p, tails = self.field.one, self.field.characteristic, self.gb.tip_index.tails
+        parent, of_rank = self.parent, self._of_rank
         # Rows are replaced, never changed in place, so they may start as one empty list.
         tables = [[[]] * len(self.basis[d]) for _ in self.quiver.arrows]
         for k, table in enumerate(tables):
             self._actions[(d, k)] = table
         for j, (i, k) in enumerate(parent[d + 1]):
             tables[k][i] = [(j, one)]
-        for i, k in self.rewritten[d]:
-            t, m = index.find(ranks[i] + (rank[k],))
+        for (i, k), (t, m) in zip(self.rewritten[d], self._ends[d]):
             h = i
             for length in range(d, m, -1):
                 h = parent[length][h][0]
             out: dict[int, object] = {}
-            for q, c in index.tails[t]:
+            for q, c in tails[t]:
                 vec = {h: -c}
                 for step, r in enumerate(q):
                     vec = _apply(self._actions[(m + step, of_rank[r])], vec, p)
@@ -523,6 +536,21 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
     ker(P_n -> P_{n-1}); its dims are counted (`kernel_dims`) from the image
     dims, which are ints kept from the step before, and `kernel_pieces`
     spans it to find the generators.  ker(P_N -> P_{N-1}) is only counted.
+
+    Step 0 spans no kernel when P_0 has the presentation's summands in the
+    presentation's order, that is, when every top is a minimal generator and
+    the generators are listed by degree, then by vertex in the quiver's
+    order.  Then P_0 is the presentation's cover, with the same
+    coordinates, and the cover maps to X by the quotient, so ker(P_0 -> X)
+    is the relation span R: P_1's generators are the relation seeds that
+    enlarged R, and P_0's CoverSpace is step 1's ambient space.  Those
+    seeds and `kernel_pieces`' null vectors are both minimal generators of
+    one submodule, so P_1 has the same summands, in the same block order,
+    and every later cover, count and the Hilbert function are unchanged;
+    only the vectors chosen differ, and the report holds none.  Any other
+    presentation, say one with a redundant generator or with its generators
+    out of order, goes through `kernel_pieces`.
+
     Every generator must lie at or below D: one above it would be left out
     of P_0 unseen, so it raises PathAlgError.
     """
@@ -532,7 +560,8 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
         if g.degree > D:
             raise PathAlgError(f"generator {g.name} at degree {g.degree} lies above the degree cap {D}")
     cover, seeds = presentation_cover(pres, model)
-    X = QuotientSpace(cover, span_from_seeds(cover, seeds, D))
+    relations = span_from_seeds(cover, seeds, D)
+    X = QuotientSpace(cover, relations)
 
     # Homological step 0: the summand tops, projected into X, generate it.
     one = model.field.one
@@ -554,11 +583,11 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
     image_dims = {(d, v): X.dim(d, v) for d in range(D + 1) for v in model.quiver.vertices}
 
     for n in range(N + 1):
-        cover = tuple(FreeSummand(v, d) for d, v, _vec in gens)
-        covers.append(cover)
+        summands = tuple(FreeSummand(v, d) for d, v, _vec in gens)
+        covers.append(summands)
         images = [vec for _d, _v, vec in gens]
-        domain = CoverSpace(model, cover)
-        if not cover:
+        domain = CoverSpace(model, summands)
+        if not summands:
             if zero_tail_from is None:
                 zero_tail_from = n
             degrees.extend([[]] * (N - n))
@@ -573,7 +602,11 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
         alive.append(dims[D] > 0)
         if n == N:
             break
-        gens = kernel_pieces(domain, images, ambient, ker, D).generators
+        if n == 0 and domain.summands == cover.summands:
+            # P_0 is the presentation's own cover, so its kernel is the relation span.
+            gens = relations.generators
+        else:
+            gens = kernel_pieces(domain, images, ambient, ker, D).generators
         degrees.append(sorted(d for d, _v, _vec in gens))
         ambient, image_dims = domain, ker
 

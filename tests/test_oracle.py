@@ -139,6 +139,25 @@ def test_model_levels_are_the_reference_levels():
             assert model.between[d] == want, (name, d)
 
 
+def test_a_model_extended_in_steps_is_a_fresh_model():
+    # `verify` builds its model at the window cap and extends it to the
+    # oracle's.  Tables already built below the old cap are kept; the
+    # automaton states of the old top level carry the new levels.
+    for name, text, cap in _level_inputs():
+        pf, want = _input_model(text, cap)
+        got = build_model(pf.quiver, want.gb, cap // 2)
+        arrows = range(len(pf.quiver.arrows))
+        for d in range(cap // 2):
+            for k in arrows:
+                got.action(d, k)
+        got.extend(cap)
+        assert (got.basis, got.parent, got.ranks, got.rewritten) == (want.basis, want.parent, want.ranks,
+                                                                    want.rewritten), name
+        for d in range(cap):
+            for k in arrows:
+                assert got.action(d, k) == want.action(d, k), (name, d, k)
+
+
 def _test_covers(vertices):
     """Summand lists with mixed degrees, several vertices at one degree, and repeated summands."""
     mixed = [FreeSummand(v, deg) for deg in (1, 0, 1, 3) for v in vertices] + [FreeSummand(vertices[0], 1)]
@@ -432,6 +451,70 @@ def test_counted_kernels_resolve_like_the_full_kernel_route():
         model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, D), D)
         pres = pf.modules[module]
         assert minimal_resolution(pres, model, 4, D) == reference_minimal_resolution(pres, model, 4, D), name
+
+
+def _kernel_pieces_domains(monkeypatch):
+    """The summands of each cover that `minimal_resolution` hands to `kernel_pieces`, in call order."""
+    domains, real = [], pathalg.oracle.kernel_pieces
+
+    def counted(domain, *args):
+        domains.append(domain.summands)
+        return real(domain, *args)
+
+    monkeypatch.setattr(pathalg.oracle, "kernel_pieces", counted)
+    return domains
+
+
+def test_step_0_reuses_the_relation_span_of_a_minimal_presentation(monkeypatch):
+    # A0 of k[x, y, z] is presented by its one top, so P_0 is the
+    # presentation's cover and ker(P_0 -> A0) is the span of the relations:
+    # only P_1 and P_2 need `kernel_pieces` (P_3's kernel is only counted).
+    pf = parse((ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text())
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 6), 6)
+    pres = pf.modules["A0"]
+    want = reference_minimal_resolution(pres, model, 3, 6)
+    domains = _kernel_pieces_domains(monkeypatch)
+    rep = minimal_resolution(pres, model, 3, 6)
+    assert rep == want
+    assert rep.degrees == [[0], [1, 1, 1], [2, 2, 2], [3]]
+    assert domains == rep.covers[1:3]
+
+
+# Two vertices, u first, and a module whose generators are minimal but listed v first.
+TWO_VERTEX_OUT_OF_ORDER = """
+[quiver]
+vertex u v
+arrow a : u -> v
+arrow b : v -> u
+
+[ideal]
+a*b*a
+b*a*b
+
+[module M]
+generator n : v @ 0
+generator m : u @ 0
+relation n*b*a
+relation m*a*b
+"""
+
+
+@pytest.mark.parametrize("text, module", [
+    ((ROOT / "fixtures" / "cube_nonminimal_a0.alg").read_text(), "A0"),
+    (TWO_VERTEX_OUT_OF_ORDER, "M"),
+], ids=["cube_nonminimal_a0", "two_vertices_out_of_order"])
+def test_step_0_spans_the_kernel_of_any_other_cover(monkeypatch, text, module):
+    # P_0 differs from the presentation's cover, in its summands or only in
+    # their order, so the relation span is not in P_0's coordinates.
+    pf = parse(text)
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 8), 8)
+    pres = pf.modules[module]
+    want = reference_minimal_resolution(pres, model, 4, 8)
+    domains = _kernel_pieces_domains(monkeypatch)
+    rep = minimal_resolution(pres, model, 4, 8)
+    assert rep == want
+    assert rep.covers[0] != tuple(FreeSummand(g.vertex, g.degree) for g in pres.generators)
+    assert domains[0] == rep.covers[0]
 
 
 def _plane_radical_cover(two_loop, plane_gb):
