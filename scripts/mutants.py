@@ -126,6 +126,33 @@ MUTANTS = [
          "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route"),
     ),
     Mutant(
+        "the new-lead test accepts any single-term product",
+        "src/pathalg/oracle.py",
+        "new.append(rows_up[1][i2] == (i, k))",
+        "new.append(True)",
+        ("tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
+         "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route",
+         "tests/test_cli.py::test_resolve_command"),
+    ),
+    Mutant(
+        "the full-block stop fires one row early",
+        "src/pathalg/oracle.py",
+        "if cover and sub.dim == space.dim(d, v):",
+        "if cover and sub.dim >= space.dim(d, v) - 1:",
+        ("tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
+         "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route",
+         "tests/test_oracle.py::test_resolution_cube_fixture"),
+    ),
+    Mutant(
+        "the table walk keeps only the first entry of a row with several entries",
+        "src/pathalg/oracle.py",
+        "vec = [(j, c * x % p if p else c * x) for j, x in table[col]]",
+        "vec = [(j, c * x % p if p else c * x) for j, x in table[col][:1]]",
+        ("tests/test_oracle.py::test_action_tables_are_the_normal_forms[sklyanin_235.alg]",
+         "tests/test_oracle.py::test_relation_seeds_read_through_the_tables_are_the_normal_forms[8]",
+         "tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans"),
+    ),
+    Mutant(
         "kernel_pieces drops its count check",
         "src/pathalg/oracle.py",
         "if sub.dim != want:",

@@ -114,10 +114,14 @@ def _window_doc(w):
 
 
 class Report:
-    """Accumulates the human rendering and the JSON document side by side."""
+    """Accumulates the human rendering and the JSON document side by side.
 
-    def __init__(self, command: str, options: dict):
-        self.lines: list[str] = []
+    A report made with human=False keeps no human rendering: `say` and
+    `table` do nothing, for a run that prints only the JSON document.
+    """
+
+    def __init__(self, command: str, options: dict, human: bool = True):
+        self.lines: list[str] | None = [] if human else None
         self.doc: dict = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -127,9 +131,12 @@ class Report:
         self.exit_code = EXIT_OK
 
     def say(self, text: str = "") -> None:
-        self.lines.append(text)
+        if self.lines is not None:
+            self.lines.append(text)
 
     def table(self, headers: list[str], rows: list[list[str]]) -> None:
+        if self.lines is None:
+            return
         widths = [len(h) for h in headers]
         for row in rows:
             widths = [max(w, len(c)) for w, c in zip(widths, row)]
@@ -545,17 +552,14 @@ def run(argv: list[str]) -> int:
         "max_n": args.max_n,
         "max_degree": args.max_degree,
         "seed": args.seed,
-    })
+    }, human=args.json_out != "-")
     report.doc["input"] = _describe_input(pf)
     try:
         COMMANDS[args.command](pf, args, report)
     except PathAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out = report.human()
-    if args.json_out == "-":
-        out = report.json_text()
-    sys.stdout.write(out)
+    sys.stdout.write(report.json_text() if args.json_out == "-" else report.human())
     if args.json_out and args.json_out != "-":
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(report.json_text())

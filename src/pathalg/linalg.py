@@ -6,12 +6,16 @@ zero.  The columns of one Subspace are keys of one totally ordered kind:
 ints in the oracle, and in completion the rank words of one length, where
 the least tuple is the greatest word.  The field is given when a Subspace
 is made.  A Subspace keeps its rows in echelon form: each row's pivot is
-its smallest column, with entry 1, and no two rows share a pivot.  Rows
-are not reduced against later rows.  Listing coordinates in descending
-order of a term order therefore makes each pivot the row's leading
-coordinate, and the residue of a vector is the unique representative of
-its class that is zero on every pivot column, whatever order the rows were
-inserted in.  Only nonzero entries are ever stored or touched.
+its smallest column, with entry 1, and no two rows share a pivot; that is
+all it keeps.  Rows are not reduced against one another: a row is either
+the residue of a vector against the rows before it (`add`) or a vector
+whose least column is known to be no pivot yet, inserted as it is
+(`insert`), so it may be nonzero on the pivots of other rows.  Listing
+coordinates in descending order of a term order therefore makes each
+pivot the row's leading coordinate, and the residue of a vector is the
+unique representative of its class that is zero on every pivot column,
+whatever order the rows were inserted in.  Only nonzero entries are ever
+stored or touched.
 """
 from __future__ import annotations
 
@@ -67,23 +71,27 @@ class Subspace:
     def contains(self, vec: Mapping) -> bool:
         return not self.residue(vec)
 
-    def _insert(self, red: dict) -> bool:
-        """Insert a vector that is already a residue; True when it was nonzero."""
-        if not red:
+    def insert(self, vec: dict) -> bool:
+        """Insert a vector as it is, scaled to be monic; True when it was nonzero.
+
+        Its least column must be no row's pivot: a residue is one, and so is
+        a vector whose lead is known to be new.
+        """
+        if not vec:
             return False
-        piv = min(red)
-        c = red[piv]
+        piv = min(vec)
+        c = vec[piv]
         if c != 1:
             p, inv = self.p, self.field.inverse(c)
-            red = {k: x * inv % p for k, x in red.items()} if p else {k: x * inv for k, x in red.items()}
+            vec = {k: x * inv % p for k, x in vec.items()} if p else {k: x * inv for k, x in vec.items()}
         self.row_of_pivot[piv] = len(self.rows)
-        self.rows.append(red)
+        self.rows.append(vec)
         self.pivot_of_row.append(piv)
         return True
 
     def add(self, vec: Mapping) -> bool:
         """Insert a vector; returns True when it enlarged the space."""
-        return self._insert(self.residue(vec))
+        return self.insert(self.residue(vec))
 
 
 def left_nullspace(rows: Sequence[Mapping], field: Field) -> list[dict]:
@@ -106,5 +114,5 @@ def left_nullspace(rows: Sequence[Mapping], field: Field) -> list[dict]:
         if min(red) >= offset:
             out.append({k - offset: c for k, c in red.items()})
         else:
-            space._insert(red)
+            space.insert(red)
     return out

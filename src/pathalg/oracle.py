@@ -11,7 +11,12 @@ Minimal graded projective resolutions are computed degreewise, per
 (degree, target-vertex) block.  `span_from_seeds` spans seed vectors under
 the arrow action, giving each block the arrow images of the degree below
 before its own seeds, so the seeds that still enlarge a block are minimal
-generators of the span.  The relations are the seeds of the submodule that
+generators of the span.  In a free module (a CoverSpace) the leading terms
+of a submodule behave monomially (Green 1999; Green, Solberg and Zacharia
+2001): a row's pivot (j, w) times an arrow a is the lead of its image
+whenever w*a is a normal word.  Those images come first, in echelon form
+already, and go in unreduced; a block they fill takes no other image, and
+the rest are reduced.  The relations are the seeds of the submodule that
 X = coker(relations) factors out; the generator tops, projected into X, are
 the seeds of step 0.  Each later step spans the kernel of the cover of the
 step before by the same rule, but counts first: in a block, dim ker is the
@@ -24,8 +29,8 @@ which step 0 already holds.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
-integer table.  Blocks and tables are built once per model and cover
-shape, so covers that differ by a degree shift share them.  The model
+integer table.  Blocks, their dims and tables are built once per model
+and cover shape, so covers that differ by a degree shift share them.  The model
 spells words as the TipIndex does, in rank words, and numbers them by
 their place in `basis`; it keeps each normal word's `Path` there, for its
 endpoints, first syzygies and `act`, and looks no path up by hash.
@@ -95,8 +100,9 @@ class GradedAlgebraModel:
         self._of_rank = {r: k for k, r in enumerate(self._rank)}
         self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
         self._built = 0
-        # Cover shape -> (blocks, arrow tables), shared by the CoverSpaces of that shape.
-        self._covers: dict[tuple[tuple[str, int], ...], tuple[dict, dict]] = {}
+        # Cover shape -> (blocks, arrow tables with new-lead flags, block dims),
+        # shared by the CoverSpaces of that shape.
+        self._covers: dict[tuple[tuple[str, int], ...], tuple[dict, dict, dict]] = {}
         self.extend(degree_cap)
 
     def extend(self, degree_cap: int) -> None:
@@ -160,10 +166,8 @@ class GradedAlgebraModel:
 
     def expand(self, w: Path) -> dict[int, object]:
         """The class in A of a path up to the cap, as (word number of its length, scalar), read from the tables."""
-        vec = {self.quiver.vertices.index(w.source): self.field.one}
-        for d, a in enumerate(w.arrows):
-            vec = _apply(self.action(d, self._arrow_no[a]), vec, self.field.characteristic)
-        return vec
+        tables = (self.action(d, self._arrow_no[a]) for d, a in enumerate(w.arrows))
+        return dict(_walk([(self.quiver.vertices.index(w.source), self.field.one)], tables, self.field.characteristic))
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k on degree d: for each word number, (word number in degree d+1, scalar) pairs."""
@@ -180,16 +184,16 @@ class GradedAlgebraModel:
         antichain), and `extend` recorded it: w*a = h*t, and t is the sum of
         -c * q over its tail.  Each -c * h*q comes from -c times the unit
         vector of h, a prefix of w, through the tables of q's arrows, one
-        degree at a time.  The last table is this degree's, read at words u
-        with u*b <= h*q < w*a, so the products, taken in `rewritten` order,
-        read only filled entries.
+        degree at a time (`_walk`).  The last table is this degree's, read at
+        words u with u*b <= h*q < w*a, so the products, taken in `rewritten`
+        order, read only filled entries.
         """
         one, p, tails = self.field.one, self.field.characteristic, self.gb.tip_index.tails
-        parent, of_rank = self.parent, self._of_rank
+        parent, of_rank, actions = self.parent, self._of_rank, self._actions
         # Rows are replaced, never changed in place, so they may start as one empty list.
         tables = [[[]] * len(self.basis[d]) for _ in self.quiver.arrows]
         for k, table in enumerate(tables):
-            self._actions[(d, k)] = table
+            actions[(d, k)] = table
         for j, (i, k) in enumerate(parent[d + 1]):
             tables[k][i] = [(j, one)]
         for (i, k), (t, m) in zip(self.rewritten[d], self._ends[d]):
@@ -198,12 +202,31 @@ class GradedAlgebraModel:
                 h = parent[length][h][0]
             out: dict[int, object] = {}
             for q, c in tails[t]:
-                vec = {h: -c}
-                for step, r in enumerate(q):
-                    vec = _apply(self._actions[(m + step, of_rank[r])], vec, p)
-                for j, x in vec.items():
+                for j, x in _walk([(h, -c)], [actions[(m + step, of_rank[r])] for step, r in enumerate(q)], p):
                     out[j] = out.get(j, 0) + x
             tables[k][i] = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
+
+
+def _walk(vec: list[tuple[int, object]], tables: Iterable[list[list[tuple[int, object]]]],
+          p: int) -> list[tuple[int, object]]:
+    """A sparse vector, as (column, scalar) pairs on distinct columns, through integer action tables in turn.
+
+    A vector of one entry becomes its table row, scaled, with no dict; the
+    images of several entries are summed by column.  Scalars are reduced
+    mod p (0: over Q) at each table.
+    """
+    for table in tables:
+        if len(vec) == 1:
+            [(col, c)] = vec
+            vec = [(j, c * x % p if p else c * x) for j, x in table[col]]
+        else:
+            out: dict[int, object] = {}
+            for col, c in vec:
+                for j, x in table[col]:
+                    prev = out.get(j)
+                    out[j] = c * x if prev is None else prev + c * x
+            vec = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
+    return vec
 
 
 def _apply(table: list[list[tuple[int, object]]], vec: Mapping[int, object], p: int) -> dict[int, object]:
@@ -235,10 +258,10 @@ class CoverSpace:
     d - degree_j; a block lists its coordinates in descending module order
     (word first, then summand), so column 0 is the greatest.  A block
     walks the model's `between` lists of its summands, merging those of one
-    degree that start at several vertices.  Its blocks and arrow tables are the model's for the cover's
-    shape, the summands' vertices and their degrees less the lowest, read
-    at the degree less the lowest; a cover made before `extend` keeps those
-    of the old cap.
+    degree that start at several vertices.  Its blocks, dims, arrow tables
+    and new-lead flags are the model's for the cover's shape, the summands'
+    vertices and their degrees less the lowest, read at the degree less the
+    lowest; a cover made before `extend` keeps those of the old cap.
     """
 
     def __init__(self, model: GradedAlgebraModel, summands: Sequence[FreeSummand]):
@@ -247,7 +270,7 @@ class CoverSpace:
         self._degrees = [s.degree for s in self.summands]
         self._low = low = min(self._degrees, default=0)
         shape = tuple((s.vertex, s.degree - low) for s in self.summands)
-        self._blocks, self._actions = model._covers.setdefault(shape, ({}, {}))
+        self._blocks, self._actions, self._dims = model._covers.setdefault(shape, ({}, {}, {}))
         # Per degree, ascending: (vertex, its summand numbers, greatest first) pairs.
         groups: dict[int, dict[str, list[int]]] = {}
         for j in reversed(range(len(self.summands))):
@@ -282,30 +305,61 @@ class CoverSpace:
 
     def dim(self, d: int, v: str) -> int:
         """The size of block (d, v), counted from the model's `between` lists."""
-        model, n = self.model, 0
-        for deg, group in self._groups:
-            length = d - deg
-            if 0 <= length <= model.degree_cap:
-                between = model.between[length]
-                n += sum(len(js) * len(between.get((s, v), ())) for s, js in group)
+        key = (d - self._low, v)
+        n = self._dims.get(key)
+        if n is None:
+            model, n = self.model, 0
+            for deg, group in self._groups:
+                length = d - deg
+                if 0 <= length <= model.degree_cap:
+                    between = model.between[length]
+                    n += sum(len(js) * len(between.get((s, v), ())) for s, js in group)
+            self._dims[key] = n
         return n
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k from block (d, source) to block (d+1, target), per column."""
+        return self._tables(d, k)[0]
+
+    def new_leads(self, d: int, k: int) -> list[bool]:
+        """Per column (j, i) of block (d, source of arrow number k): whether word i times the arrow is a normal word."""
+        return self._tables(d, k)[1]
+
+    def _tables(self, d: int, k: int) -> tuple[list[list[tuple[int, object]]], list[bool]]:
+        """`action` and `new_leads` of arrow number k on block (d, its source), built together once per shape.
+
+        Word i times the arrow is a normal word when its row in the model's
+        table is one word whose `parent` link is (i, k); a product rewritten
+        to a single other word is not.
+        """
         key = (d - self._low, k)
-        table = self._actions.get(key)
-        if table is None:
-            a = self.model.quiver.arrows[k]
+        hit = self._actions.get(key)
+        if hit is None:
+            model = self.model
+            a = model.quiver.arrows[k]
             cols, _ = self.block(d, a.source)
             _, pos = self.block(d + 1, a.target)
-            degrees, action = self._degrees, self.model.action
-            table = [[(pos[j][i2], c) for i2, c in action(d - degrees[j], k)[i]] for j, i in cols]
-            self._actions[key] = table
-        return table
+            # Per word length: the model's table of the arrow and the parent links one degree up.
+            table, new, at = [], [], {}
+            for j, i in cols:
+                length = d - self._degrees[j]
+                rows_up = at.get(length)
+                if rows_up is None:
+                    rows_up = at[length] = (model.action(length, k), model.parent[length + 1])
+                row, to = rows_up[0][i], pos[j]
+                if len(row) == 1:
+                    [(i2, c)] = row
+                    table.append([(to[i2], c)])
+                    new.append(rows_up[1][i2] == (i, k))
+                else:
+                    table.append([(to[i2], c) for i2, c in row])
+                    new.append(False)
+            hit = self._actions[key] = (table, new)
+        return hit
 
     def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
         """Image under arrow number k of a vector of block (d, source of the arrow)."""
-        return _apply(self.action(d, k), vec, self._p)
+        return _apply(self._tables(d, k)[0], vec, self._p)
 
     def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
         """The nonzero (degree, vertex, vector) parts of (summand, path) terms, each path read as its class in A."""
@@ -379,18 +433,41 @@ class GradedPieces:
         return self.spaces[key]
 
 
-def _arrow_images(space, pieces: GradedPieces, d: int, v: str):
-    """Nonzero images in block (d, v) of the degree d-1 rows of `pieces` under every arrow into v."""
+def _add_arrow_images(space, pieces: GradedPieces, sub: Subspace, d: int, v: str) -> None:
+    """Put into `sub`, the empty block (d, v) of `pieces`, the images of its degree d-1 rows under every arrow into v.
+
+    Over a CoverSpace the images with a new lead go in first, as they are.
+    A row's pivot (j, w) is its leading term, with entry 1, and the
+    coordinate order is a term order, so when w*a is a normal word the
+    image's lead is (j, w*a), with entry 1; the leads of distinct pivots or
+    arrows differ.  A block that these fill takes no other image, as it
+    cannot outgrow its dim.  The other images, and every image in a
+    QuotientSpace, whose leads are not known, go through `Subspace.add` in
+    arrow-major order.
+    """
+    cover = isinstance(space, CoverSpace)
+    rest = []
     for k, a in enumerate(space.model.quiver.arrows):
         if a.target != v:
             continue
         prev = pieces.get(d - 1, a.source)
         if prev is None:
             continue
-        for row in prev.rows:
-            img = space.act(d - 1, k, row)
-            if img:
-                yield img
+        if not cover:
+            rest.extend((k, row) for row in prev.rows)
+            continue
+        new = space.new_leads(d - 1, k)
+        for row, piv in zip(prev.rows, prev.pivot_of_row):
+            if new[piv]:
+                sub.insert(space.act(d - 1, k, row))
+            else:
+                rest.append((k, row))
+    if cover and sub.dim == space.dim(d, v):
+        return
+    for k, row in rest:
+        img = space.act(d - 1, k, row)
+        if img:
+            sub.add(img)
 
 
 def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
@@ -409,6 +486,11 @@ def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> Gr
     `space` is a CoverSpace or QuotientSpace.  Each block takes the arrow
     images of the degree below before its own seeds, so the seeds that still
     enlarge it, kept in order in `generators`, minimally generate the span.
+    In a CoverSpace the images with a new lead go first, unreduced, and the
+    others, reduced, only if those leave the block short of its dim; in a
+    QuotientSpace every image is reduced, in arrow-major order
+    (`_add_arrow_images`).  The span, and so each block's pivots and the
+    generators, does not depend on that order.
     """
     by_slot: dict[tuple[int, str], list[dict]] = {}
     for d, v, vec in seeds:
@@ -420,8 +502,7 @@ def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> Gr
             if not space.dim(d, v):
                 continue
             sub = pieces.ensure(d, v)
-            for img in _arrow_images(space, pieces, d, v):
-                sub.add(img)
+            _add_arrow_images(space, pieces, sub, d, v)
             for vec in by_slot.get((d, v), []):
                 if sub.add(vec):
                     pieces.generators.append((d, v, vec))
@@ -475,8 +556,10 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, dims: Map
 
     f_j maps to images[j], and dims holds the kernel's counted dims
     (`kernel_dims`).  A block takes the arrow images of the kernel one
-    degree down, as in `span_from_seeds`.  Only a block that they leave
-    short of its count, where a generator is born, is eliminated; its left
+    degree down, as in `span_from_seeds`: those with a new lead first,
+    unreduced, then, unless those fill the block, every other one, so the
+    count check below sees the whole span of the images.  Only a block that
+    they leave short of its count, where a generator is born, is eliminated; its left
     null vectors that still enlarge it are minimal generators, kept in
     order in `generators`.  Raises PathAlgError if a block's span ends at a
     dim other than its count (a count too small is seen only where the
@@ -496,8 +579,7 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, dims: Map
             if not cols:
                 continue
             sub = pieces.ensure(d, v)
-            for img in _arrow_images(domain, pieces, d, v):
-                sub.add(img)
+            _add_arrow_images(domain, pieces, sub, d, v)
             want = dims.get((d, v), 0)
             if sub.dim < want:
                 rows = [_phi(phi, model, ambient, images, degrees, j, d - degrees[j], i) for j, i in cols]

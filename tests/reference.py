@@ -18,6 +18,11 @@
   takes a left nullspace of every (degree, vertex) block, and
   `span_from_seeds` re-adds every kernel vector to keep those that enlarge
   the span.
+- `reference_span_from_seeds` and `reference_kernel_pieces` build the
+  spans that `span_from_seeds` and `kernel_pieces` build, but each block
+  takes every arrow image of the block below through `Subspace.add`, in
+  arrow-major order, with no image inserted unreduced and no full-block
+  stop.
 
 Cut decompositions w = u1 v1 ... v_{n-1} un serve as an independent
 membership oracle for the walks.  They are searched as index cuts on the
@@ -41,6 +46,7 @@ from pathalg.oracle import (
     CoverSpace,
     FreeSummand,
     GradedAlgebraModel,
+    GradedPieces,
     QuotientSpace,
     ResolutionReport,
     minimal_generators_of_pieces,
@@ -371,6 +377,80 @@ def reference_block(model: GradedAlgebraModel, summands: Sequence[FreeSummand], 
     return cols
 
 
+def _add_every_arrow_image(space, pieces: GradedPieces, sub: Subspace, d: int, v: str) -> None:
+    """Add to `sub`, block (d, v) of `pieces`, the degree d-1 rows' images under every arrow into v, arrow-major."""
+    for k, a in enumerate(space.model.quiver.arrows):
+        if a.target != v:
+            continue
+        prev = pieces.get(d - 1, a.source)
+        if prev is None:
+            continue
+        for row in prev.rows:
+            img = space.act(d - 1, k, row)
+            if img:
+                sub.add(img)
+
+
+def reference_span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> GradedPieces:
+    """`span_from_seeds` with every arrow image reduced through `Subspace.add`."""
+    by_slot: dict[tuple[int, str], list[dict]] = {}
+    for d, v, vec in seeds:
+        by_slot.setdefault((d, v), []).append(vec)
+    pieces = GradedPieces(space.model.field)
+    for d in range(min((d for d, _v in by_slot), default=D + 1), D + 1):
+        for v in space.model.quiver.vertices:
+            if not space.dim(d, v):
+                continue
+            sub = pieces.ensure(d, v)
+            _add_every_arrow_image(space, pieces, sub, d, v)
+            for vec in by_slot.get((d, v), []):
+                if sub.add(vec):
+                    pieces.generators.append((d, v, vec))
+    return pieces
+
+
+def _block_images(phi: dict, model: GradedAlgebraModel, ambient, images: Sequence[dict], degrees: Sequence[int],
+                  cols: Sequence[tuple[int, int]], d: int) -> list[dict]:
+    """The ambient image of each column (j, i) of a degree-d block, from those one degree down in `phi`, kept there."""
+    rows = []
+    for j, i in cols:
+        length = d - degrees[j]
+        if length == 0:
+            img = images[j]
+        else:
+            i0, k = model.parent[length][i]
+            img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
+        phi[(j, length, i)] = img
+        rows.append(img)
+    return rows
+
+
+def reference_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, dims, D: int) -> GradedPieces:
+    """`kernel_pieces` with every arrow image reduced through `Subspace.add`, and its count check."""
+    model = domain.model
+    pieces = GradedPieces(model.field)
+    if not domain.summands:
+        return pieces
+    degrees = [s.degree for s in domain.summands]
+    phi: dict[tuple[int, int, int], dict] = {}
+    for d in range(min(degrees), D + 1):
+        for v in model.quiver.vertices:
+            cols, _ = domain.block(d, v)
+            if not cols:
+                continue
+            rows = _block_images(phi, model, ambient, images, degrees, cols, d)
+            sub = pieces.ensure(d, v)
+            _add_every_arrow_image(domain, pieces, sub, d, v)
+            want = dims.get((d, v), 0)
+            if sub.dim < want:
+                for combo in left_nullspace(rows, model.field):
+                    if sub.add(combo):
+                        pieces.generators.append((d, v, combo))
+            if sub.dim != want:
+                raise PathAlgError(f"kernel block ({d}, {v}) spans dim {sub.dim}, but its count is {want}")
+    return pieces
+
+
 def full_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: int) -> list[tuple[int, str, dict]]:
     """A basis of ker(free cover -> ambient) in each block up to degree D, as (degree, vertex, vector) seeds.
 
@@ -390,16 +470,7 @@ def full_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: i
             cols, _ = domain.block(d, v)
             if not cols:
                 continue
-            rows = []
-            for j, i in cols:
-                length = d - degrees[j]
-                if length == 0:
-                    img = images[j]
-                else:
-                    i0, k = model.parent[length][i]
-                    img = ambient.act(d - 1, k, phi[(j, length - 1, i0)])
-                phi[(j, length, i)] = img
-                rows.append(img)
+            rows = _block_images(phi, model, ambient, images, degrees, cols, d)
             for combo in left_nullspace(rows, model.field):
                 if any(degrees[cols[n][0]] == d for n in combo):
                     raise PathAlgError("kernel meets a generator top: cover was not minimal")

@@ -29,3 +29,19 @@ def test_json_matches_golden(i, tmp_path, capsys):
     run([command, str(run_examples.FIXTURES / fixture)] + extra + ["--json", str(out)])
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("i", range(len(run_examples.RUNS)))
+def test_json_on_stdout_is_the_json_file(i, tmp_path, capsys):
+    # `--json -` prints the document that `--json PATH` writes, in place of
+    # the human report, which it does not build; `--json PATH` leaves the
+    # human report on stdout as it is without `--json`.
+    command, fixture, extra = run_examples.RUNS[i]
+    argv = [command, str(run_examples.FIXTURES / fixture)] + extra
+    out = tmp_path / "doc.json"
+    rc = run(argv + ["--json", str(out)])
+    human = capsys.readouterr().out
+    assert run(argv + ["--json", "-"]) == rc
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+    assert run(argv) == rc
+    assert capsys.readouterr().out == human

@@ -159,3 +159,30 @@ def test_rational_elimination_holds_no_float():
         assert not any(isinstance(c, float) for c in scalars)
         fractions += sum(type(c) is Fraction for c in scalars)
     assert fractions
+
+
+@FIELDS
+def test_rows_inserted_unreduced_give_the_residues_of_their_reduced_forms(field):
+    # A vector whose least column is no pivot yet may go in as it is
+    # (`insert`): the pivots are those `add` gives, and so is every residue.
+    rng = random.Random(20261019 + field.characteristic)
+    unreduced = 0
+    for _ in range(40):
+        ncols = rng.randint(1, 10)
+        vectors = []
+        for lead in rng.sample(range(ncols), rng.randint(1, ncols)):
+            vec = {lead: field.of(rng.choice([1, 2, -3]))}
+            for k in range(lead + 1, ncols):
+                x = field.of(rng.randint(-3, 3))
+                if x and rng.random() < 0.5:
+                    vec[k] = x
+            vectors.append(vec)
+        raw, reduced = Subspace(field), Subspace(field)
+        for vec in vectors:
+            assert raw.insert(vec) and reduced.add(vec)
+        assert raw.pivot_of_row == reduced.pivot_of_row
+        unreduced += raw.rows != reduced.rows
+        rref = _dense_rref(vectors, ncols, field)
+        for probe in _random_rows(rng, field, 6, ncols) + vectors:
+            assert raw.residue(probe) == reduced.residue(probe) == _dense_residue(rref, probe, ncols, field)
+    assert unreduced > 10

@@ -1,5 +1,6 @@
 import gc
 import pathlib
+import random
 from itertools import islice
 from math import comb
 
@@ -21,18 +22,21 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
+from pathalg.corpus import random_presentation
 from pathalg.oracle import CoverSpace, FreeSummand, kernel_dims, kernel_pieces, presentation_cover
 from pathalg.problem import parse
 from pathalg.quiver import Path, normal_word_levels
 from pathalg.syzygy import DegreeWindow, first_syzygy
 from tests.conftest import perfbench_module, truncated_polynomial, words
-from tests.helpers import cyclic
+from tests.helpers import cyclic, monomial_bundles
 from tests.reference import (
     ideal_span,
     module_normal_form,
     reference_block,
+    reference_kernel_pieces,
     reference_levels,
     reference_minimal_resolution,
+    reference_span_from_seeds,
 )
 
 F = Field(0)
@@ -566,6 +570,68 @@ def test_a_resolution_leaves_no_reference_cycles(path, module, D):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _span_inputs():
+    """(name, model, presentation, D): every fixture module, monomial corpus algebras, poly3_f101 and preproj3 A0."""
+    out = []
+    for path in sorted((ROOT / "fixtures").glob("*.alg")):
+        pf = parse(path.read_text())
+        model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 8), 8)
+        out += [(f"{path.name} {m}", model, pres, 8) for m, pres in pf.modules.items()]
+    rng = random.Random(20261019)
+    for inst, gb in monomial_bundles(20, 20261020, degree_cap=8):
+        model = build_model(inst.quiver, gb, 8)
+        out.append((f"monomial {inst.seed} tops", model, ModulePresentation.simple_tops(inst.quiver, F.one), 8))
+        pres = random_presentation(rng, inst.quiver, F, max_generators=2, max_relations=2)
+        out.append((f"monomial {inst.seed} random", model, pres, 8))
+    for name, D in (("poly3_f101.alg", 11), ("preproj3.alg", 12)):
+        pf = parse((ROOT / "perfbench" / "inputs" / name).read_text())
+        model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, D), D)
+        out.append((f"{name} A0", model, pf.modules["A0"], D))
+    return out
+
+
+def _assert_same_pieces(got, want, name):
+    assert got.spaces.keys() == want.spaces.keys(), name
+    for key, sub in got.spaces.items():
+        ref = want.spaces[key]
+        assert (sub.dim, sorted(sub.pivot_of_row)) == (ref.dim, sorted(ref.pivot_of_row)), (name, key)
+    assert got.generators == want.generators, name
+
+
+def test_spans_with_new_leads_first_are_the_reference_spans(monkeypatch):
+    # A block takes the arrow images with a new lead first, unreduced, and
+    # no other image once they fill it.  That changes its rows, but not the
+    # span: every block's dim and pivots, and each span's generators, are
+    # those of the reference, which adds every image through Subspace.add.
+    # Every span_from_seeds and kernel_pieces call of each resolution is checked.
+    real_span, real_kernel = pathalg.oracle.span_from_seeds, pathalg.oracle.kernel_pieces
+    case, spans, kernels = [None], [], []
+
+    def span(space, seeds, D):
+        seeds = list(seeds)
+        got = real_span(space, seeds, D)
+        _assert_same_pieces(got, reference_span_from_seeds(space, seeds, D), (case[0], "span", len(spans)))
+        spans.append(type(space).__name__)
+        return got
+
+    def kernel(domain, images, ambient, dims, D):
+        got = real_kernel(domain, images, ambient, dims, D)
+        want = reference_kernel_pieces(domain, images, ambient, dims, D)
+        _assert_same_pieces(got, want, (case[0], "kernel", len(kernels)))
+        kernels.append(domain.summands)
+        return got
+
+    monkeypatch.setattr(pathalg.oracle, "span_from_seeds", span)
+    monkeypatch.setattr(pathalg.oracle, "kernel_pieces", kernel)
+    cases = _span_inputs()
+    assert len(cases) > 50
+    for name, model, pres, D in cases:
+        case[0] = name
+        minimal_resolution(pres, model, 4, D)
+    assert spans.count("CoverSpace") == len(cases) and spans.count("QuotientSpace") == len(cases)
+    assert len(kernels) > 2 * len(cases)
 
 
 @pytest.mark.parametrize("name", ["poly3_q.alg", "poly3_f101.alg"])
