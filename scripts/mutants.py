@@ -117,13 +117,22 @@ MUTANTS = [
          "tests/test_oracle.py::test_model_dims_cube"),
     ),
     Mutant(
-        "step 0 reuses R for any cover",
-        "src/pathalg/oracle.py",
-        "if n == 0 and domain.summands == cover.summands:",
-        "if n == 0:",
-        ("tests/test_oracle.py::test_step_0_spans_the_kernel_of_any_other_cover[cube_nonminimal_a0]",
-         "tests/test_oracle.py::test_step_0_spans_the_kernel_of_any_other_cover[two_vertices_out_of_order]",
-         "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route"),
+        "minimal substitutes t/a for a generator, not -t/a",
+        "src/pathalg/presentation.py",
+        "scale = -field.inverse(c.pop((g, Path(v, v))))",
+        "scale = field.inverse(c.pop((g, Path(v, v))))",
+        ("tests/test_oracle.py::test_minimal_cube_nonminimal_keeps_only_g0",
+         "tests/test_oracle.py::test_minimal_splits_a_relation_by_the_target_of_its_paths",
+         "tests/test_oracle.py::test_non_minimal_presentation_resolves_like_its_minimal_one[summed-0]",
+         "tests/test_oracle.py::test_non_minimal_presentation_resolves_like_its_minimal_one[summed-7]"),
+    ),
+    Mutant(
+        "minimal does not split relations by the target of their paths",
+        "src/pathalg/presentation.py",
+        "parts.setdefault(w.target, {})[(i, w)] = c",
+        "parts.setdefault(None, {})[(i, w)] = c",
+        ("tests/test_oracle.py::test_minimal_splits_a_relation_by_the_target_of_its_paths",
+         "tests/test_oracle.py::test_seeded_non_minimal_presentations_resolve_like_the_reference"),
     ),
     Mutant(
         "the new-lead test accepts any single-term product",
@@ -137,8 +146,8 @@ MUTANTS = [
     Mutant(
         "the full-block stop fires one row early",
         "src/pathalg/oracle.py",
-        "if cover and sub.dim == space.dim(d, v):",
-        "if cover and sub.dim >= space.dim(d, v) - 1:",
+        "if sub.dim == cover.dim(d, v):",
+        "if sub.dim >= cover.dim(d, v) - 1:",
         ("tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
          "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route",
          "tests/test_oracle.py::test_resolution_cube_fixture"),

@@ -30,6 +30,7 @@ RUNS = [
     ("resolve", "sklyanin_235_a0.alg", ["--module", "A0", "--max-n", "4", "--max-degree", "8"]),
     ("resolve", "cube_nonminimal_a0.alg", ["--module", "A0", "--max-n", "4"]),
     ("groebner", "sklyanin_235.alg", ["--max-degree", "10"]),
+    ("verify", "cube_nonminimal_a0.alg", ["--module", "A0", "--max-n", "4"]),
 ]
 
 

@@ -210,15 +210,17 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
         report.say(f"warning: {gb.status}; the tip set is not certified")
         report.worsen(EXIT_TRUNCATED)
     table = enumerate_overlaps(pf.quiver, gb.tips, args.max_n, quasi=args.quasi)
+    human = report.lines is not None
     levels_doc = []
     for n in range(table.depth + 1):
         mino, maxo, minq, maxq = table.extrema(n)
         entries, rows = [], []
         for w in table.overlaps(n):
             pred = table.levels[n][w]
-            pred = None if pred is None else str(pred)
-            entries.append({"word": str(w), "predecessor": pred})
-            rows.append([str(w), str(w.length), pred or ""])
+            word, pred = str(w), None if pred is None else str(pred)
+            entries.append({"word": word, "predecessor": pred})
+            if human:
+                rows.append([word, str(w.length), pred or ""])
         level_doc = {
             "n": n,
             "overlaps": entries,
@@ -233,9 +235,10 @@ def cmd_overlaps(pf: ProblemFile, args, report: Report) -> None:
         if args.quasi:
             for (w, v) in table.quasi(n):
                 pred = table.quasi_levels[n][(w, v)]
-                pred = None if pred is None else str(pred)
-                qentries.append({"word": str(w), "context": str(v), "predecessor": pred})
-                qrows.append([str(w), str(v), str(w.length), pred or ""])
+                word, context, pred = str(w), str(v), None if pred is None else str(pred)
+                qentries.append({"word": word, "context": context, "predecessor": pred})
+                if human:
+                    qrows.append([word, context, str(w.length), pred or ""])
             level_doc["quasi"] = qentries
         levels_doc.append(level_doc)
         report.say(f"level {n}: {len(entries)} overlaps" + (f", {len(qentries)} quasi" if args.quasi else ""))

@@ -8,24 +8,23 @@ word's state whether its product with an arrow is normal, names the tip
 that ends each other one and holds its tail; each degree's action comes
 from those tails and the action below, with no `normal_form` call.
 Minimal graded projective resolutions are computed degreewise, per
-(degree, target-vertex) block.  `span_from_seeds` spans seed vectors under
-the arrow action, giving each block the arrow images of the degree below
-before its own seeds, so the seeds that still enlarge a block are minimal
-generators of the span.  In a free module (a CoverSpace) the leading terms
-of a submodule behave monomially (Green 1999; Green, Solberg and Zacharia
-2001): a row's pivot (j, w) times an arrow a is the lead of its image
-whenever w*a is a normal word.  Those images come first, in echelon form
-already, and go in unreduced; a block they fill takes no other image, and
-the rest are reduced.  The relations are the seeds of the submodule that
-X = coker(relations) factors out; the generator tops, projected into X, are
-the seeds of step 0.  Each later step spans the kernel of the cover of the
-step before by the same rule, but counts first: in a block, dim ker is the
-cover's dim less the image's, which is X's for the first cover and the
-kernel's before it for each later one.  `kernel_pieces` eliminates only a
-block that the arrow images leave short of its count, where a generator is
-born, and the last step only counts.  When the tops minimally generate X in
-the presentation's own order, the first kernel is the relation span itself,
-which step 0 already holds.
+(degree, target-vertex) block, in free modules over A (`CoverSpace`).
+`span_from_seeds` spans seed vectors under the arrow action, giving each
+block the arrow images of the degree below before its own seeds, so the
+seeds that still enlarge a block are minimal generators of the span.  The
+leading terms of a submodule of a free module behave monomially (Green
+1999; Green, Solberg and Zacharia 2001): a row's pivot (j, w) times an
+arrow a is the lead of its image whenever w*a is a normal word.  Those
+images come first, in echelon form already, and go in unreduced; a block
+they fill takes no other image, and the rest are reduced.  A presentation
+is first minimized by Tietze moves (`ModulePresentation.minimal`), so its
+cover is P_0 and its relation span R is the first kernel; X = P_0/R is
+never spanned.  Each later step spans the kernel of the cover of the step
+before by the same rule, but counts first: in a block, dim ker is the
+cover's dim less the image's, which is X's (P_0's less R's) for the first
+cover and the kernel's before it for each later one.  `kernel_pieces`
+eliminates only a block that the arrow images leave short of its count,
+where a generator is born, and the last step only counts.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
@@ -317,16 +316,12 @@ class CoverSpace:
             self._dims[key] = n
         return n
 
-    def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
-        """Arrow number k from block (d, source) to block (d+1, target), per column."""
-        return self._tables(d, k)[0]
-
     def new_leads(self, d: int, k: int) -> list[bool]:
         """Per column (j, i) of block (d, source of arrow number k): whether word i times the arrow is a normal word."""
         return self._tables(d, k)[1]
 
     def _tables(self, d: int, k: int) -> tuple[list[list[tuple[int, object]]], list[bool]]:
-        """`action` and `new_leads` of arrow number k on block (d, its source), built together once per shape.
+        """The arrow table and `new_leads` of arrow number k on block (d, its source), built together once per shape.
 
         Word i times the arrow is a normal word when its row in the model's
         table is one word whose `parent` link is (i, k); a product rewritten
@@ -377,38 +372,8 @@ class CoverSpace:
         return [(d, v, vec) for (d, v), vec in parts.items() if vec]
 
 
-class QuotientSpace:
-    """A graded quotient of a CoverSpace by a degreewise subspace container.
-
-    Vectors keep the cover's column numbers and live on the columns away
-    from the subspace's pivots; the projection is the subspace residue.
-    """
-
-    def __init__(self, cover: CoverSpace, sub: "GradedPieces"):
-        self.cover = cover
-        self.sub = sub
-
-    @property
-    def model(self) -> GradedAlgebraModel:
-        return self.cover.model
-
-    def dim(self, d: int, v: str) -> int:
-        return self.cover.dim(d, v) - self.sub.dim(d, v)
-
-    def hilbert(self, D: int) -> list[int]:
-        return [sum(self.dim(d, v) for v in self.model.quiver.vertices) for d in range(D + 1)]
-
-    def residue(self, d: int, v: str, vec: dict[int, object]) -> dict[int, object]:
-        """The projection of a cover vector of block (d, v)."""
-        space = self.sub.get(d, v)
-        return space.residue(vec) if vec and space is not None else vec
-
-    def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
-        return self.residue(d + 1, self.model.quiver.arrows[k].target, self.cover.act(d, k, vec))
-
-
 class GradedPieces:
-    """Per-(degree, vertex) subspaces of some graded space over `field`.
+    """Per-(degree, vertex) subspaces of a free module over A, over `field`.
 
     `generators` lists the (degree, vertex, vector) seeds that enlarged the
     span as `span_from_seeds` or `kernel_pieces` built it.
@@ -433,39 +398,34 @@ class GradedPieces:
         return self.spaces[key]
 
 
-def _add_arrow_images(space, pieces: GradedPieces, sub: Subspace, d: int, v: str) -> None:
+def _add_arrow_images(cover: CoverSpace, pieces: GradedPieces, sub: Subspace, d: int, v: str) -> None:
     """Put into `sub`, the empty block (d, v) of `pieces`, the images of its degree d-1 rows under every arrow into v.
 
-    Over a CoverSpace the images with a new lead go in first, as they are.
-    A row's pivot (j, w) is its leading term, with entry 1, and the
-    coordinate order is a term order, so when w*a is a normal word the
-    image's lead is (j, w*a), with entry 1; the leads of distinct pivots or
-    arrows differ.  A block that these fill takes no other image, as it
-    cannot outgrow its dim.  The other images, and every image in a
-    QuotientSpace, whose leads are not known, go through `Subspace.add` in
+    The images with a new lead go in first, as they are.  A row's pivot
+    (j, w) is its leading term, with entry 1, and the coordinate order is a
+    term order, so when w*a is a normal word the image's lead is (j, w*a),
+    with entry 1; the leads of distinct pivots or arrows differ.  A block
+    that these fill takes no other image, as it cannot outgrow its dim.  The
+    other images, whose leads are not known, go through `Subspace.add` in
     arrow-major order.
     """
-    cover = isinstance(space, CoverSpace)
     rest = []
-    for k, a in enumerate(space.model.quiver.arrows):
+    for k, a in enumerate(cover.model.quiver.arrows):
         if a.target != v:
             continue
         prev = pieces.get(d - 1, a.source)
         if prev is None:
             continue
-        if not cover:
-            rest.extend((k, row) for row in prev.rows)
-            continue
-        new = space.new_leads(d - 1, k)
+        new = cover.new_leads(d - 1, k)
         for row, piv in zip(prev.rows, prev.pivot_of_row):
             if new[piv]:
-                sub.insert(space.act(d - 1, k, row))
+                sub.insert(cover.act(d - 1, k, row))
             else:
                 rest.append((k, row))
-    if cover and sub.dim == space.dim(d, v):
+    if sub.dim == cover.dim(d, v):
         return
     for k, row in rest:
-        img = space.act(d - 1, k, row)
+        img = cover.act(d - 1, k, row)
         if img:
             sub.add(img)
 
@@ -480,38 +440,38 @@ def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
     return cover, seeds
 
 
-def span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> GradedPieces:
+def span_from_seeds(cover: CoverSpace, seeds: Iterable[tuple[int, str, dict]], D: int) -> GradedPieces:
     """Degreewise span of (degree, vertex, vector) seeds under the right arrow action, up to degree D.
 
-    `space` is a CoverSpace or QuotientSpace.  Each block takes the arrow
-    images of the degree below before its own seeds, so the seeds that still
-    enlarge it, kept in order in `generators`, minimally generate the span.
-    In a CoverSpace the images with a new lead go first, unreduced, and the
-    others, reduced, only if those leave the block short of its dim; in a
-    QuotientSpace every image is reduced, in arrow-major order
-    (`_add_arrow_images`).  The span, and so each block's pivots and the
-    generators, does not depend on that order.
+    Each block takes the arrow images of the degree below before its own
+    seeds, so the seeds that still enlarge it, kept in order in
+    `generators`, minimally generate the span.  The images with a new lead
+    go first, unreduced, and the others, reduced, only if those leave the
+    block short of its dim (`_add_arrow_images`).  The span, and so each
+    block's pivots and the generators, does not depend on that order.
     """
     by_slot: dict[tuple[int, str], list[dict]] = {}
     for d, v, vec in seeds:
         by_slot.setdefault((d, v), []).append(vec)
-    pieces = GradedPieces(space.model.field)
+    pieces = GradedPieces(cover.model.field)
     min_d = min((d for (d, _v) in by_slot), default=D + 1)
     for d in range(min_d, D + 1):
-        for v in space.model.quiver.vertices:
-            if not space.dim(d, v):
+        for v in cover.model.quiver.vertices:
+            if not cover.dim(d, v):
                 continue
             sub = pieces.ensure(d, v)
-            _add_arrow_images(space, pieces, sub, d, v)
+            _add_arrow_images(cover, pieces, sub, d, v)
             for vec in by_slot.get((d, v), []):
                 if sub.add(vec):
                     pieces.generators.append((d, v, vec))
     return pieces
 
 
-def minimal_generators_of_pieces(space, seeds: Iterable[tuple[int, str, dict]], D: int) -> list[tuple[int, str, dict]]:
+# No pathalg module calls this: perfbench/tracing.py wraps it and tests/reference.py calls it.
+def minimal_generators_of_pieces(cover: CoverSpace, seeds: Iterable[tuple[int, str, dict]],
+                                 D: int) -> list[tuple[int, str, dict]]:
     """Minimal generators, up to degree D, of the submodule the seeds generate: the seeds that enlarge its span."""
-    return span_from_seeds(space, seeds, D).generators
+    return span_from_seeds(cover, seeds, D).generators
 
 
 def kernel_dims(domain: CoverSpace, image_dims: Mapping[tuple[int, str], int], D: int) -> dict[tuple[int, str], int]:
@@ -531,7 +491,7 @@ def kernel_dims(domain: CoverSpace, image_dims: Mapping[tuple[int, str], int], D
     return out
 
 
-def _phi(memo: dict, model: GradedAlgebraModel, ambient, images: Sequence[dict], degrees: Sequence[int],
+def _phi(memo: dict, model: GradedAlgebraModel, ambient: CoverSpace, images: Sequence[dict], degrees: Sequence[int],
          j: int, length: int, i: int) -> dict:
     """The image in the ambient space of cover coordinate (j, i): summand j times word i of the given length.
 
@@ -550,7 +510,7 @@ def _phi(memo: dict, model: GradedAlgebraModel, ambient, images: Sequence[dict],
     return img
 
 
-def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, dims: Mapping[tuple[int, str], int],
+def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient: CoverSpace, dims: Mapping[tuple[int, str], int],
                   D: int) -> GradedPieces:
     """The span of ker(free cover -> ambient) in each block up to degree D, with its minimal generators.
 
@@ -612,26 +572,15 @@ class ResolutionReport:
 
 
 def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: int, D: int) -> ResolutionReport:
-    """Minimal graded projective resolution of coker(relations) out to P_N, degrees <= D.
+    """Minimal graded projective resolution of X = coker(relations) out to P_N, degrees <= D.
 
-    P_0 covers X by the tops that minimally generate it.  P_{n+1} covers
-    ker(P_n -> P_{n-1}); its dims are counted (`kernel_dims`) from the image
-    dims, which are ints kept from the step before, and `kernel_pieces`
-    spans it to find the generators.  ker(P_N -> P_{N-1}) is only counted.
-
-    Step 0 spans no kernel when P_0 has the presentation's summands in the
-    presentation's order, that is, when every top is a minimal generator and
-    the generators are listed by degree, then by vertex in the quiver's
-    order.  Then P_0 is the presentation's cover, with the same
-    coordinates, and the cover maps to X by the quotient, so ker(P_0 -> X)
-    is the relation span R: P_1's generators are the relation seeds that
-    enlarged R, and P_0's CoverSpace is step 1's ambient space.  Those
-    seeds and `kernel_pieces`' null vectors are both minimal generators of
-    one submodule, so P_1 has the same summands, in the same block order,
-    and every later cover, count and the Hilbert function are unchanged;
-    only the vectors chosen differ, and the report holds none.  Any other
-    presentation, say one with a redundant generator or with its generators
-    out of order, goes through `kernel_pieces`.
+    The presentation is validated, then minimized (`ModulePresentation.minimal`):
+    P_0 is the minimized presentation's cover, and ker(P_0 -> X) is its
+    relation span R, so X's dims are P_0's less R's and P_1's generators are
+    the relation seeds that enlarged R.  P_{n+1} covers ker(P_n -> P_{n-1})
+    for n >= 1; its dims are counted (`kernel_dims`) from the image dims,
+    which are ints kept from the step before, and `kernel_pieces` spans it
+    to find the generators.  ker(P_N -> P_{N-1}) is only counted.
 
     Every generator must lie at or below D: one above it would be left out
     of P_0 unseen, so it raises PathAlgError.
@@ -641,37 +590,23 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
     for g in pres.generators:
         if g.degree > D:
             raise PathAlgError(f"generator {g.name} at degree {g.degree} lies above the degree cap {D}")
-    cover, seeds = presentation_cover(pres, model)
-    relations = span_from_seeds(cover, seeds, D)
-    X = QuotientSpace(cover, relations)
+    pres.validate(model.quiver, model.degree_cap)
+    domain, seeds = presentation_cover(pres.minimal(model.quiver, model.field), model)
+    relations = span_from_seeds(domain, seeds, D)
+    vertices = model.quiver.vertices
+    # The image of P_0 is X; the image of each later P_n is the kernel before it.
+    image_dims = {(d, v): domain.dim(d, v) - relations.dim(d, v) for d in range(D + 1) for v in vertices}
+    hilbert = [sum(image_dims[(d, v)] for v in vertices) for d in range(D + 1)]
 
-    # Homological step 0: the summand tops, projected into X, generate it.
-    one = model.field.one
-    tops = []
-    for j, s in enumerate(cover.summands):
-        [(d, v, vec)] = cover.from_terms({(j, Path(s.vertex, s.vertex)): one})
-        tops.append((d, v, X.residue(d, v, vec)))
-    gens = minimal_generators_of_pieces(X, tops, D)
-
-    degrees: list[list[int]] = []
+    degrees = [[s.degree for s in domain.summands]]
     covers: list[tuple[FreeSummand, ...]] = []
     syzygy_dims: list[list[int]] = []
     alive: list[bool] = []
-
-    ambient = X
-    degrees.append(sorted(d for d, _v, _vec in gens))
     zero_tail_from = None
-    # The image of P_0 is X; the image of each later P_n is the kernel before it.
-    image_dims = {(d, v): X.dim(d, v) for d in range(D + 1) for v in model.quiver.vertices}
-
     for n in range(N + 1):
-        summands = tuple(FreeSummand(v, d) for d, v, _vec in gens)
-        covers.append(summands)
-        images = [vec for _d, _v, vec in gens]
-        domain = CoverSpace(model, summands)
-        if not summands:
-            if zero_tail_from is None:
-                zero_tail_from = n
+        covers.append(domain.summands)
+        if not domain.summands:
+            zero_tail_from = n
             degrees.extend([[]] * (N - n))
             alive.extend([False] * (N - n + 1))
             syzygy_dims.extend([[0] * (D + 1)] * (N - n + 1))
@@ -684,17 +619,14 @@ def minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: i
         alive.append(dims[D] > 0)
         if n == N:
             break
-        if n == 0 and domain.summands == cover.summands:
-            # P_0 is the presentation's own cover, so its kernel is the relation span.
-            gens = relations.generators
-        else:
-            gens = kernel_pieces(domain, images, ambient, ker, D).generators
+        gens = kernel_pieces(domain, images, ambient, ker, D).generators if n else relations.generators
         degrees.append(sorted(d for d, _v, _vec in gens))
-        ambient, image_dims = domain, ker
+        ambient, image_dims, images = domain, ker, [vec for _d, _v, vec in gens]
+        domain = CoverSpace(model, tuple(FreeSummand(v, d) for d, v, _vec in gens))
 
     return ResolutionReport(
         degrees=degrees,
-        hilbert=X.hilbert(D),
+        hilbert=hilbert,
         max_n=N,
         degree_cap=D,
         covers=covers,

@@ -13,11 +13,13 @@
   each parent found by its prefix, `rewritten` by a scan of every
   product), and `reference_block` lists a cover block by scanning whole
   levels and sorting, as `CoverSpace.block` did.
-- `reference_minimal_resolution` resolves by the full-kernel route that
-  `pathalg.oracle.minimal_resolution` counted away: `full_kernel_pieces`
-  takes a left nullspace of every (degree, vertex) block, and
-  `span_from_seeds` re-adds every kernel vector to keep those that enlarge
-  the span.
+- `reference_minimal_resolution` resolves the presentation as given, by
+  the routes that `pathalg.oracle.minimal_resolution` minimized and
+  counted away: it spans X = cover/relations in a `Quotient`, takes P_0
+  from the generator tops projected there, and for every step
+  `full_kernel_pieces` takes a left nullspace of every (degree, vertex)
+  block, and `span_from_seeds` re-adds every kernel vector to keep those
+  that enlarge the span.
 - `reference_span_from_seeds` and `reference_kernel_pieces` build the
   spans that `span_from_seeds` and `kernel_pieces` build, but each block
   takes every arrow image of the block below through `Subspace.add`, in
@@ -47,7 +49,6 @@ from pathalg.oracle import (
     FreeSummand,
     GradedAlgebraModel,
     GradedPieces,
-    QuotientSpace,
     ResolutionReport,
     minimal_generators_of_pieces,
     presentation_cover,
@@ -478,15 +479,33 @@ def full_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, D: i
     return out
 
 
+class Quotient:
+    """A graded quotient of a CoverSpace by its `GradedPieces`: vectors keep the cover's columns, projected by residue."""
+
+    def __init__(self, cover: CoverSpace, sub: GradedPieces):
+        self.cover, self.sub, self.model = cover, sub, cover.model
+
+    def dim(self, d: int, v: str) -> int:
+        return self.cover.dim(d, v) - self.sub.dim(d, v)
+
+    def residue(self, d: int, v: str, vec: dict) -> dict:
+        """The projection of a cover vector of block (d, v)."""
+        space = self.sub.get(d, v)
+        return space.residue(vec) if vec and space is not None else vec
+
+    def act(self, d: int, k: int, vec: dict) -> dict:
+        return self.residue(d + 1, self.model.quiver.arrows[k].target, self.cover.act(d, k, vec))
+
+
 def reference_minimal_resolution(pres: ModulePresentation, model: GradedAlgebraModel, N: int, D: int) -> ResolutionReport:
-    """`minimal_resolution` by the full-kernel route: a left nullspace of every block, re-added by `span_from_seeds`."""
+    """`minimal_resolution` of the presentation as given: X spanned, and a left nullspace of every kernel block."""
     if D > model.degree_cap:
         raise PathAlgError("resolution degree cap exceeds the model cap")
     for g in pres.generators:
         if g.degree > D:
             raise PathAlgError(f"generator {g.name} at degree {g.degree} lies above the degree cap {D}")
     cover, seeds = presentation_cover(pres, model)
-    X = QuotientSpace(cover, span_from_seeds(cover, seeds, D))
+    X = Quotient(cover, span_from_seeds(cover, seeds, D))
 
     # Homological step 0: the summand tops, projected into X, generate it.
     one = model.field.one
@@ -494,7 +513,7 @@ def reference_minimal_resolution(pres: ModulePresentation, model: GradedAlgebraM
     for j, s in enumerate(cover.summands):
         [(d, v, vec)] = cover.from_terms({(j, Path(s.vertex, s.vertex)): one})
         tops.append((d, v, X.residue(d, v, vec)))
-    gens = minimal_generators_of_pieces(X, tops, D)
+    gens = reference_span_from_seeds(X, tops, D).generators
 
     degrees: list[list[int]] = []
     covers: list[tuple[FreeSummand, ...]] = []
@@ -531,7 +550,7 @@ def reference_minimal_resolution(pres: ModulePresentation, model: GradedAlgebraM
 
     return ResolutionReport(
         degrees=degrees,
-        hilbert=X.hilbert(D),
+        hilbert=[sum(X.dim(d, v) for v in model.quiver.vertices) for d in range(D + 1)],
         max_n=N,
         degree_cap=D,
         covers=covers,

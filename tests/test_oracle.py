@@ -187,6 +187,12 @@ def test_cover_blocks_are_the_reference_blocks():
     assert checked > 10000
 
 
+def _cover_table(cover, d, k):
+    """Arrow number k on block (d, its source) of a cover: each column's image, and the new-lead flags."""
+    v = cover.model.quiver.arrows[k].source
+    return [cover.act(d, k, {n: 1}) for n in range(cover.dim(d, v))], cover.new_leads(d, k)
+
+
 def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
     # Covers of one shape share their tables.  A block read at cap 4 past
     # the cap lacks the words of degree 5, so a shifted cover of the same
@@ -199,7 +205,7 @@ def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
         old.block(d, "e")
     for d in range(4):
         for k in range(2):
-            old.action(d, k)
+            old.new_leads(d, k)
     assert CoverSpace(small, high).block(7, "e") is old.block(5, "e")
     small.extend(7)
     got, want = CoverSpace(small, high), CoverSpace(fresh, high)
@@ -208,7 +214,7 @@ def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
         assert got.dim(d, "e") == want.dim(d, "e"), d
     for d in range(2, 9):
         for k in range(2):
-            assert got.action(d, k) == want.action(d, k), (d, k)
+            assert _cover_table(got, d, k) == _cover_table(want, d, k), (d, k)
 
 
 def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
@@ -509,7 +515,8 @@ relation m*a*b
 ], ids=["cube_nonminimal_a0", "two_vertices_out_of_order"])
 def test_step_0_spans_the_kernel_of_any_other_cover(monkeypatch, text, module):
     # P_0 differs from the presentation's cover, in its summands or only in
-    # their order, so the relation span is not in P_0's coordinates.
+    # their order.  It is the minimized presentation's cover, whose relation
+    # span is the first kernel, so step 0 calls no `kernel_pieces` either.
     pf = parse(text)
     model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 8), 8)
     pres = pf.modules[module]
@@ -518,7 +525,115 @@ def test_step_0_spans_the_kernel_of_any_other_cover(monkeypatch, text, module):
     rep = minimal_resolution(pres, model, 4, 8)
     assert rep == want
     assert rep.covers[0] != tuple(FreeSummand(g.vertex, g.degree) for g in pres.generators)
-    assert domains[0] == rep.covers[0]
+    assert domains == list(rep.covers[1:4])
+
+
+# Coefficients for seeded relations; 2, 3 and 7 vanish over F_2, F_3 and F_7.
+SEED_COEFFICIENTS = (-2, -1, 1, 2, 3, 7)
+
+
+def _vertex_term_presentation(rng, quiver):
+    """One to four generators of degree 0 to 2, and relations that often hold some of them as vertex terms.
+
+    A relation has one degree, often a generator's, and ends at one or two
+    vertices.  It takes each generator that fits with probability 0.6: as a
+    vertex term at the generator's own degree and vertex, else times a
+    random path of the missing length to the end vertex.
+    """
+    gens = tuple(Generator(f"m{i}", rng.choice(quiver.vertices), rng.randint(0, 2)) for i in range(rng.randint(1, 4)))
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        deg = rng.choice(gens).degree + (rng.random() < 0.3) * rng.randint(1, 2)
+        terms = {}
+        for target in rng.sample(quiver.vertices, min(len(quiver.vertices), rng.randint(1, 2))):
+            for i, g in enumerate(gens):
+                if g.degree > deg or rng.random() < 0.4:
+                    continue
+                length = deg - g.degree
+                paths = [Path(g.vertex, g.vertex)] if not length else quiver.paths_of_length(length)
+                paths = [w for w in paths if w.source == g.vertex and w.target == target]
+                if paths:
+                    terms[(i, rng.choice(paths))] = rng.choice(SEED_COEFFICIENTS)
+        if terms:
+            rels.append(ModuleElement(terms))
+    return ModulePresentation(gens, tuple(rels))
+
+
+def test_seeded_non_minimal_presentations_resolve_like_the_reference(monkeypatch):
+    # The reference resolves each presentation as given: it spans X and
+    # finds P_0 among the generator tops projected there.  minimal_resolution
+    # minimizes it first, and calls `kernel_pieces` only from P_1 on.
+    rng = random.Random(20261020)
+    domains = _kernel_pieces_domains(monkeypatch)
+    cases = redundant = 0
+    for inst, _gb in monomial_bundles(30, 20261021, degree_cap=7):
+        for p in (0, 2, 3, 7):
+            field = Field(p)
+            order = OrderSpec(tuple(a.name for a in inst.quiver.arrows), inst.quiver.vertices, field=field)
+            gb = groebner_basis([AlgebraElement({w: 1}) for w in inst.patterns], order, 7)
+            model = build_model(inst.quiver, gb, 7)
+            pres = _vertex_term_presentation(rng, inst.quiver)
+            name = (inst.seed, p, pres)
+            want = reference_minimal_resolution(pres, model, 4, 7)
+            domains.clear()
+            rep = minimal_resolution(pres, model, 4, 7)
+            assert rep == want, name
+            assert domains == [c for c in rep.covers[1:4] if c], name
+            cases += 1
+            redundant += len(pres.minimal(inst.quiver, field).generators) < len(pres.generators)
+    assert cases >= 100 and redundant >= 40, (cases, redundant)
+
+
+def test_minimal_cube_nonminimal_keeps_only_g0():
+    pf = parse((ROOT / "fixtures" / "cube_nonminimal_a0.alg").read_text())
+    got = pf.modules["A0"].minimal(pf.quiver, pf.field)
+    w = words(pf.quiver)
+    assert got.gen_names() == ["g0"]
+    # g1 = g0, k = 0 and h = g0*x: g1*y and h become g0*y and g0*x.
+    assert got.relations == (ModuleElement({(0, w("x")): 1}), ModuleElement({(0, w("y")): 1}))
+
+
+def test_minimal_splits_a_relation_by_the_target_of_its_paths():
+    # g - h + 2k - l ends at u and at v, and each part holds vertex terms:
+    # h = g and l = 2k.  h*a + l*b also ends at both vertices.
+    quiver = Quiver.build(["u", "v"], [("a", "u", "v"), ("b", "v", "u")])
+    w = words(quiver)
+    gens = (Generator("g", "u", 0), Generator("h", "u", 0), Generator("k", "v", 0), Generator("l", "v", 0))
+    e_u, e_v = Path("u", "u"), Path("v", "v")
+    pres = ModulePresentation(gens, (
+        ModuleElement({(0, e_u): 1, (1, e_u): -1, (2, e_v): 2, (3, e_v): -1}),
+        ModuleElement({(1, w("a")): 1, (3, w("b")): 1}),
+    ))
+    got = pres.minimal(quiver, F)
+    assert got.gen_names() == ["g", "k"]
+    assert got.relations == (ModuleElement({(0, w("a")): 1}), ModuleElement({(1, w("b")): 2}))
+    ideal = [AlgebraElement({w("ab"): 1}), AlgebraElement({w("ba"): 1})]
+    model = build_model(quiver, groebner_basis(ideal, OrderSpec.for_quiver(quiver), 4), 4)
+    assert minimal_resolution(pres, model, 3, 4) == reference_minimal_resolution(pres, model, 3, 4)
+
+
+def test_minimal_reads_coefficients_in_the_field(one_loop):
+    # Over F_7 the vertex term 7*g vanishes, as presentation_cover reads it,
+    # so g is kept; over Q it is f*x times -1/7.
+    x = one_loop.path("x")
+    e = Path("e", "e")
+    pres = ModulePresentation((Generator("g", "e", 1), Generator("f", "e", 0)),
+                              (ModuleElement({(0, e): 7, (1, x): 1}),))
+    got = pres.minimal(one_loop, Field(7))
+    assert got.gen_names() == ["f", "g"]
+    assert got.relations == (ModuleElement({(0, x): 1}),)
+    assert pres.minimal(one_loop, F).gen_names() == ["f"]
+
+
+def test_minimal_lists_generators_by_degree_then_vertex():
+    pf = parse(TWO_VERTEX_OUT_OF_ORDER)
+    pres = pf.modules["M"]
+    w = words(pf.quiver)
+    late = ModulePresentation((Generator("q", "u", 1),) + pres.generators, pres.relations)
+    assert late.minimal(pf.quiver, F).gen_names() == ["m", "n", "q"]
+    got = pres.minimal(pf.quiver, F)
+    assert got.gen_names() == ["m", "n"]
+    assert got.relations == (ModuleElement({(1, w("ba")): 1}), ModuleElement({(0, w("ab")): 1}))
 
 
 def _plane_radical_cover(two_loop, plane_gb):
@@ -630,7 +745,7 @@ def test_spans_with_new_leads_first_are_the_reference_spans(monkeypatch):
     for name, model, pres, D in cases:
         case[0] = name
         minimal_resolution(pres, model, 4, D)
-    assert spans.count("CoverSpace") == len(cases) and spans.count("QuotientSpace") == len(cases)
+    assert spans == ["CoverSpace"] * len(cases)
     assert len(kernels) > 2 * len(cases)
 
 
@@ -648,12 +763,14 @@ def test_counted_syzygy_dims_are_the_koszul_complex(name):
     assert rep.alive_at_cap == [True, True, True, False]
 
 
-# A/yA over the cube algebra, and three presentations of it with a
-# redundant generator g1: equal to g0, killed outright, or tied to g0*x.
+# A/yA over the cube algebra, and four presentations of it with a
+# redundant generator g1: equal to g0, equal to g0 in a sum, killed
+# outright, or tied to g0*x.
 # Each relation is {(generator number, word or vertex): coefficient}.
 MINIMAL_Y = ((0,), [{(0, "y"): 1}])
 NON_MINIMAL_Y = {
     "equal": ((0, 0), [{(0, "e"): 1, (1, "e"): -1}, {(1, "y"): 1}]),
+    "summed": ((0, 0), [{(0, "e"): 1, (1, "e"): -1}, {(0, "y"): 1, (1, "y"): 1}]),
     "killed": ((0, 0), [{(0, "y"): 1}, {(1, "e"): 1}]),
     "tied": ((0, 1), [{(1, "e"): 1, (0, "x"): -1}, {(0, "y"): 1}]),
 }

@@ -265,9 +265,10 @@ def test_windows_multi_vertex_non_monomial():
 
 
 def test_first_syzygy_nonminimal_presentation_guard(two_loop, cube_model):
-    # A relation hitting a generator top is rejected by presentation checks
-    # further down the pipeline; first_syzygy still treats it as an honest
-    # kernel generator of degree equal to the generator's degree shift.
+    # A relation hitting a generator top makes g1 redundant.  first_syzygy
+    # reads the presentation as given and treats it as an honest kernel
+    # generator of degree equal to the generator's degree shift;
+    # minimal_resolution minimizes the presentation first.
     w = words(two_loop)
     pres = ModulePresentation(
         (Generator("g0", "e", 0), Generator("g1", "e", 1)),
