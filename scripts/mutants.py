@@ -39,20 +39,37 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "chain criterion reads w[:-1]",
+        "back-substitution adds instead of subtracting",
         "src/pathalg/algebra.py",
-        "if find((a + right)[1:-1]) is not None:",
-        "if find((a + right)[:-1]) is not None:",
+        "form[j] = form.get(j, 0) - x * y",
+        "form[j] = form.get(j, 0) + x * y",
+        ("tests/test_algebra.py::test_random_completions_against_span_oracle",
+         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]",
+         "tests/test_oracle.py::test_action_tables_are_the_normal_forms[sklyanin_235.alg]"),
+    ),
+    Mutant(
+        "the tip test reads the prefix instead of the suffix",
+        "src/pathalg/algebra.py",
+        "if key[1:] not in normal:",
+        "if key[:-1] not in normal:",
         ("tests/test_algebra.py::test_random_completions_against_span_oracle",
          "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
     ),
     Mutant(
-        "S-element adds instead of subtracting",
+        "a row's pivot is taken as its largest column",
         "src/pathalg/algebra.py",
-        "terms[w] = terms.get(w, 0) - d",
-        "terms[w] = terms.get(w, 0) + d",
-        ("tests/test_algebra.py::test_random_completions_against_span_oracle",
-         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
+        "if min(row) in pivots:",
+        "if max(row) in pivots:",
+        ("tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]",
+         "tests/test_oracle.py::test_action_tables_are_the_normal_forms[sklyanin_235.alg]"),
+    ),
+    Mutant(
+        "the early stop fires one degree early",
+        "src/pathalg/algebra.py",
+        "(monomial or max_overlap <= d)",
+        "(monomial or max_overlap <= d + 1)",
+        ("tests/test_algebra.py::test_completion_stops_at_the_first_degree_known_complete",
+         "tests/test_algebra.py::test_seeded_problems_against_the_reference_completion_levels_and_normal_forms"),
     ),
     Mutant(
         "insert takes its tip with max",
@@ -68,14 +85,6 @@ MUTANTS = [
         "if len(word) == n:",
         "if True:",
         ("tests/test_algebra.py::test_normal_form_takes_longer_words_first",),
-    ),
-    Mutant(
-        "final tail pass reuses the last degree's memo",
-        "src/pathalg/algebra.py",
-        "basis, memo = [], {}",
-        "basis = []",
-        ("tests/test_algebra.py::test_random_completions_against_span_oracle",
-         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
     ),
     Mutant(
         "first_syzygy absorbs below kept tips",
@@ -99,22 +108,6 @@ MUTANTS = [
         "self._covers = {}  # blocks of the old cap lack the new words",
         "pass",
         ("tests/test_oracle.py::test_extend_drops_the_cover_tables_of_the_old_cap",),
-    ),
-    Mutant(
-        "extend keeps a word that is a tip",
-        "src/pathalg/oracle.py",
-        "if e is None:",
-        "if e is None or len(keys[e]) == d:",
-        ("tests/test_oracle.py::test_model_levels_are_the_reference_levels",
-         "tests/test_oracle.py::test_model_dims_cube"),
-    ),
-    Mutant(
-        "extend keeps the parent's automaton state",
-        "src/pathalg/oracle.py",
-        "states.append(t)",
-        "states.append(s)",
-        ("tests/test_oracle.py::test_model_levels_are_the_reference_levels",
-         "tests/test_oracle.py::test_model_dims_cube"),
     ),
     Mutant(
         "minimal substitutes t/a for a generator, not -t/a",
@@ -154,12 +147,12 @@ MUTANTS = [
     ),
     Mutant(
         "the table walk keeps only the first entry of a row with several entries",
-        "src/pathalg/oracle.py",
+        "src/pathalg/algebra.py",
         "vec = [(j, c * x % p if p else c * x) for j, x in table[col]]",
         "vec = [(j, c * x % p if p else c * x) for j, x in table[col][:1]]",
-        ("tests/test_oracle.py::test_action_tables_are_the_normal_forms[sklyanin_235.alg]",
-         "tests/test_oracle.py::test_relation_seeds_read_through_the_tables_are_the_normal_forms[8]",
-         "tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans"),
+        ("tests/test_oracle.py::test_relation_seeds_read_through_the_tables_are_the_normal_forms[8]",
+         "tests/test_algebra.py::test_seeded_problems_against_the_reference_completion_levels_and_normal_forms",
+         "tests/test_algebra.py::test_random_completions_against_span_oracle"),
     ),
     Mutant(
         "kernel_pieces drops its count check",

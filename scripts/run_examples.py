@@ -31,6 +31,8 @@ RUNS = [
     ("resolve", "cube_nonminimal_a0.alg", ["--module", "A0", "--max-n", "4"]),
     ("groebner", "sklyanin_235.alg", ["--max-degree", "10"]),
     ("verify", "cube_nonminimal_a0.alg", ["--module", "A0", "--max-n", "4"]),
+    ("groebner", "split_relation.alg", []),
+    ("resolve", "split_relation.alg", ["--module", "M", "--max-n", "4"]),
 ]
 
 

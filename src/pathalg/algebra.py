@@ -10,36 +10,25 @@ hand may hold any ints, and `groebner_basis`, `normal_form`, `monic` and
 `TipIndex.add` reduce them mod p on intake, so a term that vanishes mod p
 never acts as a nonzero one.
 
-The reduced Groebner basis of a homogeneous ideal I inside (kQ_{>0})^2 is
-computed by overlap completion, truncated at a caller-supplied degree; the
-completeness status is part of the result.  Completion is degree-ordered,
-as in Bergman's diamond lemma and Green's completion for path algebras, and
-takes one degree at a time, in the manner of F4: the degree's generators
-and S-elements are reduced modulo the lower-degree basis, and their
-remainders are eliminated together in one `linalg.Subspace` over the
-degree's rank words, so a zero reduction is an `add` that enlarges
-nothing.  The echelon rows join the basis when the degree is done.  This
-is sound because every overlap of a degree-d element has degree > d,
-the chain criterion reads only tips shorter than d, and the truncated
-reduced basis is unique: the tips form an antichain throughout, no element
-is ever dropped, and one final pass that reduces every tail makes the
-basis reduced.  An overlap's S-element is built from the two tails, in
-rank words, only when its degree comes; a pair of monomials and an overlap
-that a third tip strictly inside its ambiguity word already resolves (the
-chain criterion) are not reduced at all.  A normal form is a single
-descending pass over heaps of rank words (`_reduce_words`); each word's
-reducer is found in one scan of the word by a TipIndex, an Aho-Corasick
-automaton over the tip words, which a GroebnerBasis builds once and keeps.
-Completion works in rank words throughout: each degree's elements go into
-the TipIndex by `insert`, so the automaton is rebuilt once per degree, and
-no `Path` is built until the reduced basis is returned.  Over Q, the basis
-and `normal_form` give each coefficient as an int, or as a Fraction only
-where it is not integral.
+A = kQ/I is built one degree at a time by `Levels`, as in the
+linear-algebra completion of F4 (Faugere 1999): A_d is
+(A_{d-1} (x) V) / span{u*r}, for r an ideal generator and u a normal word
+of degree d - deg r that ends where r starts.  One elimination per degree
+gives A_d's normal words, the table of every arrow on A_{d-1}, and the
+degree-d elements of the reduced Groebner basis: a rewritten product whose
+suffix one arrow shorter is a normal word is a minimal tip, and its element
+is the tip minus its normal form.  `groebner_basis` runs the levels up to a
+caller-supplied degree, or until the basis is known complete; the
+completeness status is part of the result, and the levels stay with the
+basis for `oracle.GradedAlgebraModel` to continue.  `normal_form` rewrites
+any element modulo any list of elements, in one descending pass over heaps
+of rank words (`_reduce_words`), with a TipIndex to find each word's
+reducer.  Over Q, the basis and `normal_form` give each coefficient as an
+int, or as a Fraction only where it is not integral.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
@@ -172,6 +161,8 @@ class GroebnerBasis:
     order: OrderSpec
     # Largest proper-overlap degree among the final tips (informational).
     max_overlap_degree: int = 0
+    # The levels of A that completion grew, for the model to continue; None for a basis built by hand.
+    levels: "Levels | None" = dc_field(default=None, compare=False, repr=False)
 
     @property
     def status(self) -> str:
@@ -190,7 +181,7 @@ class GroebnerBasis:
 
 
 class TipIndex:
-    """Reducers for `normal_form`, looked up by the arrow ranks of their tips.
+    """The reducers of `normal_form`, looked up by the arrow ranks of their tips.
 
     A word is handled as the tuple of its arrows' precedence ranks (0 is
     the greatest arrow), so among words of one length the smaller tuple is
@@ -201,11 +192,11 @@ class TipIndex:
     first element whose tip is a suffix of the state's word, so every end
     position of the word offers the best tip ending there, and the scan
     keeps a position's offer only when it is strictly better.  This rule
-    needs no antichain: nested, suffix and duplicate tips get the same
-    reducer as a search of every factor would give them.  The index keeps
-    rank words only, no elements: `insert` takes an element as rank words,
-    and `add` is the `Path` edge.  Either leaves the automaton stale, and
-    the next `find` rebuilds it.
+    needs no antichain, so the elements may be any list: nested, suffix and
+    duplicate tips get the reducer a search of every factor would give
+    them.  `insert` takes an element as rank words and `add` as an
+    AlgebraElement; either leaves the automaton stale, and the next `find`
+    rebuilds it.
     """
 
     def __init__(self, order: OrderSpec, elements: Iterable[AlgebraElement] = ()):
@@ -213,7 +204,7 @@ class TipIndex:
         # Per element: tip ranks, and the tail as (ranks, coefficient / lead) pairs.
         self.keys: list[tuple[int, ...]] = []
         self.tails: list[list[tuple[tuple[int, ...], object]]] = []
-        # rank -> Arrow, for every arrow of a tip or a tail (and, in completion, of a generator)
+        # rank -> Arrow, for every arrow of a tip or a tail
         self.arrows: dict[int, Arrow] = {}
         # Dense transition rows (one per state, indexed by arrow rank) and,
         # per state, the first element whose tip is a suffix of its word
@@ -289,21 +280,6 @@ class TipIndex:
                     break
         return (best, end - len(self.keys[best])) if end else None
 
-    def step(self, state: int, r: int) -> tuple[int, int | None]:
-        """One automaton transition: the state after reading arrow rank r in `state`, 0 being the empty word's.
-
-        Also returns the insertion position of the first element whose tip
-        is a suffix of the word read so far, or None.  For a word w with no
-        tip inside it, reached in state s, `step(s, r)` tells at once what
-        `find(w + (r,))` does: a tip of w + (r,) can only end it.  A state
-        stays valid until the next `insert`.
-        """
-        if self._goto is None:
-            self._build()
-        s = self._goto[state][r]
-        k = self._first[s]
-        return s, (k if k < len(self.keys) else None)
-
 
 def _reducers(basis, order: OrderSpec) -> TipIndex:
     if not isinstance(basis, (GroebnerBasis, TipIndex)):
@@ -323,7 +299,7 @@ def _words(x: AlgebraElement, order: OrderSpec, arrows: dict[int, Arrow]) -> dic
     return terms
 
 
-def _reduce_words(terms: dict, index: TipIndex, p: int, memo: dict) -> dict:
+def _reduce_words(terms: dict, index: TipIndex, p: int) -> dict:
     """The normal form of a map from rank words to coefficients, greatest word first.
 
     `terms` is used up.  Words are taken greatest first: one heap of plain
@@ -336,11 +312,6 @@ def _reduce_words(terms: dict, index: TipIndex, p: int, memo: dict) -> dict:
     (p > 0) a word's coefficient is reduced mod p once, when it is popped,
     so the rewrites in between are plain int arithmetic; over Q a
     surviving integral Fraction leaves as an int.
-
-    `memo` maps each word already met to its one-step rewrite (the
-    reducer's tail placed in the word), or to None for a normal word.  It
-    is valid while the index is unchanged, so a caller shares it between
-    reductions only until the next `insert`.
     """
     find, keys, tails = index.find, index.keys, index.tails
     heaps: dict[int, list] = {}
@@ -358,20 +329,14 @@ def _reduce_words(terms: dict, index: TipIndex, p: int, memo: dict) -> dict:
                 c %= p
             if not c:
                 continue
-            rewrite = memo.get(w, False)
-            if rewrite is False:
-                found = find(w)
-                if found is None:
-                    rewrite = None
-                else:
-                    k, i = found
-                    head, rest = w[:i], w[i + len(keys[k]):]
-                    rewrite = [(head + q + rest, d) for q, d in tails[k]]
-                memo[w] = rewrite
-            if rewrite is None:
+            found = find(w)
+            if found is None:
                 out[w] = c if p or c.denominator != 1 else c.numerator
                 continue
-            for word, d in rewrite:
+            k, i = found
+            head, rest = w[:i], w[i + len(keys[k]):]
+            for q, d in tails[k]:
+                word = head + q + rest
                 s = terms.get(word)
                 if s is None:
                     terms[word] = -(c * d)
@@ -389,13 +354,13 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
 
     `basis` may be a GroebnerBasis or a TipIndex built for `order`, or any
     iterable of elements; x minus the result lies in the two-sided ideal
-    generated by the basis.  x's paths become rank words, `_reduce_words` rewrites them,
-    and the surviving words become paths again.
+    generated by the basis.  x's paths become rank words, `_reduce_words`
+    rewrites them, and the surviving words become paths again.
     """
     index = _reducers(basis, order)
     # x's own arrows by rank; the index knows the arrows of its tails.
     own: dict[int, Arrow] = {}
-    out = _reduce_words(_words(x, order, own), index, order.field.characteristic, {})
+    out = _reduce_words(_words(x, order, own), index, order.field.characteristic)
     # Every rewrite keeps a word's endpoints, so all words share x's.
     end = next(iter(x.terms), None)
     arrows = index.arrows
@@ -418,12 +383,6 @@ def _overlaps(a: tuple, b: tuple):
             yield la + lb - k, k
 
 
-def _path(w: tuple[int, ...], arrows: Mapping[int, Arrow]) -> Path:
-    """The path of a nonempty rank word."""
-    path = tuple([arrows[r] for r in w])
-    return Path(path[0].source, path[-1].target, path)
-
-
 def _validate_generators(generators: Iterable[AlgebraElement], field: Field) -> list[AlgebraElement]:
     gens = [h for h in (_reduced(g, field) for g in generators) if h]
     for g in gens:
@@ -434,109 +393,212 @@ def _validate_generators(generators: Iterable[AlgebraElement], field: Field) -> 
     return gens
 
 
-def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_degree: int) -> GroebnerBasis:
-    """Degree-ordered overlap completion up to max_degree, returning the reduced basis.
+def _walk(vec: list[tuple[int, object]], tables: Iterable[list[list[tuple[int, object]]]],
+          p: int) -> list[tuple[int, object]]:
+    """A sparse vector, as (column, scalar) pairs on distinct columns, through integer action tables in turn.
 
-    One heap holds the work, keyed by degree: each generator at its own
-    degree, and each overlap of degree <= max_degree, pushed when the later
-    of its two elements joins the basis.  An overlap waits as the pair of
-    elements and the number of letters their tips share; its S-element is
-    built only when it is popped, in rank words, from the two tails (the
-    tips cancel unwritten).
-
-    The heap is taken one degree d at a time.  Each of the degree's items
-    is reduced modulo the basis of degree < d, which does not change while
-    d lasts, so the reductions share one memo of one-step rewrites.  Each
-    remainder is added to one `Subspace` whose columns are the rank words of
-    length d; a remainder that is zero, or in the span of the ones before
-    it, enlarges nothing.  When the degree is done, the echelon rows join
-    the index together, each monic on its pivot, which is its tip, so the
-    automaton is rebuilt once per degree.  This is sound.  Each remainder
-    is normal modulo the lower degrees, so a new tip is divisible by no
-    older tip, and it divides none, since an older tip is no longer and
-    pivots differ.  The tips therefore stay an antichain, no element is
-    ever dropped, and every overlap of a degree-d element has degree > d,
-    so nothing of degree d is missed by waiting for the degree's end.  The
-    rows' tails may hold one another's tips; a final pass reduces each tail
-    against the whole basis, with a fresh memo.  The truncated reduced
-    basis is unique, so the result is the one that adding each remainder
-    as it comes gives.
-
-    Two kinds of overlap are never reduced.  A pair of monomials has the
-    S-element 0, so it is not pushed.  And an overlap whose ambiguity word
-    w has a basis tip strictly inside it, in w[1:-1], is skipped (the chain
-    criterion of Bergman's diamond lemma).  This is sound: such a tip is
-    shorter than w, and every tip shorter than w is in the index when w's
-    degree comes.  An interior tip t_k splits the overlap of t_i (a prefix
-    of w) with t_j (a suffix) into the pairs (i, k) and (k, j).  Neither
-    tip is a factor of the other, so each pair is disjoint or overlaps in a
-    proper factor of w; that overlap has lower degree and has already been
-    resolved, by reduction or, by induction, by this criterion.  So the
-    skipped S-element is a combination of multiples of basis elements whose
-    terms lie below w, which is all the diamond lemma asks of it.
-
-    A generator of degree above max_degree waits above the cap like an
-    S-element.  The status is `complete` exactly when no generator waits and
-    every proper overlap among the final tips has degree <= max_degree (each
-    such S-element is known to reduce to zero when the loop exits);
-    all-monomial bases are certified complete outright since their
-    S-elements vanish identically.
+    A vector of one entry becomes its table row, scaled, with no dict; the
+    images of several entries are summed by column.  Scalars are reduced
+    mod p (0: over Q) at each table.
     """
-    gens = _validate_generators(generators, order.field)
-    p = order.field.characteristic
-    index = TipIndex(order)
-    find, keys, tails, arrows = index.find, index.keys, index.tails, index.arrows
-    words = [_words(g, order, arrows) for g in gens]
-    ticket = itertools.count()
-    # Items (degree, ticket, ia, ib, shared): the overlap of elements ia and
-    # ib whose tips share `shared` letters, or generator ia when ib is None.
-    queue = [(g.degree(), next(ticket), i, None, 0) for i, g in enumerate(gens) if g.degree() <= max_degree]
-    waiting = len(queue) < len(gens)
-    heapify(queue)
-    # No element is ever dropped, so the pushes below meet every ordered pair of final tips.
-    max_overlap = 0
-    while queue:
-        # One degree: its items are reduced modulo the lower-degree basis,
-        # which stays fixed, so they share one rewrite memo, and their
-        # remainders are eliminated in one span over the degree's rank words.
-        degree, memo, span = queue[0][0], {}, Subspace(order.field)
-        while queue and queue[0][0] == degree:
-            _, _, ia, ib, shared = heappop(queue)
-            if ib is None:
-                terms = words[ia]
-            else:
-                a, b = keys[ia], keys[ib]
-                right, left = b[shared:], a[:len(a) - shared]
-                # A tip inside the ambiguity word resolves it (see the docstring).
-                if find((a + right)[1:-1]) is not None:
+    for table in tables:
+        if len(vec) == 1:
+            [(col, c)] = vec
+            vec = [(j, c * x % p if p else c * x) for j, x in table[col]]
+        else:
+            out: dict[int, object] = {}
+            for col, c in vec:
+                for j, x in table[col]:
+                    prev = out.get(j)
+                    out[j] = c * x if prev is None else prev + c * x
+            vec = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
+    return vec
+
+
+class Levels:
+    """A = kQ/I one degree at a time: its normal words and arrow tables, each degree by one elimination.
+
+    The quiver comes as its vertices and its arrows, in the order that
+    numbers them, and I as homogeneous relations of degree >= 2: the
+    ideal's generators, or a basis's elements.  `basis[d]` lists the normal
+    words of length d, numbered by their place there; `parent[d][j]` is
+    (number of word j minus its last arrow, number of that arrow),
+    `ranks[d][j]` the word's rank word, and `between[d]` maps (source,
+    target) to the numbers of the words between them in descending term
+    order.  `tables[d][k][i]` is word i of length d times arrow k, as (word
+    number of length d + 1, scalar) pairs, empty when the arrow does not
+    start where the word ends; `rewritten[d]` lists the (i, k) whose product
+    is not a normal word, in ascending term order.
+
+    `grow` adds degree d.  A column is a word i of length d - 1 times an
+    arrow k that starts where i ends, numbered place * width + rank: i's
+    position among the words of its length by rank word, the number of
+    arrows in the order, and k's precedence rank.  So the least column is
+    the greatest product.  A relation r of degree e gives a row u*r for each
+    normal word u of length d - e that ends where r starts: u is walked
+    through the tables below along each term of r but its last arrow, which
+    then picks the column.  The rows are eliminated in one `Subspace`, by
+    `insert` when the least column is no pivot yet and by `add` otherwise.
+    The columns left without a pivot are the normal words of length d,
+    numbered in (i, k) order, and back-substitution in descending column
+    order gives each pivot its normal form: the tables of degree d - 1.
+    """
+
+    def __init__(self, vertices: Iterable[str], arrows: Iterable[Arrow], order: OrderSpec,
+                 relations: Iterable[AlgebraElement]):
+        self.vertices, self.arrows = tuple(vertices), tuple(arrows)
+        self.field, self._p = order.field, order.field.characteristic
+        self.rank = [order.arrow_rank[a.name] for a in self.arrows]
+        self._width = len(order.arrow_rank)
+        self._leaving: dict[str, list[int]] = {}
+        for k, a in enumerate(self.arrows):
+            self._leaving.setdefault(a.source, []).append(k)
+        number = {a: k for k, a in enumerate(self.arrows)}
+        # Per relation: its degree, its source, and per term (the arrow numbers but the last, the last, scalar).
+        self._relations = []
+        for r in relations:
+            some = next(iter(r.terms))
+            self._relations.append((some.length, some.source, [(tuple([number[a] for a in q.arrows[:-1]]),
+                                                               number[q.arrows[-1]], c) for q, c in r.terms.items()]))
+        n = len(self.vertices)
+        self.basis: list[list[Path]] = [[Path(v, v) for v in self.vertices]]
+        self.parent: list[list[tuple[int, int]]] = [[]]
+        self.ranks: list[list[tuple[int, ...]]] = [[()] * n]
+        self.between: list[dict[tuple[str, str], list[int]]] = [{(v, v): [i] for i, v in enumerate(self.vertices)}]
+        self.rewritten: list[list[tuple[int, int]]] = []
+        self.tables: list[list[list[list[tuple[int, object]]]]] = []
+        # Per degree: each word's place by rank word (0 for every vertex, so
+        # that a length-1 column is its arrow's rank), and the word numbers
+        # ending at each vertex.
+        self._place: list[list[int]] = [[0] * n]
+        self._ending: list[dict[str, list[int]]] = [{v: [i] for i, v in enumerate(self.vertices)}]
+
+    def grow(self) -> None:
+        """Add the next degree: its normal words, and the tables of every arrow on the degree below."""
+        d = len(self.basis)
+        below, place, p, width, rank = self.basis[d - 1], self._place[d - 1], self._p, self._width, self.rank
+        span = Subspace(self.field)
+        pivots = span.row_of_pivot
+        for e, v, terms in self._relations:
+            if e > d:
+                continue
+            # Per term: the table of its first arrow, those of the rest but the last, the last's rank, the scalar.
+            walks = [(self.tables[d - e][head[0]], [self.tables[d - e + s][a] for s, a in enumerate(head) if s],
+                      rank[k], c) for head, k, c in terms]
+            for u in self._ending[d - e].get(v, ()):
+                row: dict[int, object] = {}
+                for first, rest, r, c in walks:
+                    for i, x in _walk(first[u], rest, p) if rest else first[u]:
+                        col = place[i] * width + r
+                        row[col] = row.get(col, 0) + c * x
+                row = {col: x % p for col, x in row.items() if x % p} if p else {col: x for col, x in row.items() if x}
+                if not row:
                     continue
-                terms = {q + right: c for q, c in tails[ia]}
-                for q, d in tails[ib]:
-                    w = left + q
-                    terms[w] = terms.get(w, 0) - d
-            span.add(_reduce_words(terms, index, p, memo))
-        for row in span.rows:
-            index.insert(row)
-            k = len(keys) - 1
-            for j in range(k + 1):
-                for ia, ib in ((k, j), (j, k)) if j < k else ((k, k),):
-                    monomials = not (tails[ia] or tails[ib])
-                    for deg, shared in _overlaps(keys[ia], keys[ib]):
-                        if deg > max_overlap:
-                            max_overlap = deg
-                        if not monomials and deg <= max_degree:
-                            heappush(queue, (deg, next(ticket), ia, ib, shared))
+                if min(row) in pivots:
+                    span.add(row)
+                else:
+                    span.insert(row)
+        # Column -> number of its normal word, or the (i, k) of its rewritten product.
+        normal: dict[int, int] = {}
+        products: dict[int, tuple[int, int]] = {}
+        level, parent, ranks, ending = [], [], [], {}
+        for i, (w, word) in enumerate(zip(below, self.ranks[d - 1])):
+            base = place[i] * width
+            for k in self._leaving.get(w.target, ()):
+                col = base + rank[k]
+                if col in pivots:
+                    products[col] = (i, k)
+                    continue
+                a = self.arrows[k]
+                normal[col] = len(level)
+                ending.setdefault(a.target, []).append(len(level))
+                level.append(Path(w.source, a.target, w.arrows + (a,)))
+                parent.append((i, k))
+                ranks.append(word + (rank[k],))
+        one, of = self.field.one, self.field.of
+        # Rows are replaced, never changed in place, so they may start as one empty list.
+        tables = [[[]] * len(below) for _ in self.arrows]
+        for j, (i, k) in enumerate(parent):
+            tables[k][i] = [(j, one)]
+        # A pivot row's other columns lie right of its pivot, so their forms are known when it comes.
+        forms: dict[int, list[tuple[int, object]]] = {}
+        rewritten = []
+        for col in sorted(products, reverse=True):
+            form: dict[int, object] = {}
+            for c, x in span.rows[pivots[col]].items():
+                if c == col:
+                    continue
+                j = normal.get(c)
+                if j is not None:
+                    form[j] = form.get(j, 0) - x
+                    continue
+                for j, y in forms[c]:
+                    form[j] = form.get(j, 0) - x * y
+            i, k = products[col]
+            tables[k][i] = forms[col] = [(j, x % p) for j, x in form.items() if x % p] if p else [
+                (j, of(x)) for j, x in form.items() if x]
+            rewritten.append((i, k))
+        places, between = [0] * len(level), {}
+        for n, col in enumerate(sorted(normal)):
+            j = normal[col]
+            places[j] = n
+            between.setdefault((level[j].source, level[j].target), []).append(j)
+        self.basis.append(level)
+        self.parent.append(parent)
+        self.ranks.append(ranks)
+        self.between.append(between)
+        self.tables.append(tables)
+        self.rewritten.append(rewritten)
+        self._place.append(places)
+        self._ending.append(ending)
 
-    # Ascending term order by tip: the reverse of the order `insert` takes its tip by.
-    ranked = sorted(range(len(keys)), key=lambda k: (-len(keys[k]), keys[k]), reverse=True)
-    # The index now holds the last degree too, so that degree's memo is stale.
-    basis, memo = [], {}
-    for k in ranked:
-        terms = _reduce_words(dict(tails[k]), index, p, memo)
-        terms[keys[k]] = 1
-        basis.append(AlgebraElement({_path(w, arrows): c for w, c in terms.items()}))
-    tips_ = tuple(_path(keys[k], arrows) for k in ranked)
-    all_monomial = all(len(g.terms) == 1 for g in basis)
-    complete = not waiting and (all_monomial or max_overlap <= max_degree)
-    return GroebnerBasis(tuple(basis), tips_, complete, max_degree, order, max_overlap)
 
+def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_degree: int) -> GroebnerBasis:
+    """The reduced Groebner basis of the ideal the generators generate, truncated at max_degree.
+
+    `Levels` grows from the generators one degree d at a time.  The minimal
+    tips of degree d are its rewritten products whose suffix one arrow
+    shorter is a normal word (the prefix is normal already).  A tip's
+    element is the tip minus its normal form, its table row, so the basis
+    is reduced as it is read; the tips are listed in ascending term order.
+
+    The status is `complete` exactly when no generator lies above
+    max_degree and every proper overlap among the final tips has degree <=
+    max_degree, or every element is a monomial: each such overlap's
+    S-element lies in the span eliminated at its degree, so Bergman's
+    diamond lemma certifies the basis.  `max_overlap_degree` is the largest
+    proper-overlap degree among the final tips.  The levels stop at the
+    first degree that is at least every generator's and at which that test
+    already holds, as no element lies above it.
+    """
+    field = order.field
+    gens = _validate_generators(generators, field)
+    rank = order.arrow_rank
+    arrows = sorted({a for g in gens for q in g.terms for a in q.arrows}, key=lambda a: rank[a.name])
+    # An order built by hand may leave out a vertex that the generators reach.
+    ends = {v for a in arrows for v in (a.source, a.target)}.difference(order.vertex_precedence)
+    levels = Levels([*order.vertex_precedence, *sorted(ends)], arrows, order, gens)
+    top = max((g.degree() for g in gens), default=0)
+    elements, tips, keys = [], [], []
+    monomial, max_overlap, d = True, 0, 0
+    while d < max_degree and not (top <= d and (monomial or max_overlap <= d)):
+        d += 1
+        levels.grow()
+        heads, words, normal = levels.basis[d - 1], levels.basis[d], set(levels.ranks[d - 1])
+        for i, k in levels.rewritten[d - 1]:
+            key = levels.ranks[d - 1][i] + (levels.rank[k],)
+            if key[1:] not in normal:
+                continue
+            w, a = heads[i], levels.arrows[k]
+            tips.append(Path(w.source, a.target, w.arrows + (a,)))
+            tail = levels.tables[d - 1][k][i]
+            terms = {words[j]: field.of(-x) for j, x in tail}
+            terms[tips[-1]] = 1
+            elements.append(AlgebraElement(terms))
+            monomial = monomial and not tail
+            keys.append(key)
+            for other in keys:
+                for deg, _shared in [*_overlaps(key, other), *_overlaps(other, key)]:
+                    max_overlap = max(max_overlap, deg)
+    complete = top <= max_degree and (monomial or max_overlap <= max_degree)
+    return GroebnerBasis(tuple(elements), tuple(tips), complete, max_degree, order, max_overlap, levels)

@@ -2,10 +2,10 @@
 
 A vector is a dict from column to a nonzero scalar: over Q an int, or a
 Fraction where one occurs; over F_p an int in [1, p).  A missing column is
-zero.  The columns of one Subspace are keys of one totally ordered kind:
-ints in the oracle, and in completion the rank words of one length, where
-the least tuple is the greatest word.  The field is given when a Subspace
-is made.  A Subspace keeps its rows in echelon form: each row's pivot is
+zero.  Columns are ints, numbered by their callers so that the least is
+the greatest in a term order: a block coordinate in the oracle, and in
+completion a normal word times an arrow (`algebra.Levels`).  The field is
+given when a Subspace is made.  A Subspace keeps its rows in echelon form: each row's pivot is
 its smallest column, with entry 1, and no two rows share a pivot; that is
 all it keeps.  Rows are not reduced against one another: a row is either
 the residue of a vector against the rows before it (`add`) or a vector

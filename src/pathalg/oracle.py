@@ -1,12 +1,11 @@
 """Ground truth by exact graded linear algebra.
 
-A GradedAlgebraModel holds normal-word bases of A = kQ/I per degree and the
-right action of each arrow on them; the oracle reads A only through it, a
-presentation's relations included.  The Groebner basis's TipIndex, an
-Aho-Corasick automaton over the tips, tells in one transition from a normal
-word's state whether its product with an arrow is normal, names the tip
-that ends each other one and holds its tail; each degree's action comes
-from those tails and the action below, with no `normal_form` call.
+A GradedAlgebraModel holds the normal words of A = kQ/I per degree and the
+right action of each arrow on them as integer tables; the oracle reads A
+only through it, a presentation's relations included.  The words and
+tables come from `algebra.Levels`, one elimination per degree, and the
+model continues the levels that `groebner_basis` grew.
+
 Minimal graded projective resolutions are computed degreewise, per
 (degree, target-vertex) block, in free modules over A (`CoverSpace`).
 `span_from_seeds` spans seed vectors under the arrow action, giving each
@@ -15,32 +14,28 @@ seeds that still enlarge a block are minimal generators of the span.  The
 leading terms of a submodule of a free module behave monomially (Green
 1999; Green, Solberg and Zacharia 2001): a row's pivot (j, w) times an
 arrow a is the lead of its image whenever w*a is a normal word.  Those
-images come first, in echelon form already, and go in unreduced; a block
-they fill takes no other image, and the rest are reduced.  A presentation
-is first minimized by Tietze moves (`ModulePresentation.minimal`), so its
-cover is P_0 and its relation span R is the first kernel; X = P_0/R is
-never spanned.  Each later step spans the kernel of the cover of the step
-before by the same rule, but counts first: in a block, dim ker is the
-cover's dim less the image's, which is X's (P_0's less R's) for the first
-cover and the kernel's before it for each later one.  `kernel_pieces`
-eliminates only a block that the arrow images leave short of its count,
-where a generator is born, and the last step only counts.
+images go in first, unreduced; a block they fill takes no other image, and
+the rest are reduced.  A presentation is first minimized by Tietze moves
+(`ModulePresentation.minimal`), so its cover is P_0 and its relation span
+is the first kernel.  Each later step spans the kernel of the cover of the
+step before by the same rule, but counts first: in a block, dim ker is the
+cover's dim less the image's.  `kernel_pieces` eliminates only a block
+that the arrow images leave short of its count, where a generator is born,
+and the last step only counts.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
-integer table.  Blocks, their dims and tables are built once per model
-and cover shape, so covers that differ by a degree shift share them.  The model
-spells words as the TipIndex does, in rank words, and numbers them by
-their place in `basis`; it keeps each normal word's `Path` there, for its
-endpoints, first syzygies and `act`, and looks no path up by hash.
+integer table.  Blocks, their dims and tables are built once per model and
+cover shape, so covers that differ by a degree shift share them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
+from .algebra import GroebnerBasis, Levels, _walk
 # perfbench/tracing.py resolves `normal_form` through this module's __dict__; nothing here calls it.
-from .algebra import GroebnerBasis, normal_form  # noqa: F401
+from .algebra import normal_form  # noqa: F401
 from .errors import PathAlgError
 from .fields import Field
 from .linalg import Subspace, left_nullspace
@@ -54,24 +49,19 @@ class GradedAlgebraModel:
     `basis[d]` lists the normal words of length d; a word's number is its
     place there.  `parent[d][i]` is (number of the word minus its last arrow,
     number of that arrow in `quiver.arrows`) for d >= 1, and `ranks[d][i]`
-    is the word's rank word as `TipIndex` spells it: the precedence ranks of
-    its arrows, 0 the greatest.  `rewritten[d]` lists the pairs (i, k) whose
-    product, word i of length d times arrow number k, is not a normal word,
-    in ascending term order of the product.  `between[d]` maps (source,
-    target) to the numbers of the words of length d between them, in
-    descending term order.  `field` is the field of the basis's order.
+    is the word's rank word: the precedence ranks of its arrows, 0 the
+    greatest.  `rewritten[d]` lists the pairs (i, k) whose product, word i
+    of length d times arrow number k, is not a normal word, in ascending
+    term order of the product.  `between[d]` maps (source, target) to the
+    numbers of the words of length d between them, in descending term
+    order.  `field` is the field of the basis's order.
 
-    `extend` lists each level from the one below, one arrow at a time: a
-    product of a normal word and an arrow is normal exactly when no tip
-    ends it.  Each normal word keeps its state in the basis's TipIndex, so
-    one `TipIndex.step` from it tells, and the state of a new normal word
-    is the one that step reaches.  For a product that is not normal it
-    records the tip that ends it and where that tip starts.  The action
-    tables of one degree are built together, from those records, the
-    basis's tails and the tables of the degrees below (`_build_level`), so
-    no product inside the cap goes through `normal_form` or `find`.  The
-    normal words of the basis are those of A only up to its degree bound,
-    so a model of a truncated basis may not reach above it.
+    All of these are read off `algebra.Levels`, which builds each degree by
+    one elimination.  The model continues the levels that `groebner_basis`
+    grew when they were grown over the quiver's vertices and arrows, and
+    otherwise starts its own from the basis's elements.  The normal words
+    of the basis are those of A only up to its degree bound, so a model of
+    a truncated basis may not reach above it.
 
     The blocks and arrow tables of the free modules over A (`CoverSpace`)
     are kept here too, one set per shape, so covers that differ only by a
@@ -83,22 +73,12 @@ class GradedAlgebraModel:
         self.quiver = quiver
         self.gb = gb
         self.field = gb.order.field
+        levels = gb.levels
+        if levels is None or (levels.vertices, levels.arrows) != (quiver.vertices, quiver.arrows):
+            levels = Levels(quiver.vertices, quiver.arrows, gb.order, gb.elements)
+        self._levels = levels
         self.degree_cap = -1
-        self.basis: list[list[Path]] = []
-        self.parent: list[list[tuple[int, int]]] = []
-        self.ranks: list[list[tuple[int, ...]]] = []
-        self.rewritten: list[list[tuple[int, int]]] = []
-        # Per degree: each normal word's TipIndex state, and per rewritten
-        # product (as in `rewritten`) the tip that ends it and its offset.
-        self._states: list[list[int]] = []
-        self._ends: list[list[tuple[int, int]]] = []
-        self.between: list[dict[tuple[str, str], list[int]]] = []
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
-        # The precedence rank of each arrow number, and the arrow number of each rank.
-        self._rank = [gb.order.arrow_rank[a.name] for a in quiver.arrows]
-        self._of_rank = {r: k for k, r in enumerate(self._rank)}
-        self._actions: dict[tuple[int, int], list[list[tuple[int, object]]]] = {}
-        self._built = 0
         # Cover shape -> (blocks, arrow tables with new-lead flags, block dims),
         # shared by the CoverSpaces of that shape.
         self._covers: dict[tuple[tuple[str, int], ...], tuple[dict, dict, dict]] = {}
@@ -112,39 +92,14 @@ class GradedAlgebraModel:
         if degree_cap <= self.degree_cap:
             return
         self._covers = {}  # blocks of the old cap lack the new words
-        step, keys, rank = gb.tip_index.step, gb.tip_index.keys, self._rank
-        for d in range(self.degree_cap + 1, degree_cap + 1):
-            if not d:
-                level = [Path(v, v) for v in self.quiver.vertices]
-                parent, ranks, states = [], [()] * len(level), [0] * len(level)
-            else:
-                level, parent, ranks, states, ends = [], [], [], [], []
-                for i, (w, word, s) in enumerate(zip(self.basis[d - 1], self.ranks[d - 1], self._states[d - 1])):
-                    for k, a in enumerate(self.quiver.arrows):
-                        if a.source != w.target:
-                            continue
-                        # w is normal, so a tip inside w*a ends it: one step from w's state finds it.
-                        t, e = step(s, rank[k])
-                        ext = word + (rank[k],)
-                        if e is None:
-                            level.append(Path(w.source, a.target, w.arrows + (a,)))
-                            parent.append((i, k))
-                            ranks.append(ext)
-                            states.append(t)
-                        else:
-                            ends.append((ext, i, k, e, d - len(keys[e])))
-                # Products of one length: the greater rank word is the smaller product.
-                ends.sort(reverse=True)
-                self.rewritten.append([(i, k) for _ext, i, k, _e, _m in ends])
-                self._ends.append([(e, m) for _ext, _i, _k, e, m in ends])
-            between: dict[tuple[str, str], list[int]] = {}
-            for i in sorted(range(len(level)), key=ranks.__getitem__):
-                between.setdefault((level[i].source, level[i].target), []).append(i)
-            self.basis.append(level)
-            self.parent.append(parent)
-            self.ranks.append(ranks)
-            self._states.append(states)
-            self.between.append(between)
+        levels = self._levels
+        while len(levels.basis) <= degree_cap:
+            levels.grow()
+        # The levels may be shared and grow past this cap, so the model keeps its own lists of them.
+        top = degree_cap + 1
+        self.basis, self.parent, self.ranks = levels.basis[:top], levels.parent[:top], levels.ranks[:top]
+        self.between, self.rewritten = levels.between[:top], levels.rewritten[:degree_cap]
+        self._tables = levels.tables[:degree_cap]
         self.degree_cap = degree_cap
 
     def dims(self) -> list[int]:
@@ -170,62 +125,7 @@ class GradedAlgebraModel:
 
     def action(self, d: int, k: int) -> list[list[tuple[int, object]]]:
         """Arrow number k on degree d: for each word number, (word number in degree d+1, scalar) pairs."""
-        while self._built <= d:
-            self._build_level(self._built)
-            self._built += 1
-        return self._actions[(d, k)]
-
-    def _build_level(self, d: int) -> None:
-        """The tables of every arrow on degree d, from the basis's tails and the tables below d.
-
-        A product w*a that is a normal word is one entry.  Otherwise, as w is
-        normal, exactly one tip t is a suffix of it (the tips are an
-        antichain), and `extend` recorded it: w*a = h*t, and t is the sum of
-        -c * q over its tail.  Each -c * h*q comes from -c times the unit
-        vector of h, a prefix of w, through the tables of q's arrows, one
-        degree at a time (`_walk`).  The last table is this degree's, read at
-        words u with u*b <= h*q < w*a, so the products, taken in `rewritten`
-        order, read only filled entries.
-        """
-        one, p, tails = self.field.one, self.field.characteristic, self.gb.tip_index.tails
-        parent, of_rank, actions = self.parent, self._of_rank, self._actions
-        # Rows are replaced, never changed in place, so they may start as one empty list.
-        tables = [[[]] * len(self.basis[d]) for _ in self.quiver.arrows]
-        for k, table in enumerate(tables):
-            actions[(d, k)] = table
-        for j, (i, k) in enumerate(parent[d + 1]):
-            tables[k][i] = [(j, one)]
-        for (i, k), (t, m) in zip(self.rewritten[d], self._ends[d]):
-            h = i
-            for length in range(d, m, -1):
-                h = parent[length][h][0]
-            out: dict[int, object] = {}
-            for q, c in tails[t]:
-                for j, x in _walk([(h, -c)], [actions[(m + step, of_rank[r])] for step, r in enumerate(q)], p):
-                    out[j] = out.get(j, 0) + x
-            tables[k][i] = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
-
-
-def _walk(vec: list[tuple[int, object]], tables: Iterable[list[list[tuple[int, object]]]],
-          p: int) -> list[tuple[int, object]]:
-    """A sparse vector, as (column, scalar) pairs on distinct columns, through integer action tables in turn.
-
-    A vector of one entry becomes its table row, scaled, with no dict; the
-    images of several entries are summed by column.  Scalars are reduced
-    mod p (0: over Q) at each table.
-    """
-    for table in tables:
-        if len(vec) == 1:
-            [(col, c)] = vec
-            vec = [(j, c * x % p if p else c * x) for j, x in table[col]]
-        else:
-            out: dict[int, object] = {}
-            for col, c in vec:
-                for j, x in table[col]:
-                    prev = out.get(j)
-                    out[j] = c * x if prev is None else prev + c * x
-            vec = [(j, x) for j, x in ((j, x % p if p else x) for j, x in out.items()) if x]
-    return vec
+        return self._tables[d][k]
 
 
 def _apply(table: list[list[tuple[int, object]]], vec: Mapping[int, object], p: int) -> dict[int, object]:

@@ -11,18 +11,20 @@ from pathalg import (
     OrderSpec,
     PathAlgError,
     Quiver,
+    build_model,
     groebner_basis,
     normal_form,
     tip,
 )
-from pathalg.algebra import ModuleElement, TipIndex, monic
+from pathalg.algebra import Levels, ModuleElement, TipIndex, monic
 from pathalg.corpus import instances
 from pathalg.fields import Field
 from pathalg.problem import parse
-from pathalg.quiver import normal_word_levels
+from pathalg.quiver import Path, normal_word_levels
 from tests.conftest import words
 from tests.helpers import _s_element, proper_overlaps, random_homogeneous_element, reference_completion
-from tests.reference import ideal_membership, module_normal_form
+from tests.reference import ideal_membership, module_normal_form, reference_levels
+from tests.test_problem import _random_problem
 
 F = Field(0)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -139,6 +141,9 @@ def test_completion_input_order_independent(two_loop, two_loop_order, cube_gb):
     for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
         gb = groebner_basis([gens[i] for i in perm], two_loop_order, 8)
         assert [g.render() for g in gb.elements] == [g.render() for g in cube_gb.elements]
+    # An order built by hand that lists no vertex still reaches the generators' vertex.
+    gb = groebner_basis(gens, OrderSpec(("x", "y"), ()), 8)
+    assert [g.render() for g in gb.elements] == [g.render() for g in cube_gb.elements]
 
 
 def test_normal_words_examples(two_loop, one_loop, cube_gb):
@@ -347,7 +352,7 @@ def _summary(gb):
 
 @pytest.mark.parametrize("triple", [(2, 3, 5), (1, 2, 3), (7, 11, 13)])
 def test_sklyanin_completion_against_a_reference_completion(triple):
-    """Skipping the S-elements an interior tip resolves leaves the basis as reducing them all does."""
+    """The elimination reads off the basis, status and overlap degree that reducing every S-element gives."""
     _q, order, gens = _sklyanin(*triple)
     for cap in range(5, 9):
         assert _summary(groebner_basis(gens, order, cap)) == reference_completion(gens, order, cap)
@@ -449,7 +454,12 @@ def _basis_summary(gb):
 
 
 def test_completion_builds_no_path_until_it_returns(monkeypatch):
-    """`groebner_basis` calls none of `monic`, `tip` and `OrderSpec.path_key`, and its basis is unchanged."""
+    """`groebner_basis` calls none of `monic`, `tip` and `OrderSpec.path_key`, and its basis is unchanged.
+
+    It compares words by rank word alone, and the only paths it builds are
+    the ones it returns: the elements, the tips and the normal words of its
+    levels.
+    """
     pf = parse((ROOT / "fixtures" / "sklyanin_235.alg").read_text())
     rng = random.Random(7)
     q = Quiver.build(["e"], [(a, "e", "e") for a in "xyz"])
@@ -473,21 +483,85 @@ def test_completion_builds_no_path_until_it_returns(monkeypatch):
     assert [_basis_summary(gb) for gb in patched] == [_basis_summary(gb) for gb in bases]
 
 
-def test_completion_builds_the_automaton_once_per_degree(monkeypatch):
-    """Each degree joins the index whole: one build per degree that adds elements, and one of the empty index."""
-    builds = []
-    build = TipIndex._build
+def _problem(path):
+    return parse(pathlib.Path(path).read_text())
 
-    def counted(self):
-        builds.append(len(self.keys))
-        build(self)
 
-    monkeypatch.setattr(TipIndex, "_build", counted)
+def test_completion_and_model_share_one_elimination_and_build_no_tip_index(monkeypatch):
+    """`groebner_basis` grows one `Levels`, `build_model` continues it, and neither builds a TipIndex."""
+    inputs = [(_problem(ROOT / "fixtures" / "sklyanin_235.alg"), 8),
+              (_problem(ROOT / "fixtures" / "split_relation.alg"), 6),
+              (_problem(ROOT / "perfbench" / "inputs" / "poly3_q.alg"), 9)]
+    bases = [groebner_basis(pf.ideal, pf.order, cap) for pf, cap in inputs]
+    grown = []
+    init = Levels.__init__
+
+    def counted(self, *args):
+        grown.append(self)
+        init(self, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TipIndex was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(TipIndex, "__init__", refuse)
+        m.setattr(Levels, "__init__", counted)
+        patched = [groebner_basis(pf.ideal, pf.order, cap) for pf, cap in inputs]
+        models = [build_model(pf.quiver, gb, cap) for (pf, cap), gb in zip(inputs, patched)]
+    assert grown == [gb.levels for gb in patched]
+    assert [_basis_summary(gb) for gb in patched] == [_basis_summary(gb) for gb in bases]
+    assert [model.dims() for model in models] == [build_model(pf.quiver, gb, cap).dims()
+                                                  for (pf, cap), gb in zip(inputs, bases)]
+
+
+def test_completion_stops_at_the_first_degree_known_complete():
+    """The levels grow to the first degree at or above every generator's at which the status test holds."""
+    poly3 = _problem(ROOT / "perfbench" / "inputs" / "poly3_q.alg")
+    gb = groebner_basis(poly3.ideal, poly3.order, 30)
+    # The commutators' one overlap, x*y*z, has degree 3.
+    assert gb.complete and gb.max_overlap_degree == 3 and len(gb.levels.basis) - 1 == 3
+    inst = instances(20261019, 4)[3]
+    top = max(p.length for p in inst.patterns)
+    gb = groebner_basis([AlgebraElement({p: 1}) for p in inst.patterns], OrderSpec.for_quiver(inst.quiver), top + 5)
+    assert gb.complete and len(gb.levels.basis) - 1 == top
     _q, order, gens = _sklyanin(2, 3, 5)
     gb = groebner_basis(gens, order, 8)
-    degrees = {t.length for t in gb.tips}
-    assert degrees == set(range(2, 9))
-    assert len(builds) <= len(degrees) + 1, builds
+    assert not gb.complete and len(gb.levels.basis) - 1 == 8
+
+
+def test_seeded_problems_against_the_reference_completion_levels_and_normal_forms():
+    """Seeded problems at D = 7: the basis, the levels and every table row against the independent references.
+
+    The problems come from `_random_problem` on corpus quivers of 1 to 3
+    vertices, over Q, F_7 and F_5; a quiver with more than 64 paths of
+    length 5 is passed over, as its algebra is too large for the references
+    to be quick.  The basis is checked against plain S-pair completion, the
+    levels against a scan of the paths for tips, and each table row against
+    `normal_form` of its product.
+    """
+    rng = random.Random(20261020)
+    problems, non_monomial, vertices = 0, 0, set()
+    for inst in instances(20261020, 90):
+        small = len(inst.quiver.paths_of_length(5)) <= 64
+        for field in (F, Field(7), Field(5)):
+            pf = _random_problem(rng, inst, field)
+            if not (pf.ideal and small):
+                continue
+            gb = groebner_basis(pf.ideal, pf.order, 7)
+            assert _summary(gb) == reference_completion(pf.ideal, pf.order, 7), inst.seed
+            model = build_model(pf.quiver, gb, 7)
+            assert (model.basis, model.parent, model.ranks, model.rewritten) == reference_levels(pf.quiver, gb, 7)
+            for d in range(7):
+                for k, a in enumerate(pf.quiver.arrows):
+                    for i, w in enumerate(model.basis[d]):
+                        if w.target == a.source:
+                            wa = AlgebraElement({Path(w.source, a.target, w.arrows + (a,)): 1})
+                            got = {model.basis[d + 1][j]: c for j, c in model.action(d, k)[i]}
+                            assert got == normal_form(wa, gb, pf.order).terms, (inst.seed, d, w, a)
+            problems += 1
+            non_monomial += any(len(g.terms) > 1 for g in gb.elements)
+            vertices.add(len(pf.quiver.vertices))
+    assert problems >= 150 and non_monomial >= 40 and vertices == {1, 2, 3}
 
 
 def test_normal_form_refuses_a_basis_of_another_order(two_loop, two_loop_order, cube_gb):

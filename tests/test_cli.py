@@ -402,7 +402,7 @@ def test_params_defaults_apply(capsys):
 
 @pytest.mark.parametrize("D", [4, 8, 12])
 def test_groebner_normal_word_counts_are_the_normal_word_levels(capsys, D):
-    # The counts come from the model's automaton; here from the tips alone.
+    # The counts come from the model's elimination; here from the tips alone.
     for path in sorted(FIXTURES.glob("*.alg")):
         rc, doc = run_json(capsys, ["groebner", str(path), "--max-degree", str(D)])
         assert rc == EXIT_OK

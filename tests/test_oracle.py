@@ -145,8 +145,8 @@ def test_model_levels_are_the_reference_levels():
 
 def test_a_model_extended_in_steps_is_a_fresh_model():
     # `verify` builds its model at the window cap and extends it to the
-    # oracle's.  Tables already built below the old cap are kept; the
-    # automaton states of the old top level carry the new levels.
+    # oracle's.  The levels below the old cap are kept, and the new ones
+    # continue them.
     for name, text, cap in _level_inputs():
         pf, want = _input_model(text, cap)
         got = build_model(pf.quiver, want.gb, cap // 2)
