@@ -72,19 +72,55 @@ MUTANTS = [
          "tests/test_algebra.py::test_seeded_problems_against_the_reference_completion_levels_and_normal_forms"),
     ),
     Mutant(
-        "insert takes its tip with max",
+        "a duplicate tip keeps the last element",
         "src/pathalg/algebra.py",
-        "key = min(words, key=lambda w: (-len(w), w))",
-        "key = max(words, key=lambda w: (-len(w), w))",
-        ("tests/test_algebra.py::test_insert_takes_an_element_as_add_does[Q]",
-         "tests/test_algebra.py::test_insert_takes_an_element_as_add_does[F7]"),
+        "self._first.setdefault(key, len(self.keys))",
+        "self._first[key] = len(self.keys)",
+        ("tests/test_algebra.py::test_tip_index_find_against_a_factor_search[duplicate]",),
     ),
     Mutant(
-        "reducer pushes every new word on the current length's heap",
+        "find keeps a later occurrence of its element",
         "src/pathalg/algebra.py",
-        "if len(word) == n:",
-        "if True:",
+        "if k is not None and k < best:",
+        "if k is not None and k <= best:",
+        ("tests/test_algebra.py::test_tip_index_find_against_a_factor_search[antichain]",
+         "tests/test_algebra.py::test_tip_index_find_against_a_factor_search[two-vertex]"),
+    ),
+    Mutant(
+        "the heap takes the shortest word first",
+        "src/pathalg/algebra.py",
+        "heap = [(-len(w), w) for w in terms]",
+        "heap = [(len(w), w) for w in terms]",
         ("tests/test_algebra.py::test_normal_form_takes_longer_words_first",),
+    ),
+    Mutant(
+        "the heap takes a rewritten word after every word of the input",
+        "src/pathalg/algebra.py",
+        "heappush(heap, (-len(word), word))",
+        "heappush(heap, (len(word), word))",
+        ("tests/test_acceptance.py::test_c8_normal_form_agrees_with_membership_oracle",
+         "tests/test_algebra.py::test_random_completions_against_span_oracle"),
+    ),
+    Mutant(
+        "normal_form skips its field intake",
+        "src/pathalg/algebra.py",
+        "x = _reduced(x, order.field)",
+        "pass",
+        ("tests/test_problem.py::test_raw_ints_are_reduced_on_intake",),
+    ),
+    Mutant(
+        "tip reads a coefficient as it is, not in the order's field",
+        "src/pathalg/algebra.py",
+        "if field.of(c)] if field.characteristic",
+        "if c] if field.characteristic",
+        ("tests/test_algebra.py::test_tip_reads_coefficients_in_the_order_field",),
+    ),
+    Mutant(
+        "from_terms reads a relation term as it is, not in the field",
+        "src/pathalg/oracle.py",
+        "c = of(c)",
+        "pass",
+        ("tests/test_syzygy.py::test_first_syzygy_reads_a_fraction_in_the_field",),
     ),
     Mutant(
         "first_syzygy absorbs below kept tips",

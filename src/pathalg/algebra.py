@@ -6,9 +6,9 @@ nonzero scalars; generator metadata lives with the module presentation.
 Elements do no arithmetic of their own: the field comes with the term
 order (`OrderSpec.field`), and the routines that take an order do the
 arithmetic.  Over F_p a scalar is an int in [0, p); an element built by
-hand may hold any ints, and `groebner_basis`, `normal_form`, `monic` and
-`TipIndex.add` reduce them mod p on intake, so a term that vanishes mod p
-never acts as a nonzero one.
+hand may hold any ints or Fractions, and `groebner_basis`, `normal_form`,
+`tip`, `monic` and `TipIndex.add` read them in F_p on intake, so a term
+that vanishes mod p never acts as a nonzero one.
 
 A = kQ/I is built one degree at a time by `Levels`, as in the
 linear-algebra completion of F4 (Faugere 1999): A_d is
@@ -20,11 +20,12 @@ suffix one arrow shorter is a normal word is a minimal tip, and its element
 is the tip minus its normal form.  `groebner_basis` runs the levels up to a
 caller-supplied degree, or until the basis is known complete; the
 completeness status is part of the result, and the levels stay with the
-basis for `oracle.GradedAlgebraModel` to continue.  `normal_form` rewrites
-any element modulo any list of elements, in one descending pass over heaps
-of rank words (`_reduce_words`), with a TipIndex to find each word's
-reducer.  Over Q, the basis and `normal_form` give each coefficient as an
-int, or as a Fraction only where it is not integral.
+basis for `oracle.GradedAlgebraModel` to continue.  `normal_form` is the
+plain reference reducer, which no command uses: it rewrites any element
+modulo any list of elements, greatest word first from one heap of rank
+words (`_reduce_words`), and a TipIndex finds each word's reducer by a
+dict of tips.  Over Q, the basis and `normal_form` give each coefficient as
+an int, or as a Fraction only where it is not integral.
 """
 from __future__ import annotations
 
@@ -127,8 +128,8 @@ def tip(x: AlgebraElement | ModuleElement, order: OrderSpec):
 
     Coefficients are read in the order's field: over F_p a term that vanishes mod p is no support item.
     """
-    p = order.field.characteristic
-    support = [q for q, c in x.terms.items() if c % p] if p else x.terms
+    field = order.field
+    support = [q for q, c in x.terms.items() if field.of(c)] if field.characteristic else x.terms
     if not support:
         raise PathAlgError("the zero element has no tip")
     return max(support, key=order.path_key if isinstance(x, AlgebraElement) else order.module_key)
@@ -186,17 +187,12 @@ class TipIndex:
     A word is handled as the tuple of its arrows' precedence ranks (0 is
     the greatest arrow), so among words of one length the smaller tuple is
     the greater word.  The reducer of a word is the first element, in
-    insertion order, whose tip divides it, taken at the tip's leftmost
-    occurrence.  It is found in one left-to-right scan of the word through
-    an Aho-Corasick automaton over the tip words: each state knows the
-    first element whose tip is a suffix of the state's word, so every end
-    position of the word offers the best tip ending there, and the scan
-    keeps a position's offer only when it is strictly better.  This rule
-    needs no antichain, so the elements may be any list: nested, suffix and
-    duplicate tips get the reducer a search of every factor would give
-    them.  `insert` takes an element as rank words and `add` as an
-    AlgebraElement; either leaves the automaton stale, and the next `find`
-    rebuilds it.
+    insertion order, whose tip is a factor of it, taken at the tip's
+    leftmost occurrence.  A dict maps each tip to the first element with
+    that tip, and `find` looks up every factor of the word whose length is
+    a tip length.  This rule needs no antichain, so the elements may be any
+    list: nested, suffix and duplicate tips get the reducer a search of
+    every factor would give them.
     """
 
     def __init__(self, order: OrderSpec, elements: Iterable[AlgebraElement] = ()):
@@ -206,79 +202,36 @@ class TipIndex:
         self.tails: list[list[tuple[tuple[int, ...], object]]] = []
         # rank -> Arrow, for every arrow of a tip or a tail
         self.arrows: dict[int, Arrow] = {}
-        # Dense transition rows (one per state, indexed by arrow rank) and,
-        # per state, the first element whose tip is a suffix of its word
-        # (len(keys) for none); None while stale.
-        self._goto: list[list[int]] | None = None
-        self._first: list[int] = []
+        # tip ranks -> insertion position of the first element with that tip
+        self._first: dict[tuple[int, ...], int] = {}
+        self._lengths: set[int] = set()
         for g in elements:
             self.add(g)
 
     def add(self, g: AlgebraElement) -> None:
-        """Insert g, taken into the order's field; a zero g is skipped, a vertex tip refused."""
+        """Insert g, taken into the order's field and made monic; a zero g is skipped, a vertex tip refused."""
         g = _reduced(g, self.order.field)
         if not g:
             return
         if not any(q.arrows for q in g.terms):
             raise PathAlgError(f"a reducer tip must have positive length; got {next(iter(g.terms))}")
-        self.insert(_words(g, self.order, self.arrows))
-
-    def insert(self, words: Mapping[tuple[int, ...], object]) -> None:
-        """Insert the element with these nonzero terms of the order's field, made monic on its tip.
-
-        The terms are keyed by rank word; the tip is the longest word, and among those the least tuple.
-        """
-        key = min(words, key=lambda w: (-len(w), w))
-        p, inv = self.order.field.characteristic, self.order.field.inverse(words[key])
+        g = monic(g, self.order)
+        rank = self.order.arrow_rank
+        key = tuple([rank[a.name] for a in tip(g, self.order).arrows])
+        self._first.setdefault(key, len(self.keys))
+        self._lengths.add(len(key))
         self.keys.append(key)
-        self.tails.append([(w, c * inv % p if p else c * inv) for w, c in words.items() if w != key])
-        self._goto = None
-
-    def _build(self) -> None:
-        width, none = len(self.order.arrow_rank), len(self.keys)
-        goto, first = [[-1] * width], [none]
-        for k, key in enumerate(self.keys):
-            s = 0
-            for r in key:
-                row = goto[s]
-                s = row[r]
-                if s < 0:
-                    s = row[r] = len(goto)
-                    goto.append([-1] * width)
-                    first.append(none)
-            first[s] = min(first[s], k)
-        # Breadth first, so a state's failure state (a shallower one) is
-        # complete when the state is reached; a missing transition is its
-        # failure state's.
-        queue = [(t, 0) for t in goto[0] if t >= 0]
-        goto[0] = [max(t, 0) for t in goto[0]]
-        for s, f in queue:
-            if first[f] < first[s]:
-                first[s] = first[f]
-            row, frow = goto[s], goto[f]
-            for r in range(width):
-                t = row[r]
-                if t < 0:
-                    row[r] = frow[r]
-                else:
-                    queue.append((t, frow[r]))
-        self._goto, self._first = goto, first
+        self.tails.append([(w, c) for w, c in _words(g, self.order, self.arrows).items() if w != key])
 
     def find(self, w: tuple[int, ...]) -> tuple[int, int] | None:
         """(insertion position, offset) of the reducer of word w, or None."""
-        if self._goto is None:
-            self._build()
-        goto, first = self._goto, self._first
-        best = len(self.keys)
-        s = end = 0
-        for j, r in enumerate(w, 1):
-            s = goto[s][r]
-            k = first[s]
-            if k < best:
-                best, end = k, j
-                if not k:  # no element comes before the first
-                    break
-        return (best, end - len(self.keys[best])) if end else None
+        best, at = len(self.keys), None
+        for end in range(1, len(w) + 1):
+            for n in self._lengths:
+                k = self._first.get(w[end - n:end]) if n <= end else None
+                if k is not None and k < best:
+                    best, at = k, end - n
+        return None if at is None else (best, at)
 
 
 def _reducers(basis, order: OrderSpec) -> TipIndex:
@@ -302,50 +255,40 @@ def _words(x: AlgebraElement, order: OrderSpec, arrows: dict[int, Arrow]) -> dic
 def _reduce_words(terms: dict, index: TipIndex, p: int) -> dict:
     """The normal form of a map from rank words to coefficients, greatest word first.
 
-    `terms` is used up.  Words are taken greatest first: one heap of plain
-    rank words per length, the longest length first, since among words of
-    one length the least tuple is the greatest word.  A rewrite replaces a
-    word by smaller ones only (the order is admissible): by words of its
-    own length, pushed on the current heap, or by shorter ones, which wait
-    for theirs.  So every word is popped once, even with inhomogeneous
-    reducers, and the pass ends when the last heap is empty.  Over F_p
-    (p > 0) a word's coefficient is reduced mod p once, when it is popped,
-    so the rewrites in between are plain int arithmetic; over Q a
-    surviving integral Fraction leaves as an int.
+    `terms` is used up.  Words are popped from one heap keyed (-length,
+    word): the longest first, and among words of one length the least
+    tuple, which is the greatest word.  A rewrite replaces a word by
+    smaller ones only (the order is admissible), so every word is popped
+    once, even with inhomogeneous reducers.  Over F_p (p > 0) a word's
+    coefficient is reduced mod p once, when it is popped, so the rewrites
+    in between are plain int arithmetic; over Q a surviving integral
+    Fraction leaves as an int.
     """
     find, keys, tails = index.find, index.keys, index.tails
-    heaps: dict[int, list] = {}
-    for w in terms:
-        heaps.setdefault(len(w), []).append(w)
+    heap = [(-len(w), w) for w in terms]
+    heapify(heap)
     out: dict[tuple[int, ...], object] = {}
-    while heaps:
-        n = max(heaps)
-        heap = heaps.pop(n)
-        heapify(heap)
-        while heap:
-            w = heappop(heap)
-            c = terms.pop(w)
-            if p:
-                c %= p
-            if not c:
-                continue
-            found = find(w)
-            if found is None:
-                out[w] = c if p or c.denominator != 1 else c.numerator
-                continue
-            k, i = found
-            head, rest = w[:i], w[i + len(keys[k]):]
-            for q, d in tails[k]:
-                word = head + q + rest
-                s = terms.get(word)
-                if s is None:
-                    terms[word] = -(c * d)
-                    if len(word) == n:
-                        heappush(heap, word)
-                    else:
-                        heaps.setdefault(len(word), []).append(word)
-                else:
-                    terms[word] = s - c * d
+    while heap:
+        _, w = heappop(heap)
+        c = terms.pop(w)
+        if p:
+            c %= p
+        if not c:
+            continue
+        found = find(w)
+        if found is None:
+            out[w] = c if p or c.denominator != 1 else c.numerator
+            continue
+        k, i = found
+        head, rest = w[:i], w[i + len(keys[k]):]
+        for q, d in tails[k]:
+            word = head + q + rest
+            s = terms.get(word)
+            if s is None:
+                terms[word] = -(c * d)
+                heappush(heap, (-len(word), word))
+            else:
+                terms[word] = s - c * d
     return out
 
 
@@ -354,10 +297,12 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
 
     `basis` may be a GroebnerBasis or a TipIndex built for `order`, or any
     iterable of elements; x minus the result lies in the two-sided ideal
-    generated by the basis.  x's paths become rank words, `_reduce_words`
-    rewrites them, and the surviving words become paths again.
+    generated by the basis.  x is taken into the order's field, its paths
+    become rank words, `_reduce_words` rewrites them, and the surviving
+    words become paths again.
     """
     index = _reducers(basis, order)
+    x = _reduced(x, order.field)
     # x's own arrows by rank; the index knows the arrows of its tails.
     own: dict[int, Arrow] = {}
     out = _reduce_words(_words(x, order, own), index, order.field.characteristic)

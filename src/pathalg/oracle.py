@@ -258,12 +258,13 @@ class CoverSpace:
 
     def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
         """The nonzero (degree, vertex, vector) parts of (summand, path) terms, each path read as its class in A."""
-        model, p = self.model, self._p
+        model, p, of = self.model, self._p, self.model.field.of
         parts: dict[tuple[int, str], dict[int, object]] = {}
         for (j, w), c in terms.items():
             d = self.summands[j].degree + w.length
             pos = self.block(d, w.target)[1][j]
             part = parts.setdefault((d, w.target), {})
+            c = of(c)
             for i, x in model.expand(w).items():
                 n = pos[i]
                 part[n] = part.get(n, 0) + c * x

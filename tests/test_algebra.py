@@ -51,14 +51,15 @@ def test_module_tip(two_loop, two_loop_order):
 
 
 def test_tip_reads_coefficients_in_the_order_field(two_loop):
-    # 7*x*y vanishes over F_7, so the tip is y*x, as monic finds it.
+    # 7*x*y and 7/2*x*y vanish over F_7, so the tip is y*x, as monic finds it.
     w = words(two_loop)
     order = OrderSpec(("x", "y"), ("e",), field=Field(7))
-    x = AlgebraElement({w("xy"): 7, w("yx"): 1})
-    assert tip(x, order) == w("yx") == tip(monic(x, order), order)
-    assert tip(ModuleElement({(0, w("x")): 1, (1, w("x")): 14}), order) == (0, w("x"))
-    with pytest.raises(PathAlgError):
-        tip(AlgebraElement({w("xy"): 7}), order)
+    for seven in (7, Fraction(7, 2)):
+        x = AlgebraElement({w("xy"): seven, w("yx"): 1})
+        assert tip(x, order) == w("yx") == tip(monic(x, order), order)
+        assert tip(ModuleElement({(0, w("x")): 1, (1, w("x")): 2 * seven}), order) == (0, w("x"))
+        with pytest.raises(PathAlgError):
+            tip(AlgebraElement({w("xy"): seven}), order)
 
 
 def test_normal_form_monomial(two_loop, two_loop_order):
@@ -377,33 +378,56 @@ def _first_reducer(keys, w):
     return None
 
 
-@pytest.mark.parametrize("kind", ["antichain", "factor", "suffix", "duplicate"])
+def _two_vertex_words(rng, q, prec, lo, hi):
+    """A random path of lo to hi arrows on the quiver e -> f -> e with a loop at e, as a rank word."""
+    rank = {name: r for r, name in enumerate(prec)}
+    here, out = rng.choice(q.vertices), []
+    for _ in range(rng.randint(lo, hi)):
+        a = rng.choice([a for a in q.arrows if a.source == here])
+        out.append(rank[a.name])
+        here = a.target
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind", ["antichain", "factor", "suffix", "duplicate", "two-vertex"])
 def test_tip_index_find_against_a_factor_search(kind):
     """`find` against the first tip in insertion order at its leftmost occurrence.
 
     Tip sets are antichains, or carry a tip that has another one as a
-    factor, as a suffix, or again; every `add` is followed by `find`s, so a
-    stale automaton would answer for the tips before it.
+    factor, as a suffix, or again; every `add` is followed by `find`s.  The
+    two-vertex tip sets are antichains of paths of the quiver with arrows
+    a : e -> f, b : f -> e and a loop x at e, and the words searched are
+    its paths too.
     """
     rng = random.Random(f"tip-index-{kind}")
     for _ in range(60):
-        width = rng.choice([2, 3])
-        names = "xyz"[:width]
-        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
-        prec = list(names)
-        rng.shuffle(prec)
-        order = OrderSpec(tuple(prec), ("e",), field=rng.choice([F, Field(7)]))
+        if kind == "two-vertex":
+            q = Quiver.build(["e", "f"], [("a", "e", "f"), ("b", "f", "e"), ("x", "e", "e")])
+            prec = ["a", "b", "x"]
+            rng.shuffle(prec)
+            order = OrderSpec(tuple(prec), ("e", "f"), field=rng.choice([F, Field(7)]))
 
-        def word(lo, hi):
-            return tuple(rng.randrange(width) for _ in range(rng.randint(lo, hi)))
+            def word(lo, hi):
+                return _two_vertex_words(rng, q, prec, lo, hi)
+        else:
+            width = rng.choice([2, 3])
+            names = "xyz"[:width]
+            q = Quiver.build(["e"], [(a, "e", "e") for a in names])
+            prec = list(names)
+            rng.shuffle(prec)
+            order = OrderSpec(tuple(prec), ("e",), field=rng.choice([F, Field(7)]))
+
+            def word(lo, hi):
+                return tuple(rng.randrange(width) for _ in range(rng.randint(lo, hi)))
 
         keys = []
         for t in (word(1, 4) for _ in range(rng.randint(1, 5))):
-            if kind != "antichain" or not any(_first_reducer([s], t) or _first_reducer([t], s) for s in keys):
+            if kind not in ("antichain", "two-vertex") or not any(
+                    _first_reducer([s], t) or _first_reducer([t], s) for s in keys):
                 keys.append(t)
         for _ in range(rng.randint(1, 2)):
             t = rng.choice(keys)
-            extra = {"antichain": None, "duplicate": t, "suffix": word(1, 3) + t,
+            extra = {"antichain": None, "two-vertex": None, "duplicate": t, "suffix": word(1, 3) + t,
                      "factor": word(0, 2) + t + word(1, 2)}[kind]
             if extra is not None:
                 keys.insert(rng.randint(0, len(keys)), extra)
@@ -415,38 +439,6 @@ def test_tip_index_find_against_a_factor_search(kind):
             for _ in range(6):
                 w = word(0, 9)
                 assert index.find(w) == _first_reducer(keys[:n], w), (keys[:n], w)
-
-
-def _rank_words(x, order):
-    return {tuple(order.arrow_rank[a.name] for a in q.arrows): c for q, c in x.terms.items()}
-
-
-@pytest.mark.parametrize("field", [F, Field(7)], ids=["Q", "F7"])
-def test_insert_takes_an_element_as_add_does(field):
-    """`add(g)` and `insert` of g's rank words agree in keys and tails (order, types), as `monic` and `tip` say."""
-    rng = random.Random(20261019)
-    for _ in range(40):
-        names = "xyz"[:rng.choice([2, 3])]
-        q = Quiver.build(["e"], [(a, "e", "e") for a in names])
-        prec = list(names)
-        rng.shuffle(prec)
-        order = OrderSpec(tuple(prec), ("e",), field=field)
-        by_add, by_insert = TipIndex(order), TipIndex(order)
-        for _ in range(rng.randint(1, 3)):
-            degree = rng.randint(1, 4)
-            lengths = [degree] + [degree if rng.random() < 0.5 else rng.randint(0, 4) for _ in range(rng.randint(0, 3))]
-            paths = [q.path("*".join(rng.choice(names) for _ in range(n)) or "e") for n in lengths]
-            g = AlgebraElement({path: field.of(Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3)))
-                                for path in paths})
-            by_add.add(g)
-            by_insert.insert(_rank_words(g, order))
-            assert by_insert.keys == by_add.keys and by_insert.tails == by_add.tails
-            assert [[type(c) for _, c in t] for t in by_insert.tails] == [[type(c) for _, c in t] for t in by_add.tails]
-            m = monic(g, order)
-            t = tip(g, order)
-            assert by_insert.keys[-1] == next(iter(_rank_words(AlgebraElement({t: 1}), order)))
-            assert by_insert.tails[-1] == list(_rank_words(AlgebraElement({q: c for q, c in m.terms.items() if q != t}),
-                                                           order).items())
 
 
 def _basis_summary(gb):

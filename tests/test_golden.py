@@ -8,6 +8,7 @@ After a deliberate output change, regenerate them with
 """
 import pytest
 
+from pathalg.algebra import TipIndex
 from pathalg.cli import run
 from tests.conftest import ROOT, load_module
 
@@ -45,3 +46,19 @@ def test_json_on_stdout_is_the_json_file(i, tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
     assert run(argv) == rc
     assert capsys.readouterr().out == human
+
+
+def test_no_command_reaches_the_reducer(monkeypatch, capsys):
+    # Every command reads A through the levels of `groebner_basis` and the
+    # model, so with the rewriting reducer refused each document is its
+    # golden still.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reducer was reached")
+
+    monkeypatch.setattr(TipIndex, "__init__", refuse)
+    monkeypatch.setattr("pathalg.algebra.normal_form", refuse)
+    monkeypatch.setattr("pathalg.oracle.normal_form", refuse)
+    for i, (command, fixture, extra) in enumerate(run_examples.RUNS):
+        name = run_examples.json_name(i, command, fixture)
+        run([command, str(run_examples.FIXTURES / fixture)] + extra + ["--json", "-"])
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8"), name

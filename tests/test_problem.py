@@ -227,6 +227,12 @@ def test_raw_ints_are_reduced_on_intake():
     assert normal_form(AlgebraElement({w("yx"): 3, w("yy"): -13}), gb, pf.order) == AlgebraElement({w("yy"): 1})
     assert normal_form(AlgebraElement({w("yy"): 14}), gb, pf.order).is_zero()
     assert monic(AlgebraElement({w("xy"): 21, w("yx"): -3}), pf.order) == AlgebraElement({w("yx"): 1})
+    # A hand-built Fraction is read as an element of F_7 too: 7/2 is 0, and 1/2 is 4, an int.
+    commute = [AlgebraElement({w("xy"): 1, w("yx"): -1})]
+    assert normal_form(AlgebraElement({w("xy"): Fraction(7, 2)}), [], pf.order).is_zero()
+    for basis, word in (([], "xy"), (commute, "yx")):
+        nf = normal_form(AlgebraElement({w("xy"): Fraction(1, 2)}), basis, pf.order)
+        assert [(q, c, type(c)) for q, c in nf.terms.items()] == [(w(word), 4, int)]
 
 
 ELEMENTS = """[quiver]

@@ -1,11 +1,13 @@
 import pathlib
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from pathalg import (
     AlgebraElement,
+    OrderSpec,
     PathAlgError,
     build_model,
     degree_window,
@@ -57,6 +59,21 @@ def test_first_syzygy_relation_inside_ideal(two_loop, cube_model):
     # Each absorbed tip is a word that is not normal, though its longest proper prefix is.
     for _j, p in syz.absorbed:
         assert p not in cube_model.basis[p.length] and p.prefix(p.length - 1) in cube_model.basis[p.length - 1]
+
+
+def test_first_syzygy_reads_a_fraction_in_the_field(two_loop):
+    # Over F_7 the relation g*x + 7/2*g*y is g*x, as with the int 7 in place of 7/2.
+    w = words(two_loop)
+    order = OrderSpec(("x", "y"), ("e",), field=Field(7))
+    gens = [AlgebraElement({w("xy"): 1}), AlgebraElement({w("yx"): 1}), AlgebraElement({w("xxx"): 1, w("yyy"): -1})]
+    model = build_model(two_loop, groebner_basis(gens, order, 8), 8)
+
+    def syzygy(seven):
+        pres = ModulePresentation((Generator("g", "e", 0),), (ModuleElement({(0, w("x")): 1, (0, w("y")): seven}),))
+        syz = first_syzygy(pres, model, 6)
+        return syz.survivors, syz.absorbed, syz.min_degree, syz.max_degree
+
+    assert syzygy(Fraction(7, 2)) == syzygy(7)
 
 
 def test_absorbed_members_reduce_to_zero(two_loop, cube_model, cube_A0):
