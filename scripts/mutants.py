@@ -72,6 +72,55 @@ MUTANTS = [
          "tests/test_algebra.py::test_seeded_problems_against_the_reference_completion_levels_and_normal_forms"),
     ),
     Mutant(
+        "the prefix table holds whole tips",
+        "src/pathalg/algebra.py",
+        "if k < n and by_prefix.get(key[:k], 0) < n:",
+        "if by_prefix.get(key[:k], 0) < n:",
+        ("tests/test_algebra.py::test_max_overlap_degree_is_the_pairwise_maximum_on_seeded_antichains",),
+    ),
+    Mutant(
+        "a word's overlaps with itself are skipped",
+        "src/pathalg/algebra.py",
+        """        for k in range(1, n + 1):
+            if k < n and by_prefix.get(key[:k], 0) < n:
+                by_prefix[key[:k]] = n
+            if by_suffix.get(key[n - k:], 0) < n:
+                by_suffix[key[n - k:]] = n
+        best = self.degree
+        for k in range(1, n + 1):
+            m = max(by_prefix.get(key[n - k:], 0), by_suffix.get(key[:k], 0) if k < n else 0)
+            if m and n + m - k > best:
+                best = n + m - k
+""",
+        """        best = self.degree
+        for k in range(1, n + 1):
+            m = max(by_prefix.get(key[n - k:], 0), by_suffix.get(key[:k], 0) if k < n else 0)
+            if m and n + m - k > best:
+                best = n + m - k
+        for k in range(1, n + 1):
+            if k < n and by_prefix.get(key[:k], 0) < n:
+                by_prefix[key[:k]] = n
+            if by_suffix.get(key[n - k:], 0) < n:
+                by_suffix[key[n - k:]] = n
+""",
+        ("tests/test_algebra.py::test_max_overlap_degree_is_the_pairwise_maximum_on_seeded_antichains",
+         "tests/test_algebra.py::test_max_overlap_degree_is_the_pairwise_maximum_on_the_fixtures_and_sklyanin"),
+    ),
+    Mutant(
+        "a basis row takes u as the word w itself",
+        "src/pathalg/algebra.py",
+        "u = parent[e][u][0]",
+        "pass",
+        ("tests/test_oracle.py::test_a_model_past_completion_eliminates_nothing",),
+    ),
+    Mutant(
+        "a product is matched against the longest tip length only",
+        "src/pathalg/algebra.py",
+        "for n in lengths:",
+        "for n in lengths[-1:]:",
+        ("tests/test_oracle.py::test_a_model_past_completion_eliminates_nothing",),
+    ),
+    Mutant(
         "a duplicate tip keeps the last element",
         "src/pathalg/algebra.py",
         "self._first.setdefault(key, len(self.keys))",

@@ -18,9 +18,12 @@ gives A_d's normal words, the table of every arrow on A_{d-1}, and the
 degree-d elements of the reduced Groebner basis: a rewritten product whose
 suffix one arrow shorter is a normal word is a minimal tip, and its element
 is the tip minus its normal form.  `groebner_basis` runs the levels up to a
-caller-supplied degree, or until the basis is known complete; the
-completeness status is part of the result, and the levels stay with the
-basis for `oracle.GradedAlgebraModel` to continue.  `normal_form` is the
+caller-supplied degree, or until the basis is known complete, which it
+tests from the tips' overlap degrees, kept in prefix and suffix tables
+(`OverlapDegree`); the completeness status is part of the result, and the
+levels stay with the basis for `oracle.GradedAlgebraModel` to continue.
+Past completion no degree is eliminated: each rewritten product's row is
+read off the reduced basis (`Levels.use_basis`).  `normal_form` is the
 plain reference reducer, which no command uses: it rewrites any element
 modulo any list of elements, greatest word first from one heap of rank
 words (`_reduce_words`), and a TipIndex finds each word's reducer by a
@@ -313,19 +316,40 @@ def normal_form(x: AlgebraElement, basis, order: OrderSpec) -> AlgebraElement:
                            for w, c in out.items()})
 
 
-def _overlaps(a: tuple, b: tuple):
-    """(degree of the ambiguity word, shared) for each proper overlap of word a with word b.
+class OverlapDegree:
+    """The largest proper-overlap degree among the words added so far, read off two tables.
 
-    The length-`shared` suffix of a equals the length-`shared` proper
-    prefix of b (shared <= len(a), shared < len(b)); the ambiguity word is
-    a glued with b along those letters, a + b[shared:].  Neither word may
-    be a factor of the other (tips form an antichain), so no other kind
-    of overlap occurs.
+    A proper overlap of word a with word b shares a's last k letters with
+    b's first k, for k <= len(a) and k < len(b), and has degree len(a) +
+    len(b) - k, largest for the longest partner.  So `by_prefix` maps each
+    proper prefix of a word to the length of the longest word with that
+    prefix, and `by_suffix` each suffix, the whole word too, likewise.  A
+    new word of length n enters both tables first, so that its overlaps
+    with itself count, and then finds its overlaps with itself and every
+    earlier word in 2n lookups.  The words must form an antichain under the
+    factor order, as tips do, so that no other kind of overlap occurs.
     """
-    la, lb = len(a), len(b)
-    for k in range(1, min(la, lb - 1) + 1):
-        if a[la - k:] == b[:k]:
-            yield la + lb - k, k
+
+    def __init__(self):
+        self.by_prefix: dict[tuple, int] = {}
+        self.by_suffix: dict[tuple, int] = {}
+        self.degree = 0
+
+    def add(self, key: tuple) -> int:
+        """Take in a word; the largest overlap degree among the words so far."""
+        n, by_prefix, by_suffix = len(key), self.by_prefix, self.by_suffix
+        for k in range(1, n + 1):
+            if k < n and by_prefix.get(key[:k], 0) < n:
+                by_prefix[key[:k]] = n
+            if by_suffix.get(key[n - k:], 0) < n:
+                by_suffix[key[n - k:]] = n
+        best = self.degree
+        for k in range(1, n + 1):
+            m = max(by_prefix.get(key[n - k:], 0), by_suffix.get(key[:k], 0) if k < n else 0)
+            if m and n + m - k > best:
+                best = n + m - k
+        self.degree = best
+        return best
 
 
 def _validate_generators(generators: Iterable[AlgebraElement], field: Field) -> list[AlgebraElement]:
@@ -360,33 +384,59 @@ def _walk(vec: list[tuple[int, object]], tables: Iterable[list[list[tuple[int, o
     return vec
 
 
+def _row(walks: list, u: int, place: list[int], width: int, p: int) -> dict[int, object]:
+    """Normal word number u times a relation, as a row on the columns of the degree being built.
+
+    `walks` holds per term of the relation (`Levels._walks`) the table of
+    its first arrow, those of the rest but the last, the last's rank and the
+    scalar: u is walked through the tables, and the last arrow picks the
+    column.  Scalars are reduced mod p (0: over Q), and zero entries dropped.
+    """
+    row: dict[int, object] = {}
+    for first, rest, r, c in walks:
+        for i, x in _walk(first[u], rest, p) if rest else first[u]:
+            col = place[i] * width + r
+            row[col] = row.get(col, 0) + c * x
+    return {col: x % p for col, x in row.items() if x % p} if p else {col: x for col, x in row.items() if x}
+
+
 class Levels:
-    """A = kQ/I one degree at a time: its normal words and arrow tables, each degree by one elimination.
+    """A = kQ/I one degree at a time: its normal words and arrow tables, from the rows of each degree.
 
     The quiver comes as its vertices and its arrows, in the order that
     numbers them, and I as homogeneous relations of degree >= 2: the
-    ideal's generators, or a basis's elements.  `basis[d]` lists the normal
-    words of length d, numbered by their place there; `parent[d][j]` is
-    (number of word j minus its last arrow, number of that arrow),
-    `ranks[d][j]` the word's rank word, and `between[d]` maps (source,
-    target) to the numbers of the words between them in descending term
-    order.  `tables[d][k][i]` is word i of length d times arrow k, as (word
-    number of length d + 1, scalar) pairs, empty when the arrow does not
-    start where the word ends; `rewritten[d]` lists the (i, k) whose product
-    is not a normal word, in ascending term order.
+    ideal's generators, or none when a reduced basis is given at once
+    (`use_basis`).  `basis[d]` lists the normal words of length d, numbered
+    by their place there; `parent[d][j]` is (number of word j minus its last
+    arrow, number of that arrow), `ranks[d][j]` the word's rank word, and
+    `between[d]` maps (source, target) to the numbers of the words between
+    them in descending term order.  `tables[d][k][i]` is word i of length d
+    times arrow k, as (word number of length d + 1, scalar) pairs, empty
+    when the arrow does not start where the word ends; `rewritten[d]` lists
+    the (i, k) whose product is not a normal word, in ascending term order.
 
     `grow` adds degree d.  A column is a word i of length d - 1 times an
     arrow k that starts where i ends, numbered place * width + rank: i's
     position among the words of its length by rank word, the number of
     arrows in the order, and k's precedence rank.  So the least column is
-    the greatest product.  A relation r of degree e gives a row u*r for each
-    normal word u of length d - e that ends where r starts: u is walked
-    through the tables below along each term of r but its last arrow, which
-    then picks the column.  The rows are eliminated in one `Subspace`, by
-    `insert` when the least column is no pivot yet and by `add` otherwise.
+    the greatest product.  The rewritten products are the pivot columns of
+    rows from one of two sources:
+
+    - Elimination, while completing: a relation r of degree e gives a row
+      u*r for each normal word u of length d - e that ends where r starts
+      (`_row`).  The rows are eliminated in one `Subspace`, by `insert` when
+      the least column is no pivot yet and by `add` otherwise; some of the
+      rows that go through `add` reduce to zero.
+    - The reduced basis, once `use_basis` has given it: when it is exact
+      through d, a product w*a is not a normal word exactly when a tip t is
+      a suffix of it, and that tip is unique, as the tips form an antichain.
+      Its row is u*(g - t), for g the element of t and w*a = u*t, where u is
+      a normal word.  No row is eliminated, and none is zero.
+
     The columns left without a pivot are the normal words of length d,
-    numbered in (i, k) order, and back-substitution in descending column
-    order gives each pivot its normal form: the tables of degree d - 1.
+    numbered in (i, k) order.  A pivot row's other columns lie right of its
+    pivot, so back-substitution in descending column order gives each
+    pivot its normal form: the tables of degree d - 1.
     """
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[Arrow], order: OrderSpec,
@@ -398,13 +448,13 @@ class Levels:
         self._leaving: dict[str, list[int]] = {}
         for k, a in enumerate(self.arrows):
             self._leaving.setdefault(a.source, []).append(k)
-        number = {a: k for k, a in enumerate(self.arrows)}
-        # Per relation: its degree, its source, and per term (the arrow numbers but the last, the last, scalar).
-        self._relations = []
-        for r in relations:
-            some = next(iter(r.terms))
-            self._relations.append((some.length, some.source, [(tuple([number[a] for a in q.arrows[:-1]]),
-                                                               number[q.arrows[-1]], c) for q, c in r.terms.items()]))
+        self._number = {a: k for k, a in enumerate(self.arrows)}
+        self._relations = [self._read(r) for r in relations]
+        # Once `use_basis` has run: per tip number, its element less the tip, read as a relation; the
+        # tip's rank word less its last arrow -> {the last arrow's rank: tip number}; and the tip lengths.
+        self._tails: list[tuple] | None = None
+        self._heads: dict[tuple[int, ...], dict[int, int]] = {}
+        self._tip_lengths: list[int] = []
         n = len(self.vertices)
         self.basis: list[list[Path]] = [[Path(v, v) for v in self.vertices]]
         self.parent: list[list[tuple[int, int]]] = [[]]
@@ -418,31 +468,88 @@ class Levels:
         self._place: list[list[int]] = [[0] * n]
         self._ending: list[dict[str, list[int]]] = [{v: [i] for i, v in enumerate(self.vertices)}]
 
-    def grow(self) -> None:
-        """Add the next degree: its normal words, and the tables of every arrow on the degree below."""
-        d = len(self.basis)
-        below, place, p, width, rank = self.basis[d - 1], self._place[d - 1], self._p, self._width, self.rank
+    def _read(self, r: AlgebraElement, drop: Path | None = None) -> tuple:
+        """r's degree, its source, and per term but `drop`'s: (the arrow numbers but the last, the last, scalar)."""
+        number, some = self._number, next(iter(r.terms))
+        return some.length, some.source, [(tuple([number[a] for a in q.arrows[:-1]]), number[q.arrows[-1]], c)
+                                          for q, c in r.terms.items() if q != drop]
+
+    def use_basis(self, tips: Iterable[Path], elements: Iterable[AlgebraElement]) -> None:
+        """Build every later degree from the reduced Groebner basis with these tips and elements.
+
+        The basis must be exact through each such degree: complete, or
+        truncated at no lower degree.  Once a basis is given, a second call
+        leaves it as it is.
+        """
+        if self._tails is not None:
+            return
+        rank, number, tails, lengths = self.rank, self._number, [], set()
+        for t, g in zip(tips, elements):
+            key = [rank[number[a]] for a in t.arrows]
+            self._heads.setdefault(tuple(key[:-1]), {})[key[-1]] = len(tails)
+            tails.append(self._read(g, t))
+            lengths.add(len(key))
+        self._tails, self._tip_lengths = tails, sorted(lengths)
+
+    def _walks(self, relation: tuple, d: int) -> list:
+        """Per term of a relation, the tables and scalars that `_row` walks a word of degree d - e through."""
+        e, _v, terms = relation
+        tables, rank = self.tables, self.rank
+        return [(tables[d - e][head[0]], [tables[d - e + s][a] for s, a in enumerate(head) if s], rank[k], c)
+                for head, k, c in terms]
+
+    def _eliminate(self, d: int) -> dict[int, dict[int, object]]:
+        """Pivot column -> row, from one elimination of the rows u*r of degree d."""
         span = Subspace(self.field)
         pivots = span.row_of_pivot
-        for e, v, terms in self._relations:
+        place, width, p = self._place[d - 1], self._width, self._p
+        for relation in self._relations:
+            e, v, _terms = relation
             if e > d:
                 continue
-            # Per term: the table of its first arrow, those of the rest but the last, the last's rank, the scalar.
-            walks = [(self.tables[d - e][head[0]], [self.tables[d - e + s][a] for s, a in enumerate(head) if s],
-                      rank[k], c) for head, k, c in terms]
+            walks = self._walks(relation, d)
             for u in self._ending[d - e].get(v, ()):
-                row: dict[int, object] = {}
-                for first, rest, r, c in walks:
-                    for i, x in _walk(first[u], rest, p) if rest else first[u]:
-                        col = place[i] * width + r
-                        row[col] = row.get(col, 0) + c * x
-                row = {col: x % p for col, x in row.items() if x % p} if p else {col: x for col, x in row.items() if x}
+                row = _row(walks, u, place, width, p)
                 if not row:
                     continue
                 if min(row) in pivots:
                     span.add(row)
                 else:
                     span.insert(row)
+        return {col: span.rows[n] for col, n in pivots.items()}
+
+    def _basis_rows(self, d: int) -> dict[int, dict[int, object]]:
+        """Pivot column -> row u*(g - t), for each product w*a of degree d that a tip t ends: w*a = u*t.
+
+        A normal word w of length d - 1 looks up its suffix of each tip
+        length n less one among the tips less their last arrow; each tip so
+        found ends w times its last arrow.
+        """
+        heads, tails, lengths = self._heads, self._tails, [n for n in self._tip_lengths if n <= d]
+        parent, place, width, p = self.parent, self._place[d - 1], self._width, self._p
+        rows: dict[int, dict[int, object]] = {}
+        walks: dict[int, list] = {}
+        for i, word in enumerate(self.ranks[d - 1]):
+            for n in lengths:
+                ends = heads.get(word[d - n:])
+                if ends is None:
+                    continue
+                # u: word i less its last n - 1 arrows
+                u = i
+                for e in range(d - 1, d - n, -1):
+                    u = parent[e][u][0]
+                for r, g in ends.items():
+                    tail = walks.get(g)
+                    if tail is None:
+                        tail = walks[g] = self._walks(tails[g], d)
+                    rows[place[i] * width + r] = _row(tail, u, place, width, p)
+        return rows
+
+    def grow(self) -> None:
+        """Add the next degree: its normal words, and the tables of every arrow on the degree below."""
+        d = len(self.basis)
+        below, place, p, width, rank = self.basis[d - 1], self._place[d - 1], self._p, self._width, self.rank
+        rows = self._eliminate(d) if self._tails is None else self._basis_rows(d)
         # Column -> number of its normal word, or the (i, k) of its rewritten product.
         normal: dict[int, int] = {}
         products: dict[int, tuple[int, int]] = {}
@@ -451,7 +558,7 @@ class Levels:
             base = place[i] * width
             for k in self._leaving.get(w.target, ()):
                 col = base + rank[k]
-                if col in pivots:
+                if col in rows:
                     products[col] = (i, k)
                     continue
                 a = self.arrows[k]
@@ -470,7 +577,7 @@ class Levels:
         rewritten = []
         for col in sorted(products, reverse=True):
             form: dict[int, object] = {}
-            for c, x in span.rows[pivots[col]].items():
+            for c, x in rows[col].items():
                 if c == col:
                     continue
                 j = normal.get(c)
@@ -501,20 +608,23 @@ class Levels:
 def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_degree: int) -> GroebnerBasis:
     """The reduced Groebner basis of the ideal the generators generate, truncated at max_degree.
 
-    `Levels` grows from the generators one degree d at a time.  The minimal
-    tips of degree d are its rewritten products whose suffix one arrow
-    shorter is a normal word (the prefix is normal already).  A tip's
-    element is the tip minus its normal form, its table row, so the basis
-    is reduced as it is read; the tips are listed in ascending term order.
+    `Levels` grows from the generators one degree d at a time, by
+    elimination.  The minimal tips of degree d are its rewritten products
+    whose suffix one arrow shorter is a normal word (the prefix is normal
+    already).  A tip's element is the tip minus its normal form, its table
+    row, so the basis is reduced as it is read; the tips are listed in
+    ascending term order.
 
     The status is `complete` exactly when no generator lies above
     max_degree and every proper overlap among the final tips has degree <=
     max_degree, or every element is a monomial: each such overlap's
     S-element lies in the span eliminated at its degree, so Bergman's
     diamond lemma certifies the basis.  `max_overlap_degree` is the largest
-    proper-overlap degree among the final tips.  The levels stop at the
+    proper-overlap degree among the final tips, kept in prefix and suffix
+    tables as the tips come (`OverlapDegree`).  The levels stop at the
     first degree that is at least every generator's and at which that test
-    already holds, as no element lies above it.
+    already holds, as no element lies above it.  The model grows them
+    further from the basis itself (`Levels.use_basis`).
     """
     field = order.field
     gens = _validate_generators(generators, field)
@@ -524,7 +634,7 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     ends = {v for a in arrows for v in (a.source, a.target)}.difference(order.vertex_precedence)
     levels = Levels([*order.vertex_precedence, *sorted(ends)], arrows, order, gens)
     top = max((g.degree() for g in gens), default=0)
-    elements, tips, keys = [], [], []
+    elements, tips, overlaps = [], [], OverlapDegree()
     monomial, max_overlap, d = True, 0, 0
     while d < max_degree and not (top <= d and (monomial or max_overlap <= d)):
         d += 1
@@ -541,9 +651,6 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
             terms[tips[-1]] = 1
             elements.append(AlgebraElement(terms))
             monomial = monomial and not tail
-            keys.append(key)
-            for other in keys:
-                for deg, _shared in [*_overlaps(key, other), *_overlaps(other, key)]:
-                    max_overlap = max(max_overlap, deg)
+            max_overlap = overlaps.add(key)
     complete = top <= max_degree and (monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(elements), tuple(tips), complete, max_degree, order, max_overlap, levels)

@@ -3,8 +3,9 @@
 A GradedAlgebraModel holds the normal words of A = kQ/I per degree and the
 right action of each arrow on them as integer tables; the oracle reads A
 only through it, a presentation's relations included.  The words and
-tables come from `algebra.Levels`, one elimination per degree, and the
-model continues the levels that `groebner_basis` grew.
+tables come from `algebra.Levels`: the model continues the levels that
+`groebner_basis` grew, one elimination per degree, and reads each later
+degree off the reduced basis.
 
 Minimal graded projective resolutions are computed degreewise, per
 (degree, target-vertex) block, in free modules over A (`CoverSpace`).
@@ -56,12 +57,16 @@ class GradedAlgebraModel:
     numbers of the words of length d between them, in descending term
     order.  `field` is the field of the basis's order.
 
-    All of these are read off `algebra.Levels`, which builds each degree by
-    one elimination.  The model continues the levels that `groebner_basis`
-    grew when they were grown over the quiver's vertices and arrows, and
-    otherwise starts its own from the basis's elements.  The normal words
-    of the basis are those of A only up to its degree bound, so a model of
-    a truncated basis may not reach above it.
+    All of these are read off `algebra.Levels`, whose rows come from one of
+    two sources.  The degrees that `groebner_basis` grew were built by one
+    elimination each, of the ideal generators' multiples.  The model
+    continues those levels when they were grown over the quiver's vertices
+    and arrows, and otherwise starts its own.  Either way it builds every
+    further degree from the reduced basis (`Levels.use_basis`): a product
+    w*a that a tip t ends, w*a = u*t, has the row u*(g - t) for t's element
+    g, and no row is eliminated.  So a basis built by hand must be a
+    reduced Groebner basis.  Its normal words are those of A only up to its
+    degree bound, so a model of a truncated basis may not reach above it.
 
     The blocks and arrow tables of the free modules over A (`CoverSpace`)
     are kept here too, one set per shape, so covers that differ only by a
@@ -75,7 +80,7 @@ class GradedAlgebraModel:
         self.field = gb.order.field
         levels = gb.levels
         if levels is None or (levels.vertices, levels.arrows) != (quiver.vertices, quiver.arrows):
-            levels = Levels(quiver.vertices, quiver.arrows, gb.order, gb.elements)
+            levels = Levels(quiver.vertices, quiver.arrows, gb.order, ())
         self._levels = levels
         self.degree_cap = -1
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
@@ -93,6 +98,8 @@ class GradedAlgebraModel:
             return
         self._covers = {}  # blocks of the old cap lack the new words
         levels = self._levels
+        if len(levels.basis) <= degree_cap:
+            levels.use_basis(gb.tips, gb.elements)
         while len(levels.basis) <= degree_cap:
             levels.grow()
         # The levels may be shared and grow past this cap, so the model keeps its own lists of them.
@@ -310,23 +317,23 @@ def _add_arrow_images(cover: CoverSpace, pieces: GradedPieces, sub: Subspace, d:
     other images, whose leads are not known, go through `Subspace.add` in
     arrow-major order.
     """
-    rest = []
+    rest, p = [], cover._p
     for k, a in enumerate(cover.model.quiver.arrows):
         if a.target != v:
             continue
         prev = pieces.get(d - 1, a.source)
         if prev is None:
             continue
-        new = cover.new_leads(d - 1, k)
+        table, new = cover._tables(d - 1, k)
         for row, piv in zip(prev.rows, prev.pivot_of_row):
             if new[piv]:
-                sub.insert(cover.act(d - 1, k, row))
+                sub.insert(_apply(table, row, p))
             else:
-                rest.append((k, row))
+                rest.append((table, row))
     if sub.dim == cover.dim(d, v):
         return
-    for k, row in rest:
-        img = cover.act(d - 1, k, row)
+    for table, row in rest:
+        img = _apply(table, row, p)
         if img:
             sub.add(img)
 

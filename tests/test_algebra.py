@@ -16,12 +16,12 @@ from pathalg import (
     normal_form,
     tip,
 )
-from pathalg.algebra import Levels, ModuleElement, TipIndex, monic
+from pathalg.algebra import Levels, ModuleElement, OverlapDegree, TipIndex, monic
 from pathalg.corpus import instances
 from pathalg.fields import Field
 from pathalg.problem import parse
-from pathalg.quiver import Path, normal_word_levels
-from tests.conftest import words
+from pathalg.quiver import Path, divides, normal_word_levels
+from tests.conftest import perfbench_module, words
 from tests.helpers import _s_element, proper_overlaps, random_homogeneous_element, reference_completion
 from tests.reference import ideal_membership, module_normal_form, reference_levels
 from tests.test_problem import _random_problem
@@ -367,6 +367,64 @@ def test_sklyanin_completion_basis_is_pinned():
     rendered = "\n".join(g.render() for g in gb.elements)
     assert hashlib.sha256(rendered.encode()).hexdigest() == (
         "61066613cb4fe0f3273c15002d5c35c53351b64bfedc4135b4afe1490f25d84b")
+
+
+def _pairwise_max_overlap(tips):
+    return max((deg for s in tips for t in tips for deg, _shared in proper_overlaps(s, t)), default=0)
+
+
+def _table_max_overlap(tips):
+    """The largest overlap degree that `OverlapDegree` reads off its tables, the tips taken in their order."""
+    overlaps = OverlapDegree()
+    for t in tips:
+        overlaps.add(t.arrows)
+    return overlaps.degree
+
+
+def test_max_overlap_degree_is_the_pairwise_maximum_on_seeded_antichains():
+    """`OverlapDegree`'s tables against every ordered pair of words, each word with itself included.
+
+    The antichains are of paths of 2 to 6 arrows, in random order, on two
+    loops at one vertex and on e -> f -> e with a loop at e; words such as
+    x*x*x overlap only themselves.
+    """
+    one = Quiver.build(["e"], [("x", "e", "e"), ("y", "e", "e")])
+    two = Quiver.build(["e", "f"], [("a", "e", "f"), ("b", "f", "e"), ("x", "e", "e")])
+    w = words(one)
+    cases = [[w("xxx")], [w("xy")], [w("xy"), w("xxx")], [w("yy"), w("xyx")], [w("xyxy"), w("yxxy")]]
+    rng = random.Random(20261021)
+    paths = {q: [q.paths_of_length(n) for n in range(7)] for q in (one, two)}
+    for _ in range(300):
+        q = rng.choice((one, two))
+        tips = []
+        for t in (rng.choice(paths[q][rng.randint(2, 6)]) for _ in range(rng.randint(1, 6))):
+            if not any(divides(s, t) or divides(t, s) for s in tips):
+                tips.append(t)
+        cases.append(tips)
+    degrees = []
+    for tips in cases:
+        degrees.append(_pairwise_max_overlap(tips))
+        assert _table_max_overlap(tips) == degrees[-1], tips
+    assert degrees[:5] == [5, 0, 5, 5, 7]
+    assert degrees.count(0) > 10 and sum(len(tips) == 1 and deg for tips, deg in zip(cases, degrees)) > 10
+
+
+def test_max_overlap_degree_is_the_pairwise_maximum_on_the_fixtures_and_sklyanin():
+    """Completion reports the pairwise maximum: every fixture at D = 8, the Sklyanin triples of the gb-sklyanin
+    workload (perfbench's default seed) at D = 5, 8 and 10, and sklyanin_235 at D = 20."""
+    bases = []
+    for path in sorted((ROOT / "fixtures").glob("*.alg")):
+        pf = parse(path.read_text())
+        bases.append(groebner_basis(pf.ideal, pf.order, 8))
+    for triple in perfbench_module("workloads").sklyanin_triples(20260808, 3):
+        _q, order, gens = _sklyanin(*triple)
+        bases += [groebner_basis(gens, order, cap) for cap in (5, 8, 10)]
+    pf = parse((ROOT / "fixtures" / "sklyanin_235.alg").read_text())
+    bases.append(groebner_basis(pf.ideal, pf.order, 20))
+    assert len(bases[-1].tips) == 121
+    for gb in bases:
+        want = _pairwise_max_overlap(gb.tips)
+        assert gb.max_overlap_degree == want == _table_max_overlap(gb.tips), gb.status
 
 
 def _first_reducer(keys, w):

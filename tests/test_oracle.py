@@ -22,7 +22,7 @@ from pathalg import (
 from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
-from pathalg.corpus import random_presentation
+from pathalg.corpus import instances, random_presentation
 from pathalg.oracle import CoverSpace, FreeSummand, kernel_dims, kernel_pieces, presentation_cover
 from pathalg.problem import parse
 from pathalg.quiver import Path, normal_word_levels
@@ -38,6 +38,7 @@ from tests.reference import (
     reference_minimal_resolution,
     reference_span_from_seeds,
 )
+from tests.test_problem import _random_problem
 
 F = Field(0)
 
@@ -131,16 +132,84 @@ def _level_inputs():
     return MODEL_INPUTS + [(f"c7 instance {seed}", text, 8) for seed, text in problems]
 
 
+def _assert_reference_levels(pf, model, cap, name):
+    got = (model.basis, model.parent, model.ranks, model.rewritten)
+    assert got == reference_levels(pf.quiver, model.gb, cap), name
+    for d, level in enumerate(model.basis):
+        want: dict = {}
+        for i in sorted(range(len(level)), key=lambda i: pf.order.path_key(level[i]), reverse=True):
+            want.setdefault((level[i].source, level[i].target), []).append(i)
+        assert model.between[d] == want, (name, d)
+
+
 def test_model_levels_are_the_reference_levels():
     for name, text, cap in _level_inputs():
         pf, model = _input_model(text, cap)
-        got = (model.basis, model.parent, model.ranks, model.rewritten)
-        assert got == reference_levels(pf.quiver, model.gb, cap), name
-        for d, level in enumerate(model.basis):
-            want: dict = {}
-            for i in sorted(range(len(level)), key=lambda i: pf.order.path_key(level[i]), reverse=True):
-                want.setdefault((level[i].source, level[i].target), []).append(i)
-            assert model.between[d] == want, (name, d)
+        _assert_reference_levels(pf, model, cap, name)
+
+
+def _unused_arrow_problems():
+    """The corpus-windows problems whose quiver has an arrow that no ideal generator uses."""
+    problems, _seconds = perfbench_module("workloads").corpus_problems(200)
+    out = []
+    for seed, text in problems:
+        pf = parse(text)
+        used = {a for g in pf.ideal for q in g.terms for a in q.arrows}
+        if used != set(pf.quiver.arrows):
+            out.append((f"c7 instance {seed}", pf))
+    return out
+
+
+def _seeded_complete_problems(D):
+    """Seeded problems on 1 to 3 vertices over Q, F_7 and F_5 whose basis is complete at D."""
+    rng = random.Random(20261021)
+    out = []
+    for inst in instances(20261021, 150):
+        if len(inst.quiver.paths_of_length(5)) > 64:
+            continue
+        for field in (F, Field(7), Field(5)):
+            pf = _random_problem(rng, inst, field)
+            if pf.ideal:
+                gb = groebner_basis(pf.ideal, pf.order, D)
+                if gb.complete:
+                    out.append((f"seed {inst.seed} over {field}", pf, gb))
+    return out
+
+
+def test_a_model_past_completion_eliminates_nothing(monkeypatch):
+    """Past the degrees that completion grew, the model reads A off the reduced basis and makes no Subspace.
+
+    `build_model` continues `poly3_q`'s levels from degree 3 to 14, starts
+    fresh levels for each corpus-windows instance with an arrow that no
+    generator uses, and continues seeded complete bases from D = 5 to 8.
+    Each model equals the reference levels, and every table row the normal
+    form of its product.
+    """
+    poly3 = parse((ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text())
+    inputs = [("poly3_q.alg", poly3, groebner_basis(poly3.ideal, poly3.order, 14), 14)]
+    inputs += [(name, pf, groebner_basis(pf.ideal, pf.order, 8), 8) for name, pf in _unused_arrow_problems()]
+    seeded = _seeded_complete_problems(5)
+    inputs += [(name, pf, gb, 8) for name, pf, gb in seeded]
+    assert len(inputs) - len(seeded) == 30 and len(seeded) >= 150
+    assert sum(any(len(g.terms) > 1 for g in gb.elements) for _name, _pf, gb in seeded) > 30
+    assert sum(len({t.length for t in gb.tips}) > 1 for _name, _pf, gb in seeded) > 30
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Subspace was made past completion")
+
+    monkeypatch.setattr(pathalg.algebra, "Subspace", refuse)
+    for name, pf, gb, cap in inputs:
+        model = build_model(pf.quiver, gb, cap)
+        _assert_reference_levels(pf, model, cap, name)
+        for d in range(cap):
+            for k, a in enumerate(pf.quiver.arrows):
+                for i, w in enumerate(model.basis[d]):
+                    got = {model.basis[d + 1][j]: c for j, c in model.action(d, k)[i]}
+                    if w.target != a.source:
+                        assert got == {}
+                        continue
+                    wa = AlgebraElement({Path(w.source, a.target, w.arrows + (a,)): model.field.one})
+                    assert got == normal_form(wa, gb, pf.order).terms, (name, d, w, a)
 
 
 def test_a_model_extended_in_steps_is_a_fresh_model():
