@@ -231,6 +231,24 @@ MUTANTS = [
          "tests/test_oracle.py::test_resolution_cube_fixture"),
     ),
     Mutant(
+        "the span stop ignores the top summand degree",
+        "src/pathalg/oracle.py",
+        "full = d >= top",
+        "full = True",
+        ("tests/test_oracle.py::test_a_generator_above_a_full_degree_does_not_stop_the_span",),
+    ),
+    Mutant(
+        "a stopped span reports dim 0 above the stop",
+        "src/pathalg/oracle.py",
+        "return self.cover.dim(d, v)",
+        "return 0",
+        ("tests/test_oracle.py::test_a0_relation_spans_stop_once_they_fill_the_cover[poly3_f101.alg]",
+         "tests/test_oracle.py::test_a0_relation_spans_stop_once_they_fill_the_cover[poly3_q.alg]",
+         "tests/test_oracle.py::test_a0_relation_spans_stop_once_they_fill_the_cover[preproj3.alg]",
+         "tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
+         "tests/test_oracle.py::test_counted_syzygy_dims_are_the_koszul_complex[poly3_q.alg]"),
+    ),
+    Mutant(
         "the table walk keeps only the first entry of a row with several entries",
         "src/pathalg/algebra.py",
         "vec = [(j, c * x % p if p else c * x) for j, x in table[col]]",

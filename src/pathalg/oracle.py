@@ -16,7 +16,12 @@ leading terms of a submodule of a free module behave monomially (Green
 1999; Green, Solberg and Zacharia 2001): a row's pivot (j, w) times an
 arrow a is the lead of its image whenever w*a is a normal word.  Those
 images go in first, unreduced; a block they fill takes no other image, and
-the rest are reduced.  A presentation is first minimized by Tietze moves
+the rest are reduced.  A span stops after a degree d at or above its
+cover's top summand degree whose blocks are all full, as then every block
+above d is the whole cover: a prefix of a normal word is normal, so every
+cover column above d is a column of degree d times an arrow.
+
+A presentation is first minimized by Tietze moves
 (`ModulePresentation.minimal`), so its cover is P_0 and its relation span
 is the first kernel.  Each later step spans the kernel of the cover of the
 step before by the same rule, but counts first: in a block, dim ker is the
@@ -38,7 +43,6 @@ from .algebra import GroebnerBasis, Levels, _walk
 # perfbench/tracing.py resolves `normal_form` through this module's __dict__; nothing here calls it.
 from .algebra import normal_form  # noqa: F401
 from .errors import PathAlgError
-from .fields import Field
 from .linalg import Subspace, left_nullspace
 from .presentation import ModulePresentation
 from .quiver import Arrow, Path, Quiver
@@ -223,16 +227,12 @@ class CoverSpace:
             self._dims[key] = n
         return n
 
-    def new_leads(self, d: int, k: int) -> list[bool]:
-        """Per column (j, i) of block (d, source of arrow number k): whether word i times the arrow is a normal word."""
-        return self._tables(d, k)[1]
-
     def _tables(self, d: int, k: int) -> tuple[list[list[tuple[int, object]]], list[bool]]:
-        """The arrow table and `new_leads` of arrow number k on block (d, its source), built together once per shape.
+        """The arrow table of arrow number k on block (d, its source), and its new-lead flags, built once per shape.
 
-        Word i times the arrow is a normal word when its row in the model's
-        table is one word whose `parent` link is (i, k); a product rewritten
-        to a single other word is not.
+        A column (j, i)'s flag says whether word i times the arrow is a
+        normal word: its row in the model's table is one word whose `parent`
+        link is (i, k); a product rewritten to a single other word is not.
         """
         key = (d - self._low, k)
         hit = self._actions.get(key)
@@ -281,28 +281,36 @@ class CoverSpace:
 
 
 class GradedPieces:
-    """Per-(degree, vertex) subspaces of a free module over A, over `field`.
+    """Per-(degree, vertex) subspaces of a free module over A, its `cover`.
 
     `generators` lists the (degree, vertex, vector) seeds that enlarged the
-    span as `span_from_seeds` or `kernel_pieces` built it.
+    span as `span_from_seeds` or `kernel_pieces` built it.  `full_from`,
+    set only by `span_from_seeds`, is the first degree whose blocks it did
+    not build because they are all the whole cover: a prefix of a normal
+    word is normal, so once every block of a degree at or above the top
+    summand degree is full, every cover column above it is in the span.
+    From `full_from` on, `dim` is the cover's and `get` finds no rows.
     """
 
-    def __init__(self, field: Field):
-        self.field = field
+    def __init__(self, cover: CoverSpace):
+        self.cover = cover
         self.spaces: dict[tuple[int, str], Subspace] = {}
         self.generators: list[tuple[int, str, dict]] = []
+        self.full_from: int | None = None
 
     def get(self, d: int, v: str) -> Subspace | None:
         return self.spaces.get((d, v))
 
     def dim(self, d: int, v: str) -> int:
+        if self.full_from is not None and d >= self.full_from:
+            return self.cover.dim(d, v)
         s = self.get(d, v)
         return s.dim if s else 0
 
     def ensure(self, d: int, v: str) -> Subspace:
         key = (d, v)
         if key not in self.spaces:
-            self.spaces[key] = Subspace(self.field)
+            self.spaces[key] = Subspace(self.cover.model.field)
         return self.spaces[key]
 
 
@@ -357,21 +365,34 @@ def span_from_seeds(cover: CoverSpace, seeds: Iterable[tuple[int, str, dict]], D
     go first, unreduced, and the others, reduced, only if those leave the
     block short of its dim (`_add_arrow_images`).  The span, and so each
     block's pivots and the generators, does not depend on that order.
+
+    The span stops after a degree d at or above the top summand degree
+    whose blocks are all full, and sets `full_from` to d + 1.  Every cover
+    column above d is a column of degree d times an arrow, as a prefix of
+    a normal word is normal, so every block above d is the whole cover and
+    no seed there can enlarge the span.
     """
     by_slot: dict[tuple[int, str], list[dict]] = {}
     for d, v, vec in seeds:
         by_slot.setdefault((d, v), []).append(vec)
-    pieces = GradedPieces(cover.model.field)
+    pieces = GradedPieces(cover)
     min_d = min((d for (d, _v) in by_slot), default=D + 1)
+    top = max((s.degree for s in cover.summands), default=0)
     for d in range(min_d, D + 1):
+        full = d >= top
         for v in cover.model.quiver.vertices:
-            if not cover.dim(d, v):
+            n = cover.dim(d, v)
+            if not n:
                 continue
             sub = pieces.ensure(d, v)
             _add_arrow_images(cover, pieces, sub, d, v)
             for vec in by_slot.get((d, v), []):
                 if sub.add(vec):
                     pieces.generators.append((d, v, vec))
+            full = full and sub.dim == n
+        if full:
+            pieces.full_from = d + 1
+            break
     return pieces
 
 
@@ -435,7 +456,7 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient: CoverSpac
     coordinate, which would mean the chosen generators were not minimal.
     """
     model = domain.model
-    pieces = GradedPieces(model.field)
+    pieces = GradedPieces(domain)
     if not domain.summands:
         return pieces
     degrees = [s.degree for s in domain.summands]

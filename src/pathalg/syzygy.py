@@ -59,6 +59,11 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     reducible prefix is the whole word, the tips of the generators
     f_i * (u * g).  Left division by a kept tip is read on the model's
     `parent` links, which number a word's prefixes, so no path is divided.
+
+    No survivor lies above the degree where the span stops (`full_from`),
+    whose blocks hold no rows: every word of a full block is a pivot, so
+    it is kept or below a kept tip, and each column above the stop has its
+    prefix in a full block.
     """
     if degree_cap > model.degree_cap:
         raise PathAlgError(f"first syzygy degree cap {degree_cap} exceeds the model cap {model.degree_cap}")

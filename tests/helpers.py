@@ -28,8 +28,8 @@ from pathalg import (
 from pathalg.corpus import check_composition_bounds, check_extrema_inequalities  # noqa: F401
 from pathalg.corpus import instances, normal_word_dims_ok
 from pathalg.fields import Field
-from pathalg.oracle import presentation_cover, span_from_seeds
-from tests.reference import divides_left, find_partition, left_mul, right_mul
+from pathalg.oracle import presentation_cover
+from tests.reference import divides_left, find_partition, left_mul, reference_span_from_seeds, right_mul
 
 
 def random_homogeneous_element(
@@ -217,7 +217,7 @@ def reference_first_syzygy(pres, model, degree_cap):
     """
     gb = model.gb
     cover, seeds = presentation_cover(pres, model)
-    pieces = span_from_seeds(cover, seeds, degree_cap)
+    pieces = reference_span_from_seeds(cover, seeds, degree_cap)
     kept_tips, kept_elems = [], []
     for d in range(degree_cap + 1):
         for v in model.quiver.vertices:

@@ -18,13 +18,14 @@
   counted away: it spans X = cover/relations in a `Quotient`, takes P_0
   from the generator tops projected there, and for every step
   `full_kernel_pieces` takes a left nullspace of every (degree, vertex)
-  block, and `span_from_seeds` re-adds every kernel vector to keep those
-  that enlarge the span.
+  block, and `reference_span_from_seeds` re-adds every kernel vector to
+  keep those that enlarge the span.
 - `reference_span_from_seeds` and `reference_kernel_pieces` build the
   spans that `span_from_seeds` and `kernel_pieces` build, but each block
   takes every arrow image of the block below through `Subspace.add`, in
-  arrow-major order, with no image inserted unreduced and no full-block
-  stop.
+  arrow-major order, with no image inserted unreduced, no full-block
+  stop, and no stop once the span fills its cover: every block up to D is
+  kept.
 
 Cut decompositions w = u1 v1 ... v_{n-1} un serve as an independent
 membership oracle for the walks.  They are searched as index cuts on the
@@ -52,7 +53,6 @@ from pathalg.oracle import (
     ResolutionReport,
     minimal_generators_of_pieces,
     presentation_cover,
-    span_from_seeds,
 )
 from pathalg.order import OrderSpec
 from pathalg.overlaps import OverlapTable
@@ -397,7 +397,7 @@ def reference_span_from_seeds(space, seeds: Iterable[tuple[int, str, dict]], D: 
     by_slot: dict[tuple[int, str], list[dict]] = {}
     for d, v, vec in seeds:
         by_slot.setdefault((d, v), []).append(vec)
-    pieces = GradedPieces(space.model.field)
+    pieces = GradedPieces(space)
     for d in range(min((d for d, _v in by_slot), default=D + 1), D + 1):
         for v in space.model.quiver.vertices:
             if not space.dim(d, v):
@@ -429,7 +429,7 @@ def _block_images(phi: dict, model: GradedAlgebraModel, ambient, images: Sequenc
 def reference_kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient, dims, D: int) -> GradedPieces:
     """`kernel_pieces` with every arrow image reduced through `Subspace.add`, and its count check."""
     model = domain.model
-    pieces = GradedPieces(model.field)
+    pieces = GradedPieces(domain)
     if not domain.summands:
         return pieces
     degrees = [s.degree for s in domain.summands]
@@ -505,7 +505,7 @@ def reference_minimal_resolution(pres: ModulePresentation, model: GradedAlgebraM
         if g.degree > D:
             raise PathAlgError(f"generator {g.name} at degree {g.degree} lies above the degree cap {D}")
     cover, seeds = presentation_cover(pres, model)
-    X = Quotient(cover, span_from_seeds(cover, seeds, D))
+    X = Quotient(cover, reference_span_from_seeds(cover, seeds, D))
 
     # Homological step 0: the summand tops, projected into X, generate it.
     one = model.field.one

@@ -23,7 +23,7 @@ from pathalg.fields import Field
 from pathalg.presentation import Generator, ModulePresentation
 from pathalg.algebra import ModuleElement
 from pathalg.corpus import instances, random_presentation
-from pathalg.oracle import CoverSpace, FreeSummand, kernel_dims, kernel_pieces, presentation_cover
+from pathalg.oracle import CoverSpace, FreeSummand, kernel_dims, kernel_pieces, presentation_cover, span_from_seeds
 from pathalg.problem import parse
 from pathalg.quiver import Path, normal_word_levels
 from pathalg.syzygy import DegreeWindow, first_syzygy
@@ -259,7 +259,7 @@ def test_cover_blocks_are_the_reference_blocks():
 def _cover_table(cover, d, k):
     """Arrow number k on block (d, its source) of a cover: each column's image, and the new-lead flags."""
     v = cover.model.quiver.arrows[k].source
-    return [cover.act(d, k, {n: 1}) for n in range(cover.dim(d, v))], cover.new_leads(d, k)
+    return [cover.act(d, k, {n: 1}) for n in range(cover.dim(d, v))], cover._tables(d, k)[1]
 
 
 def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
@@ -274,7 +274,7 @@ def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
         old.block(d, "e")
     for d in range(4):
         for k in range(2):
-            old.new_leads(d, k)
+            old._tables(d, k)
     assert CoverSpace(small, high).block(7, "e") is old.block(5, "e")
     small.extend(7)
     got, want = CoverSpace(small, high), CoverSpace(fresh, high)
@@ -776,11 +776,14 @@ def _span_inputs():
     return out
 
 
-def _assert_same_pieces(got, want, name):
-    assert got.spaces.keys() == want.spaces.keys(), name
-    for key, sub in got.spaces.items():
-        ref = want.spaces[key]
-        assert (sub.dim, sorted(sub.pivot_of_row)) == (ref.dim, sorted(ref.pivot_of_row)), (name, key)
+def _assert_same_pieces(got, want, D, name):
+    # A span may stop once it fills its cover, so it keeps fewer blocks than
+    # the reference; every block's dim is compared, and the pivots where both keep it.
+    for d in range(D + 1):
+        for v in got.cover.model.quiver.vertices:
+            assert got.dim(d, v) == want.dim(d, v), (name, d, v)
+    for key in got.spaces.keys() & want.spaces.keys():
+        assert sorted(got.spaces[key].pivot_of_row) == sorted(want.spaces[key].pivot_of_row), (name, key)
     assert got.generators == want.generators, name
 
 
@@ -796,14 +799,14 @@ def test_spans_with_new_leads_first_are_the_reference_spans(monkeypatch):
     def span(space, seeds, D):
         seeds = list(seeds)
         got = real_span(space, seeds, D)
-        _assert_same_pieces(got, reference_span_from_seeds(space, seeds, D), (case[0], "span", len(spans)))
+        _assert_same_pieces(got, reference_span_from_seeds(space, seeds, D), D, (case[0], "span", len(spans)))
         spans.append(type(space).__name__)
         return got
 
     def kernel(domain, images, ambient, dims, D):
         got = real_kernel(domain, images, ambient, dims, D)
         want = reference_kernel_pieces(domain, images, ambient, dims, D)
-        _assert_same_pieces(got, want, (case[0], "kernel", len(kernels)))
+        _assert_same_pieces(got, want, D, (case[0], "kernel", len(kernels)))
         kernels.append(domain.summands)
         return got
 
@@ -816,6 +819,44 @@ def test_spans_with_new_leads_first_are_the_reference_spans(monkeypatch):
         minimal_resolution(pres, model, 4, D)
     assert spans == ["CoverSpace"] * len(cases)
     assert len(kernels) > 2 * len(cases)
+
+
+@pytest.mark.parametrize("name", ["poly3_f101.alg", "poly3_q.alg", "preproj3.alg"])
+def test_a0_relation_spans_stop_once_they_fill_the_cover(name):
+    # A0's relations are the arrows, so its relation span is rad P_0, full
+    # from degree 1: the span keeps the blocks of degree 1 and no others.
+    # first_syzygy reads the same span: its only survivors are the arrows,
+    # and the span is alive at the cap.
+    D = 8
+    pf = parse((ROOT / "perfbench" / "inputs" / name).read_text())
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, D), D)
+    cover, seeds = presentation_cover(pf.modules["A0"], model)
+    got = span_from_seeds(cover, seeds, D)
+    assert got.full_from == 2
+    assert {d for d, _v in got.spaces} == {1}
+    _assert_same_pieces(got, reference_span_from_seeds(cover, seeds, D), D, name)
+    syz = first_syzygy(pf.modules["A0"], model, D)
+    assert (len(syz.survivors), syz.min_degree, syz.max_degree) == (len(pf.quiver.arrows), 1, 1)
+    assert syz.alive_at_cap
+
+
+def test_a_generator_above_a_full_degree_does_not_stop_the_span():
+    # g0's relations fill degree 1 of the cover, but g1 at degree 2 brings
+    # a column that the span lacks, and every block above holds more of them.
+    D = 8
+    pf = parse((ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text())
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, D), D)
+    one = model.field.one
+    pres = ModulePresentation((Generator("g0", "e", 0), Generator("g1", "e", 2)),
+                              tuple(ModuleElement({(0, pf.quiver.path(a)): one}) for a in "xyz"))
+    cover, seeds = presentation_cover(pres, model)
+    got = span_from_seeds(cover, seeds, D)
+    assert got.full_from is None
+    _assert_same_pieces(got, reference_span_from_seeds(cover, seeds, D), D, "g0, g1")
+    rep = minimal_resolution(pres, model, 3, D)
+    assert rep == reference_minimal_resolution(pres, model, 3, D)
+    assert rep.degrees == [[0, 2], [1, 1, 1], [2, 2, 2], [3]]
+    assert rep.hilbert == [1, 0] + [comb(d, 2) for d in range(2, D + 1)]
 
 
 @pytest.mark.parametrize("name", ["poly3_q.alg", "poly3_f101.alg"])

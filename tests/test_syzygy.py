@@ -45,6 +45,8 @@ def test_first_syzygy_cube_A0(two_loop, cube_model, cube_A0):
     syz = first_syzygy(cube_A0, cube_model, 8)
     assert sorted((j, str(p)) for j, p in syz.survivors) == [(0, "x"), (0, "y")]
     assert (syz.min_degree, syz.max_degree) == (1, 1)
+    # Every word of positive length lies below the kept tip x or y, so none is absorbed.
+    assert syz.absorbed == ()
 
 
 def test_first_syzygy_relation_inside_ideal(two_loop, cube_model):
