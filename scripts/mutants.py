@@ -64,6 +64,40 @@ MUTANTS = [
          "tests/test_oracle.py::test_action_tables_are_the_normal_forms[sklyanin_235.alg]"),
     ),
     Mutant(
+        "a zero row recorded for one relation skips another's rows",
+        "src/pathalg/algebra.py",
+        "self._zero: list[set[tuple[int, ...]]] = [set() for _ in self._relations]",
+        "self._zero: list[set[tuple[int, ...]]] = [set()] * len(self._relations)",
+        ("tests/test_algebra.py::test_skipped_rows_lie_in_the_span_of_the_kept_rows",
+         "tests/test_algebra.py::test_generator_lists_of_one_ideal_give_the_reference_basis[permutation-0]",
+         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
+    ),
+    Mutant(
+        "rows are taken in descending term order",
+        "src/pathalg/algebra.py",
+        "for u in reversed(self._ending[d - e].get(v, ())):",
+        "for u in self._ending[d - e].get(v, ()):",
+        ("tests/test_algebra.py::test_skipped_rows_lie_in_the_span_of_the_kept_rows",
+         "tests/test_algebra.py::test_generator_lists_of_one_ideal_give_the_reference_basis[permutation-0]",
+         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
+    ),
+    Mutant(
+        "a row that enlarges the span is recorded as zero",
+        "src/pathalg/algebra.py",
+        "if not span.add(row):",
+        "if span.add(row):",
+        ("tests/test_algebra.py::test_skipped_rows_lie_in_the_span_of_the_kept_rows",
+         "tests/test_algebra.py::test_sklyanin_completion_at_16_reduces_few_rows_to_zero",
+         "tests/test_algebra.py::test_sklyanin_completion_against_a_reference_completion[triple0]"),
+    ),
+    Mutant(
+        "no row is skipped",
+        "src/pathalg/algebra.py",
+        "if zero and any(word[s:] in zero for s in range(d - e + 1)):",
+        "if False:",
+        ("tests/test_algebra.py::test_sklyanin_completion_at_16_reduces_few_rows_to_zero",),
+    ),
+    Mutant(
         "the early stop fires one degree early",
         "src/pathalg/algebra.py",
         "(monomial or max_overlap <= d)",

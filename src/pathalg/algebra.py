@@ -17,9 +17,12 @@ of degree d - deg r that ends where r starts.  One elimination per degree
 gives A_d's normal words, the table of every arrow on A_{d-1}, and the
 degree-d elements of the reduced Groebner basis: a rewritten product whose
 suffix one arrow shorter is a normal word is a minimal tip, and its element
-is the tip minus its normal form.  `groebner_basis` runs the levels up to a
-caller-supplied degree, or until the basis is known complete, which it
-tests from the tips' overlap degrees, kept in prefix and suffix tables
+is the tip minus its normal form.  A row known to reduce to zero, a left
+multiple of one that did, is skipped by a signature criterion (F5's rewrite
+criterion, Faugere 2002, in the free algebra as in Hofstadler-Verron 2022).
+`groebner_basis` runs the levels up to a caller-supplied degree, or until
+the basis is known complete, which it tests from the tips' overlap degrees,
+kept in prefix and suffix tables
 (`OverlapDegree`); the completeness status is part of the result, and the
 levels stay with the basis for `oracle.GradedAlgebraModel` to continue.
 Past completion no degree is eliminated: each rewritten product's row is
@@ -422,11 +425,23 @@ class Levels:
     the greatest product.  The rewritten products are the pivot columns of
     rows from one of two sources:
 
-    - Elimination, while completing: a relation r of degree e gives a row
-      u*r for each normal word u of length d - e that ends where r starts
-      (`_row`).  The rows are eliminated in one `Subspace`, by `insert` when
-      the least column is no pivot yet and by `add` otherwise; some of the
-      rows that go through `add` reduce to zero.
+    - Elimination, while completing: relation r_i of degree e gives a row
+      u*r_i of signature (i, u) for each normal word u of length d - e that
+      ends where r_i starts (`_row`).  The rows are eliminated in one
+      `Subspace` in ascending signature, relation by relation and each
+      relation's words in ascending term order: by `insert` when the least
+      column is no pivot yet and by `add` otherwise.  A row that is empty or
+      that `add` reduces to zero records its u in `_zero[i]`, and a row
+      (i, w*u0) whose u has a recorded suffix u0, the empty word too, is
+      skipped: F5's rewrite criterion (Faugere 2002), as Hofstadler and
+      Verron (2022) carry it to free algebras.  The span is unchanged.  The
+      row of a product is left linear in it and zero on I*r_j, which lies in
+      I_{d-1}*V; so if u0*r_i is a sum of rows u'*r_j of smaller signature,
+      then w*u0*r_i is a sum of rows w*u'*r_j, each the row of NF(w*u')*r_j.
+      The term order is compatible with left multiplication, so the normal
+      words of NF(w*u') are no greater than w*u', which is less than w*u0
+      when j = i: each has a smaller signature than (i, w*u0).  By induction
+      on signature, every skipped row lies in the span of the kept rows.
     - The reduced basis, once `use_basis` has given it: when it is exact
       through d, a product w*a is not a normal word exactly when a tip t is
       a suffix of it, and that tip is unique, as the tips form an antichain.
@@ -450,6 +465,8 @@ class Levels:
             self._leaving.setdefault(a.source, []).append(k)
         self._number = {a: k for k, a in enumerate(self.arrows)}
         self._relations = [self._read(r) for r in relations]
+        # Per relation: the rank words u whose row u*r was empty or reduced to zero (`_eliminate`).
+        self._zero: list[set[tuple[int, ...]]] = [set() for _ in self._relations]
         # Once `use_basis` has run: per tip number, its element less the tip, read as a relation; the
         # tip's rank word less its last arrow -> {the last arrow's rank: tip number}; and the tip lengths.
         self._tails: list[tuple] | None = None
@@ -464,7 +481,7 @@ class Levels:
         self.tables: list[list[list[list[tuple[int, object]]]]] = []
         # Per degree: each word's place by rank word (0 for every vertex, so
         # that a length-1 column is its arrow's rank), and the word numbers
-        # ending at each vertex.
+        # ending at each vertex, in descending term order.
         self._place: list[list[int]] = [[0] * n]
         self._ending: list[dict[str, list[int]]] = [{v: [i] for i, v in enumerate(self.vertices)}]
 
@@ -499,21 +516,25 @@ class Levels:
                 for head, k, c in terms]
 
     def _eliminate(self, d: int) -> dict[int, dict[int, object]]:
-        """Pivot column -> row, from one elimination of the rows u*r of degree d."""
+        """Pivot column -> row, from one elimination of the rows u*r of degree d but those known to reduce to zero."""
         span = Subspace(self.field)
         pivots = span.row_of_pivot
         place, width, p = self._place[d - 1], self._width, self._p
-        for relation in self._relations:
+        for relation, zero in zip(self._relations, self._zero):
             e, v, _terms = relation
             if e > d:
                 continue
-            walks = self._walks(relation, d)
-            for u in self._ending[d - e].get(v, ()):
+            walks, ranks = self._walks(relation, d), self.ranks[d - e]
+            for u in reversed(self._ending[d - e].get(v, ())):
+                word = ranks[u]
+                if zero and any(word[s:] in zero for s in range(d - e + 1)):
+                    continue
                 row = _row(walks, u, place, width, p)
                 if not row:
-                    continue
-                if min(row) in pivots:
-                    span.add(row)
+                    zero.add(word)
+                elif min(row) in pivots:
+                    if not span.add(row):
+                        zero.add(word)
                 else:
                     span.insert(row)
         return {col: span.rows[n] for col, n in pivots.items()}
@@ -553,7 +574,7 @@ class Levels:
         # Column -> number of its normal word, or the (i, k) of its rewritten product.
         normal: dict[int, int] = {}
         products: dict[int, tuple[int, int]] = {}
-        level, parent, ranks, ending = [], [], [], {}
+        level, parent, ranks = [], [], []
         for i, (w, word) in enumerate(zip(below, self.ranks[d - 1])):
             base = place[i] * width
             for k in self._leaving.get(w.target, ()):
@@ -563,7 +584,6 @@ class Levels:
                     continue
                 a = self.arrows[k]
                 normal[col] = len(level)
-                ending.setdefault(a.target, []).append(len(level))
                 level.append(Path(w.source, a.target, w.arrows + (a,)))
                 parent.append((i, k))
                 ranks.append(word + (rank[k],))
@@ -590,11 +610,12 @@ class Levels:
             tables[k][i] = forms[col] = [(j, x % p) for j, x in form.items() if x % p] if p else [
                 (j, of(x)) for j, x in form.items() if x]
             rewritten.append((i, k))
-        places, between = [0] * len(level), {}
+        places, between, ending = [0] * len(level), {}, {}
         for n, col in enumerate(sorted(normal)):
             j = normal[col]
             places[j] = n
             between.setdefault((level[j].source, level[j].target), []).append(j)
+            ending.setdefault(level[j].target, []).append(j)
         self.basis.append(level)
         self.parent.append(parent)
         self.ranks.append(ranks)

@@ -2,7 +2,7 @@ import hashlib
 import pathlib
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -16,14 +16,15 @@ from pathalg import (
     normal_form,
     tip,
 )
-from pathalg.algebra import Levels, ModuleElement, OverlapDegree, TipIndex, monic
+from pathalg.algebra import Levels, ModuleElement, OverlapDegree, TipIndex, _row, monic
 from pathalg.corpus import instances
 from pathalg.fields import Field
+from pathalg.linalg import Subspace
 from pathalg.problem import parse
 from pathalg.quiver import Path, divides, normal_word_levels
 from tests.conftest import perfbench_module, words
 from tests.helpers import _s_element, proper_overlaps, random_homogeneous_element, reference_completion
-from tests.reference import ideal_membership, module_normal_form, reference_levels
+from tests.reference import ideal_membership, left_mul, module_normal_form, reference_levels
 from tests.test_problem import _random_problem
 
 F = Field(0)
@@ -367,6 +368,139 @@ def test_sklyanin_completion_basis_is_pinned():
     rendered = "\n".join(g.render() for g in gb.elements)
     assert hashlib.sha256(rendered.encode()).hexdigest() == (
         "61066613cb4fe0f3273c15002d5c35c53351b64bfedc4135b4afe1490f25d84b")
+
+
+def _rows_of_degree(levels, d):
+    """Every row u*r of degree d, none skipped."""
+    place, width, p = levels._place[d - 1], levels._width, levels._p
+    for relation in levels._relations:
+        e, v, _terms = relation
+        if e <= d:
+            walks = levels._walks(relation, d)
+            for u in levels._ending[d - e].get(v, ()):
+                yield _row(walks, u, place, width, p)
+
+
+def _eliminate_every_row(levels, d):
+    """`Levels._eliminate` with no row skipped."""
+    span = Subspace(levels.field)
+    for row in _rows_of_degree(levels, d):
+        span.add(row)
+    return {col: span.rows[n] for col, n in span.row_of_pivot.items()}
+
+
+def _levels_summary(levels):
+    """The words, parent links and rewritten products of the levels, and their table rows as sorted pairs."""
+    tables = [[[sorted(row) for row in table] for table in degree] for degree in levels.tables]
+    return levels.basis, levels.parent, levels.ranks, levels.rewritten, tables
+
+
+def _shadow_problems():
+    """Seeded `_random_problem` ideals over Q, F_5, F_7 and F_11 at D = 6 and 8, then Sklyanin (2,3,5) at D = 16."""
+    rng = random.Random(20261021)
+    for inst in instances(20261021, 16):
+        if len(inst.quiver.paths_of_length(5)) > 64:
+            continue
+        for field in (F, Field(5), Field(7), Field(11)):
+            pf = _random_problem(rng, inst, field)
+            if pf.ideal:
+                yield pf.ideal, pf.order, 6
+                yield pf.ideal, pf.order, 8
+    _q, order, gens = _sklyanin(2, 3, 5)
+    yield gens, order, 16
+
+
+def test_skipped_rows_lie_in_the_span_of_the_kept_rows(monkeypatch):
+    """A shadow elimination with no row skipped: every row of each degree lies in the span the kept rows give.
+
+    Each degree's rows are all built again and `contains`-ed by the span of
+    the pivot rows that the elimination returned, so every skipped row lies
+    in the kept rows' span; and a completion with no row skipped gives the
+    same basis, and the same levels, table rows compared as sorted pairs.
+    """
+    eliminate, built, skipped = Levels._eliminate, [], []
+
+    def shadowed(self, d):
+        before = len(built)
+        rows = eliminate(self, d)
+        kept = Subspace(self.field)
+        for row in rows.values():
+            kept.insert(row)
+        every = 0
+        for row in _rows_of_degree(self, d):
+            assert kept.contains(row), d
+            every += 1
+        skipped.append(every - (len(built) - before))
+        return rows
+
+    def counted(*args):
+        built.append(None)
+        return _row(*args)
+
+    problems, non_monomial, skipped_per_problem = 0, 0, []
+    for gens, order, cap in _shadow_problems():
+        start = len(skipped)
+        with monkeypatch.context() as m:
+            m.setattr(Levels, "_eliminate", shadowed)
+            m.setattr("pathalg.algebra._row", counted)
+            gb = groebner_basis(gens, order, cap)
+        with monkeypatch.context() as m:
+            m.setattr(Levels, "_eliminate", _eliminate_every_row)
+            plain = groebner_basis(gens, order, cap)
+        assert _basis_summary(gb) == _basis_summary(plain)
+        assert _levels_summary(gb.levels) == _levels_summary(plain.levels)
+        problems += 1
+        non_monomial += any(len(g.terms) > 1 for g in gb.elements)
+        skipped_per_problem.append(sum(skipped[start:]))
+    assert problems >= 90 and non_monomial >= 30 and sum(skipped_per_problem[:-1]) > 0
+    # Sklyanin at D = 16: 560 rows reduce to zero with no skip, 28 with it.
+    assert skipped_per_problem[-1] == 532
+
+
+def _sklyanin_235_lists():
+    """Generator lists of the Sklyanin (2,3,5) ideal: every order, a duplicate, a scaled copy, and x*r first and last."""
+    q, _order, gens = _sklyanin(2, 3, 5)
+    xr = left_mul(gens[0], q.path("x"))
+    lists = {f"permutation-{n}": [gens[i] for i in perm] for n, perm in enumerate(permutations(range(3)))}
+    lists["duplicate"] = gens + [gens[1]]
+    lists["scaled-copy"] = [AlgebraElement({p: 3 * c % 101 for p, c in gens[0].terms.items()})] + gens
+    lists["left-multiple-first"] = [xr] + gens
+    lists["left-multiple-last"] = gens + [xr]
+    return lists
+
+
+@pytest.fixture(scope="module")
+def sklyanin_235_reference_at_10():
+    _q, order, gens = _sklyanin(2, 3, 5)
+    return reference_completion(gens, order, 10)
+
+
+@pytest.mark.parametrize("case", list(_sklyanin_235_lists()))
+def test_generator_lists_of_one_ideal_give_the_reference_basis(case, sklyanin_235_reference_at_10):
+    """The skip depends on the order of the generators, never the basis: lists of one ideal at D = 10.
+
+    A duplicate or scaled copy of a relation reduces to zero in its own
+    degree, with u the empty word, so all its multiples are skipped; a left
+    multiple x*r listed first is a redundant generator that is kept, and r's
+    row x*r reduces to zero instead.
+    """
+    _q, order, _gens = _sklyanin(2, 3, 5)
+    assert _summary(groebner_basis(_sklyanin_235_lists()[case], order, 10)) == sklyanin_235_reference_at_10
+
+
+def test_sklyanin_completion_at_16_reduces_few_rows_to_zero(monkeypatch):
+    """Work count: at most a tenth of the C(16, 3) = 560 rows that reduce to zero with no skip go through `add`."""
+    add, zero = Subspace.add, []
+
+    def counted(self, vec):
+        enlarged = add(self, vec)
+        zero.append(not enlarged)
+        return enlarged
+
+    _q, order, gens = _sklyanin(2, 3, 5)
+    monkeypatch.setattr(Subspace, "add", counted)
+    groebner_basis(gens, order, 16)
+    assert sum(zero) <= 56
 
 
 def _pairwise_max_overlap(tips):
