@@ -8,7 +8,8 @@ that replaces it, and the ids of the tests that must fail once it does.
 Each mutant is applied alone to a fresh copy of the tree in a temporary
 directory, and only its own tests run there.  A mutant survives when one of
 its tests still passes; each survivor is reported as a finding, and the
-exit status is then 1.
+exit status is then 1.  A mutant whose tests run past TIMEOUT_S seconds is
+stopped and reported as killed, named as timed out.
 
 The gate takes a few seconds a mutant, so the tier-1 suite does not run it:
 `tests/test_mutants.py` checks only that each old text still occurs exactly
@@ -27,6 +28,9 @@ import tempfile
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# A mutant's tests that run longer than this are stopped, and the mutant counts as killed:
+# a runaway mutant must not stall the gate.
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -249,20 +253,50 @@ MUTANTS = [
     Mutant(
         "the new-lead test accepts any single-term product",
         "src/pathalg/oracle.py",
-        "new.append(rows_up[1][i2] == (i, k))",
-        "new.append(True)",
-        ("tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
+        "(sub.add(img) if min(img) in pivots else sub.insert(img))",
+        "(sub.add(img) if min(img) in pivots and len(img) > 1 else sub.insert(img))",
+        ("tests/test_oracle.py::test_spans_by_labels_are_the_reference_spans",
          "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route",
          "tests/test_cli.py::test_resolve_command"),
     ),
     Mutant(
-        "the full-block stop fires one row early",
+        "a colliding lead inserted without add",
         "src/pathalg/oracle.py",
-        "if sub.dim == cover.dim(d, v):",
-        "if sub.dim >= cover.dim(d, v) - 1:",
-        ("tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
+        "(sub.add(img) if min(img) in pivots else sub.insert(img))",
+        "sub.insert(img)",
+        ("tests/test_oracle.py::test_spans_by_labels_are_the_reference_spans",
          "tests/test_oracle.py::test_counted_kernels_resolve_like_the_full_kernel_route",
          "tests/test_oracle.py::test_resolution_cube_fixture"),
+    ),
+    Mutant(
+        "labels taken in descending order",
+        "src/pathalg/oracle.py",
+        "for g, n, j, img in runs[0]:",
+        "for g, n, j, img in sorted(chain(*runs), key=lambda c: (-c[0], place[c[1]][c[2]])):",
+        ("tests/test_oracle.py::test_spans_by_labels_are_the_reference_spans",
+         "tests/test_oracle.py::test_sklyanin_a0_resolution_reduces_few_rows_to_zero"),
+    ),
+    Mutant(
+        "a generator labelled with index 0",
+        "src/pathalg/oracle.py",
+        "self.labels[(d, v)].append((len(self.generators), 0,",
+        "self.labels[(d, v)].append((0, 0,",
+        ("tests/test_oracle.py::test_spans_by_labels_are_the_reference_spans",),
+    ),
+    Mutant(
+        "the normal-word skip disabled",
+        "src/pathalg/oracle.py",
+        "if len(step) == 1 and parent[n + 1][step[0][0]] == (i, k):",
+        "if step:",
+        ("tests/test_oracle.py::test_sklyanin_a0_resolution_reduces_few_rows_to_zero",),
+    ),
+    Mutant(
+        "the full-block stop fires one row early",
+        "src/pathalg/oracle.py",
+        "full = full and sub.dim == n",
+        "full = full and sub.dim >= n - 1",
+        ("tests/test_oracle.py::test_spans_by_labels_are_the_reference_spans",
+         "tests/test_oracle.py::test_a_generator_above_a_full_degree_does_not_stop_the_span"),
     ),
     Mutant(
         "the span stop ignores the top summand degree",
@@ -279,7 +313,7 @@ MUTANTS = [
         ("tests/test_oracle.py::test_a0_relation_spans_stop_once_they_fill_the_cover[poly3_f101.alg]",
          "tests/test_oracle.py::test_a0_relation_spans_stop_once_they_fill_the_cover[poly3_q.alg]",
          "tests/test_oracle.py::test_a0_relation_spans_stop_once_they_fill_the_cover[preproj3.alg]",
-         "tests/test_oracle.py::test_spans_with_new_leads_first_are_the_reference_spans",
+         "tests/test_oracle.py::test_spans_by_labels_are_the_reference_spans",
          "tests/test_oracle.py::test_counted_syzygy_dims_are_the_koszul_complex[poly3_q.alg]"),
     ),
     Mutant(
@@ -339,19 +373,22 @@ MUTANTS = [
 ]
 
 
-def _failed(tree: pathlib.Path, tests: tuple[str, ...]) -> set[str]:
-    """The ids that pytest reports FAILED or ERROR when it runs `tests` in `tree`."""
+def _failed(tree: pathlib.Path, tests: tuple[str, ...]) -> set[str] | None:
+    """The ids that pytest reports FAILED or ERROR when it runs `tests` in `tree`; None if it ran out of time."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
+                              cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     if proc.returncode not in (0, 1, 2):
         raise SystemExit(f"pytest could not run {list(tests)} (exit {proc.returncode}):\n{proc.stdout}{proc.stderr}")
     return {line.split(" ", 1)[1].split(" - ", 1)[0]
             for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
 
 
-def survivors(mutant: Mutant) -> list[str]:
-    """The mutant's tests that still pass with it applied; empty when the mutant is killed."""
+def survivors(mutant: Mutant) -> list[str] | None:
+    """The mutant's tests that still pass with it applied; empty when the mutant is killed, None when it timed out."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = pathlib.Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".runs"))
@@ -361,6 +398,8 @@ def survivors(mutant: Mutant) -> list[str]:
             raise SystemExit(f"{mutant.name}: the old text does not occur exactly once in {mutant.file}")
         path.write_text(text.replace(mutant.old, mutant.new))
         failed = _failed(tree, mutant.tests)
+    if failed is None:
+        return None
     # A test errors with its whole file when the file cannot be collected.
     return [t for t in mutant.tests if t not in failed and t.split("::")[0] not in failed]
 
@@ -370,7 +409,10 @@ def main() -> int:
     for mutant in MUTANTS:
         passing = survivors(mutant)
         found += bool(passing)
-        print(f"SURVIVED {mutant.name}: {', '.join(passing)} still pass" if passing else f"killed   {mutant.name}")
+        if passing is None:
+            print(f"killed   {mutant.name} (timed out after {TIMEOUT_S} s)")
+        else:
+            print(f"SURVIVED {mutant.name}: {', '.join(passing)} still pass" if passing else f"killed   {mutant.name}")
     print(f"{len(MUTANTS) - found} of {len(MUTANTS)} mutants killed")
     return 1 if found else 0
 

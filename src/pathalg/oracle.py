@@ -11,12 +11,15 @@ Minimal graded projective resolutions are computed degreewise, per
 (degree, target-vertex) block, in free modules over A (`CoverSpace`).
 `span_from_seeds` spans seed vectors under the arrow action, giving each
 block the arrow images of the degree below before its own seeds, so the
-seeds that still enlarge a block are minimal generators of the span.  The
-leading terms of a submodule of a free module behave monomially (Green
-1999; Green, Solberg and Zacharia 2001): a row's pivot (j, w) times an
-arrow a is the lead of its image whenever w*a is a normal word.  Those
-images go in first, unreduced; a block they fill takes no other image, and
-the rest are reduced.  A span stops after a degree d at or above its
+seeds that still enlarge a block are minimal generators of the span.
+Each row carries a label (g, u), a generator and a normal word, and is
+g*u plus terms of smaller labels, so a block takes the image of a row
+under an arrow a only when u*a is a normal word, in ascending label order:
+an image whose label word is not normal lies in the span of smaller
+labels, as F5's rewrite criterion has it (Faugere 2002), carried to
+submodules of free modules, whose leading terms behave monomially (Green
+1999; Green, Solberg and Zacharia 2001).  An image whose lead is no pivot
+yet goes in unreduced.  A span stops after a degree d at or above its
 cover's top summand degree whose blocks are all full, as then every block
 above d is the whole cover: a prefix of a normal word is normal, so every
 cover column above d is a column of degree d times an arrow.
@@ -37,6 +40,7 @@ cover shape, so covers that differ by a degree shift share them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import GroebnerBasis, Levels, _walk
@@ -53,9 +57,10 @@ class GradedAlgebraModel:
 
     `basis[d]` lists the normal words of length d; a word's number is its
     place there.  `parent[d][i]` is (number of the word minus its last arrow,
-    number of that arrow in `quiver.arrows`) for d >= 1, and `ranks[d][i]`
+    number of that arrow in `quiver.arrows`) for d >= 1, `ranks[d][i]`
     is the word's rank word: the precedence ranks of its arrows, 0 the
-    greatest.  `rewritten[d]` lists the pairs (i, k) whose product, word i
+    greatest, and for d >= 1 `place[d][i]` is the word's place among the
+    words of length d in descending term order, 0 the greatest.  `rewritten[d]` lists the pairs (i, k) whose product, word i
     of length d times arrow number k, is not a normal word, in ascending
     term order of the product.  `between[d]` maps (source, target) to the
     numbers of the words of length d between them, in descending term
@@ -88,7 +93,7 @@ class GradedAlgebraModel:
         self._levels = levels
         self.degree_cap = -1
         self._arrow_no = {a: k for k, a in enumerate(quiver.arrows)}
-        # Cover shape -> (blocks, arrow tables with new-lead flags, block dims),
+        # Cover shape -> (blocks, arrow tables, block dims),
         # shared by the CoverSpaces of that shape.
         self._covers: dict[tuple[tuple[str, int], ...], tuple[dict, dict, dict]] = {}
         self.extend(degree_cap)
@@ -109,6 +114,7 @@ class GradedAlgebraModel:
         # The levels may be shared and grow past this cap, so the model keeps its own lists of them.
         top = degree_cap + 1
         self.basis, self.parent, self.ranks = levels.basis[:top], levels.parent[:top], levels.ranks[:top]
+        self.place = levels._place[:top]
         self.between, self.rewritten = levels.between[:top], levels.rewritten[:degree_cap]
         self._tables = levels.tables[:degree_cap]
         self.degree_cap = degree_cap
@@ -168,8 +174,8 @@ class CoverSpace:
     d - degree_j; a block lists its coordinates in descending module order
     (word first, then summand), so column 0 is the greatest.  A block
     walks the model's `between` lists of its summands, merging those of one
-    degree that start at several vertices.  Its blocks, dims, arrow tables
-    and new-lead flags are the model's for the cover's shape, the summands'
+    degree that start at several vertices.  Its blocks, dims and arrow
+    tables are the model's for the cover's shape, the summands'
     vertices and their degrees less the lowest, read at the degree less the
     lowest; a cover made before `extend` keeps those of the old cap.
     """
@@ -227,13 +233,8 @@ class CoverSpace:
             self._dims[key] = n
         return n
 
-    def _tables(self, d: int, k: int) -> tuple[list[list[tuple[int, object]]], list[bool]]:
-        """The arrow table of arrow number k on block (d, its source), and its new-lead flags, built once per shape.
-
-        A column (j, i)'s flag says whether word i times the arrow is a
-        normal word: its row in the model's table is one word whose `parent`
-        link is (i, k); a product rewritten to a single other word is not.
-        """
+    def _tables(self, d: int, k: int) -> list[list[tuple[int, object]]]:
+        """The arrow table of arrow number k on block (d, its source), built once per shape."""
         key = (d - self._low, k)
         hit = self._actions.get(key)
         if hit is None:
@@ -241,27 +242,21 @@ class CoverSpace:
             a = model.quiver.arrows[k]
             cols, _ = self.block(d, a.source)
             _, pos = self.block(d + 1, a.target)
-            # Per word length: the model's table of the arrow and the parent links one degree up.
-            table, new, at = [], [], {}
+            # Per word length: the model's table of the arrow.
+            hit, at = [], {}
             for j, i in cols:
                 length = d - self._degrees[j]
-                rows_up = at.get(length)
-                if rows_up is None:
-                    rows_up = at[length] = (model.action(length, k), model.parent[length + 1])
-                row, to = rows_up[0][i], pos[j]
-                if len(row) == 1:
-                    [(i2, c)] = row
-                    table.append([(to[i2], c)])
-                    new.append(rows_up[1][i2] == (i, k))
-                else:
-                    table.append([(to[i2], c) for i2, c in row])
-                    new.append(False)
-            hit = self._actions[key] = (table, new)
+                table = at.get(length)
+                if table is None:
+                    table = at[length] = model.action(length, k)
+                to = pos[j]
+                hit.append([(to[i2], c) for i2, c in table[i]])
+            self._actions[key] = hit
         return hit
 
     def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:
         """Image under arrow number k of a vector of block (d, source of the arrow)."""
-        return _apply(self._tables(d, k)[0], vec, self._p)
+        return _apply(self._tables(d, k), vec, self._p)
 
     def from_terms(self, terms: Mapping[tuple[int, Path], object]) -> list[tuple[int, str, dict[int, object]]]:
         """The nonzero (degree, vertex, vector) parts of (summand, path) terms, each path read as its class in A."""
@@ -284,17 +279,21 @@ class GradedPieces:
     """Per-(degree, vertex) subspaces of a free module over A, its `cover`.
 
     `generators` lists the (degree, vertex, vector) seeds that enlarged the
-    span as `span_from_seeds` or `kernel_pieces` built it.  `full_from`,
-    set only by `span_from_seeds`, is the first degree whose blocks it did
-    not build because they are all the whole cover: a prefix of a normal
-    word is normal, so once every block of a degree at or above the top
-    summand degree is full, every cover column above it is in the span.
-    From `full_from` on, `dim` is the cover's and `get` finds no rows.
+    span as `span_from_seeds` or `kernel_pieces` built it.  `labels[(d, v)]`
+    holds a label (g, length, i) per row of block (d, v), in row order: the
+    row descends from generator number g, times word i of that length
+    (`_add_arrow_images`).  `full_from`, set only by `span_from_seeds`, is
+    the first degree whose blocks it did not build because they are all the
+    whole cover: a prefix of a normal word is normal, so once every block
+    of a degree at or above the top summand degree is full, every cover
+    column above it is in the span.  From `full_from` on, `dim` is the
+    cover's and `get` finds no rows.
     """
 
     def __init__(self, cover: CoverSpace):
         self.cover = cover
         self.spaces: dict[tuple[int, str], Subspace] = {}
+        self.labels: dict[tuple[int, str], list[tuple[int, int, int]]] = {}
         self.generators: list[tuple[int, str, dict]] = []
         self.full_from: int | None = None
 
@@ -311,39 +310,73 @@ class GradedPieces:
         key = (d, v)
         if key not in self.spaces:
             self.spaces[key] = Subspace(self.cover.model.field)
+            self.labels[key] = []
         return self.spaces[key]
+
+    def add_seed(self, d: int, v: str, vec: dict) -> None:
+        """Add a vector to block (d, v); if it enlarges the block, it is the next generator.
+
+        Its row is labelled with its generator number and the empty word at v.
+        """
+        if self.spaces[(d, v)].add(vec):
+            self.labels[(d, v)].append((len(self.generators), 0, self.cover.model.quiver.vertices.index(v)))
+            self.generators.append((d, v, vec))
 
 
 def _add_arrow_images(cover: CoverSpace, pieces: GradedPieces, sub: Subspace, d: int, v: str) -> None:
-    """Put into `sub`, the empty block (d, v) of `pieces`, the images of its degree d-1 rows under every arrow into v.
+    """Put into `sub`, the empty block (d, v) of `pieces`, the images of its degree d-1 rows that it needs.
 
-    The images with a new lead go in first, as they are.  A row's pivot
-    (j, w) is its leading term, with entry 1, and the coordinate order is a
-    term order, so when w*a is a normal word the image's lead is (j, w*a),
-    with entry 1; the leads of distinct pivots or arrows differ.  A block
-    that these fill takes no other image, as it cannot outgrow its dim.  The
-    other images, whose leads are not known, go through `Subspace.add` in
-    arrow-major order.
+    Each row carries a label (g, u): generator number g, in birth order,
+    and a normal word u from g's vertex, the row being c*g*u plus terms of
+    smaller labels, c a nonzero scalar.  Labels are ordered by g, then by
+    the term order of u.  A row labelled (g, u) gives its image under an
+    arrow a, labelled (g, u*a), only when u*a is a normal word: its row in
+    the model's table is one word whose `parent` link is (u, a).  The
+    images go in in ascending label order, each by `insert` when its lead
+    is no pivot yet and by `add` otherwise, and a label goes with each
+    image that enlarges the block.
+
+    The block is still the whole degree-d part of the span (F5's rewrite
+    criterion, Faugere 2002; leading terms of a submodule of a free module
+    behave monomially, Green, Solberg and Zacharia 2001).  Write S(<l) for
+    the span of the g*u with label below l.  If u*a is not normal, g*u*a is
+    g*NF(u*a), whose words are less than u*a, so g*u*a lies in S(<(g, u*a));
+    the term order is compatible with right multiplication, so S(<(g, u))*a
+    lies there too, and the image of every row labelled (g, u) is in it.
+    If no row is labelled (g, u), g*u was in S(<(g, u)), so g*u*a lies in
+    S(<(g, u*a)) again.  A reduction uses only rows of smaller labels, so by
+    induction on labels the rows up to each label l span the g*u up to l,
+    and every g*u of degree d with u nonempty is one of these u*a times g.
+    The generators born in a block come after its images, with the next
+    numbers, and the empty word.
     """
-    rest, p = [], cover._p
-    for k, a in enumerate(cover.model.quiver.arrows):
+    model, p, pivots = cover.model, cover._p, sub.row_of_pivot
+    tables, parent, place = model._tables, model.parent, model.place
+    runs = []
+    for k, a in enumerate(model.quiver.arrows):
         if a.target != v:
             continue
         prev = pieces.get(d - 1, a.source)
         if prev is None:
             continue
-        table, new = cover._tables(d - 1, k)
-        for row, piv in zip(prev.rows, prev.pivot_of_row):
-            if new[piv]:
-                sub.insert(_apply(table, row, p))
-            else:
-                rest.append((table, row))
-    if sub.dim == cover.dim(d, v):
+        table = cover._tables(d - 1, k)
+        # A run keeps its rows' label order: u < u' gives u*a < u'*a.
+        run = []
+        for row, (g, n, i) in zip(prev.rows, pieces.labels[(d - 1, a.source)]):
+            step = tables[n][k][i]
+            if len(step) == 1 and parent[n + 1][step[0][0]] == (i, k):
+                run.append((g, n + 1, step[0][0], _apply(table, row, p)))
+        if run:
+            runs.append(run)
+    if not runs:
         return
-    for table, row in rest:
-        img = _apply(table, row, p)
-        if img:
-            sub.add(img)
+    if len(runs) > 1:
+        # Ascending labels: generator number, then the word's place, descending.
+        runs[0] = sorted(chain(*runs), key=lambda c: (c[0], -place[c[1]][c[2]]))
+    labels = pieces.labels[(d, v)]
+    for g, n, j, img in runs[0]:
+        if img and (sub.add(img) if min(img) in pivots else sub.insert(img)):
+            labels.append((g, n, j))
 
 
 def presentation_cover(pres: ModulePresentation, model: GradedAlgebraModel):
@@ -361,10 +394,11 @@ def span_from_seeds(cover: CoverSpace, seeds: Iterable[tuple[int, str, dict]], D
 
     Each block takes the arrow images of the degree below before its own
     seeds, so the seeds that still enlarge it, kept in order in
-    `generators`, minimally generate the span.  The images with a new lead
-    go first, unreduced, and the others, reduced, only if those leave the
-    block short of its dim (`_add_arrow_images`).  The span, and so each
-    block's pivots and the generators, does not depend on that order.
+    `generators`, minimally generate the span.  Of the images it takes
+    only those whose label word times the arrow is a normal word, in
+    ascending label order (`_add_arrow_images`); they span the same space
+    as all of them, so each block's pivots and the generators do not depend
+    on which rows the block keeps.
 
     The span stops after a degree d at or above the top summand degree
     whose blocks are all full, and sets `full_from` to d + 1.  Every cover
@@ -387,8 +421,7 @@ def span_from_seeds(cover: CoverSpace, seeds: Iterable[tuple[int, str, dict]], D
             sub = pieces.ensure(d, v)
             _add_arrow_images(cover, pieces, sub, d, v)
             for vec in by_slot.get((d, v), []):
-                if sub.add(vec):
-                    pieces.generators.append((d, v, vec))
+                pieces.add_seed(d, v, vec)
             full = full and sub.dim == n
         if full:
             pieces.full_from = d + 1
@@ -445,12 +478,12 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient: CoverSpac
 
     f_j maps to images[j], and dims holds the kernel's counted dims
     (`kernel_dims`).  A block takes the arrow images of the kernel one
-    degree down, as in `span_from_seeds`: those with a new lead first,
-    unreduced, then, unless those fill the block, every other one, so the
-    count check below sees the whole span of the images.  Only a block that
-    they leave short of its count, where a generator is born, is eliminated; its left
-    null vectors that still enlarge it are minimal generators, kept in
-    order in `generators`.  Raises PathAlgError if a block's span ends at a
+    degree down by the labels of `span_from_seeds`, which span the same
+    space as every image, so the count check below sees the whole span of
+    the images.  Only a block that they leave short of its count, where a
+    generator is born, is eliminated; its left null vectors that still
+    enlarge it are minimal generators, kept in order in `generators` and
+    labelled after the images.  Raises PathAlgError if a block's span ends at a
     dim other than its count (a count too small is seen only where the
     arrow images outgrow it), or if a kernel vector touches a generator-top
     coordinate, which would mean the chosen generators were not minimal.
@@ -475,8 +508,7 @@ def kernel_pieces(domain: CoverSpace, images: Sequence[dict], ambient: CoverSpac
                 for combo in left_nullspace(rows, model.field):
                     if any(degrees[cols[n][0]] == d for n in combo):
                         raise PathAlgError("kernel meets a generator top: cover was not minimal")
-                    if sub.add(combo):
-                        pieces.generators.append((d, v, combo))
+                    pieces.add_seed(d, v, combo)
             if sub.dim != want:
                 raise PathAlgError(f"kernel block ({d}, {v}) spans dim {sub.dim}, but its count is {want}")
     return pieces

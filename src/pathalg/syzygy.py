@@ -52,12 +52,13 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     """Kernel generators of V -> P_0 -> X through degree_cap, split by survival.
 
     Survivor tips are the orbit-minimal leading coordinates of the relation
-    submodule inside P_0 (normal-word coordinates).  The absorbed tips are
-    the words h*a from a generator's vertex, h normal and below no kept tip,
-    with h*a not normal, as the model's `rewritten` lists them: as the basis
-    tips are an antichain, these are exactly the words u*tip(g) whose only
-    reducible prefix is the whole word, the tips of the generators
-    f_i * (u * g).  Left division by a kept tip is read on the model's
+    submodule inside P_0 (normal-word coordinates), listed by degree, then
+    vertex, then in descending module order within a block.  The absorbed
+    tips are the words h*a from a generator's vertex, h normal and below no
+    kept tip, with h*a not normal, as the model's `rewritten` lists them: as
+    the basis tips are an antichain, these are exactly the words u*tip(g)
+    whose only reducible prefix is the whole word, the tips of the
+    generators f_i * (u * g).  Left division by a kept tip is read on the model's
     `parent` links, which number a word's prefixes, so no path is divided.
 
     No survivor lies above the degree where the span stops (`full_from`),
@@ -91,7 +92,7 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
             if not sub or sub.dim == 0:
                 continue
             cols = cover.block(d, v)[0]
-            for piv in sub.pivot_of_row:
+            for piv in sorted(sub.pivot_of_row):
                 j, i = cols[piv]
                 length = d - gen_degrees[j]
                 if below(j, length, i):

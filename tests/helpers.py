@@ -208,9 +208,10 @@ def monomial_bundles(count, rng_seed, degree_cap=12):
 def reference_first_syzygy(pres, model, degree_cap):
     """(survivor tips, survivor elements, absorbed (generator, tip, lift) triples) by Path divisibility.
 
-    A pivot of the relation span survives unless a kept tip of its generator
-    left-divides it; its survivor element is the pivot's row, read as
-    (generator, normal word) terms, which `first_syzygy` does not build.
+    A pivot of the relation span, taken per block in ascending column order,
+    survives unless a kept tip of its generator left-divides it; its
+    survivor element is the pivot's row, read as (generator, normal word)
+    terms, which `first_syzygy` does not build.
     Each basis element g, lifted by each normal word u from the generator's
     vertex, is absorbed when its tip w = u*tip(g) has no tip in its longest
     proper prefix and no kept tip as a left divisor.
@@ -226,7 +227,8 @@ def reference_first_syzygy(pres, model, degree_cap):
                 continue
             cols = cover.block(d, v)[0]
             column = {n: (j, model.basis[d - pres.generators[j].degree][i]) for n, (j, i) in enumerate(cols)}
-            for row, piv in zip(sub.rows, sub.pivot_of_row):
+            # Pivots in ascending column order, as `first_syzygy` reads them.
+            for piv, row in sorted(zip(sub.pivot_of_row, sub.rows), key=lambda pr: pr[0]):
                 i, p = column[piv]
                 if any(j == i and divides_left(q, p) for (j, q) in kept_tips):
                     continue
