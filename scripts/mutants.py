@@ -233,6 +233,13 @@ MUTANTS = [
         ("tests/test_oracle.py::test_extend_drops_the_cover_tables_of_the_old_cap",),
     ),
     Mutant(
+        "a cover row is relabelled through the source block's columns",
+        "src/pathalg/oracle.py",
+        "_, pos = self.block(d + 1, a.target)",
+        "_, pos = self.block(d, a.source)",
+        ("tests/test_oracle.py::test_cover_rows_built_when_first_read_are_the_relabelled_model_rows",),
+    ),
+    Mutant(
         "minimal substitutes t/a for a generator, not -t/a",
         "src/pathalg/presentation.py",
         "scale = -field.inverse(c.pop((g, Path(v, v))))",

@@ -445,8 +445,12 @@ class Levels:
     - The reduced basis, once `use_basis` has given it: when it is exact
       through d, a product w*a is not a normal word exactly when a tip t is
       a suffix of it, and that tip is unique, as the tips form an antichain.
-      Its row is u*(g - t), for g the element of t and w*a = u*t, where u is
-      a normal word.  No row is eliminated, and none is zero.
+      Its row is u*g = u*t + u*(g - t), for g the element of t and w*a =
+      u*t, where u is a normal word.  `_basis_rows` finds t among the tips
+      less their last arrow and lists the terms of u*(g - t) as they come
+      from walking u through the tables below, with no dict per row: a
+      column met twice adds up in back-substitution.  No row is eliminated,
+      and none is zero.
 
     The columns left without a pivot are the normal words of length d,
     numbered in (i, k) order.  A pivot row's other columns lie right of its
@@ -515,8 +519,9 @@ class Levels:
         return [(tables[d - e][head[0]], [tables[d - e + s][a] for s, a in enumerate(head) if s], rank[k], c)
                 for head, k, c in terms]
 
-    def _eliminate(self, d: int) -> dict[int, dict[int, object]]:
-        """Pivot column -> row, from one elimination of the rows u*r of degree d but those known to reduce to zero."""
+    def _eliminate(self, d: int) -> dict[int, Iterable[tuple[int, object]]]:
+        """Pivot column -> its row's (column, scalar) pairs, from one elimination of the rows u*r of degree d but
+        those known to reduce to zero."""
         span = Subspace(self.field)
         pivots = span.row_of_pivot
         place, width, p = self._place[d - 1], self._width, self._p
@@ -537,18 +542,19 @@ class Levels:
                         zero.add(word)
                 else:
                     span.insert(row)
-        return {col: span.rows[n] for col, n in pivots.items()}
+        return {col: span.rows[n].items() for col, n in pivots.items()}
 
-    def _basis_rows(self, d: int) -> dict[int, dict[int, object]]:
-        """Pivot column -> row u*(g - t), for each product w*a of degree d that a tip t ends: w*a = u*t.
+    def _basis_rows(self, d: int) -> dict[int, list[tuple[int, object]]]:
+        """Pivot column -> the terms of u*(g - t), for each product w*a of degree d that a tip t ends: w*a = u*t.
 
         A normal word w of length d - 1 looks up its suffix of each tip
         length n less one among the tips less their last arrow; each tip so
-        found ends w times its last arrow.
+        found ends w times its last arrow.  The terms are (column, scalar)
+        pairs, straight from the walks of g - t, so a column may repeat.
         """
         heads, tails, lengths = self._heads, self._tails, [n for n in self._tip_lengths if n <= d]
         parent, place, width, p = self.parent, self._place[d - 1], self._width, self._p
-        rows: dict[int, dict[int, object]] = {}
+        rows: dict[int, list[tuple[int, object]]] = {}
         walks: dict[int, list] = {}
         for i, word in enumerate(self.ranks[d - 1]):
             for n in lengths:
@@ -563,7 +569,8 @@ class Levels:
                     tail = walks.get(g)
                     if tail is None:
                         tail = walks[g] = self._walks(tails[g], d)
-                    rows[place[i] * width + r] = _row(tail, u, place, width, p)
+                    rows[place[i] * width + r] = [(place[i2] * width + r2, c * x) for first, rest, r2, c in tail
+                                                  for i2, x in (_walk(first[u], rest, p) if rest else first[u])]
         return rows
 
     def grow(self) -> None:
@@ -597,7 +604,7 @@ class Levels:
         rewritten = []
         for col in sorted(products, reverse=True):
             form: dict[int, object] = {}
-            for c, x in rows[col].items():
+            for c, x in rows[col]:
                 if c == col:
                     continue
                 j = normal.get(c)

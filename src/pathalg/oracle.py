@@ -34,8 +34,9 @@ and the last step only counts.
 
 A block numbers its coordinates once; vectors are sparse dicts from those
 numbers to exact scalars, and each arrow acts on a block through an
-integer table.  Blocks, their dims and tables are built once per model and
-cover shape, so covers that differ by a degree shift share them.
+integer table.  Blocks, their dims and each arrow's table on a block are
+made once per model and cover shape, so covers that differ by a degree
+shift share them; a table's rows are built only when first read.
 """
 from __future__ import annotations
 
@@ -77,10 +78,11 @@ class GradedAlgebraModel:
     reduced Groebner basis.  Its normal words are those of A only up to its
     degree bound, so a model of a truncated basis may not reach above it.
 
-    The blocks and arrow tables of the free modules over A (`CoverSpace`)
-    are kept here too, one set per shape, so covers that differ only by a
-    degree shift build them once; `extend` drops them, as their blocks lack
-    the words of the new degrees.
+    The blocks, their dims and the arrow tables of the free modules over A
+    (`CoverSpace`) are kept here too, one set per shape, so covers that
+    differ only by a degree shift build them once, a table's rows when they
+    are first read.  This is the model's only hidden state; `extend` drops
+    it, as its blocks lack the words of the new degrees.
     """
 
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
@@ -145,11 +147,20 @@ class GradedAlgebraModel:
         return self._tables[d][k]
 
 
-def _apply(table: list[list[tuple[int, object]]], vec: Mapping[int, object], p: int) -> dict[int, object]:
-    """The image of a sparse vector under an integer action table, its scalars reduced mod p (0: over Q)."""
+def _apply(table: tuple, vec: Mapping[int, object], p: int) -> dict[int, object]:
+    """The image of a sparse vector under a block's arrow table, its scalars reduced mod p (0: over Q).
+
+    A row still None is built here (`CoverSpace._tables`).
+    """
+    rows, cols, at, pos = table
     out: dict[int, object] = {}
     for col, c in vec.items():
-        for col2, x in table[col]:
+        row = rows[col]
+        if row is None:
+            j, i = cols[col]
+            to = pos[j]
+            row = rows[col] = [(to[i2], x) for i2, x in at[j][i]]
+        for col2, x in row:
             prev = out.get(col2)
             out[col2] = c * x if prev is None else prev + c * x
     if p:
@@ -177,7 +188,8 @@ class CoverSpace:
     degree that start at several vertices.  Its blocks, dims and arrow
     tables are the model's for the cover's shape, the summands'
     vertices and their degrees less the lowest, read at the degree less the
-    lowest; a cover made before `extend` keeps those of the old cap.
+    lowest; a cover made before `extend` keeps those of the old cap, the
+    rows of its tables too, which are built when first read (`_tables`).
     """
 
     def __init__(self, model: GradedAlgebraModel, summands: Sequence[FreeSummand]):
@@ -233,8 +245,17 @@ class CoverSpace:
             self._dims[key] = n
         return n
 
-    def _tables(self, d: int, k: int) -> list[list[tuple[int, object]]]:
-        """The arrow table of arrow number k on block (d, its source), built once per shape."""
+    def _tables(self, d: int, k: int) -> tuple:
+        """The arrow table of arrow number k on block (d, its source), made once per shape.
+
+        It is (rows, the block's columns, per summand the model's table of
+        the arrow at the summand's word length or None where the model has
+        none, per summand the target block's column numbers of its words).
+        Its rows start as None: `_apply` builds row n, for column n =
+        (j, i), as the model's row of word i relabelled through the target
+        block's column numbers of summand j.  So a row read after `extend`
+        from a table made before it is the old cap's.
+        """
         key = (d - self._low, k)
         hit = self._actions.get(key)
         if hit is None:
@@ -242,16 +263,9 @@ class CoverSpace:
             a = model.quiver.arrows[k]
             cols, _ = self.block(d, a.source)
             _, pos = self.block(d + 1, a.target)
-            # Per word length: the model's table of the arrow.
-            hit, at = [], {}
-            for j, i in cols:
-                length = d - self._degrees[j]
-                table = at.get(length)
-                if table is None:
-                    table = at[length] = model.action(length, k)
-                to = pos[j]
-                hit.append([(to[i2], c) for i2, c in table[i]])
-            self._actions[key] = hit
+            tables = model._tables
+            at = [tables[d - deg][k] if 0 <= d - deg < len(tables) else None for deg in self._degrees]
+            hit = self._actions[key] = ([None] * len(cols), cols, at, pos)
         return hit
 
     def act(self, d: int, k: int, vec: Mapping[int, object]) -> dict[int, object]:

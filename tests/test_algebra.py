@@ -386,7 +386,7 @@ def _eliminate_every_row(levels, d):
     span = Subspace(levels.field)
     for row in _rows_of_degree(levels, d):
         span.add(row)
-    return {col: span.rows[n] for col, n in span.row_of_pivot.items()}
+    return {col: span.rows[n].items() for col, n in span.row_of_pivot.items()}
 
 
 def _levels_summary(levels):
@@ -425,7 +425,7 @@ def test_skipped_rows_lie_in_the_span_of_the_kept_rows(monkeypatch):
         rows = eliminate(self, d)
         kept = Subspace(self.field)
         for row in rows.values():
-            kept.insert(row)
+            kept.insert(dict(row))
         every = 0
         for row in _rows_of_degree(self, d):
             assert kept.contains(row), d

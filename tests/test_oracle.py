@@ -257,10 +257,14 @@ def test_cover_blocks_are_the_reference_blocks():
     assert checked > 10000
 
 
-def _cover_table(cover, d, k):
-    """Arrow number k on block (d, its source) of a cover: each column's image, and the table."""
-    v = cover.model.quiver.arrows[k].source
-    return [cover.act(d, k, {n: 1}) for n in range(cover.dim(d, v))], cover._tables(d, k)
+def _cover_table(cover, d, k, cap=None):
+    """Arrow number k on block (d, its source) of a cover: the image of each column whose word is shorter than
+    cap (the model's cap by default), and then the table's rows, None where a row was never read."""
+    model = cover.model
+    cap = model.degree_cap if cap is None else cap
+    cols, _ = cover.block(d, model.quiver.arrows[k].source)
+    images = [cover.act(d, k, {n: 1}) for n, (j, _i) in enumerate(cols) if d - cover.summands[j].degree < cap]
+    return images, cover._tables(d, k)[0]
 
 
 def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
@@ -273,7 +277,7 @@ def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
     old = CoverSpace(small, low)
     for d in range(7):
         old.block(d, "e")
-    for d in range(4):
+    for d in range(5):
         for k in range(2):
             old._tables(d, k)
     assert CoverSpace(small, high).block(7, "e") is old.block(5, "e")
@@ -285,6 +289,50 @@ def test_extend_drops_the_cover_tables_of_the_old_cap(two_loop, plane_gb):
     for d in range(2, 9):
         for k in range(2):
             assert _cover_table(got, d, k) == _cover_table(want, d, k), (d, k)
+    # The tables of the old cover were made at cap 4, and no row of them was
+    # read.  Read now, a row is the old cap's, numbered in the old block 5,
+    # which lacks the words of degree 5.
+    assert old.block(5, "e") != CoverSpace(fresh, low).block(5, "e")
+    at_old_cap = CoverSpace(build_model(two_loop, plane_gb, 4), low)
+    for d in range(5):
+        for k in range(2):
+            assert _cover_table(old, d, k, 4) == _cover_table(at_old_cap, d, k), (d, k)
+
+
+def test_cover_rows_built_when_first_read_are_the_relabelled_model_rows():
+    # Every row that `act` builds is the model's row of its column's word,
+    # relabelled into the target block's columns.
+    checked = 0
+    for name, text, cap in _level_inputs():
+        pf, model = _input_model(text, cap)
+        covers = _test_covers(pf.quiver.vertices)
+        for pres in pf.modules.values():
+            covers += minimal_resolution(pres, model, 3, cap).covers
+        for summands in filter(None, covers):
+            cover = CoverSpace(model, summands)
+            low = min(s.degree for s in summands)
+            for d in range(low, low + cap):
+                for k, a in enumerate(pf.quiver.arrows):
+                    cols, _ = cover.block(d, a.source)
+                    _, pos = cover.block(d + 1, a.target)
+                    _images, rows = _cover_table(cover, d, k)
+                    want = [[(pos[j][i2], c) for i2, c in model.action(d - summands[j].degree, k)[i]]
+                            for j, i in cols]
+                    assert rows == want, (name, summands, d, k)
+                    checked += len(rows)
+    assert checked > 90000
+
+
+def test_a_resolution_builds_few_cover_rows():
+    # Only the rows that a resolution reads are built: for poly3 over Q,
+    # A0 at N = 3 and D = 11 reads 891 of the 1989 rows its tables cover.
+    pf = parse((ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text())
+    model = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 11), 11)
+    minimal_resolution(pf.modules["A0"], model, 3, 11)
+    rows = [row for _blocks, tables, _dims in model._covers.values() for t in tables.values() for row in t[0]]
+    built = sum(row is not None for row in rows)
+    assert len(rows) == 1989
+    assert 0 < built <= 1000, built
 
 
 def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
