@@ -377,6 +377,29 @@ MUTANTS = [
          "tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[order-vertices]",
          "tests/test_problem.py::test_a_single_valued_setting_appears_at_most_once[params-key]"),
     ),
+    Mutant(
+        "ends records the arrow's source as the word's source",
+        "src/pathalg/algebra.py",
+        "self._ends_from = {v: [(v, a.target) for a in self.arrows] for v in self.vertices}",
+        "self._ends_from = {v: [(a.source, a.target) for a in self.arrows] for v in self.vertices}",
+        ("tests/test_oracle.py::test_level_ends_are_the_endpoints_of_the_basis_words",
+         "tests/test_oracle.py::test_cover_blocks_are_the_reference_blocks"),
+    ),
+    Mutant(
+        "grow builds its words' Paths at once",
+        "src/pathalg/algebra.py",
+        "        self._paths.append(None)\n",
+        "        self._paths.append(None)\n        self.basis\n",
+        ("tests/test_oracle.py::test_a_resolution_builds_no_path_past_completion",),
+    ),
+    Mutant(
+        "the model's basis reads every degree its levels hold",
+        "src/pathalg/oracle.py",
+        "return self._levels.basis[:self.degree_cap + 1]",
+        "return self._levels.basis",
+        ("tests/test_oracle.py::test_a_model_keeps_its_cap_when_its_levels_grow_past_it[poly3_q]",
+         "tests/test_oracle.py::test_a_model_keeps_its_cap_when_its_levels_grow_past_it[preproj3]"),
+    ),
 ]
 
 

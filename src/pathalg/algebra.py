@@ -409,14 +409,17 @@ class Levels:
     The quiver comes as its vertices and its arrows, in the order that
     numbers them, and I as homogeneous relations of degree >= 2: the
     ideal's generators, or none when a reduced basis is given at once
-    (`use_basis`).  `basis[d]` lists the normal words of length d, numbered
-    by their place there; `parent[d][j]` is (number of word j minus its last
-    arrow, number of that arrow), `ranks[d][j]` the word's rank word, and
-    `between[d]` maps (source, target) to the numbers of the words between
-    them in descending term order.  `tables[d][k][i]` is word i of length d
-    times arrow k, as (word number of length d + 1, scalar) pairs, empty
-    when the arrow does not start where the word ends; `rewritten[d]` lists
-    the (i, k) whose product is not a normal word, in ascending term order.
+    (`use_basis`).  The normal words of length d are numbered by their
+    place in degree d: `parent[d][j]` is (number of word j minus its last
+    arrow, number of that arrow), `ends[d][j]` the word's (source, target),
+    `ranks[d][j]` its rank word, and `between[d]` maps (source, target) to
+    the numbers of the words between them in descending term order.
+    `basis[d]` lists the words as `Path`s; `grow` makes none, and a degree's
+    are built from the parent links when `basis` is first read.
+    `tables[d][k][i]` is word i of length d times arrow k, as (word number
+    of length d + 1, scalar) pairs, empty when the arrow does not start
+    where the word ends; `rewritten[d]` lists the (i, k) whose product is
+    not a normal word, in ascending term order.
 
     `grow` adds degree d.  A column is a word i of length d - 1 times an
     arrow k that starts where i ends, numbered place * width + rank: i's
@@ -468,6 +471,9 @@ class Levels:
         for k, a in enumerate(self.arrows):
             self._leaving.setdefault(a.source, []).append(k)
         self._number = {a: k for k, a in enumerate(self.arrows)}
+        # Per source vertex, per arrow number: the endpoints of a word from there that ends with the arrow,
+        # one tuple shared by all such words.
+        self._ends_from = {v: [(v, a.target) for a in self.arrows] for v in self.vertices}
         self._relations = [self._read(r) for r in relations]
         # Per relation: the rank words u whose row u*r was empty or reduced to zero (`_eliminate`).
         self._zero: list[set[tuple[int, ...]]] = [set() for _ in self._relations]
@@ -477,7 +483,9 @@ class Levels:
         self._heads: dict[tuple[int, ...], dict[int, int]] = {}
         self._tip_lengths: list[int] = []
         n = len(self.vertices)
-        self.basis: list[list[Path]] = [[Path(v, v) for v in self.vertices]]
+        # Per degree, its words' `Path`s once `basis` has built them, else None.
+        self._paths: list[list[Path] | None] = [[Path(v, v) for v in self.vertices]]
+        self.ends: list[list[tuple[str, str]]] = [[(v, v) for v in self.vertices]]
         self.parent: list[list[tuple[int, int]]] = [[]]
         self.ranks: list[list[tuple[int, ...]]] = [[()] * n]
         self.between: list[dict[tuple[str, str], list[int]]] = [{(v, v): [i] for i, v in enumerate(self.vertices)}]
@@ -488,6 +496,21 @@ class Levels:
         # ending at each vertex, in descending term order.
         self._place: list[list[int]] = [[0] * n]
         self._ending: list[dict[str, list[int]]] = [{v: [i] for i, v in enumerate(self.vertices)}]
+
+    @property
+    def basis(self) -> list[list[Path]]:
+        """Per degree, its normal words as `Path`s, a degree's built from the parent links when first read.
+
+        Each missing degree is assigned by its index, so a second build,
+        as by another thread, gives the same lists.
+        """
+        paths, arrows = self._paths, self.arrows
+        for d, level in enumerate(paths):
+            if level is None:
+                below = paths[d - 1]
+                paths[d] = [Path(below[i].source, arrows[k].target, below[i].arrows + (arrows[k],))
+                            for i, k in self.parent[d]]
+        return paths
 
     def _read(self, r: AlgebraElement, drop: Path | None = None) -> tuple:
         """r's degree, its source, and per term but `drop`'s: (the arrow numbers but the last, the last, scalar)."""
@@ -575,23 +598,23 @@ class Levels:
 
     def grow(self) -> None:
         """Add the next degree: its normal words, and the tables of every arrow on the degree below."""
-        d = len(self.basis)
-        below, place, p, width, rank = self.basis[d - 1], self._place[d - 1], self._p, self._width, self.rank
+        d = len(self.ranks)
+        place, p, width, rank = self._place[d - 1], self._p, self._width, self.rank
         rows = self._eliminate(d) if self._tails is None else self._basis_rows(d)
         # Column -> number of its normal word, or the (i, k) of its rewritten product.
         normal: dict[int, int] = {}
         products: dict[int, tuple[int, int]] = {}
-        level, parent, ranks = [], [], []
-        for i, (w, word) in enumerate(zip(below, self.ranks[d - 1])):
-            base = place[i] * width
-            for k in self._leaving.get(w.target, ()):
+        ends, parent, ranks = [], [], []
+        below = self.ends[d - 1]
+        for i, ((s, t), word) in enumerate(zip(below, self.ranks[d - 1])):
+            base, ends_from = place[i] * width, self._ends_from[s]
+            for k in self._leaving.get(t, ()):
                 col = base + rank[k]
                 if col in rows:
                     products[col] = (i, k)
                     continue
-                a = self.arrows[k]
-                normal[col] = len(level)
-                level.append(Path(w.source, a.target, w.arrows + (a,)))
+                normal[col] = len(ends)
+                ends.append(ends_from[k])
                 parent.append((i, k))
                 ranks.append(word + (rank[k],))
         one, of = self.field.one, self.field.of
@@ -617,13 +640,13 @@ class Levels:
             tables[k][i] = forms[col] = [(j, x % p) for j, x in form.items() if x % p] if p else [
                 (j, of(x)) for j, x in form.items() if x]
             rewritten.append((i, k))
-        places, between, ending = [0] * len(level), {}, {}
+        places, between, ending = [0] * len(ends), {}, {}
         for n, col in enumerate(sorted(normal)):
             j = normal[col]
             places[j] = n
-            between.setdefault((level[j].source, level[j].target), []).append(j)
-            ending.setdefault(level[j].target, []).append(j)
-        self.basis.append(level)
+            between.setdefault(ends[j], []).append(j)
+            ending.setdefault(ends[j][1], []).append(j)
+        self.ends.append(ends)
         self.parent.append(parent)
         self.ranks.append(ranks)
         self.between.append(between)
@@ -631,6 +654,7 @@ class Levels:
         self.rewritten.append(rewritten)
         self._place.append(places)
         self._ending.append(ending)
+        self._paths.append(None)
 
 
 def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_degree: int) -> GroebnerBasis:
@@ -662,23 +686,27 @@ def groebner_basis(generators: Iterable[AlgebraElement], order: OrderSpec, max_d
     ends = {v for a in arrows for v in (a.source, a.target)}.difference(order.vertex_precedence)
     levels = Levels([*order.vertex_precedence, *sorted(ends)], arrows, order, gens)
     top = max((g.degree() for g in gens), default=0)
-    elements, tips, overlaps = [], [], OverlapDegree()
+    # Per minimal tip, ascending: (its degree, its prefix's number, its last arrow's number, its table row).
+    found, overlaps = [], OverlapDegree()
     monomial, max_overlap, d = True, 0, 0
     while d < max_degree and not (top <= d and (monomial or max_overlap <= d)):
         d += 1
         levels.grow()
-        heads, words, normal = levels.basis[d - 1], levels.basis[d], set(levels.ranks[d - 1])
+        normal = set(levels.ranks[d - 1])
         for i, k in levels.rewritten[d - 1]:
             key = levels.ranks[d - 1][i] + (levels.rank[k],)
             if key[1:] not in normal:
                 continue
-            w, a = heads[i], levels.arrows[k]
-            tips.append(Path(w.source, a.target, w.arrows + (a,)))
             tail = levels.tables[d - 1][k][i]
-            terms = {words[j]: field.of(-x) for j, x in tail}
-            terms[tips[-1]] = 1
-            elements.append(AlgebraElement(terms))
+            found.append((d, i, k, tail))
             monomial = monomial and not tail
             max_overlap = overlaps.add(key)
+    basis, elements, tips = levels.basis, [], []
+    for d, i, k, tail in found:
+        w, a = basis[d - 1][i], levels.arrows[k]
+        tips.append(Path(w.source, a.target, w.arrows + (a,)))
+        terms = {basis[d][j]: field.of(-x) for j, x in tail}
+        terms[tips[-1]] = 1
+        elements.append(AlgebraElement(terms))
     complete = top <= max_degree and (monomial or max_overlap <= max_degree)
     return GroebnerBasis(tuple(elements), tuple(tips), complete, max_degree, order, max_overlap, levels)

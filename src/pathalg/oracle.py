@@ -56,14 +56,15 @@ from .quiver import Arrow, Path, Quiver
 class GradedAlgebraModel:
     """Normal-word bases of A up to a degree cap, with the arrow action as integer tables.
 
-    `basis[d]` lists the normal words of length d; a word's number is its
-    place there.  `parent[d][i]` is (number of the word minus its last arrow,
-    number of that arrow in `quiver.arrows`) for d >= 1, `ranks[d][i]`
-    is the word's rank word: the precedence ranks of its arrows, 0 the
-    greatest, and for d >= 1 `place[d][i]` is the word's place among the
-    words of length d in descending term order, 0 the greatest.  `rewritten[d]` lists the pairs (i, k) whose product, word i
-    of length d times arrow number k, is not a normal word, in ascending
-    term order of the product.  `between[d]` maps (source, target) to the
+    `basis[d]` lists the normal words of length d as `Path`s; a word's
+    number is its place there.  `parent[d][i]` is (number of the word minus
+    its last arrow, number of that arrow in `quiver.arrows`) for d >= 1,
+    `ranks[d][i]` is the word's rank word: the precedence ranks of its
+    arrows, 0 the greatest, and for d >= 1 `place[d][i]` is the word's place
+    among the words of length d in descending term order, 0 the greatest.
+    `rewritten[d]` lists the pairs (i, k) whose product, word i of length d
+    times arrow number k, is not a normal word, in ascending term order of
+    the product.  `between[d]` maps (source, target) to the
     numbers of the words of length d between them, in descending term
     order.  `field` is the field of the basis's order.
 
@@ -78,11 +79,14 @@ class GradedAlgebraModel:
     reduced Groebner basis.  Its normal words are those of A only up to its
     degree bound, so a model of a truncated basis may not reach above it.
 
-    The blocks, their dims and the arrow tables of the free modules over A
-    (`CoverSpace`) are kept here too, one set per shape, so covers that
-    differ only by a degree shift build them once, a table's rows when they
-    are first read.  This is the model's only hidden state; `extend` drops
-    it, as its blocks lack the words of the new degrees.
+    The model keeps its cap, and `basis` reads the levels' `Path`s up to it,
+    which the levels build from the parent links when they are first read;
+    `dims` and the oracle read only the other lists.  The blocks, their
+    dims and the arrow tables of the free modules over A (`CoverSpace`) are
+    kept here too, one set per shape, so covers that differ only by a degree
+    shift build them once, a table's rows when they are first read.  These
+    `Path`s and cover tables are the model's only hidden state; `extend`
+    drops the tables, as their blocks lack the words of the new degrees.
     """
 
     def __init__(self, quiver: Quiver, gb: GroebnerBasis, degree_cap: int):
@@ -109,32 +113,37 @@ class GradedAlgebraModel:
             return
         self._covers = {}  # blocks of the old cap lack the new words
         levels = self._levels
-        if len(levels.basis) <= degree_cap:
+        if len(levels.ranks) <= degree_cap:
             levels.use_basis(gb.tips, gb.elements)
-        while len(levels.basis) <= degree_cap:
+        while len(levels.ranks) <= degree_cap:
             levels.grow()
         # The levels may be shared and grow past this cap, so the model keeps its own lists of them.
         top = degree_cap + 1
-        self.basis, self.parent, self.ranks = levels.basis[:top], levels.parent[:top], levels.ranks[:top]
+        self.parent, self.ranks = levels.parent[:top], levels.ranks[:top]
         self.place = levels._place[:top]
         self.between, self.rewritten = levels.between[:top], levels.rewritten[:degree_cap]
         self._tables = levels.tables[:degree_cap]
         self.degree_cap = degree_cap
 
+    @property
+    def basis(self) -> list[list[Path]]:
+        """The levels' `basis` up to the cap; a degree's `Path`s are built when first read."""
+        return self._levels.basis[:self.degree_cap + 1]
+
     def dims(self) -> list[int]:
-        return [len(level) for level in self.basis]
+        return [len(level) for level in self.ranks]
 
     def act(self, w: Path, a: Arrow) -> dict[Path, object]:
         """Expansion of the class of w*a in the normal-word basis, read from the tables.
 
         w must be a normal word below the cap; anything else raises PathAlgError.
         """
-        d = w.length
+        d, basis = w.length, self.basis
         try:
-            i = (self.basis[d] if d < self.degree_cap else []).index(w)
+            i = (basis[d] if d < self.degree_cap else []).index(w)
         except ValueError:
             raise PathAlgError(f"{w} is not a normal word below the model cap {self.degree_cap}") from None
-        nxt = self.basis[d + 1]
+        nxt = basis[d + 1]
         return {nxt[j]: c for j, c in self.action(d, self._arrow_no[a])[i]}
 
     def expand(self, w: Path) -> dict[int, object]:

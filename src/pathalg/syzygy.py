@@ -69,7 +69,7 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
     if degree_cap > model.degree_cap:
         raise PathAlgError(f"first syzygy degree cap {degree_cap} exceeds the model cap {model.degree_cap}")
     quiver = model.quiver
-    parent = model.parent
+    parent, basis = model.parent, model.basis
     cover, seeds = presentation_cover(pres, model)
     pieces = span_from_seeds(cover, seeds, degree_cap)
     gen_degrees = [g.degree for g in pres.generators]
@@ -98,13 +98,13 @@ def first_syzygy(pres: ModulePresentation, model: GradedAlgebraModel, degree_cap
                 if below(j, length, i):
                     continue
                 kept.add((j, length, i))
-                survivors.append((j, model.basis[length][i]))
+                survivors.append((j, basis[length][i]))
 
     absorbed: list[tuple[int, Path]] = []
     for j, g in enumerate(pres.generators):
         for length in range(degree_cap - g.degree):
             for i, k in model.rewritten[length]:
-                h, a = model.basis[length][i], quiver.arrows[k]
+                h, a = basis[length][i], quiver.arrows[k]
                 if h.source == g.vertex and not below(j, length, i):
                     absorbed.append((j, Path(h.source, a.target, h.arrows + (a,))))
 

@@ -1,6 +1,8 @@
 import gc
 import pathlib
 import random
+import sys
+import threading
 from itertools import islice
 from math import comb
 
@@ -147,6 +149,57 @@ def test_model_levels_are_the_reference_levels():
     for name, text, cap in _level_inputs():
         pf, model = _input_model(text, cap)
         _assert_reference_levels(pf, model, cap, name)
+
+
+def test_level_ends_are_the_endpoints_of_the_basis_words():
+    # `grow` records each word's endpoints and makes no Path; `basis` builds
+    # the Paths from the parent links alone.
+    for name, text, cap in _level_inputs():
+        _pf, model = _input_model(text, cap)
+        levels = model._levels
+        assert len(levels.ends) == len(levels.basis) == cap + 1, name
+        for d, level in enumerate(levels.basis):
+            assert levels.ends[d] == [(w.source, w.target) for w in level], (name, d)
+            if d:
+                assert levels.ends[d] == [(w.arrows[0].source, w.arrows[-1].target) for w in level], (name, d)
+
+
+@pytest.mark.parametrize("name", ["poly3_q", "preproj3"])
+def test_a_model_keeps_its_cap_when_its_levels_grow_past_it(name):
+    # Both models continue the levels of one basis, so the cap-7 model grows
+    # them past the cap-4 model's cap, before and after its Paths are built.
+    pf = parse((ROOT / "perfbench" / "inputs" / f"{name}.alg").read_text())
+    gb = groebner_basis(pf.ideal, pf.order, 4)
+    assert gb.complete and len(gb.levels.ranks) <= 5
+    low = build_model(pf.quiver, gb, 4)
+    before = low.basis
+    high = build_model(pf.quiver, gb, 7)
+    assert len(gb.levels.ranks) == 8 and high._levels is low._levels
+    fresh = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 4), 4)
+    assert len(low.basis) == 5 and low.basis == before == fresh.basis
+    assert low.dims() == fresh.dims() == [len(level) for level in low.basis]
+    assert high.basis[:5] == low.basis and len(high.basis) == 8
+
+
+def test_threads_that_first_read_the_levels_at_once_see_every_degree_built():
+    # `basis` assigns each missing degree by its index, so readers that race
+    # to build the same degrees each return every degree, equal to a lone build.
+    pf = parse((ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text())
+    want = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 11), 11).basis
+    levels = build_model(pf.quiver, groebner_basis(pf.ideal, pf.order, 11), 11)._levels
+    seen = []
+    threads = [threading.Thread(target=lambda: seen.append(list(levels.basis))) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 and all(basis == want for basis in seen)
 
 
 def _unused_arrow_problems():
@@ -333,6 +386,20 @@ def test_a_resolution_builds_few_cover_rows():
     built = sum(row is not None for row in rows)
     assert len(rows) == 1989
     assert 0 < built <= 1000, built
+
+
+def test_a_resolution_builds_no_path_past_completion():
+    # Only completion reads the levels' Paths: for poly3 over Q, A0 at N = 3
+    # and D = 11 builds the 20 words of degrees 0 to 3 of the 364 through 11.
+    pf = parse((ROOT / "perfbench" / "inputs" / "poly3_q.alg").read_text())
+    gb = groebner_basis(pf.ideal, pf.order, 11)
+    grown = len(gb.levels.ranks)
+    minimal_resolution(pf.modules["A0"], build_model(pf.quiver, gb, 11), 3, 11)
+    levels = gb.levels
+    assert grown == 4 and sum(len(words) for words in levels.ranks) == 364
+    assert levels._paths[grown:] == [None] * (12 - grown)
+    built = sum(len(level) for level in levels._paths if level is not None)
+    assert 0 < built <= 20, built
 
 
 def test_action_tables_and_resolutions_need_no_normal_form(monkeypatch):
